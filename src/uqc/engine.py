@@ -1,21 +1,26 @@
 """Graph evaluation on tensor grids with exact operation-level cost accounting.
 
-Two engines share one elementwise interpreter over the topological order:
+All entry points run one executor over the graph's cached plan (Graph.plan).
+evaluate_naive feeds each uncertain input its full-length grid vector, so
+every operation runs at every grid point; evaluate_on_samples and
+evaluate_single_point do the same over sample rows or one point.
+evaluate_amtc runs a transformed graph whose values have k_j on the axes
+of their dependency signature and 1 elsewhere, so each operation runs once
+per distinct point of its subspace; expands are broadcast views whose
+elements are reported as copies (data movement, not model arithmetic).
 
-* evaluate_naive feeds every uncertain input its full-length grid vector,
-  so every operation runs once per grid point (the conventional sweep);
-* evaluate_amtc runs a transformed graph in which each operation sees
-  value tensors over exactly its own dependency signature, so it runs once
-  per distinct point of that subspace, and expand operations broadcast
-  tensors between subspaces by copying (reported separately, since copies
-  are data movement rather than model arithmetic).
+Constants are 1-element arrays that numpy broadcasts.  A value is dropped
+after its last reader, and a result reuses the buffer of a dying operand
+of its shape that the executor allocated, so peak memory follows the
+largest live set rather than the operation count.  Grid nodes, caller
+samples, constants and views are never written.
 
 Costs are counted as scalar applications per operation, which makes the
 accounting machine-independent; wall time is measured but never part of
 report equality.  Out-of-domain arguments (sqrt of a negative, log of a
-non-positive, division by zero) raise DomainError rather than propagating
-NaN.  Elementwise work may be split across threads (UQC_THREADS, default
-1); results and counts are identical to sequential execution.
+non-positive, division by zero) raise DomainError at the first full-grid
+point that hits them rather than propagating NaN.  Elementwise work may be
+split across threads (UQC_THREADS, default 1) with identical results.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ from .errors import (
     SignatureMismatchError,
     SignatureNotSubsetError,
 )
-from .graph import EXPAND, Graph, Signature
-from .graph import topo_sort
+from .graph import EXPAND, Graph, Signature, Step
 from .quadrature import TensorGrid, grid_input_vector
 from .transform import TransformedGraph, signature_is_subset
 
@@ -136,112 +140,114 @@ class EvaluationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _first_index(mask: np.ndarray) -> int:
-    return int(np.flatnonzero(mask)[0])
+def _grid_index(mask: np.ndarray, space: tuple[int, ...]) -> int:
+    """Flat index into `space` of the first true entry of `mask`, which
+    broadcasts against `space`: axes where the mask has size 1 take index 0."""
+    first = np.unravel_index(int(np.flatnonzero(mask)[0]), mask.shape)
+    return int(np.ravel_multi_index(first, space))
 
 
-def _check_domain(op, arrays) -> None:
+def _raise_if(bad: np.ndarray, op, reason: str, space) -> None:
+    if bad.any():
+        raise DomainError(op.id, op.kind, _grid_index(bad, space), reason)
+
+
+def _check_domain(op, arrays, space) -> None:
     kind = op.kind
     if kind == "div":
-        bad = arrays[1] == 0.0
-        if bad.any():
-            raise DomainError(op.id, kind, _first_index(bad), "division by zero")
+        _raise_if(arrays[1] == 0.0, op, "division by zero", space)
     elif kind == "log":
-        bad = arrays[0] <= 0.0
-        if bad.any():
-            raise DomainError(op.id, kind, _first_index(bad), "log of non-positive value")
+        _raise_if(arrays[0] <= 0.0, op, "log of non-positive value", space)
     elif kind == "sqrt":
-        bad = arrays[0] < 0.0
-        if bad.any():
-            raise DomainError(op.id, kind, _first_index(bad), "sqrt of negative value")
+        _raise_if(arrays[0] < 0.0, op, "sqrt of negative value", space)
     elif kind == "pow_const":
         exponent = op.exponent
         if exponent != int(exponent):
-            bad = arrays[0] < 0.0
-            if bad.any():
-                raise DomainError(op.id, kind, _first_index(bad),
-                                  f"negative base for exponent {exponent}")
+            _raise_if(arrays[0] < 0.0, op, f"negative base for exponent {exponent}", space)
         if exponent < 0:
-            bad = arrays[0] == 0.0
-            if bad.any():
-                raise DomainError(op.id, kind, _first_index(bad),
-                                  f"zero base for exponent {exponent}")
+            _raise_if(arrays[0] == 0.0, op, f"zero base for exponent {exponent}", space)
 
 
-def _compute(op, arrays, out=None):
-    kind = op.kind
-    if kind == "neg":
-        return np.negative(arrays[0], out=out)
-    if kind == "add":
-        return np.add(arrays[0], arrays[1], out=out)
-    if kind == "sub":
-        return np.subtract(arrays[0], arrays[1], out=out)
-    if kind == "mul":
-        return np.multiply(arrays[0], arrays[1], out=out)
-    if kind == "div":
-        return np.divide(arrays[0], arrays[1], out=out)
-    if kind == "pow_const":
-        return np.power(arrays[0], op.exponent, out=out)
-    if kind == "sin":
-        return np.sin(arrays[0], out=out)
-    if kind == "cos":
-        return np.cos(arrays[0], out=out)
-    if kind == "tan":
-        return np.tan(arrays[0], out=out)
-    if kind == "exp":
-        return np.exp(arrays[0], out=out)
-    if kind == "log":
-        return np.log(arrays[0], out=out)
-    if kind == "sqrt":
-        return np.sqrt(arrays[0], out=out)
-    raise SignatureMismatchError(f"cannot apply operation kind '{kind}' elementwise")
+def _compute(step: Step, operands, shape, out, workers: int) -> np.ndarray:
+    """Apply the step's ufunc, into `out` when given, optionally split over threads."""
+    extra = () if step.op.exponent is None else (step.op.exponent,)
+    if workers == 1 or int(np.prod(shape)) < workers * _MIN_POINTS_PER_WORKER:
+        return step.ufunc(*operands, *extra, out=out)
+    # Broadcast 1-element operands first so that every chunk slices all
+    # operands alike; chunks run along the longest axis.
+    operands = [np.broadcast_to(a, shape) for a in operands]
+    out = np.empty(shape) if out is None else out
+    axis = int(np.argmax(shape))
+    bounds = np.linspace(0, shape[axis], workers + 1, dtype=int)
 
-
-def _apply_elementary(op, arrays) -> np.ndarray:
-    """Domain-checked elementwise application, optionally split over threads."""
-    _check_domain(op, arrays)
-    n = len(arrays[0])
-    workers = worker_count()
-    if workers == 1 or n < workers * _MIN_POINTS_PER_WORKER:
-        return _compute(op, arrays)
-    out = np.empty(n)
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(workers)]
-
-    def run(chunk: slice) -> None:
-        _compute(op, [a[chunk] for a in arrays], out=out[chunk])
+    def run(i: int) -> None:
+        chunk = (slice(None),) * axis + (slice(bounds[i], bounds[i + 1]),)
+        step.ufunc(*(a[chunk] for a in operands), *extra, out=out[chunk])
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, slices))
+        list(pool.map(run, range(workers)))
     return out
 
 
-def _execute_vectors(graph: Graph, input_vectors: dict[int, np.ndarray],
-                     n: int) -> tuple[dict[int, np.ndarray], dict[int, int]]:
-    """Run every operation elementwise over n aligned points.
+def _execute(graph: Graph, columns, space: tuple[int, ...]):
+    """Run graph.plan over the evaluation space `space`.
 
-    input_vectors maps axis index -> coordinate vector of length n.
-    Returns variable values and per-operation evaluation counts.
+    `columns[j]` is the read-only value of uncertain input j, an array that
+    broadcasts against `space`.  Returns (values, owned, counts, copies):
+    the values alive at the end (every graph output among them), the ids
+    of those held in buffers this call allocated, the elements each
+    elementary operation produced, and the elements all expands produced.
     """
-    values: dict[int, np.ndarray] = {}
-    for axis, (vid, _) in enumerate(graph.uncertain_inputs):
-        values[vid] = np.asarray(input_vectors[axis], dtype=float)
+    values = {vid: column for (vid, _), column in zip(graph.uncertain_inputs, columns)}
     for var in graph.variables:
         if var.kind == "constant":
-            values[var.id] = np.full(n, var.constant_value)
-
+            values[var.id] = np.array(var.constant_value, ndmin=len(space))
+    workers = worker_count()
+    owned: set[int] = set()
     counts: dict[int, int] = {}
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
-        values[op.output] = _apply_elementary(op, [values[v] for v in op.inputs])
-        counts[op_id] = n
-    return values, counts
+    copies = 0
+    for step in graph.plan:
+        op = step.op
+        operands = [values[vid] for vid in op.inputs]
+        if step.ufunc is None:
+            target = tuple(n if axis in op.expand_to else 1 for axis, n in enumerate(space))
+            result = np.broadcast_to(operands[0], target)
+            owned.discard(op.inputs[0])  # the view shares its buffer
+            copies += result.size
+        else:
+            shape = operands[0].shape
+            if len(operands) == 2 and operands[1].shape != shape:
+                shape = np.broadcast_shapes(shape, operands[1].shape)
+            _check_domain(op, operands, space)
+            out = next((values[vid] for vid in step.release
+                        if vid in owned and values[vid].shape == shape), None)
+            result = _compute(step, operands, shape, out, workers)
+            owned.add(op.output)
+            counts[op.id] = result.size
+        values[op.output] = result
+        for vid in step.release:
+            del values[vid]
+            owned.discard(vid)
+    return values, owned, counts, copies
+
+
+def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
+    """Every output over n aligned points, each as its own length-n vector:
+    buffers the executor allocated are handed over, anything else (an
+    input, a constant, a 1-element result) is broadcast into a copy."""
+    values, owned, _, _ = _execute(graph, columns, (n,))
+    outputs = {}
+    for vid in graph.outputs:
+        array = values[vid]
+        if vid not in owned or array.shape != (n,):
+            array = np.broadcast_to(array, (n,)).copy()
+        outputs[graph.variable_by_id[vid].name] = array
+    return outputs
 
 
 def _report(graph: Graph, outputs: dict[str, ValueTensor], counts: dict[int, int],
             copies: int, wall_ms: float) -> EvaluationReport:
-    total = sum(count for op_id, count in counts.items()
-                if graph.operation_by_id[op_id].kind != EXPAND)
+    total = sum(counts.values())
     per_point = graph.elementary_operation_count()
     equivalent = total / per_point if per_point else 0.0
     return EvaluationReport(outputs, counts, total, copies, equivalent, wall_ms)
@@ -267,66 +273,51 @@ def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
     n = grid.total_points
     full: Signature = tuple(range(graph.dim))
     start = time.perf_counter()
-    vectors = {axis: grid_input_vector(grid, axis) for axis in range(grid.dim)}
-    values, counts = _execute_vectors(graph, vectors, n)
+    vectors = [grid_input_vector(grid, axis) for axis in range(grid.dim)]
+    outputs = _evaluate_vectors(graph, vectors, n)
     wall_ms = (time.perf_counter() - start) * 1e3
-    outputs = {graph.variable_by_id[vid].name: ValueTensor(full, values[vid].copy())
-               for vid in graph.outputs}
-    return _report(graph, outputs, counts, 0, wall_ms)
+    counts = {step.op.id: n for step in graph.plan}
+    return _report(graph, {name: ValueTensor(full, data) for name, data in outputs.items()},
+                   counts, 0, wall_ms)
+
+
+def _check_signatures(transformed: TransformedGraph) -> None:
+    """Each elementary operation must read values of its own signature, so
+    that it runs over exactly its own subspace."""
+    signature_of = transformed.signature_of
+    for op in transformed.graph.operations:
+        for vid in op.inputs:
+            if op.kind != EXPAND and signature_of[vid] != signature_of[op.output]:
+                raise SignatureMismatchError(
+                    f"operation {op.id} with signature {signature_of[op.output]} "
+                    f"received input {vid} with signature {signature_of[vid]}")
 
 
 def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> EvaluationReport:
     """Evaluate a transformed graph, one run per distinct subspace point.
 
-    Uncertain input j is fed its k_j raw nodes, constants are size-1
-    tensors, and each elementary operation runs over the product of axis
-    sizes in its signature.  Expand operations contribute their output
-    sizes to expansion_copies, not to total_scalar_evals.  Outputs are
-    presented on the full grid so they compare directly with
-    evaluate_naive (the final broadcast, if any, is not counted).
+    Uncertain input j is fed its k_j raw nodes along axis j, constants are
+    1-element arrays, and each elementary operation runs over the product
+    of axis sizes in its signature.  Expand operations are broadcast views
+    and contribute their output sizes to expansion_copies, not to
+    total_scalar_evals.  Outputs are presented on the full grid so they
+    compare directly with evaluate_naive (the final broadcast, if any, is
+    not counted).
     """
     graph = transformed.graph
     _check_grid(graph, grid)
+    _check_signatures(transformed)
     sizes = grid.axis_sizes
-    signature_of = transformed.signature_of
     full: Signature = tuple(range(graph.dim))
-
-    values: dict[int, ValueTensor] = {}
-    for axis, (vid, _) in enumerate(graph.uncertain_inputs):
-        values[vid] = ValueTensor((axis,), np.asarray(grid.axes[axis].nodes, dtype=float))
-    for var in graph.variables:
-        if var.kind == "constant":
-            values[var.id] = ValueTensor((), np.array([var.constant_value]))
-
-    counts: dict[int, int] = {}
-    copies = 0
     start = time.perf_counter()
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
-        if op.kind == EXPAND:
-            result = expand_tensor(values[op.inputs[0]], op.expand_to, sizes)
-            copies += len(result)
-        else:
-            signature = signature_of[op.output]
-            operands = []
-            for vid in op.inputs:
-                tensor = values[vid]
-                if tensor.signature != signature:
-                    raise SignatureMismatchError(
-                        f"operation {op_id} with signature {signature} received "
-                        f"input {vid} with signature {tensor.signature}")
-                operands.append(tensor.data)
-            result = ValueTensor(signature, _apply_elementary(op, operands))
-            counts[op_id] = len(result)
-        values[op.output] = result
+    columns = [rule.nodes.reshape([k if j == axis else 1 for j, k in enumerate(sizes)])
+               for axis, rule in enumerate(grid.axes)]
+    values, _, counts, copies = _execute(graph, columns, sizes)
     wall_ms = (time.perf_counter() - start) * 1e3
-
     outputs = {}
     for vid in graph.outputs:
-        tensor = values[vid]
-        if tensor.signature != full:
-            tensor = expand_tensor(tensor, full, sizes)
-        outputs[graph.variable_by_id[vid].name] = tensor
+        tensor = ValueTensor(transformed.signature_of[vid], values[vid].ravel())
+        outputs[graph.variable_by_id[vid].name] = expand_tensor(tensor, full, sizes)
     return _report(graph, outputs, counts, copies, wall_ms)
 
 
@@ -339,21 +330,23 @@ def evaluate_single_point(graph: Graph, point) -> dict[str, float]:
     if len(point) != graph.dim:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates but the model has {graph.dim} inputs")
-    vectors = {axis: point[axis:axis + 1] for axis in range(graph.dim)}
-    values, _ = _execute_vectors(graph, vectors, 1)
-    return {graph.variable_by_id[vid].name: float(values[vid][0]) for vid in graph.outputs}
+    outputs = _evaluate_vectors(graph, point[:, None], 1)
+    return {name: float(vector[0]) for name, vector in outputs.items()}
 
 
 def evaluate_on_samples(graph: Graph, samples: np.ndarray) -> dict[str, np.ndarray]:
     """Evaluate all outputs at an (n, dim) array of input points.
 
     Vectorized equivalent of evaluate_single_point row by row; DomainError
-    point indices refer to sample rows.
+    point indices refer to sample rows, and the error carries that row as
+    its sample.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != graph.dim:
         raise DimensionMismatchError(
             f"samples have {samples.shape[1]} columns but the model has {graph.dim} inputs")
-    vectors = {axis: samples[:, axis] for axis in range(graph.dim)}
-    values, _ = _execute_vectors(graph, vectors, samples.shape[0])
-    return {graph.variable_by_id[vid].name: values[vid] for vid in graph.outputs}
+    try:
+        return _evaluate_vectors(graph, samples.T, samples.shape[0])
+    except DomainError as exc:
+        raise DomainError(exc.op_id, exc.op_kind, exc.point_index, exc.reason,
+                          sample=tuple(samples[exc.point_index])) from None

@@ -91,8 +91,8 @@ class InternalError(UqcError):
 class DomainError(UqcError):
     """An elementary operation received an out-of-domain argument.
 
-    Carries the operation id and the flat point index at which the
-    violation occurred, plus (for sampling drivers) the offending sample.
+    Carries the operation id, the reason, and the flat point index at which
+    the violation occurred, plus (for sampling drivers) the offending sample.
     """
 
     def __init__(self, op_id: int, op_kind: str, point_index: int, reason: str,
@@ -100,6 +100,7 @@ class DomainError(UqcError):
         self.op_id = op_id
         self.op_kind = op_kind
         self.point_index = point_index
+        self.reason = reason
         self.sample = sample
         msg = f"{reason} in operation {op_id} ({op_kind}) at point index {point_index}"
         if sample is not None:

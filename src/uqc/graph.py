@@ -14,9 +14,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .distributions import Distribution
-from .errors import CycleError
+from .errors import CycleError, SignatureMismatchError
 
 # Subset of uncertain-input axes a value depends on, ascending and duplicate-free.
 Signature = tuple[int, ...]
@@ -27,6 +30,14 @@ UNARY_OP_KINDS = ("neg", "pow_const", "sin", "cos", "tan", "exp", "log", "sqrt")
 BINARY_OP_KINDS = ("add", "sub", "mul", "div")
 EXPAND = "expand"
 OP_KINDS = UNARY_OP_KINDS + BINARY_OP_KINDS + (EXPAND,)
+
+# Elementwise kernel of every elementary kind; pow_const passes its
+# exponent as the second argument.  Expand has no kernel.
+UFUNCS = {
+    "neg": np.negative, "pow_const": np.power, "sin": np.sin, "cos": np.cos,
+    "tan": np.tan, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide,
+}
 
 
 @dataclass(frozen=True)
@@ -50,6 +61,19 @@ class OperationNode:
     @property
     def arity(self) -> int:
         return 1 if self.kind in UNARY_OP_KINDS or self.kind == EXPAND else 2
+
+
+class Step(NamedTuple):
+    """One operation of a graph's execution plan.
+
+    `ufunc` is None exactly for expand.  `release` lists the variables
+    whose last use is this step, so their values may be dropped once it
+    has run; it never names a graph output.
+    """
+
+    op: OperationNode
+    ufunc: np.ufunc | None
+    release: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -102,6 +126,27 @@ class Graph:
 
     def has_expansions(self) -> bool:
         return any(op.kind == EXPAND for op in self.operations)
+
+    @cached_property
+    def plan(self) -> tuple[Step, ...]:
+        """Operations in topo_sort order, each with its kernel and the
+        variables that die after it (a value nobody reads dies where it is
+        produced).  Raises CycleError like topo_sort."""
+        order = [self.operation_by_id[op_id] for op_id in topo_sort(self)]
+        last_use: dict[int, int] = {}
+        for index, op in enumerate(order):
+            if op.kind != EXPAND and op.kind not in UFUNCS:
+                raise SignatureMismatchError(
+                    f"cannot apply operation kind '{op.kind}' elementwise")
+            for vid in (op.output, *op.inputs):
+                last_use[vid] = index
+        release: list[list[int]] = [[] for _ in order]
+        outputs = set(self.outputs)
+        for vid, index in last_use.items():
+            if vid not in outputs:
+                release[index].append(vid)
+        return tuple(Step(op, UFUNCS.get(op.kind), tuple(dead))
+                     for op, dead in zip(order, release))
 
 
 def topo_sort(graph: Graph) -> list[int]:

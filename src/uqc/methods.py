@@ -13,7 +13,6 @@ from .basis import PceBasis, design_matrix
 from .engine import ValueTensor, evaluate_on_samples
 from .errors import (
     DimensionMismatchError,
-    DomainError,
     RankDeficientError,
     UnderdeterminedError,
 )
@@ -192,17 +191,11 @@ def monte_carlo(graph: Graph, n: int, seed: int,
     """Plain Monte Carlo estimate of the output mean and stddev.
 
     Identical seeds give identical results.  A DomainError from the model
-    is re-raised with the offending sample attached.
+    carries the offending sample.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    samples = sample_inputs(graph, n, seed)
-    try:
-        outputs = evaluate_on_samples(graph, samples)
-    except DomainError as exc:
-        raise DomainError(exc.op_id, exc.op_kind, exc.point_index,
-                          str(exc.args[0]).split(" in operation")[0],
-                          sample=tuple(samples[exc.point_index])) from exc
+    outputs = evaluate_on_samples(graph, sample_inputs(graph, n, seed))
     if output is None:
         output = graph.variable_by_id[graph.outputs[0]].name
     values = outputs[output]

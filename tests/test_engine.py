@@ -1,14 +1,18 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from uqc import (
+    GraphBuilder,
     Normal,
+    TransformedGraph,
     Uniform,
     ValueTensor,
     builtin_model,
+    compute_influence_matrix,
     evaluate_amtc,
     evaluate_naive,
     evaluate_on_samples,
@@ -19,6 +23,8 @@ from uqc import (
     grid_input_vector,
     insert_expansions,
     parse_model,
+    partition_operations,
+    strip_expansions,
     tensor_grid,
 )
 from uqc.engine import EvaluationReport
@@ -269,6 +275,32 @@ class TestAmtc:
         np.testing.assert_allclose(fast.outputs["f"].data, naive.outputs["f"].data,
                                    rtol=1e-12, atol=0)
 
+    def test_buffer_read_by_an_expand_view_is_not_reused(self):
+        # Ids order the expand of x right after x, so x's last reader is
+        # `square`, which has x's shape and would overwrite x in place while
+        # `product` still reads x through the expand view.
+        b = GraphBuilder()
+        a = b.add_uncertain_input("a", Normal(0, 1))
+        c = b.add_uncertain_input("c", Normal(0, 1))
+        x = b.add_operation("sin", [a])
+        x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+        square = b.add_operation("mul", [x, x], name="square")
+        c_wide = b.add_operation("expand", [c], expand_from=(1,), expand_to=(0, 1))
+        product = b.add_operation("mul", [x_wide, c_wide], name="product")
+        b.mark_output(square)
+        b.mark_output(product)
+        graph = b.build()
+        signature_of = {a: (0,), c: (1,), x: (0,), x_wide: (0, 1), square: (0,),
+                        c_wide: (0, 1), product: (0, 1)}
+        original = strip_expansions(graph)
+        transformed = TransformedGraph(
+            graph, partition_operations(compute_influence_matrix(original)), signature_of)
+        grid = grid_for(graph.distributions, 3)
+        fast = evaluate_amtc(transformed, grid)
+        naive = evaluate_naive(original, grid)
+        for name in ("square", "product"):
+            np.testing.assert_array_equal(fast.outputs[name].data, naive.outputs[name].data)
+
     def test_piston_out_of_domain_matches_naive_failure(self):
         g = builtin_model("piston")
         tg = insert_expansions(g)
@@ -321,6 +353,22 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             evaluate_naive(g, grid_for(g.distributions, 1))
 
+    def test_both_engines_report_the_same_grid_point(self):
+        # sqrt(-u1) fails where u1 > 0: the first such point of the 5x5 grid
+        # is u1's node 3 with u2's node 0, flat index 3 * 5 + 0 = 15
+        g = parse_model("input u1 ~ Normal(0,1)\ninput u2 ~ Normal(0,1)\n"
+                        "output f = sqrt(-u1) + u2\n")
+        grid = grid_for(g.distributions, 5)
+        errors = []
+        for run in (lambda: evaluate_naive(g, grid),
+                    lambda: evaluate_amtc(insert_expansions(g), grid)):
+            with pytest.raises(DomainError) as excinfo:
+                run()
+            errors.append(excinfo.value)
+        assert [e.point_index for e in errors] == [15, 15]
+        assert [str(e) for e in errors] == [
+            "sqrt of negative value in operation 4 (sqrt) at point index 15"] * 2
+
     def test_integer_power_of_negative_is_fine(self):
         g = parse_model("input x ~ Uniform(-2,-1)\noutput f = x ^ 3\n")
         report = evaluate_naive(g, grid_for(g.distributions, 2))
@@ -340,6 +388,65 @@ class TestThreading:
         monkeypatch.setenv("UQC_THREADS", "3")
         threaded = evaluate_on_samples(g, samples)["C"]
         np.testing.assert_array_equal(sequential, threaded)
+
+    def test_threaded_transformed_engine_bit_identical(self, monkeypatch):
+        # the last two ops cover 2 x 64 x 64 points, enough for 2 workers;
+        # they split along the middle axis and read expand views
+        g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
+                        "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
+        tg = insert_expansions(g)
+        grid = tensor_grid([gauss_rule(dist, k) for dist, k in zip(g.distributions, (2, 64, 64))])
+        monkeypatch.delenv("UQC_THREADS", raising=False)
+        sequential = evaluate_amtc(tg, grid)
+        monkeypatch.setenv("UQC_THREADS", "2")
+        threaded = evaluate_amtc(tg, grid)
+        assert threaded == sequential
+
+
+def traced_peak(evaluate) -> int:
+    """Peak bytes allocated while `evaluate` runs."""
+    tracemalloc.start()
+    try:
+        evaluate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # Values die after their last reader and dying buffers are reused, so
+    # multipoint's 17 operations need about 3 live vectors.
+    MAX_VECTORS = 6
+
+    def test_samples_peak_and_caller_array_untouched(self):
+        g = builtin_model("multipoint")
+        n = 200_000
+        evaluate_on_samples(g, np.zeros((4, 2)) + 0.5)  # build the cached plan
+        samples = np.random.default_rng(0).normal([0.3, 0.5], [0.03, 0.05], (n, 2))
+        before = samples.copy()
+        peak = traced_peak(lambda: evaluate_on_samples(g, samples))
+        assert peak <= self.MAX_VECTORS * 8 * n
+        np.testing.assert_array_equal(samples, before)
+        assert not np.shares_memory(evaluate_on_samples(g, samples)["f"], samples)
+
+    def test_naive_grid_peak_and_nodes_untouched(self):
+        g = builtin_model("multipoint")
+        grid = grid_for(g.distributions, 64)
+        nodes = [rule.nodes.copy() for rule in grid.axes]
+        evaluate_naive(g, grid)  # build the cached plan
+        peak = traced_peak(lambda: evaluate_naive(g, grid))
+        # two of the vectors are the grid's input columns
+        assert peak <= self.MAX_VECTORS * 8 * grid.total_points
+        for rule, before in zip(grid.axes, nodes):
+            np.testing.assert_array_equal(rule.nodes, before)
+
+    def test_identity_and_constant_outputs_are_fresh_vectors(self):
+        g = parse_model("input x ~ Uniform(0,1)\noutput f = x\noutput c = 2.5\n")
+        samples = np.linspace(0.1, 0.9, 5)[:, None]
+        outputs = evaluate_on_samples(g, samples)
+        assert not np.shares_memory(outputs["x"], samples)
+        np.testing.assert_array_equal(outputs["x"], samples[:, 0])
+        np.testing.assert_array_equal(outputs["c"], np.full(5, 2.5))
 
 
 class TestReport:

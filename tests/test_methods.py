@@ -23,6 +23,7 @@ from uqc import (
     sc_moments,
 )
 from uqc.basis import design_matrix
+from uqc.cli import REGRESSION_SAMPLE_MULTIPLIER, run_pipeline
 from uqc.errors import (
     DimensionMismatchError,
     DomainError,
@@ -230,6 +231,16 @@ class TestMonteCarlo:
             monte_carlo(g, 10 ** 5, seed=0)
         assert excinfo.value.sample is not None
         assert len(excinfo.value.sample) == 3
+
+    def test_regression_domain_error_records_offending_sample(self):
+        # seed 6 draws a piston regression sample outside the real domain
+        g = builtin_model("piston")
+        with pytest.raises(DomainError) as excinfo:
+            run_pipeline("piston", g, "nipc-reg", 0, 3, 0, 6)
+        n = REGRESSION_SAMPLE_MULTIPLIER * len(enumerate_basis(3, 3, g.distributions))
+        samples = sample_inputs(g, n, seed=6)
+        assert excinfo.value.sample == tuple(samples[excinfo.value.point_index])
+        assert excinfo.value.reason == "sqrt of negative value"
 
     def test_sample_inputs_respects_axis_order(self):
         g = builtin_model("piston")
