@@ -456,7 +456,9 @@ def pretty_print(graph: Graph) -> str:
 
     def render(op: OperationNode) -> str:
         if op.kind == "neg":
-            return f"-{operand(op.inputs[0])}"
+            # A minus sign directly on a literal would fold into it.
+            text = operand(op.inputs[0])
+            return f"-({text})" if op.inputs[0] in inline_constants else f"-{text}"
         if op.kind == "pow_const":
             return f"{operand(op.inputs[0])} ^ {_format_real(op.exponent)}"
         if op.kind in ("add", "sub", "mul", "div"):

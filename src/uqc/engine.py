@@ -15,15 +15,24 @@ of its shape that the executor allocated, so peak memory follows the
 largest live set rather than the operation count.  Grid nodes, caller
 samples, constants and views are never written.
 
+Aligned vectors (naive grid, samples) longer than _BLOCK points run the
+whole plan one block at a time (cache blocking), writing each block's
+outputs into preallocated vectors: intermediates stay block-sized, so a
+run holds its inputs, its outputs and a few blocks.  With UQC_THREADS > 1
+(default 1) worker threads take whole blocks, with identical results.
+evaluate_amtc runs single-threaded and unblocked, because its values are
+shaped per axis, not aligned.
+
 Costs are counted as scalar applications per operation, which makes the
 accounting machine-independent; wall time is measured but never part of
 report equality.  Out-of-domain arguments (sqrt of a negative, log of a
-non-positive, division by zero) raise DomainError rather than propagating
-NaN.  It names the first operation in plan order that meets one, and the
-first full-grid point where it does; every engine runs the original
-operations in the same relative order, so all of them name the same
-operation and point.  Elementwise work may be split across threads
-(UQC_THREADS, default 1) with identical results.
+non-positive, division by zero) and results that overflow or are invalid
+(inf or NaN, caught by np.errstate) raise DomainError rather than
+propagating into moments.  It names the first operation in plan order
+that meets one, and the first full-grid point where it does; every engine
+runs the original operations in the same relative order, and a blocked
+run that fails is re-run unblocked, so all of them name the same
+operation and point.
 """
 
 from __future__ import annotations
@@ -46,7 +55,9 @@ from .graph import EXPAND, Graph, Signature, Step
 from .quadrature import TensorGrid, grid_input_vector
 from .transform import TransformedGraph, signature_is_subset
 
-_MIN_POINTS_PER_WORKER = 2048
+# Points per block of an aligned-vector run.  A float64 vector of this
+# length is 256 KiB, so the few a plan keeps alive fit in a 1-2 MiB L2 cache.
+_BLOCK = 32768
 
 
 def worker_count() -> int:
@@ -171,25 +182,21 @@ def _check_domain(op, arrays, space) -> None:
             _raise_if(arrays[0] == 0.0, op, f"zero base for exponent {exponent}", space)
 
 
-def _compute(step: Step, operands, shape, out, workers: int) -> np.ndarray:
-    """Apply the step's ufunc, into `out` when given, optionally split over threads."""
-    extra = () if step.op.exponent is None else (step.op.exponent,)
-    if workers == 1 or int(np.prod(shape)) < workers * _MIN_POINTS_PER_WORKER:
-        return step.ufunc(*operands, *extra, out=out)
-    # Broadcast 1-element operands first so that every chunk slices all
-    # operands alike; chunks run along the longest axis.
-    operands = [np.broadcast_to(a, shape) for a in operands]
-    out = np.empty(shape) if out is None else out
-    axis = int(np.argmax(shape))
-    bounds = np.linspace(0, shape[axis], workers + 1, dtype=int)
-
-    def run(i: int) -> None:
-        chunk = (slice(None),) * axis + (slice(bounds[i], bounds[i + 1]),)
-        step.ufunc(*(a[chunk] for a in operands), *extra, out=out[chunk])
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, range(workers)))
-    return out
+def _apply(step: Step, operands, out: np.ndarray, space) -> None:
+    """Apply the step's ufunc into `out`.  Run under np.errstate(raise), so
+    a result that overflows or is invalid raises FloatingPointError once
+    `out` is complete; that becomes a DomainError at the first point whose
+    result is not finite."""
+    op = step.op
+    extra = () if op.exponent is None else (op.exponent,)
+    try:
+        step.ufunc(*operands, *extra, out=out)
+    except FloatingPointError:
+        bad = ~np.isfinite(out)
+        if bad.any():
+            value = out.flat[int(np.flatnonzero(bad)[0])]
+            raise DomainError(op.id, op.kind, _grid_index(bad, space),
+                              f"non-finite result {value}") from None
 
 
 def _execute(graph: Graph, columns, space: tuple[int, ...]):
@@ -205,46 +212,84 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     for var in graph.variables:
         if var.kind == "constant":
             values[var.id] = np.array(var.constant_value, ndmin=len(space))
-    workers = worker_count()
     owned: set[int] = set()
     counts: dict[int, int] = {}
     copies = 0
-    for step in graph.plan:
-        op = step.op
-        operands = [values[vid] for vid in op.inputs]
-        if step.ufunc is None:
-            target = tuple(n if axis in op.expand_to else 1 for axis, n in enumerate(space))
-            result = np.broadcast_to(operands[0], target)
-            owned.discard(op.inputs[0])  # the view shares its buffer
-            copies += result.size
-        else:
-            shape = operands[0].shape
-            if len(operands) == 2 and operands[1].shape != shape:
-                shape = np.broadcast_shapes(shape, operands[1].shape)
-            _check_domain(op, operands, space)
-            out = next((values[vid] for vid in step.release
-                        if vid in owned and values[vid].shape == shape), None)
-            result = _compute(step, operands, shape, out, workers)
-            owned.add(op.output)
-            counts[op.id] = result.size
-        values[op.output] = result
-        for vid in step.release:
-            del values[vid]
-            owned.discard(vid)
+    # np.errstate holds only in the thread that enters it, so it is entered
+    # here, in whichever thread runs this block.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for step in graph.plan:
+            op = step.op
+            operands = [values[vid] for vid in op.inputs]
+            if step.ufunc is None:
+                target = tuple(n if axis in op.expand_to else 1 for axis, n in enumerate(space))
+                result = np.broadcast_to(operands[0], target)
+                owned.discard(op.inputs[0])  # the view shares its buffer
+                copies += result.size
+            else:
+                shape = operands[0].shape
+                if len(operands) == 2 and operands[1].shape != shape:
+                    shape = np.broadcast_shapes(shape, operands[1].shape)
+                _check_domain(op, operands, space)
+                result = next((values[vid] for vid in step.release
+                               if vid in owned and values[vid].shape == shape), None)
+                if result is None:
+                    result = np.empty(shape)
+                _apply(step, operands, result, space)
+                owned.add(op.output)
+                counts[op.id] = result.size
+            values[op.output] = result
+            for vid in step.release:
+                del values[vid]
+                owned.discard(vid)
     return values, owned, counts, copies
 
 
 def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
-    """Every output over n aligned points, each as its own length-n vector:
-    buffers the executor allocated are handed over, anything else (an
-    input, a constant, a 1-element result) is broadcast into a copy."""
-    values, owned, _, _ = _execute(graph, columns, (n,))
-    outputs = {}
-    for vid in graph.outputs:
-        array = values[vid]
-        if vid not in owned or array.shape != (n,):
-            array = np.broadcast_to(array, (n,)).copy()
-        outputs[graph.variable_by_id[vid].name] = array
+    """Every output over n aligned points, each as its own length-n vector.
+
+    Up to _BLOCK points run as one block: buffers the executor allocated
+    are handed over, anything else (an input, a constant, a 1-element
+    result) is broadcast into a copy.  Longer inputs run the whole plan
+    over one block of _BLOCK points at a time, so intermediates stay
+    block-sized, and each block's outputs are written into preallocated
+    length-n vectors; with UQC_THREADS > 1, worker threads take whole
+    blocks.  A DomainError in any block re-runs the plan over all n points,
+    so that the error names the first operation in plan order and its
+    first point, as an unblocked run does.
+    """
+    if n <= _BLOCK:
+        values, owned, _, _ = _execute(graph, columns, (n,))
+        outputs = {}
+        for vid in graph.outputs:
+            array = values[vid]
+            if vid not in owned or array.shape != (n,):
+                array = np.broadcast_to(array, (n,)).copy()
+            outputs[graph.variable_by_id[vid].name] = array
+        return outputs
+
+    names = [graph.variable_by_id[vid].name for vid in graph.outputs]
+    outputs = {name: np.empty(n) for name in names}
+
+    def run(start: int) -> None:
+        stop = min(start + _BLOCK, n)
+        values = _execute(graph, [column[start:stop] for column in columns],
+                          (stop - start,))[0]
+        for vid, name in zip(graph.outputs, names):
+            outputs[name][start:stop] = values[vid]
+
+    starts = range(0, n, _BLOCK)
+    workers = min(worker_count(), len(starts))
+    try:
+        if workers == 1:
+            for start in starts:
+                run(start)
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, starts))
+    except DomainError:
+        _execute(graph, columns, (n,))
+        raise
     return outputs
 
 

@@ -180,10 +180,16 @@ def sc_moments(surrogate: SurrogateSC) -> tuple[float, float]:
 
 
 def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:
-    """(n, dim) i.i.d. samples of the model inputs from a seeded generator."""
+    """(n, dim) i.i.d. samples of the model inputs from a seeded generator.
+
+    The draws are written input by input into one (dim, n) array, which is
+    returned transposed, so each input's column is contiguous.
+    """
     rng = np.random.default_rng(seed)
-    columns = [dist.sample(rng, n) for _, dist in graph.uncertain_inputs]
-    return np.column_stack(columns)
+    draws = np.empty((graph.dim, n))
+    for row, (_, dist) in zip(draws, graph.uncertain_inputs):
+        row[:] = dist.sample(rng, n)
+    return draws.T
 
 
 def monte_carlo(graph: Graph, n: int, seed: int,

@@ -71,6 +71,13 @@ class TestRun:
         assert payload["model"] == "double"
         assert payload["uq_result"]["stddev"] == pytest.approx(2.0, rel=0.05)
 
+    def test_non_finite_result_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "overflow.uq"
+        path.write_text("input u ~ Uniform(0,1)\noutput f = exp(1000*u) - exp(1000*u)\n")
+        rc = run_cli(["run", "--model", str(path), "--method", "nipc-full", "--k", "3"])
+        assert rc == 1
+        assert "non-finite result inf in operation 4 (exp)" in capsys.readouterr().err
+
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.uq"
         path.write_text("output f = (\n")

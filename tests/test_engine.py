@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from uqc import (
     Uniform,
     ValueTensor,
     builtin_model,
+    engine,
     compute_influence_matrix,
     evaluate_amtc,
     evaluate_naive,
@@ -28,6 +31,7 @@ from uqc import (
     tensor_grid,
 )
 from uqc.engine import EvaluationReport
+from uqc.methods import sample_inputs
 from uqc.errors import DimensionMismatchError, DomainError, SignatureMismatchError, SignatureNotSubsetError
 
 BUILTINS = ["simple", "piston", "multipoint"]
@@ -390,6 +394,38 @@ class TestDomainGuards:
         assert [str(e) for e in errors] == [message, message,
                                             f"{message}, input sample {sample}"]
 
+    def test_non_finite_result_raises_from_every_evaluator(self):
+        # exp(1000 u) overflows where u > 0.7098; of u's nodes 0.11, 0.5
+        # and 0.89 that is node 2.  The first exp is operation 4.
+        g = parse_model("input u ~ Uniform(0,1)\noutput f = exp(1000*u) - exp(1000*u)\n")
+        grid = grid_for(g.distributions, 3)
+        errors = []
+        for run in (lambda: evaluate_naive(g, grid),
+                    lambda: evaluate_amtc(insert_expansions(g), grid),
+                    lambda: evaluate_on_samples(g, grid.points()),
+                    lambda: evaluate_single_point(g, grid.points()[2])):
+            with pytest.raises(DomainError) as excinfo:
+                run()
+            errors.append(excinfo.value)
+        assert [(e.op_id, e.op_kind, e.point_index, e.reason) for e in errors] == \
+            [(4, "exp", 2, "non-finite result inf")] * 3 + [(4, "exp", 0, "non-finite result inf")]
+        assert str(errors[0]) == "non-finite result inf in operation 4 (exp) at point index 2"
+
+    def test_nan_result_names_its_sample(self):
+        # an infinite input passes the subtraction's operands unflagged,
+        # but inf - inf is NaN
+        g = parse_model("input u ~ Uniform(0,1)\noutput f = u - u\n")
+        with pytest.raises(DomainError) as excinfo:
+            evaluate_on_samples(g, np.array([[0.5], [np.inf]]))
+        error = excinfo.value
+        assert (error.op_kind, error.point_index, error.reason, error.sample) == \
+            ("sub", 1, "non-finite result nan", (np.inf,))
+
+    def test_underflow_to_zero_is_fine(self):
+        g = parse_model("input u ~ Uniform(1,2)\noutput f = exp(-1000*u)\n")
+        report = evaluate_naive(g, grid_for(g.distributions, 3))
+        np.testing.assert_array_equal(report.outputs["f"].data, np.zeros(3))
+
     def test_integer_power_of_negative_is_fine(self):
         g = parse_model("input x ~ Uniform(-2,-1)\noutput f = x ^ 3\n")
         report = evaluate_naive(g, grid_for(g.distributions, 2))
@@ -411,8 +447,8 @@ class TestThreading:
         np.testing.assert_array_equal(sequential, threaded)
 
     def test_threaded_transformed_engine_bit_identical(self, monkeypatch):
-        # the last two ops cover 2 x 64 x 64 points, enough for 2 workers;
-        # they split along the middle axis and read expand views
+        # the transformed engine runs single-threaded whatever UQC_THREADS
+        # says; its last two ops cover 2 x 64 x 64 points and read expand views
         g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
                         "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
         tg = insert_expansions(g)
@@ -422,6 +458,45 @@ class TestThreading:
         monkeypatch.setenv("UQC_THREADS", "2")
         threaded = evaluate_amtc(tg, grid)
         assert threaded == sequential
+
+
+    def test_threaded_blocks_bit_identical_on_samples(self, monkeypatch):
+        g = builtin_model("multipoint")
+        samples = sample_inputs(g, 3 * engine._BLOCK + 123, 0)
+        assert_blocked_runs_identical(monkeypatch, lambda: evaluate_on_samples(g, samples),
+                                      len(samples))
+
+    def test_threaded_blocks_bit_identical_on_naive_grid(self, monkeypatch):
+        g = parse_model("input a ~ Normal(0,1)\ninput b ~ Uniform(0,1)\n"
+                        "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
+        grid = tensor_grid([gauss_rule(dist, 40) for dist in g.distributions])
+        outputs = assert_blocked_runs_identical(
+            monkeypatch, lambda: {"f": evaluate_naive(g, grid).outputs["f"].data},
+            grid.total_points)
+        assert bits(outputs["f"]) == bits(evaluate_amtc(insert_expansions(g), grid).outputs["f"].data)
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+def assert_blocked_runs_identical(monkeypatch, evaluate, n: int) -> dict:
+    """`evaluate` over n points gives the same bits with two block workers,
+    with one, and as a single block; the workers run the plan over whole
+    blocks.  Returns the single-block outputs."""
+    monkeypatch.setenv("UQC_THREADS", "2")
+    with patch.object(engine, "_execute", wraps=engine._execute) as spy:
+        threaded = evaluate()
+    block = engine._BLOCK
+    assert sorted(call.args[2][0] for call in spy.call_args_list) == \
+        sorted([block] * (n // block) + [n % block])
+    monkeypatch.delenv("UQC_THREADS")
+    sequential = evaluate()
+    with patch.object(engine, "_BLOCK", n):
+        whole = evaluate()
+    for name, vector in whole.items():
+        assert bits(threaded[name]) == bits(vector) == bits(sequential[name]), name
+    return whole
 
 
 def traced_peak(evaluate) -> int:
@@ -461,6 +536,16 @@ class TestMemory:
         for rule, before in zip(grid.axes, nodes):
             np.testing.assert_array_equal(rule.nodes, before)
 
+    def test_blocked_samples_peak_is_one_output_plus_blocks(self):
+        # Beyond one block, intermediates are block-sized and only the
+        # output vector grows with n.
+        g = builtin_model("multipoint")
+        n = 200_000
+        samples = np.random.default_rng(0).normal([0.3, 0.5], [0.03, 0.05], (n, 2))
+        evaluate_on_samples(g, samples[:4])  # build the cached plan
+        peak = traced_peak(lambda: evaluate_on_samples(g, samples))
+        assert peak <= 8 * n + self.MAX_VECTORS * 8 * engine._BLOCK
+
     def test_identity_and_constant_outputs_are_fresh_vectors(self):
         g = parse_model("input x ~ Uniform(0,1)\noutput f = x\noutput c = 2.5\n")
         samples = np.linspace(0.1, 0.9, 5)[:, None]
@@ -475,9 +560,10 @@ class TestReport:
         g = builtin_model("simple")
         grid = grid_for(g.distributions, 3)
         a = evaluate_naive(g, grid)
-        b = evaluate_naive(g, grid)
+        assert a == evaluate_naive(g, grid)
+        b = dataclasses.replace(a, wall_time_ms=a.wall_time_ms + 1.0)
+        assert b.wall_time_ms != a.wall_time_ms
         assert a == b
-        assert a.wall_time_ms != 0.0 or b.wall_time_ms != 0.0 or True
 
     def test_json_round_trip_structure(self):
         g = builtin_model("simple")

@@ -232,6 +232,14 @@ class TestMonteCarlo:
         assert excinfo.value.sample is not None
         assert len(excinfo.value.sample) == 3
 
+    def test_non_finite_result_records_offending_sample(self):
+        # exp(1000 u) overflows where u > 0.7098
+        g = parse_model("input u ~ Uniform(0,1)\noutput f = exp(1000*u) - exp(1000*u)\n")
+        with pytest.raises(DomainError) as excinfo:
+            monte_carlo(g, 100, seed=0)
+        assert excinfo.value.reason == "non-finite result inf"
+        assert excinfo.value.sample[0] > 0.7098
+
     def test_regression_domain_error_records_offending_sample(self):
         # seed 6 draws a piston regression sample outside the real domain
         g = builtin_model("piston")

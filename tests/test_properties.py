@@ -6,13 +6,19 @@ well-formed model, and the transformed engine must do exactly the work the
 dependency schedule predicts.  Models are random straight-line programs
 over 1-3 inputs whose forms stay inside every operation's domain, so all
 elementary kinds appear without raising DomainError.  A second family adds
-forms that may leave their domain; on those the grid engines and the
-sample evaluator must raise the same DomainError (operation, point and
-reason), or none.
+forms that may leave their domain or overflow; on those the grid engines
+and the sample evaluator must raise the same DomainError (operation, point
+and reason), or none.  Both properties are checked again with the
+aligned-vector engines cut into blocks of 1-7 points, so that a grid of at
+most 125 points crosses block boundaries.  A third property checks that
+the transform, the structural validator and the printer round-trip the
+generated models.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
 """
+
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -20,15 +26,20 @@ from hypothesis import strategies as st
 
 from uqc import (
     compute_influence_matrix,
+    engine,
     evaluate_amtc,
     evaluate_naive,
     evaluate_on_samples,
     evaluate_single_point,
     gauss_rule,
     insert_expansions,
+    isomorphic,
     parse_model,
+    pretty_print,
     scheduled_eval_counts,
+    strip_expansions,
     tensor_grid,
+    validate,
 )
 from uqc.errors import DomainError
 
@@ -39,12 +50,12 @@ UNARY_FORMS = ("-({a})", "({a})^2", "log(1 + ({a})^2)", "sqrt(1 + ({a})^2)",
                "1/(2 + cos({a}))", "exp(sin({a}))", "tan(sin({a}))",
                "(1 + ({a})^2)^-0.5")
 BINARY_FORMS = ("{a} + {b}", "{a} - {b}", "{a} * {b}", "{a} / (2 + cos({b}))")
-# Forms that leave their domain wherever a raw value does, plus safe ones
-# to build operands from.  Several mix in a constant or a second operand,
+# Forms that leave their domain wherever a raw value does, one that
+# overflows to inf, plus safe ones to build operands from.  Several mix in a constant or a second operand,
 # so that an operation which waits on an expand in the transformed graph
 # often fails before one which does not.
 RISKY_UNARY_FORMS = ("sqrt({a})", "log({a})", "({a})^0.5", "1/({a})", "sqrt(2 * {a})",
-                     "-({a})", "exp(sin({a}))")
+                     "exp(800 * {a})", "-({a})", "exp(sin({a}))")
 RISKY_BINARY_FORMS = ("sqrt({a} * {b})", "log({a} - {b})", "{a} / {b}", "{a} * {b}",
                       "{a} + {b}")
 
@@ -79,12 +90,14 @@ def bits(array) -> bytes:
     return np.ascontiguousarray(array, dtype=float).tobytes()
 
 
-@settings(max_examples=150, deadline=None)
-@given(models(), st.data())
-def test_all_evaluators_agree_bitwise(model, data):
+def grid_of(graph, sizes):
+    return tensor_grid([gauss_rule(dist, k) for dist, k in zip(graph.distributions, sizes)])
+
+
+def check_agreement(model, data):
     source, sizes = model
     graph = parse_model(source)
-    grid = tensor_grid([gauss_rule(dist, k) for dist, k in zip(graph.distributions, sizes)])
+    grid = grid_of(graph, sizes)
 
     naive = evaluate_naive(graph, grid)
     fast = evaluate_amtc(insert_expansions(graph), grid)
@@ -103,6 +116,20 @@ def test_all_evaluators_agree_bitwise(model, data):
             assert bits(single[name]) == bits(tensor.data[index]), (name, index)
 
 
+@settings(max_examples=150, deadline=None)
+@given(models(), st.data())
+def test_all_evaluators_agree_bitwise(model, data):
+    check_agreement(model, data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.data(), st.integers(1, 7))
+def test_blocked_evaluators_agree_bitwise(model, data, block):
+    # The transformed engine is never blocked, so it is the reference here.
+    with patch.object(engine, "_BLOCK", block):
+        check_agreement(model, data)
+
+
 def refusal(run) -> tuple | None:
     """Where `run()` raises DomainError, or None when it returns."""
     try:
@@ -110,6 +137,14 @@ def refusal(run) -> tuple | None:
     except DomainError as exc:
         return exc.op_id, exc.op_kind, exc.point_index, exc.reason
     return None
+
+
+def refusals(graph, grid) -> list:
+    """Where the naive engine, the transformed engine and the sample
+    evaluator on grid.points() refuse the model, in that order."""
+    return [refusal(lambda: evaluate_naive(graph, grid)),
+            refusal(lambda: evaluate_amtc(insert_expansions(graph), grid)),
+            refusal(lambda: evaluate_on_samples(graph, grid.points()))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,8 +156,33 @@ def refusal(run) -> tuple | None:
 def test_all_evaluators_refuse_alike(model):
     source, sizes = model
     graph = parse_model(source)
-    grid = tensor_grid([gauss_rule(dist, k) for dist, k in zip(graph.distributions, sizes)])
+    expected, *others = refusals(graph, grid_of(graph, sizes))
+    assert others == [expected, expected]
 
+
+@settings(max_examples=100, deadline=None)
+@given(models(RISKY_UNARY_FORMS, RISKY_BINARY_FORMS), st.integers(1, 7))
+# x0's nodes are -0.86, -0.31, 0.5, 1.31, 1.86.  The log fails first in
+# plan order, but only at point 4; with blocks of 2 points the first block
+# meets only the sqrt, at point 0.
+@example(("input x0 ~ Uniform(-1, 2)\nt0 = log(1.5 - x0)\nt1 = sqrt(x0)\n"
+          "output o0 = t0\noutput o1 = t1\n", (5,)), 2)
+def test_blocked_evaluators_refuse_alike(model, block):
+    source, sizes = model
+    graph = parse_model(source)
+    grid = grid_of(graph, sizes)
     expected = refusal(lambda: evaluate_naive(graph, grid))
-    assert refusal(lambda: evaluate_amtc(insert_expansions(graph), grid)) == expected
-    assert refusal(lambda: evaluate_on_samples(graph, grid.points())) == expected
+    with patch.object(engine, "_BLOCK", block):
+        assert refusals(graph, grid) == [expected] * 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(models(), models(RISKY_UNARY_FORMS, RISKY_BINARY_FORMS)))
+# A minus sign printed directly on a literal would fold into it.
+@example(("input x0 ~ Normal(0.3, 1)\nt0 = -(0.5)\noutput o0 = t0\n", (1,)))
+def test_transform_and_printer_round_trip(model):
+    graph = parse_model(model[0])
+    transformed = insert_expansions(graph).graph
+    assert validate(transformed) == []
+    assert strip_expansions(transformed) == graph
+    assert isomorphic(parse_model(pretty_print(graph)), graph)
