@@ -18,10 +18,9 @@ samples, constants and views are never written.
 Aligned vectors (naive grid, samples) longer than _BLOCK points run the
 whole plan one block at a time (cache blocking), writing each block's
 outputs into preallocated vectors: intermediates stay block-sized, so a
-run holds its inputs, its outputs and a few blocks.  With UQC_THREADS > 1
-(default 1) worker threads take whole blocks, with identical results.
-evaluate_amtc runs single-threaded and unblocked, because its values are
-shaped per axis, not aligned.
+run holds its inputs, its outputs and a few blocks.  Blocks run one after
+another.  evaluate_amtc runs unblocked, because its values are shaped per
+axis, not aligned.
 
 Costs are counted as scalar applications per operation, which makes the
 accounting machine-independent; wall time is measured but never part of
@@ -40,7 +39,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +59,11 @@ _BLOCK = 32768
 
 
 def worker_count() -> int:
-    """Worker count from UQC_THREADS (default 1, minimum 1)."""
+    """Worker count from UQC_THREADS (default 1, minimum 1).
+
+    The engines run on the calling thread whatever it says; the value is
+    read so that benchmark reports can record it.
+    """
     try:
         return max(1, int(os.environ.get("UQC_THREADS", "1")))
     except ValueError:
@@ -185,14 +187,21 @@ def _check_domain(op, arrays, space) -> None:
 def _apply(step: Step, operands, out: np.ndarray, space) -> None:
     """Apply the step's ufunc into `out`.  Run under np.errstate(raise), so
     a result that overflows or is invalid raises FloatingPointError once
-    `out` is complete; that becomes a DomainError at the first point whose
-    result is not finite."""
+    `out` is complete; that becomes a DomainError at the first point that
+    raised the flag: an inf from finite operands or a NaN from operands
+    that are not NaN.  Points that only carry a non-finite input along
+    (exp(inf) is inf) are not named, as they raise nothing on their own."""
     op = step.op
     extra = () if op.exponent is None else (op.exponent,)
     try:
         step.ufunc(*operands, *extra, out=out)
     except FloatingPointError:
-        bad = ~np.isfinite(out)
+        overflow, invalid = np.isinf(out), np.isnan(out)
+        for operand in operands:
+            if operand is not out:  # a reused buffer held finite values
+                overflow &= np.isfinite(operand)
+                invalid &= ~np.isnan(operand)
+        bad = overflow | invalid
         if bad.any():
             value = out.flat[int(np.flatnonzero(bad)[0])]
             raise DomainError(op.id, op.kind, _grid_index(bad, space),
@@ -212,11 +221,13 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     for var in graph.variables:
         if var.kind == "constant":
             values[var.id] = np.array(var.constant_value, ndmin=len(space))
+    # A non-finite input passes through operations without a flag.  Buffers
+    # are reused only when every input is finite, so that _apply then sees
+    # the operands it needs to tell such points from those that raised.
+    reuse = all(np.isfinite(column).all() for column in columns)
     owned: set[int] = set()
     counts: dict[int, int] = {}
     copies = 0
-    # np.errstate holds only in the thread that enters it, so it is entered
-    # here, in whichever thread runs this block.
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for step in graph.plan:
             op = step.op
@@ -231,8 +242,8 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
                 if len(operands) == 2 and operands[1].shape != shape:
                     shape = np.broadcast_shapes(shape, operands[1].shape)
                 _check_domain(op, operands, space)
-                result = next((values[vid] for vid in step.release
-                               if vid in owned and values[vid].shape == shape), None)
+                result = next((values[vid] for vid in step.release if reuse
+                               and vid in owned and values[vid].shape == shape), None)
                 if result is None:
                     result = np.empty(shape)
                 _apply(step, operands, result, space)
@@ -253,10 +264,9 @@ def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     result) is broadcast into a copy.  Longer inputs run the whole plan
     over one block of _BLOCK points at a time, so intermediates stay
     block-sized, and each block's outputs are written into preallocated
-    length-n vectors; with UQC_THREADS > 1, worker threads take whole
-    blocks.  A DomainError in any block re-runs the plan over all n points,
-    so that the error names the first operation in plan order and its
-    first point, as an unblocked run does.
+    length-n vectors.  A DomainError in any block re-runs the plan over all
+    n points, so that the error names the first operation in plan order
+    and its first point, as an unblocked run does.
     """
     if n <= _BLOCK:
         values, owned, _, _ = _execute(graph, columns, (n,))
@@ -270,23 +280,14 @@ def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
 
     names = [graph.variable_by_id[vid].name for vid in graph.outputs]
     outputs = {name: np.empty(n) for name in names}
-
-    def run(start: int) -> None:
-        stop = min(start + _BLOCK, n)
-        values = _execute(graph, [column[start:stop] for column in columns],
-                          (stop - start,))[0]
-        for vid, name in zip(graph.outputs, names):
-            outputs[name][start:stop] = values[vid]
-
-    starts = range(0, n, _BLOCK)
-    workers = min(worker_count(), len(starts))
     try:
-        if workers == 1:
-            for start in starts:
-                run(start)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, starts))
+        for start in range(0, n, _BLOCK):
+            stop = min(start + _BLOCK, n)
+            values = _execute(graph, [column[start:stop] for column in columns],
+                              (stop - start,))[0]
+            for vid, name in zip(graph.outputs, names):
+                outputs[name][start:stop] = values[vid]
+            del values  # free this block's buffers before the next one runs
     except DomainError:
         _execute(graph, columns, (n,))
         raise

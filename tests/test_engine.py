@@ -421,6 +421,20 @@ class TestDomainGuards:
         assert (error.op_kind, error.point_index, error.reason, error.sample) == \
             ("sub", 1, "non-finite result nan", (np.inf,))
 
+    def test_non_finite_operand_is_not_the_operations_fault(self):
+        # exp(inf) is inf without a flag; exp(900) overflows, so the error
+        # names row 1, the row where evaluate_single_point raises too
+        g = parse_model("input u ~ Uniform(0,1)\noutput f = exp(1000*u)\n")
+        samples = np.array([[np.inf], [0.9]])
+        with pytest.raises(DomainError) as excinfo:
+            evaluate_on_samples(g, samples)
+        error = excinfo.value
+        assert (error.op_kind, error.point_index, error.reason, error.sample) == \
+            ("exp", 1, "non-finite result inf", (0.9,))
+        assert evaluate_single_point(g, samples[0]) == {"f": np.inf}
+        with pytest.raises(DomainError, match="non-finite result inf"):
+            evaluate_single_point(g, samples[1])
+
     def test_underflow_to_zero_is_fine(self):
         g = parse_model("input u ~ Uniform(1,2)\noutput f = exp(-1000*u)\n")
         report = evaluate_naive(g, grid_for(g.distributions, 3))
@@ -441,14 +455,16 @@ class TestThreading:
             np.full(20000, 0.005),
         ])
         monkeypatch.delenv("UQC_THREADS", raising=False)
+        # blocks of 4096 split the 20 000 samples into five
+        monkeypatch.setattr(engine, "_BLOCK", 4096)
         sequential = evaluate_on_samples(g, samples)["C"]
         monkeypatch.setenv("UQC_THREADS", "3")
         threaded = evaluate_on_samples(g, samples)["C"]
         np.testing.assert_array_equal(sequential, threaded)
 
     def test_threaded_transformed_engine_bit_identical(self, monkeypatch):
-        # the transformed engine runs single-threaded whatever UQC_THREADS
-        # says; its last two ops cover 2 x 64 x 64 points and read expand views
+        # the engines run on one thread, so UQC_THREADS changes nothing; the
+        # last two ops cover 2 x 64 x 64 points and read expand views
         g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
                         "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
         tg = insert_expansions(g)
@@ -460,19 +476,18 @@ class TestThreading:
         assert threaded == sequential
 
 
-    def test_threaded_blocks_bit_identical_on_samples(self, monkeypatch):
+class TestBlocking:
+    def test_blocks_bit_identical_on_samples(self):
         g = builtin_model("multipoint")
         samples = sample_inputs(g, 3 * engine._BLOCK + 123, 0)
-        assert_blocked_runs_identical(monkeypatch, lambda: evaluate_on_samples(g, samples),
-                                      len(samples))
+        assert_blocked_run_identical(lambda: evaluate_on_samples(g, samples), len(samples))
 
-    def test_threaded_blocks_bit_identical_on_naive_grid(self, monkeypatch):
+    def test_blocks_bit_identical_on_naive_grid(self):
         g = parse_model("input a ~ Normal(0,1)\ninput b ~ Uniform(0,1)\n"
                         "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
         grid = tensor_grid([gauss_rule(dist, 40) for dist in g.distributions])
-        outputs = assert_blocked_runs_identical(
-            monkeypatch, lambda: {"f": evaluate_naive(g, grid).outputs["f"].data},
-            grid.total_points)
+        outputs = assert_blocked_run_identical(
+            lambda: {"f": evaluate_naive(g, grid).outputs["f"].data}, grid.total_points)
         assert bits(outputs["f"]) == bits(evaluate_amtc(insert_expansions(g), grid).outputs["f"].data)
 
 
@@ -480,22 +495,19 @@ def bits(array) -> bytes:
     return np.ascontiguousarray(array).tobytes()
 
 
-def assert_blocked_runs_identical(monkeypatch, evaluate, n: int) -> dict:
-    """`evaluate` over n points gives the same bits with two block workers,
-    with one, and as a single block; the workers run the plan over whole
-    blocks.  Returns the single-block outputs."""
-    monkeypatch.setenv("UQC_THREADS", "2")
+def assert_blocked_run_identical(evaluate, n: int) -> dict:
+    """`evaluate` over n points runs the plan over whole blocks, in order,
+    and gives the same bits as a single block.  Returns the single-block
+    outputs."""
     with patch.object(engine, "_execute", wraps=engine._execute) as spy:
-        threaded = evaluate()
+        blocked = evaluate()
     block = engine._BLOCK
-    assert sorted(call.args[2][0] for call in spy.call_args_list) == \
-        sorted([block] * (n // block) + [n % block])
-    monkeypatch.delenv("UQC_THREADS")
-    sequential = evaluate()
+    assert [call.args[2][0] for call in spy.call_args_list] == \
+        [block] * (n // block) + [n % block]
     with patch.object(engine, "_BLOCK", n):
         whole = evaluate()
     for name, vector in whole.items():
-        assert bits(threaded[name]) == bits(vector) == bits(sequential[name]), name
+        assert bits(blocked[name]) == bits(vector), name
     return whole
 
 
