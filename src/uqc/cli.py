@@ -71,6 +71,15 @@ def _csv(rows: list[list]) -> str:
     return "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
 
 
+def _fit_by_regression(graph: Graph, basis, n: int, seed: int):
+    """PCE on `basis` fitted to the first output at n random samples;
+    returns (coefficients, mean, stddev)."""
+    points = methods.sample_inputs(graph, n, seed)
+    values = engine.evaluate_on_samples(graph, points)[_output_name(graph)]
+    coefficients = methods.nipc_regression(points, values, basis)
+    return (coefficients, *methods.moments_from_pce(coefficients))
+
+
 def run_pipeline(name: str, graph: Graph, method: str, k: int, pce_order: int,
                  mc_samples: int, seed: int) -> dict:
     """Execute one method end to end; returns the JSON-ready report payload."""
@@ -101,10 +110,7 @@ def run_pipeline(name: str, graph: Graph, method: str, k: int, pce_order: int,
     elif method == "nipc-reg":
         basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
         n = REGRESSION_SAMPLE_MULTIPLIER * len(basis)
-        points = methods.sample_inputs(graph, n, seed)
-        values = engine.evaluate_on_samples(graph, points)[output]
-        coefficients = methods.nipc_regression(points, values, basis)
-        mean, stddev = methods.moments_from_pce(coefficients)
+        coefficients, mean, stddev = _fit_by_regression(graph, basis, n, seed)
         details = {"pce_order": pce_order, "n_samples": n, "seed": seed,
                    "multiplier": REGRESSION_SAMPLE_MULTIPLIER}
         details.update(coefficients.fit_details or {})
@@ -201,7 +207,6 @@ def convergence_rows(name: str, graph: Graph, method_list: list[str],
     reference_k = max(k_values)
     reference = run_pipeline(name, graph, "nipc-full", reference_k,
                              pce_order, 0, seed)["uq_result"]["mean"]
-    output = _output_name(graph)
 
     rows = [["method", "k", "n_model_points", "mean", "error_vs_reference_pct"]]
     for method in method_list:
@@ -217,10 +222,7 @@ def convergence_rows(name: str, graph: Graph, method_list: list[str],
                 basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
                 if budget < len(basis):
                     continue
-                points = methods.sample_inputs(graph, budget, seed)
-                values = engine.evaluate_on_samples(graph, points)[output]
-                coefficients = methods.nipc_regression(points, values, basis)
-                mean, _ = methods.moments_from_pce(coefficients)
+                mean = _fit_by_regression(graph, basis, budget, seed)[1]
                 error = abs(mean - reference) / abs(reference) * 100.0
             else:
                 result = run_pipeline(name, graph, method, k, pce_order,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .distributions import Distribution, Normal, Uniform
 from .errors import DuplicateNameError, ParseError, UndefinedNameError
-from .graph import Graph, GraphBuilder, OperationNode, topo_sort
+from .graph import Graph, GraphBuilder, OperationNode
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _KEYWORDS = ("input", "param", "output")
@@ -466,8 +466,7 @@ def pretty_print(graph: Graph) -> str:
             return f"{operand(op.inputs[0])} {symbol} {operand(op.inputs[1])}"
         return f"{op.kind}({operand(op.inputs[0])})"
 
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
+    for op in graph.order:
         name = assign_name(op.output)
         prefix = "output " if op.output in output_set else ""
         lines.append(f"{prefix}{name} = {render(op)}")
@@ -505,8 +504,7 @@ def _canonical_form(graph: Graph):
 
     constants: list[tuple[int, float]] = []
     ops_form: list[tuple] = []
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
+    for op in graph.order:
         input_ids = []
         for vid in op.inputs:
             if vid not in canonical:

@@ -37,7 +37,6 @@ operation and point.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -59,15 +58,9 @@ _BLOCK = 32768
 
 
 def worker_count() -> int:
-    """Worker count from UQC_THREADS (default 1, minimum 1).
-
-    The engines run on the calling thread whatever it says; the value is
-    read so that benchmark reports can record it.
-    """
-    try:
-        return max(1, int(os.environ.get("UQC_THREADS", "1")))
-    except ValueError:
-        return 1
+    """Worker threads the engines use: always 1, as every engine runs on
+    the calling thread.  Benchmark reports record it."""
+    return 1
 
 
 @dataclass(eq=False, frozen=True)

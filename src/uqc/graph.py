@@ -5,8 +5,12 @@ operations; edges only connect variables to operations and operations to
 variables.  Variables are scalars in the dataflow sense: the number of
 grid points a variable carries at evaluation time is an engine concern,
 not an IR concern.  Node ids are assigned in insertion order from a single
-dense counter shared by variables and operations, and that insertion order
-is the deterministic tie-breaker for all orderings derived from a graph.
+dense counter shared by variables and operations.
+
+An operation's position in Graph.operations is the deterministic
+tie-breaker for evaluation order: topo_sort runs, of the operations whose
+inputs are ready, the one listed first.  Graph.order holds that order,
+sorted once per graph, and every pass and engine reads it.
 """
 
 from __future__ import annotations
@@ -97,21 +101,6 @@ class Graph:
         """Variable id -> id of the operation that writes it."""
         return {op.output: op.id for op in self.operations}
 
-    @cached_property
-    def consumers_of(self) -> dict[int, tuple[int, ...]]:
-        """Variable id -> ids of operations that read it, in operation order."""
-        table: dict[int, list[int]] = {v.id: [] for v in self.variables}
-        for op in self.operations:
-            for vid in op.inputs:
-                if vid in table:
-                    table[vid].append(op.id)
-        return {vid: tuple(ops) for vid, ops in table.items()}
-
-    @cached_property
-    def axis_of(self) -> dict[int, int]:
-        """Uncertain-input variable id -> axis index."""
-        return {vid: axis for axis, (vid, _) in enumerate(self.uncertain_inputs)}
-
     @property
     def dim(self) -> int:
         return len(self.uncertain_inputs)
@@ -128,14 +117,21 @@ class Graph:
         return any(op.kind == EXPAND for op in self.operations)
 
     @cached_property
+    def order(self) -> tuple[OperationNode, ...]:
+        """The operations in topo_sort order, sorted once per graph.
+        Raises CycleError like topo_sort."""
+        by_id = self.operation_by_id
+        return tuple(by_id[op_id] for op_id in topo_sort(self))
+
+    @cached_property
     def plan(self) -> tuple[Step, ...]:
-        """Operations in topo_sort order, each with its kernel and the
-        variables that die after it (a value nobody reads dies where it is
-        produced).  For a transformed graph that order keeps the original
-        operations in the untransformed graph's relative order, with each
-        expand just before its first reader.  Raises CycleError like
-        topo_sort."""
-        order = [self.operation_by_id[op_id] for op_id in topo_sort(self)]
+        """Graph.order with each operation's kernel and the variables that
+        die after it (a value nobody reads dies where it is produced).
+        Every graph the package builds already lists its operations in
+        that order; for a transformed graph it is the untransformed
+        graph's order with each expand just before its first reader.
+        Raises CycleError like topo_sort."""
+        order = self.order
         last_use: dict[int, int] = {}
         for index, op in enumerate(order):
             if op.kind != EXPAND and op.kind not in UFUNCS:
@@ -153,50 +149,40 @@ class Graph:
 
 
 def topo_sort(graph: Graph) -> list[int]:
-    """Operation ids in evaluation order (Kahn), smallest ready id first,
-    except that an expand runs just before the smallest-id operation that
-    reads it.
+    """Operation ids in evaluation order (Kahn): of the operations whose
+    inputs are all produced, the one listed first in graph.operations runs
+    first.
 
-    A graph without expands is thus ordered by smallest ready id.  In a
-    transformed graph the expands carry the highest ids, so plain id order
-    would run an operation that waits on an expand after later operations
-    that need none.  Keying each expand by its first reader instead keeps
-    the original operations in the untransformed graph's relative order,
-    so both grid engines meet out-of-domain values in the same order and
-    report the same failing operation.
-
-    Raises CycleError naming one operation on a cycle if the graph is not
-    acyclic.  Pure: identical graphs yield identical orderings.
+    A graph whose operations are already listed in a valid evaluation
+    order thus keeps that order; parsed and GraphBuilder graphs list them
+    in id order, and insert_expansions lists each expand just before its
+    first reader.  Raises CycleError naming one operation on a cycle if
+    the graph is not acyclic.  Pure: identical graphs yield identical
+    orderings.
     """
-    producer = graph.producer_of
-    indegree: dict[int, int] = {}
-    dependents: dict[int, list[int]] = {op.id: [] for op in graph.operations}
-    key: dict[int, tuple[int, int, int]] = {}
-    for op in graph.operations:
+    operations = graph.operations
+    producer = {op.output: position for position, op in enumerate(operations)}
+    indegree: list[int] = []
+    dependents: list[list[int]] = [[] for _ in operations]
+    for position, op in enumerate(operations):
         deps = {producer[v] for v in op.inputs if v in producer}
-        deps.discard(op.id)
-        indegree[op.id] = len(deps)
+        deps.discard(position)
+        indegree.append(len(deps))
         for d in deps:
-            dependents[d].append(op.id)
-        if op.kind == EXPAND:
-            readers = graph.consumers_of[op.output]
-            key[op.id] = (min(readers, default=op.id), 0, op.id)
-        else:
-            key[op.id] = (op.id, 1, op.id)
+            dependents[d].append(position)
 
-    ready = [key[op_id] for op_id, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
+    ready = [position for position, deg in enumerate(indegree) if deg == 0]  # sorted: a heap
     order: list[int] = []
     while ready:
-        op_id = heapq.heappop(ready)[2]
-        order.append(op_id)
-        for dep in dependents[op_id]:
+        position = heapq.heappop(ready)
+        order.append(operations[position].id)
+        for dep in dependents[position]:
             indegree[dep] -= 1
             if indegree[dep] == 0:
-                heapq.heappush(ready, key[dep])
+                heapq.heappush(ready, dep)
 
-    if len(order) != len(graph.operations):
-        remaining = sorted(op_id for op_id, deg in indegree.items() if deg > 0)
+    if len(order) != len(operations):
+        remaining = sorted(op.id for op, deg in zip(operations, indegree) if deg > 0)
         raise CycleError(remaining[0])
     return order
 
@@ -271,7 +257,7 @@ def validate(graph: Graph) -> list[str]:
 
     if not violations:
         try:
-            topo_sort(graph)
+            graph.order  # sorts, or raises on a cycle
         except CycleError as exc:
             violations.append(str(exc))
     return violations

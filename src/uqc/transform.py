@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import InternalError
-from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode, topo_sort
+from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
 
 
 def signature_union(a: Signature, b: Signature) -> Signature:
@@ -72,15 +72,14 @@ def compute_influence_matrix(graph: Graph) -> InfluenceMatrix:
             variable_signatures[var.id] = ()
 
     rows: dict[int, Signature] = {}
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
+    for op in graph.order:
         if op.kind == EXPAND:
             signature = op.expand_to
         else:
             signature: Signature = ()
             for vid in op.inputs:
                 signature = signature_union(signature, variable_signatures[vid])
-        rows[op_id] = signature
+        rows[op.id] = signature
         variable_signatures[op.output] = signature
     return InfluenceMatrix(rows, variable_signatures)
 
@@ -116,6 +115,13 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
     No other edits are made.  Original node ids are preserved and new
     nodes continue the dense id sequence, so the transformation is
     deterministic and reversible (see strip_expansions).
+
+    The output lists its operations in evaluation order: the original
+    operations in the input graph's order, each expand just before its
+    first reader.  topo_sort keeps that order, so a transformed graph
+    runs its original operations in the same relative order as the
+    untransformed one, and both grid engines meet out-of-domain values
+    at the same operation first.
     """
     if matrix is None:
         matrix = compute_influence_matrix(graph)
@@ -126,9 +132,8 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
     expanded: dict[tuple[int, Signature], int] = {}
     next_id = len(graph.variables) + len(graph.operations)
 
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
-        target = matrix.rows[op_id]
+    for op in graph.order:
+        target = matrix.rows[op.id]
         new_inputs = []
         for vid in op.inputs:
             source = signature_of[vid]
@@ -138,7 +143,7 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
             if not signature_is_subset(source, target):
                 raise InternalError(
                     f"variable {vid} signature {source} is not a subset of "
-                    f"operation {op_id} signature {target}")
+                    f"operation {op.id} signature {target}")
             key = (vid, target)
             if key not in expanded:
                 expand_id = next_id
@@ -185,11 +190,10 @@ def influence_matrix_to_csv(graph: Graph, matrix: InfluenceMatrix | None = None)
         matrix = compute_influence_matrix(graph)
     input_names = [graph.variable_by_id[vid].name for vid, _ in graph.uncertain_inputs]
     lines = ["operation," + ",".join(input_names)]
-    for op_id in topo_sort(graph):
-        op = graph.operation_by_id[op_id]
-        row = matrix.rows[op_id]
+    for op in graph.order:
+        row = matrix.rows[op.id]
         cells = ["1" if axis in row else "0" for axis in range(graph.dim)]
-        lines.append(f"{op_id}:{op.kind}," + ",".join(cells))
+        lines.append(f"{op.id}:{op.kind}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -280,9 +280,10 @@ class TestAmtc:
                                    rtol=1e-12, atol=0)
 
     def test_buffer_read_by_an_expand_view_is_not_reused(self):
-        # Ids order the expand of x right after x, so x's last reader is
-        # `square`, which has x's shape and would overwrite x in place while
-        # `product` still reads x through the expand view.
+        # The tuple lists the expand of x right after x, and topo_sort keeps
+        # that order, so x's last reader is `square`, which has x's shape and
+        # would overwrite x in place while `product` still reads x through
+        # the expand view.
         b = GraphBuilder()
         a = b.add_uncertain_input("a", Normal(0, 1))
         c = b.add_uncertain_input("c", Normal(0, 1))
@@ -304,6 +305,18 @@ class TestAmtc:
         naive = evaluate_naive(original, grid)
         for name in ("square", "product"):
             np.testing.assert_array_equal(fast.outputs[name].data, naive.outputs[name].data)
+
+    def test_parsed_model_keeps_the_buffer_behind_an_expand_view(self):
+        # insert_expansions puts the expand of x before t1, its first reader,
+        # so x's last reader is q = x*x, of x's shape; x*b reads x through
+        # that expand view after q, so q must not overwrite x in place.
+        g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
+                        "x = sin(a)\nt1 = x * b\nq = x * x\n"
+                        "output f = t1 + q * b + x * b\n")
+        grid = grid_for(g.distributions, 3)
+        fast = evaluate_amtc(insert_expansions(g), grid)
+        naive = evaluate_naive(g, grid)
+        np.testing.assert_array_equal(fast.outputs["f"].data, naive.outputs["f"].data)
 
     def test_piston_out_of_domain_matches_naive_failure(self):
         g = builtin_model("piston")

@@ -23,8 +23,16 @@ class TestTopoSort:
     def test_four_op_order_with_fifo_tie_break(self):
         g = two_branch_graph()
         kinds = [g.operation_by_id[i].kind for i in topo_sort(g)]
-        # cos and neg are both ready initially; smallest id (cos) first
+        # cos and neg are both ready initially; the one listed first (cos) runs first
         assert kinds == ["cos", "neg", "exp", "add"]
+
+    def test_ready_ties_break_by_position_not_id(self):
+        # neg (id 4) is listed before cos (id 2); both are ready at once
+        g = two_branch_graph()
+        cos, neg, exp, add = g.operations
+        reordered = Graph(g.variables, (neg, cos, exp, add), g.uncertain_inputs, g.outputs)
+        assert topo_sort(reordered) == [neg.id, cos.id, exp.id, add.id]
+        assert reordered.order == (neg, cos, exp, add)
 
     def test_single_operation(self):
         b = GraphBuilder()

@@ -1,4 +1,5 @@
-"""Differential property tests over generated models.
+"""Differential property tests over generated models, and that the transform lists its output in evaluation
+order.
 
 The four evaluators (transformed grid engine, naive grid engine, sample
 evaluator, single-point interpreter) must agree bit for bit on every
@@ -39,6 +40,7 @@ from uqc import (
     scheduled_eval_counts,
     strip_expansions,
     tensor_grid,
+    topo_sort,
     validate,
 )
 from uqc.errors import DomainError
@@ -184,5 +186,7 @@ def test_transform_and_printer_round_trip(model):
     graph = parse_model(model[0])
     transformed = insert_expansions(graph).graph
     assert validate(transformed) == []
+    # insert_expansions lists the transformed graph in its evaluation order
+    assert topo_sort(transformed) == [op.id for op in transformed.operations]
     assert strip_expansions(transformed) == graph
     assert isomorphic(parse_model(pretty_print(graph)), graph)
