@@ -156,7 +156,6 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
     matrix = transform.compute_influence_matrix(graph)
     transformed = transform.insert_expansions(graph, matrix)
     n_ops = graph.elementary_operation_count()
-    expand_ops = [op for op in transformed.graph.operations if op.kind == "expand"]
 
     rows = [["k", "naive_scalar_evals", "amtc_scalar_evals", "expansion_copies",
              "naive_wall_ms", "amtc_wall_ms", "reduction"]]
@@ -165,12 +164,6 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
         sizes = grid.axis_sizes
         naive_total = n_ops * grid.total_points
         amtc_total = sum(transform.scheduled_eval_counts(matrix, sizes).values())
-        copies = 0
-        for op in expand_ops:
-            size = 1
-            for axis in op.expand_to:
-                size *= sizes[axis]
-            copies += size
         naive_ms: float | str = ""
         amtc_ms: float | str = ""
         try:
@@ -185,8 +178,9 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
             warn(f"k={k}: evaluation left the model domain ({exc}); "
                  "wall times omitted, counts are scheduled costs")
         reduction = 1.0 - amtc_total / naive_total
-        rows.append([k, naive_total, amtc_total, copies, naive_ms, amtc_ms,
-                     repr(reduction)])
+        rows.append([k, naive_total, amtc_total,
+                     transform.expansion_copies(transformed.graph, sizes),
+                     naive_ms, amtc_ms, repr(reduction)])
     return rows
 
 

@@ -26,8 +26,11 @@ class Normal:
     def standardize(self, u):
         return (np.asarray(u, dtype=float) - self.mean) / self.stddev
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.normal(self.mean, self.stddev, n)
+    def sample(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill `out` with draws, bit for bit those of rng.normal."""
+        rng.standard_normal(out=out)
+        out *= self.stddev
+        out += self.mean
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,11 @@ class Uniform:
         half = 0.5 * (self.upper - self.lower)
         return (np.asarray(u, dtype=float) - mid) / half
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, n)
+    def sample(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill `out` with draws, bit for bit those of rng.uniform."""
+        rng.random(out=out)
+        out *= self.upper - self.lower
+        out += self.lower
 
 
 Distribution = Union[Normal, Uniform]

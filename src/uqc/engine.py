@@ -1,19 +1,19 @@
 """Graph evaluation on tensor grids with exact operation-level cost accounting.
 
-All entry points run one executor over the graph's cached plan (Graph.plan).
-evaluate_naive feeds each uncertain input its full-length grid vector, so
-every operation runs at every grid point; evaluate_on_samples and
-evaluate_single_point do the same over sample rows or one point.
-evaluate_amtc runs a transformed graph whose values have k_j on the axes
-of their dependency signature and 1 elsewhere, so each operation runs once
-per distinct point of its subspace; expands are broadcast views whose
-elements are reported as copies (data movement, not model arithmetic).
+All entry points run one executor over a graph's cached plan (Graph.plan)
+of elementary operations.  evaluate_naive feeds each uncertain input its
+full-length grid vector, so every operation runs at every grid point;
+evaluate_on_samples and evaluate_single_point do the same over sample rows
+or one point.  evaluate_amtc runs a transformed graph with its expands
+stripped: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
+runs each operation once per distinct point of its subspace.  The expands'
+elements are counted from the IR as copies, never made.
 
 Constants are 1-element arrays that numpy broadcasts.  A value is dropped
 after its last reader, and a result reuses the buffer of a dying operand
 of its shape that the executor allocated, so peak memory follows the
 largest live set rather than the operation count.  Grid nodes, caller
-samples, constants and views are never written.
+samples and constants are never written.
 
 Aligned vectors (naive grid, samples) longer than _BLOCK points run the
 whole plan one block at a time (cache blocking), writing each block's
@@ -29,9 +29,9 @@ non-positive, division by zero) and results that overflow or are invalid
 (inf or NaN, caught by np.errstate) raise DomainError rather than
 propagating into moments.  It names the first operation in plan order
 that meets one, and the first full-grid point where it does; every engine
-runs the original operations in the same relative order, and a blocked
-run that fails is re-run unblocked, so all of them name the same
-operation and point.
+runs the original operations in the same order, and a blocked run that
+fails is re-run unblocked, so all of them name the same operation and
+point.
 """
 
 from __future__ import annotations
@@ -42,15 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    SignatureMismatchError,
-    SignatureNotSubsetError,
-)
-from .graph import EXPAND, Graph, Signature, Step
+from .errors import DimensionMismatchError, DomainError, SignatureNotSubsetError
+from .graph import Graph, Signature, Step
 from .quadrature import TensorGrid, grid_input_vector
-from .transform import TransformedGraph, signature_is_subset
+from .transform import TransformedGraph, expansion_copies, signature_is_subset
 
 # Points per block of an aligned-vector run.  A float64 vector of this
 # length is 256 KiB, so the few a plan keeps alive fit in a 1-2 MiB L2 cache.
@@ -205,10 +200,9 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     """Run graph.plan over the evaluation space `space`.
 
     `columns[j]` is the read-only value of uncertain input j, an array that
-    broadcasts against `space`.  Returns (values, owned, counts, copies):
-    the values alive at the end (every graph output among them), the ids
-    of those held in buffers this call allocated, the elements each
-    elementary operation produced, and the elements all expands produced.
+    broadcasts against `space`.  Returns the values alive at the end (every
+    graph output among them) and the elements each operation produced.
+    Operation results are buffers this call allocated; nothing else is.
     """
     values = {vid: column for (vid, _), column in zip(graph.uncertain_inputs, columns)}
     for var in graph.variables:
@@ -218,35 +212,25 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     # are reused only when every input is finite, so that _apply then sees
     # the operands it needs to tell such points from those that raised.
     reuse = all(np.isfinite(column).all() for column in columns)
-    owned: set[int] = set()
     counts: dict[int, int] = {}
-    copies = 0
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for step in graph.plan:
             op = step.op
             operands = [values[vid] for vid in op.inputs]
-            if step.ufunc is None:
-                target = tuple(n if axis in op.expand_to else 1 for axis, n in enumerate(space))
-                result = np.broadcast_to(operands[0], target)
-                owned.discard(op.inputs[0])  # the view shares its buffer
-                copies += result.size
-            else:
-                shape = operands[0].shape
-                if len(operands) == 2 and operands[1].shape != shape:
-                    shape = np.broadcast_shapes(shape, operands[1].shape)
-                _check_domain(op, operands, space)
-                result = next((values[vid] for vid in step.release if reuse
-                               and vid in owned and values[vid].shape == shape), None)
-                if result is None:
-                    result = np.empty(shape)
-                _apply(step, operands, result, space)
-                owned.add(op.output)
-                counts[op.id] = result.size
+            shape = operands[0].shape
+            if len(operands) == 2 and operands[1].shape != shape:
+                shape = np.broadcast_shapes(shape, operands[1].shape)
+            _check_domain(op, operands, space)
+            result = next((values[vid] for vid in op.inputs if reuse and vid in step.release
+                           and vid in graph.producer_of and values[vid].shape == shape), None)
+            if result is None:
+                result = np.empty(shape)
+            _apply(step, operands, result, space)
+            counts[op.id] = result.size
             values[op.output] = result
             for vid in step.release:
                 del values[vid]
-                owned.discard(vid)
-    return values, owned, counts, copies
+    return values, counts
 
 
 def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
@@ -262,11 +246,11 @@ def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     and its first point, as an unblocked run does.
     """
     if n <= _BLOCK:
-        values, owned, _, _ = _execute(graph, columns, (n,))
+        values = _execute(graph, columns, (n,))[0]
         outputs = {}
         for vid in graph.outputs:
             array = values[vid]
-            if vid not in owned or array.shape != (n,):
+            if vid not in graph.producer_of or array.shape != (n,):
                 array = np.broadcast_to(array, (n,)).copy()
             outputs[graph.variable_by_id[vid].name] = array
         return outputs
@@ -308,9 +292,6 @@ def _check_grid(graph: Graph, grid: TensorGrid) -> None:
 
 def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
     """Conventional full-grid sweep: every operation runs at every point."""
-    if graph.has_expansions():
-        raise SignatureMismatchError(
-            "evaluate_naive requires an untransformed graph; use evaluate_amtc")
     _check_grid(graph, grid)
     n = grid.total_points
     full: Signature = tuple(range(graph.dim))
@@ -323,44 +304,32 @@ def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
                    counts, 0, wall_ms)
 
 
-def _check_signatures(transformed: TransformedGraph) -> None:
-    """Each elementary operation must read values of its own signature, so
-    that it runs over exactly its own subspace."""
-    signature_of = transformed.signature_of
-    for op in transformed.graph.operations:
-        for vid in op.inputs:
-            if op.kind != EXPAND and signature_of[vid] != signature_of[op.output]:
-                raise SignatureMismatchError(
-                    f"operation {op.id} with signature {signature_of[op.output]} "
-                    f"received input {vid} with signature {signature_of[vid]}")
-
-
 def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> EvaluationReport:
     """Evaluate a transformed graph, one run per distinct subspace point.
 
-    Uncertain input j is fed its k_j raw nodes along axis j, constants are
-    1-element arrays, and each elementary operation runs over the product
-    of axis sizes in its signature.  Expand operations are broadcast views
-    and contribute their output sizes to expansion_copies, not to
+    Runs transformed.stripped.  Uncertain input j is fed its k_j raw nodes
+    along axis j, constants are 1-element arrays, and broadcasting runs
+    each operation over the product of axis sizes in its signature.  The
+    expands contribute their output sizes to expansion_copies, not to
     total_scalar_evals.  Outputs are presented on the full grid so they
     compare directly with evaluate_naive (the final broadcast, if any, is
     not counted).
     """
     graph = transformed.graph
     _check_grid(graph, grid)
-    _check_signatures(transformed)
+    stripped = transformed.stripped
     sizes = grid.axis_sizes
     full: Signature = tuple(range(graph.dim))
     start = time.perf_counter()
     columns = [rule.nodes.reshape([k if j == axis else 1 for j, k in enumerate(sizes)])
                for axis, rule in enumerate(grid.axes)]
-    values, _, counts, copies = _execute(graph, columns, sizes)
+    values, counts = _execute(stripped, columns, sizes)
     wall_ms = (time.perf_counter() - start) * 1e3
     outputs = {}
-    for vid in graph.outputs:
+    for vid in stripped.outputs:
         tensor = ValueTensor(transformed.signature_of[vid], values[vid].ravel())
-        outputs[graph.variable_by_id[vid].name] = expand_tensor(tensor, full, sizes)
-    return _report(graph, outputs, counts, copies, wall_ms)
+        outputs[stripped.variable_by_id[vid].name] = expand_tensor(tensor, full, sizes)
+    return _report(graph, outputs, counts, expansion_copies(graph, sizes), wall_ms)
 
 
 def evaluate_single_point(graph: Graph, point) -> dict[str, float]:

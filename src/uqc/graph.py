@@ -68,15 +68,15 @@ class OperationNode:
 
 
 class Step(NamedTuple):
-    """One operation of a graph's execution plan.
+    """One elementary operation of a graph's execution plan.
 
-    `ufunc` is None exactly for expand.  `release` lists the variables
+    `ufunc` is the operation's kernel.  `release` lists the variables
     whose last use is this step, so their values may be dropped once it
     has run; it never names a graph output.
     """
 
     op: OperationNode
-    ufunc: np.ufunc | None
+    ufunc: np.ufunc
     release: tuple[int, ...]
 
 
@@ -128,15 +128,17 @@ class Graph:
         """Graph.order with each operation's kernel and the variables that
         die after it (a value nobody reads dies where it is produced).
         Every graph the package builds already lists its operations in
-        that order; for a transformed graph it is the untransformed
-        graph's order with each expand just before its first reader.
-        Raises CycleError like topo_sort."""
+        that order.  Only elementary operations have a kernel: a graph
+        with expands raises SignatureMismatchError, as evaluate_amtc runs
+        a transformed graph with its expands stripped.  Raises CycleError
+        like topo_sort."""
         order = self.order
         last_use: dict[int, int] = {}
         for index, op in enumerate(order):
-            if op.kind != EXPAND and op.kind not in UFUNCS:
+            if op.kind not in UFUNCS:
+                hint = "; run a transformed graph with evaluate_amtc" if op.kind == EXPAND else ""
                 raise SignatureMismatchError(
-                    f"cannot apply operation kind '{op.kind}' elementwise")
+                    f"cannot apply operation kind '{op.kind}' elementwise{hint}")
             for vid in (op.output, *op.inputs):
                 last_use[vid] = index
         release: list[list[int]] = [[] for _ in order]
@@ -144,7 +146,7 @@ class Graph:
         for vid, index in last_use.items():
             if vid not in outputs:
                 release[index].append(vid)
-        return tuple(Step(op, UFUNCS.get(op.kind), tuple(dead))
+        return tuple(Step(op, UFUNCS[op.kind], tuple(dead))
                      for op, dead in zip(order, release))
 
 

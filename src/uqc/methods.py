@@ -182,13 +182,13 @@ def sc_moments(surrogate: SurrogateSC) -> tuple[float, float]:
 def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:
     """(n, dim) i.i.d. samples of the model inputs from a seeded generator.
 
-    The draws are written input by input into one (dim, n) array, which is
-    returned transposed, so each input's column is contiguous.
+    The draws are made in place, input by input, into one (dim, n) array,
+    which is returned transposed, so each input's column is contiguous.
     """
     rng = np.random.default_rng(seed)
     draws = np.empty((graph.dim, n))
     for row, (_, dist) in zip(draws, graph.uncertain_inputs):
-        row[:] = dist.sample(rng, n)
+        dist.sample(rng, row)
     return draws.T
 
 

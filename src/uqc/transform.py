@@ -17,14 +17,17 @@ the savings explicit in the graph itself:
 After the transformation every operation's inputs carry exactly the
 operation's own signature, so each operation can be evaluated once per
 distinct point of its own subspace.  Removing the expand nodes and
-re-splicing producers to consumers recovers the original graph.
+re-splicing producers to consumers recovers the original graph, which the
+transformed engine runs: broadcasting does the expands' work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .errors import InternalError
+from .errors import InternalError, SignatureMismatchError
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
 
 
@@ -103,6 +106,29 @@ class TransformedGraph:
     graph: Graph
     partition: Partition
     signature_of: dict[int, Signature]
+
+    @cached_property
+    def stripped(self) -> Graph:
+        """The graph without its expands, built and checked once.  Over
+        values shaped k_j on their signature's axes and 1 elsewhere, each
+        operation broadcasts over the union of its inputs' signatures, so
+        this raises SignatureMismatchError unless that union is every
+        variable's signature and each elementary operation of the
+        transformed graph reads values of its own signature."""
+        signature_of = self.signature_of
+        for op in self.graph.operations:
+            for vid in op.inputs:
+                if op.kind != EXPAND and signature_of[vid] != signature_of[op.output]:
+                    raise SignatureMismatchError(
+                        f"operation {op.id} with signature {signature_of[op.output]} "
+                        f"received input {vid} with signature {signature_of[vid]}")
+        stripped = strip_expansions(self.graph)
+        for vid, union in compute_influence_matrix(stripped).variable_signatures.items():
+            if signature_of.get(vid) != union:
+                raise SignatureMismatchError(
+                    f"variable {vid} has signature {signature_of.get(vid)} "
+                    f"but depends on axes {union}")
+        return stripped
 
 
 def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> TransformedGraph:
@@ -201,10 +227,13 @@ def scheduled_eval_counts(matrix: InfluenceMatrix, axis_sizes) -> dict[int, int]
     """Evaluations each operation is scheduled for on a grid with the
     given per-axis sizes: the product of sizes over its signature."""
     sizes = tuple(int(s) for s in axis_sizes)
-    counts = {}
-    for op_id, signature in matrix.rows.items():
-        count = 1
-        for axis in signature:
-            count *= sizes[axis]
-        counts[op_id] = count
-    return counts
+    return {op_id: math.prod(sizes[axis] for axis in signature)
+            for op_id, signature in matrix.rows.items()}
+
+
+def expansion_copies(graph: Graph, axis_sizes) -> int:
+    """Elements the expands stand for on a grid with the given per-axis
+    sizes: the product of sizes over each expand's target signature."""
+    sizes = tuple(int(s) for s in axis_sizes)
+    return sum(math.prod(sizes[axis] for axis in op.expand_to)
+               for op in graph.operations if op.kind == EXPAND)

@@ -29,6 +29,7 @@ from uqc import (
     partition_operations,
     strip_expansions,
     tensor_grid,
+    transform,
 )
 from uqc.engine import EvaluationReport
 from uqc.methods import sample_inputs
@@ -125,9 +126,14 @@ class TestNaive:
         assert excinfo.value.op_kind == "sqrt"
 
     def test_rejects_transformed_graph(self):
-        tg = insert_expansions(builtin_model("simple"))
-        with pytest.raises(SignatureMismatchError):
-            evaluate_naive(tg.graph, grid_for(tg.graph.distributions, 3))
+        # every vector evaluator meets the one check in Graph.plan
+        tg = insert_expansions(builtin_model("piston"))
+        grid = grid_for(tg.graph.distributions, 3)
+        for run in (lambda: evaluate_naive(tg.graph, grid),
+                    lambda: evaluate_on_samples(tg.graph, grid.points()),
+                    lambda: evaluate_single_point(tg.graph, grid.points()[0])):
+            with pytest.raises(SignatureMismatchError, match="evaluate_amtc"):
+                run()
 
     def test_rejects_mismatched_grid(self):
         g = builtin_model("simple")
@@ -294,15 +300,12 @@ class TestAmtc:
         product = b.add_operation("mul", [x_wide, c_wide], name="product")
         b.mark_output(square)
         b.mark_output(product)
-        graph = b.build()
-        signature_of = {a: (0,), c: (1,), x: (0,), x_wide: (0, 1), square: (0,),
-                        c_wide: (0, 1), product: (0, 1)}
-        original = strip_expansions(graph)
-        transformed = TransformedGraph(
-            graph, partition_operations(compute_influence_matrix(original)), signature_of)
-        grid = grid_for(graph.distributions, 3)
+        transformed = hand_transformed(b.build(), {
+            a: (0,), c: (1,), x: (0,), x_wide: (0, 1), square: (0,),
+            c_wide: (0, 1), product: (0, 1)})
+        grid = grid_for(transformed.graph.distributions, 3)
         fast = evaluate_amtc(transformed, grid)
-        naive = evaluate_naive(original, grid)
+        naive = evaluate_naive(transformed.stripped, grid)
         for name in ("square", "product"):
             np.testing.assert_array_equal(fast.outputs[name].data, naive.outputs[name].data)
 
@@ -317,6 +320,44 @@ class TestAmtc:
         fast = evaluate_amtc(insert_expansions(g), grid)
         naive = evaluate_naive(g, grid)
         np.testing.assert_array_equal(fast.outputs["f"].data, naive.outputs["f"].data)
+
+    def test_rejects_input_of_another_signature_without_expand(self):
+        # the product runs over (0, 1), but reads a, of signature (0,),
+        # with no expand in between
+        b = GraphBuilder()
+        a = b.add_uncertain_input("a", Normal(0, 1))
+        c = b.add_uncertain_input("c", Normal(0, 1))
+        product = b.add_operation("mul", [a, c])
+        b.mark_output(product)
+        transformed = hand_transformed(b.build(), {a: (0,), c: (1,), product: (0, 1)})
+        with pytest.raises(SignatureMismatchError, match=f"received input {a} "):
+            evaluate_amtc(transformed, grid_for(transformed.graph.distributions, 3))
+
+    def test_rejects_signature_wider_than_its_inputs(self):
+        # sin reads cos(a) through an expand into (0, 1), but its value only
+        # depends on a: labelled (0, 1), it would hold 3 values, not 9
+        b = GraphBuilder()
+        a = b.add_uncertain_input("a", Normal(0, 1))
+        c = b.add_uncertain_input("c", Normal(0, 1))
+        x = b.add_operation("cos", [a])
+        x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+        y = b.add_operation("sin", [x_wide])
+        b.mark_output(y)
+        transformed = hand_transformed(b.build(), {
+            a: (0,), c: (1,), x: (0,), x_wide: (0, 1), y: (0, 1)})
+        with pytest.raises(SignatureMismatchError,
+                           match=rf"variable {y} has signature \(0, 1\) but depends on axes \(0,\)"):
+            evaluate_amtc(transformed, grid_for(transformed.graph.distributions, 3))
+
+    def test_stripped_graph_is_built_and_checked_once(self):
+        g = builtin_model("piston")
+        tg = insert_expansions(g)
+        grid = grid_for(g.distributions, 3)
+        with patch.object(transform, "strip_expansions", wraps=strip_expansions) as spy:
+            first = evaluate_amtc(tg, grid)
+            assert evaluate_amtc(tg, grid) == first
+        assert spy.call_count == 1
+        assert tg.stripped == g
 
     def test_piston_out_of_domain_matches_naive_failure(self):
         g = builtin_model("piston")
@@ -459,40 +500,21 @@ class TestDomainGuards:
         assert np.all(report.outputs["f"].data < 0)
 
 
-class TestThreading:
-    def test_threaded_results_bit_identical(self, monkeypatch):
+class TestBlocking:
+    def test_blocks_bit_identical_on_samples(self):
+        g = builtin_model("multipoint")
+        samples = sample_inputs(g, 3 * engine._BLOCK + 123, 0)
+        assert_blocked_run_identical(lambda: evaluate_on_samples(g, samples), len(samples))
+
+    def test_blocks_bit_identical_on_piston_samples(self, monkeypatch):
         g = builtin_model("piston")
         samples = np.column_stack([
             np.full(20000, 50.0) + np.linspace(-5, 5, 20000),
             np.full(20000, 0.01),
             np.full(20000, 0.005),
         ])
-        monkeypatch.delenv("UQC_THREADS", raising=False)
         # blocks of 4096 split the 20 000 samples into five
         monkeypatch.setattr(engine, "_BLOCK", 4096)
-        sequential = evaluate_on_samples(g, samples)["C"]
-        monkeypatch.setenv("UQC_THREADS", "3")
-        threaded = evaluate_on_samples(g, samples)["C"]
-        np.testing.assert_array_equal(sequential, threaded)
-
-    def test_threaded_transformed_engine_bit_identical(self, monkeypatch):
-        # the engines run on one thread, so UQC_THREADS changes nothing; the
-        # last two ops cover 2 x 64 x 64 points and read expand views
-        g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
-                        "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
-        tg = insert_expansions(g)
-        grid = tensor_grid([gauss_rule(dist, k) for dist, k in zip(g.distributions, (2, 64, 64))])
-        monkeypatch.delenv("UQC_THREADS", raising=False)
-        sequential = evaluate_amtc(tg, grid)
-        monkeypatch.setenv("UQC_THREADS", "2")
-        threaded = evaluate_amtc(tg, grid)
-        assert threaded == sequential
-
-
-class TestBlocking:
-    def test_blocks_bit_identical_on_samples(self):
-        g = builtin_model("multipoint")
-        samples = sample_inputs(g, 3 * engine._BLOCK + 123, 0)
         assert_blocked_run_identical(lambda: evaluate_on_samples(g, samples), len(samples))
 
     def test_blocks_bit_identical_on_naive_grid(self):
@@ -502,6 +524,21 @@ class TestBlocking:
         outputs = assert_blocked_run_identical(
             lambda: {"f": evaluate_naive(g, grid).outputs["f"].data}, grid.total_points)
         assert bits(outputs["f"]) == bits(evaluate_amtc(insert_expansions(g), grid).outputs["f"].data)
+
+    def test_amtc_bit_identical_to_naive_on_wide_grid(self):
+        # the last two operations cover 2 x 64 x 64 points and broadcast
+        # values of smaller signatures
+        g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
+                        "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
+        grid = tensor_grid([gauss_rule(dist, k) for dist, k in zip(g.distributions, (2, 64, 64))])
+        fast = evaluate_amtc(insert_expansions(g), grid)
+        assert bits(fast.outputs["f"].data) == bits(evaluate_naive(g, grid).outputs["f"].data)
+
+
+def hand_transformed(graph, signature_of) -> TransformedGraph:
+    """A hand-built graph with expands, labelled with `signature_of`."""
+    partition = partition_operations(compute_influence_matrix(strip_expansions(graph)))
+    return TransformedGraph(graph, partition, signature_of)
 
 
 def bits(array) -> bytes:

@@ -258,6 +258,16 @@ class TestMonteCarlo:
         assert means[1] == pytest.approx(0.01, abs=0.0005)
         assert means[2] == pytest.approx(0.005, abs=0.0002)
 
+    def test_sample_inputs_draws_what_the_generator_would(self):
+        # drawn in place, the samples keep the bits of rng.normal and
+        # rng.uniform, consecutive inputs included
+        g = parse_model("input a ~ Normal(50, 10)\ninput b ~ Uniform(-1, 2)\n"
+                        "input c ~ Normal(0.01, 0.005)\noutput f = a + b + c\n")
+        rng = np.random.default_rng(4)
+        expected = np.column_stack([rng.normal(50, 10, 5000), rng.uniform(-1, 2, 5000),
+                                    rng.normal(0.01, 0.005, 5000)])
+        assert sample_inputs(g, 5000, seed=4).tobytes() == expected.tobytes()
+
 
 class TestMoments:
     def test_constant_only(self):

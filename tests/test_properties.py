@@ -6,12 +6,14 @@ evaluator, single-point interpreter) must agree bit for bit on every
 well-formed model, and the transformed engine must do exactly the work the
 dependency schedule predicts.  Models are random straight-line programs
 over 1-3 inputs whose forms stay inside every operation's domain, so all
-elementary kinds appear without raising DomainError.  A second family adds
-forms that may leave their domain or overflow; on those the grid engines
-and the sample evaluator must raise the same DomainError (operation, point
-and reason), or none.  Both properties are checked again with the
-aligned-vector engines cut into blocks of 1-7 points, so that a grid of at
-most 125 points crosses block boundaries.  A third property checks that
+elementary kinds appear without raising DomainError; one form reads a
+value through an expand both before and after the value's last direct
+reader.  A second family adds forms that may leave their domain or
+overflow; on those the grid engines and the sample evaluator must raise
+the same DomainError (operation, point and reason), or none.  Both
+properties are checked again with the aligned-vector engines cut into
+blocks of 1-7 points, so that a grid of at most 125 points crosses block
+boundaries.  A third property checks that
 the transform, the structural validator and the printer round-trip the
 generated models.
 
@@ -52,6 +54,11 @@ UNARY_FORMS = ("-({a})", "({a})^2", "log(1 + ({a})^2)", "sqrt(1 + ({a})^2)",
                "1/(2 + cos({a}))", "exp(sin({a}))", "tan(sin({a}))",
                "(1 + ({a})^2)^-0.5")
 BINARY_FORMS = ("{a} + {b}", "{a} - {b}", "{a} * {b}", "{a} / (2 + cos({b}))")
+# Reads an earlier statement {a} through an expand (when input {b} has an
+# axis that {a} lacks), then last reads {a} directly in a result of {a}'s
+# own shape, then reads the expanded {a} again: an engine that let ^2
+# overwrite {a} in place would corrupt that second read.
+REREAD_FORM = "{a} * {b} + ({a})^2 - {a} * {b}"
 # Forms that leave their domain wherever a raw value does, one that
 # overflows to inf, plus safe ones to build operands from.  Several mix in a constant or a second operand,
 # so that an operation which waits on an expand in the transformed graph
@@ -73,7 +80,11 @@ def models(draw, unary_forms=UNARY_FORMS, binary_forms=BINARY_FORMS):
         # Constants are drawn often enough that constant-only statements,
         # and outputs depending on a subset of the inputs, are common.
         operand = st.sampled_from(inputs + names + list(CONSTANTS))
-        if draw(st.booleans()):
+        kind = draw(st.sampled_from(("unary", "binary", "reread")))
+        if kind == "reread" and names:
+            expr = REREAD_FORM.format(a=draw(st.sampled_from(names)),
+                                      b=draw(st.sampled_from(inputs)))
+        elif kind == "unary":
             expr = draw(st.sampled_from(unary_forms)).format(a=draw(operand))
         else:
             a = draw(operand)
