@@ -57,6 +57,8 @@ def parse_k_range(text: str) -> list[int]:
 
 
 def _output_name(graph: Graph) -> str:
+    if not graph.outputs:
+        raise ValueError("model declares no output")
     return graph.variable_by_id[graph.outputs[0]].name
 
 
@@ -177,7 +179,7 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
         except DomainError as exc:
             warn(f"k={k}: evaluation left the model domain ({exc}); "
                  "wall times omitted, counts are scheduled costs")
-        reduction = 1.0 - amtc_total / naive_total
+        reduction = 1.0 - amtc_total / naive_total if naive_total else 0.0
         rows.append([k, naive_total, amtc_total,
                      transform.expansion_copies(transformed.graph, sizes),
                      naive_ms, amtc_ms, repr(reduction)])

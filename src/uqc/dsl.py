@@ -13,26 +13,33 @@ Grammar (one statement per line, `#` starts a comment, files use `.uq`):
                sin|cos|tan|exp|log|sqrt, the literal `pi`, decimal or
                scientific reals, and parentheses.
 
-Lowering walks each expression depth-first, left to right, emitting one
-elementary operation per operator or call; constant subexpressions stay in
-the graph as constant nodes (no folding).  Two special cases: a minus sign
-directly on a numeric literal is part of the literal (no neg operation),
-and `a ^ b` becomes a pow_const operation when b is a literal but is
-rewritten as exp(b * log(a)) otherwise.
+One recursive-descent pass lowers each statement as it reads it, emitting
+one elementary operation per operator or call in the depth-first, left to
+right order of the expression; constant subexpressions stay in the graph
+as constant nodes (no folding).  Two special cases: a minus sign directly
+on a numeric literal is part of the literal (no neg operation, but `-(3)`
+is one), and `a ^ b` becomes a pow_const operation when b is a literal,
+bare or parenthesized, but is rewritten as exp(b * log(a)) otherwise.
+
+The text is tokenized in full before parsing starts, and a name or value
+error is held until the parse ends, so an unexpected character is
+reported ahead of any syntax error, and any syntax error ahead of the
+first undefined, duplicate or reserved name or invalid distribution.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .distributions import Distribution, Normal, Uniform
+from .distributions import Normal, Uniform
 from .errors import DuplicateNameError, ParseError, UndefinedNameError
 from .graph import Graph, GraphBuilder, OperationNode
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _KEYWORDS = ("input", "param", "output")
+_BINARY_KINDS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 _TOKEN_RE = re.compile(r"""
     (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
@@ -40,11 +47,16 @@ _TOKEN_RE = re.compile(r"""
   | (?P<punct>[-+*/^()=,~])
   | (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
+  | (?P<newline>\n)
+  | (?P<error>.)
 """, re.VERBOSE)
 
+# Stands in for the variable of a name that failed to resolve, so parsing
+# can go on to find any syntax error after it.
+_MISSING = -1
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str   # 'number' | 'ident' | 'punct' | 'newline' | 'eof'
     text: str
     line: int
@@ -53,79 +65,46 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos + 1)
-            if m.lastgroup not in ("ws", "comment"):
-                tokens.append(Token(m.lastgroup, m.group(), line_no, pos + 1))
-            pos = m.end()
-        tokens.append(Token("newline", "", line_no, len(line) + 1))
-    tokens.append(Token("eof", "", text.count("\n") + 1, 1))
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind in ("ws", "comment"):
+            continue
+        column = m.start() - line_start + 1
+        if kind == "error":
+            raise ParseError(f"unexpected character {m.group()!r}", line, column)
+        if kind == "newline":
+            tokens.append(Token("newline", "", line, column))
+            line, line_start = line + 1, m.end()
+        else:
+            tokens.append(Token(kind, m.group(), line, column))
+    tokens.append(Token("newline", "", line, len(text) - line_start + 1))
+    tokens.append(Token("eof", "", line, 1))
     return tokens
 
 
-# AST nodes carry the source position of their head token for error reporting.
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Ref:
-    name: str
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-    line: int
-    column: int
-
-
-@dataclass(frozen=True)
-class Paren:
-    # Kept distinct from its content so that a minus sign in front of a
-    # parenthesized literal stays a neg operation instead of folding into
-    # the literal's sign.
-    inner: object
-
-
-def _unwrap_parens(node):
-    while isinstance(node, Paren):
-        node = node.inner
-    return node
+def _unexpected(tok: Token, *expected: str) -> ParseError:
+    return ParseError(f"got {tok.text!r}" if tok.text else "got end of line",
+                      tok.line, tok.column, expected=expected)
 
 
 class _Parser:
+    """Recursive descent that lowers each statement as it reads it.
+
+    An expression yields a variable id, or a float for a literal not yet in
+    the graph, so that a sign can fold into it and an exponent can become
+    pow_const; anywhere else a literal becomes a constant node where the
+    depth-first, left-to-right walk of the expression meets it.  The first
+    name or value error is held until the parse ends, so that any syntax
+    error in the text is reported ahead of it.
+    """
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._builder = GraphBuilder()
+        self._env: dict[str, int] = {}
+        self._error: Exception | None = None
 
     def _peek(self) -> Token:
         return self._tokens[self._pos]
@@ -138,17 +117,15 @@ class _Parser:
 
     def _expect(self, text: str) -> Token:
         tok = self._peek()
-        if tok.kind == "punct" and tok.text == text:
+        if tok.text == text:
             return self._next()
-        raise ParseError(f"got {tok.text!r}" if tok.text else "got end of line",
-                         tok.line, tok.column, expected=(repr(text),))
+        raise _unexpected(tok, repr(text))
 
     def _expect_ident(self, what: str = "identifier") -> Token:
         tok = self._peek()
         if tok.kind == "ident":
             return self._next()
-        raise ParseError(f"got {tok.text!r}" if tok.text else "got end of line",
-                         tok.line, tok.column, expected=(what,))
+        raise _unexpected(tok, what)
 
     def _skip_newlines(self) -> None:
         while self._peek().kind == "newline":
@@ -156,42 +133,70 @@ class _Parser:
 
     def _end_statement(self) -> None:
         tok = self._peek()
-        if tok.kind in ("newline", "eof"):
-            if tok.kind == "newline":
-                self._next()
-            return
-        raise ParseError(f"unexpected {tok.text!r} after statement",
-                         tok.line, tok.column, expected=("end of line",))
+        if tok.kind == "newline":
+            self._next()
+        elif tok.kind != "eof":
+            raise ParseError(f"unexpected {tok.text!r} after statement",
+                             tok.line, tok.column, expected=("end of line",))
+
+    # Names and values ----------------------------------------------------
+
+    def _hold(self, error: Exception) -> None:
+        if self._error is None:
+            self._error = error
+
+    def _define(self, tok: Token) -> str:
+        name = tok.text
+        if name == "pi" or name in _KEYWORDS or name in FUNCTIONS:
+            self._hold(ParseError(f"'{name}' is reserved", tok.line, tok.column))
+        elif name in self._env:
+            self._hold(DuplicateNameError(name, tok.line, tok.column))
+        return name
+
+    def _lookup(self, tok: Token) -> int:
+        vid = self._env.get(tok.text, _MISSING)
+        if vid == _MISSING:
+            self._hold(UndefinedNameError(tok.text, tok.line, tok.column))
+        return vid
+
+    def _variable(self, value: int | float) -> int:
+        """The variable id of an expression's value; a literal becomes a
+        constant node here."""
+        return self._builder.add_constant(value) if isinstance(value, float) else value
 
     # Statements ----------------------------------------------------------
 
-    def parse_program(self) -> list[tuple]:
-        statements: list[tuple] = []
+    def parse_program(self) -> Graph:
         self._skip_newlines()
         while self._peek().kind != "eof":
-            statements.append(self._statement())
+            self._statement()
             self._skip_newlines()
-        return statements
+        if self._error is not None:
+            raise self._error
+        return self._builder.build()
 
-    def _statement(self) -> tuple:
+    def _statement(self) -> None:
         head = self._expect_ident("statement")
         if head.text == "input":
-            return self._input_statement(head)
+            return self._input_statement()
         if head.text == "param":
-            return self._param_statement(head)
-        if head.text == "output":
-            name = self._expect_ident()
-            self._expect("=")
-            expr = self._expression()
-            self._end_statement()
-            return ("output", name, expr)
-        # assignment
+            return self._param_statement()
+        is_output = head.text == "output"
+        if is_output:
+            head = self._expect_ident()
         self._expect("=")
-        expr = self._expression()
+        name = self._define(head)
+        fresh_before = self._builder._next_id
+        vid = self._variable(self._expression())
         self._end_statement()
-        return ("assign", head, expr)
+        if vid >= fresh_before:
+            # The statement created this variable; give it the user's name.
+            self._builder.rename(vid, name)
+        self._env[name] = vid
+        if is_output:
+            self._builder.mark_output(vid)
 
-    def _input_statement(self, head: Token) -> tuple:
+    def _input_statement(self) -> None:
         name = self._expect_ident()
         self._expect("~")
         family = self._expect_ident("Normal or Uniform")
@@ -204,14 +209,19 @@ class _Parser:
         b = self._signed_real()
         self._expect(")")
         self._end_statement()
-        return ("input", name, family.text, a, b)
+        self._define(name)
+        try:
+            dist = Normal(a, b) if family.text == "Normal" else Uniform(a, b)
+        except ValueError as exc:
+            return self._hold(exc)
+        self._env[name.text] = self._builder.add_uncertain_input(name.text, dist)
 
-    def _param_statement(self, head: Token) -> tuple:
+    def _param_statement(self) -> None:
         name = self._expect_ident()
         self._expect("=")
         value = self._signed_real()
         self._end_statement()
-        return ("param", name, value)
+        self._env[self._define(name)] = self._builder.add_constant(value, name=name.text)
 
     def _signed_real(self) -> float:
         sign = 1.0
@@ -226,160 +236,87 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "pi":
             self._next()
             return sign * math.pi
-        raise ParseError(f"got {tok.text!r}" if tok.text else "got end of line",
-                         tok.line, tok.column, expected=("number",))
+        raise _unexpected(tok, "number")
 
     # Expressions ---------------------------------------------------------
 
-    def _expression(self):
-        return self._additive()
+    def _expression(self) -> int | float:
+        return self._left_assoc("+-", self._term)
 
-    def _additive(self):
-        node = self._multiplicative()
-        while self._peek().kind == "punct" and self._peek().text in "+-":
-            tok = self._next()
-            rhs = self._multiplicative()
-            node = Binary("add" if tok.text == "+" else "sub", node, rhs,
-                          tok.line, tok.column)
-        return node
+    def _term(self) -> int | float:
+        return self._left_assoc("*/", self._unary)
 
-    def _multiplicative(self):
-        node = self._unary()
-        while self._peek().kind == "punct" and self._peek().text in "*/":
-            tok = self._next()
-            rhs = self._unary()
-            node = Binary("mul" if tok.text == "*" else "div", node, rhs,
-                          tok.line, tok.column)
-        return node
-
-    def _unary(self):
+    def _left_assoc(self, symbols: str, operand) -> int | float:
+        value = operand()
         tok = self._peek()
-        if tok.kind == "punct" and tok.text == "-":
+        while tok.kind == "punct" and tok.text in symbols:
             self._next()
-            operand = self._unary()
-            if isinstance(operand, Num):
-                # A sign directly on a literal is part of the literal.
-                return Num(-operand.value, tok.line, tok.column)
-            return Unary("neg", operand, tok.line, tok.column)
-        return self._power()
+            left = self._variable(value)
+            value = self._builder.add_operation(
+                _BINARY_KINDS[tok.text], [left, self._variable(operand())])
+            tok = self._peek()
+        return value
 
-    def _power(self):
+    def _unary(self) -> int | float:
+        if self._peek().text != "-":
+            return self._power()
+        self._next()
+        parenthesized = self._peek().text == "("
+        operand = self._unary()
+        if isinstance(operand, float) and not parenthesized:
+            # A sign directly on a literal is part of the literal; -(3) is a neg.
+            return -operand
+        return self._builder.add_operation("neg", [self._variable(operand)])
+
+    def _power(self) -> int | float:
         base = self._primary()
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == "^":
-            self._next()
-            exponent = self._unary()  # right-associative, allows 2^-3
-            return Binary("pow", base, exponent, tok.line, tok.column)
-        return base
+        if self._peek().text != "^":
+            return base
+        self._next()
+        base = self._variable(base)
+        exponent = self._unary()  # right-associative, allows 2^-3
+        if isinstance(exponent, float):
+            return self._builder.add_operation("pow_const", [base], exponent=exponent)
+        # General power: a^b = exp(b * log(a)).
+        log_base = self._builder.add_operation("log", [base])
+        product = self._builder.add_operation("mul", [exponent, log_base])
+        return self._builder.add_operation("exp", [product])
 
-    def _primary(self):
-        tok = self._peek()
+    def _primary(self) -> int | float:
+        tok = self._next()
         if tok.kind == "number":
-            self._next()
-            return Num(float(tok.text), tok.line, tok.column)
+            return float(tok.text)
         if tok.kind == "ident":
-            self._next()
             if tok.text == "pi":
-                return Num(math.pi, tok.line, tok.column)
-            if self._peek().kind == "punct" and self._peek().text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise ParseError(f"unknown function '{tok.text}'",
-                                     tok.line, tok.column, expected=FUNCTIONS)
-                self._next()
-                arg = self._expression()
-                self._expect(")")
-                return Call(tok.text, arg, tok.line, tok.column)
-            return Ref(tok.text, tok.line, tok.column)
-        if tok.kind == "punct" and tok.text == "(":
+                return math.pi
+            if self._peek().text != "(":
+                return self._lookup(tok)
+            if tok.text not in FUNCTIONS:
+                raise ParseError(f"unknown function '{tok.text}'",
+                                 tok.line, tok.column, expected=FUNCTIONS)
             self._next()
-            node = self._expression()
+            arg = self._variable(self._expression())
             self._expect(")")
-            return Paren(node)
-        raise ParseError(f"got {tok.text!r}" if tok.text else "got end of line",
-                         tok.line, tok.column,
-                         expected=("number", "name", "function call", "'('"))
-
-
-class _Lowerer:
-    def __init__(self):
-        self.builder = GraphBuilder()
-        self.env: dict[str, int] = {}
-
-    def _define(self, tok: Token) -> str:
-        name = tok.text
-        if name == "pi" or name in _KEYWORDS or name in FUNCTIONS:
-            raise ParseError(f"'{name}' is reserved", tok.line, tok.column)
-        if name in self.env:
-            raise DuplicateNameError(name, tok.line, tok.column)
-        return name
-
-    def run(self, statements: list[tuple]) -> Graph:
-        for stmt in statements:
-            kind = stmt[0]
-            if kind == "input":
-                _, tok, family, a, b = stmt
-                name = self._define(tok)
-                dist = Normal(a, b) if family == "Normal" else Uniform(a, b)
-                self.env[name] = self.builder.add_uncertain_input(name, dist)
-            elif kind == "param":
-                _, tok, value = stmt
-                name = self._define(tok)
-                self.env[name] = self.builder.add_constant(value, name=name)
-            elif kind in ("assign", "output"):
-                _, tok, expr = stmt
-                name = self._define(tok)
-                fresh_before = self.builder._next_id
-                vid = self.env[name] = self.lower(expr)
-                if vid >= fresh_before:
-                    # The statement created this variable; give it the user's name.
-                    self.builder.rename(vid, name)
-                if kind == "output":
-                    self.builder.mark_output(vid)
-        return self.builder.build()
-
-    def lower(self, node) -> int:
-        if isinstance(node, Paren):
-            return self.lower(node.inner)
-        if isinstance(node, Num):
-            return self.builder.add_constant(node.value)
-        if isinstance(node, Ref):
-            try:
-                return self.env[node.name]
-            except KeyError:
-                raise UndefinedNameError(node.name, node.line, node.column) from None
-        if isinstance(node, Unary):
-            return self.builder.add_operation("neg", [self.lower(node.operand)])
-        if isinstance(node, Call):
-            return self.builder.add_operation(node.func, [self.lower(node.arg)])
-        if isinstance(node, Binary):
-            if node.op == "pow":
-                exponent = _unwrap_parens(node.right)
-                if isinstance(exponent, Num):
-                    base = self.lower(node.left)
-                    return self.builder.add_operation(
-                        "pow_const", [base], exponent=exponent.value)
-                # General power: a^b = exp(b * log(a)).
-                base = self.lower(node.left)
-                expo = self.lower(node.right)
-                log_base = self.builder.add_operation("log", [base])
-                product = self.builder.add_operation("mul", [expo, log_base])
-                return self.builder.add_operation("exp", [product])
-            left = self.lower(node.left)
-            right = self.lower(node.right)
-            return self.builder.add_operation(node.op, [left, right])
-        raise TypeError(f"unexpected AST node {node!r}")
+            return self._builder.add_operation(tok.text, [arg])
+        if tok.text == "(":
+            value = self._expression()
+            self._expect(")")
+            return value
+        raise _unexpected(tok, "number", "name", "function call", "'('")
 
 
 def parse_model(text: str) -> Graph:
-    """Parse model source text into a Graph.
+    """Parse model source text into a Graph, lowering each statement as it
+    is read.
 
     Raises ParseError with line/column on malformed input, plus
-    UndefinedNameError / DuplicateNameError during name resolution.
-    Lowering is deterministic: the same text always produces the same
-    node id assignment.
+    UndefinedNameError / DuplicateNameError for names that do not
+    resolve, and ValueError for invalid distribution parameters.  An
+    unexpected character is reported first, then the first syntax error,
+    then the first name or value error.  Lowering is deterministic: the
+    same text always produces the same node id assignment.
     """
-    statements = _Parser(_tokenize(text)).parse_program()
-    return _Lowerer().run(statements)
+    return _Parser(_tokenize(text)).parse_program()
 
 
 def parse_model_file(path) -> Graph:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from uqc.cli import build_parser, main, parse_k_range
+from uqc.cli import METHODS, build_parser, main, parse_k_range
 
 
 def run_cli(argv):
@@ -85,6 +85,14 @@ class TestRun:
         assert rc == 1
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_model_without_output_exits_one(self, tmp_path, capsys, method):
+        path = tmp_path / "silent.uq"
+        path.write_text("input x ~ Normal(0,1)\n")
+        rc = run_cli(["run", "--model", str(path), "--method", method, "--k", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: model declares no output\n"
+
     def test_deterministic_reports_modulo_wall_time(self, tmp_path):
         texts = []
         for i in range(2):
@@ -146,6 +154,17 @@ class TestBench:
             else:
                 assert cells[4] != "" and cells[5] != ""
 
+    def test_model_without_operations(self, tmp_path):
+        path = tmp_path / "identity.uq"
+        path.write_text("input x ~ Normal(0,1)\noutput f = x\n")
+        out = tmp_path / "bench.csv"
+        rc = run_cli(["bench", "--model", str(path), "--k", "2..3",
+                      "--repeats", "1", "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().rstrip("\n").split("\n")[1:]]
+        assert [row[:4] for row in rows] == [["2", "0", "0", "0"], ["3", "0", "0", "0"]]
+        assert [row[6] for row in rows] == ["0.0", "0.0"]
+
     def test_line_endings_are_lf(self, tmp_path):
         out = tmp_path / "bench.csv"
         run_cli(["bench", "--model", "simple", "--k", "2..3",
@@ -175,6 +194,14 @@ class TestConvergence:
         rows = [line.split(",") for line in out.read_text().rstrip().split("\n")[1:]]
         errors = {(r[0], int(r[1])): float(r[4]) for r in rows}
         assert errors[("mc", 5)] > errors[("nipc-full", 5)]
+
+    def test_model_without_output_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "silent.uq"
+        path.write_text("input x ~ Normal(0,1)\n")
+        rc = run_cli(["convergence", "--model", str(path), "--methods", "nipc-full,mc",
+                      "--k", "2..3"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: model declares no output\n"
 
     def test_unknown_method_rejected(self, capsys):
         rc = run_cli(["convergence", "--model", "simple", "--methods", "kriging",

@@ -125,6 +125,66 @@ class TestParsing:
         b = builtin_model("piston")
         assert a == b
 
+    def test_node_ids_of_literal_forms(self):
+        # Pins the id of every node: a constant is created where the
+        # depth-first, left-to-right walk of the expression meets it, a sign
+        # on a bare literal folds into it, and a literal exponent (bare or
+        # parenthesized) makes pow_const with no constant node.
+        g = parse_model("input x ~ Normal(1, 0.1)\n"
+                        "a = -2 + - -2 * -(2)\n"
+                        "b = -pi * (2 * x) + x * 2\n"
+                        "c = sin(2) + x ^ (2) - x ^ -(2)\n"
+                        "d = 2 ^ x - -2 ^ 2 + 2 ^ 3 ^ 2\n"
+                        "y = 3\n"
+                        "output f = a + b + c + d + y\n"
+                        "output g = x\n")
+        nodes = sorted(
+            [(v.id, v.constant_value if v.kind == "constant" else v.kind)
+             for v in g.variables]
+            + [(op.id, op.kind, *op.inputs) for op in g.operations])
+        i, t, o = "uncertain_input", "intermediate", "output"
+        assert nodes == [
+            (0, i), (1, -2.0), (2, 2.0), (3, 2.0), (4, "neg", 3), (5, t),
+            (6, "mul", 2, 5), (7, t), (8, "add", 1, 7), (9, t),
+            (10, -math.pi), (11, 2.0), (12, "mul", 11, 0), (13, t),
+            (14, "mul", 10, 13), (15, t), (16, 2.0), (17, "mul", 0, 16), (18, t),
+            (19, "add", 15, 18), (20, t),
+            (21, 2.0), (22, "sin", 21), (23, t), (24, "pow_const", 0), (25, t),
+            (26, "add", 23, 25), (27, t), (28, 2.0), (29, "neg", 28), (30, t),
+            (31, "log", 0), (32, t), (33, "mul", 30, 32), (34, t), (35, "exp", 34),
+            (36, t), (37, "sub", 27, 36), (38, t),
+            (39, 2.0), (40, "log", 39), (41, t), (42, "mul", 0, 41), (43, t),
+            (44, "exp", 43), (45, t), (46, 2.0), (47, "pow_const", 46), (48, t),
+            (49, "neg", 48), (50, t), (51, "sub", 45, 50), (52, t), (53, 2.0),
+            (54, 3.0), (55, "pow_const", 54), (56, t), (57, "log", 53), (58, t),
+            (59, "mul", 56, 58), (60, t), (61, "exp", 60), (62, t),
+            (63, "add", 52, 62), (64, t),
+            (65, 3.0),
+            (66, "add", 9, 20), (67, t), (68, "add", 67, 38), (69, t),
+            (70, "add", 69, 64), (71, t), (72, "add", 71, 65), (73, o),
+        ]
+        assert [op.exponent for op in g.operations if op.kind == "pow_const"] == [2.0] * 3
+        names = {v.name: v.id for v in g.variables if not v.name.startswith("_")}
+        assert names == {"x": 0, "a": 9, "b": 20, "c": 38, "d": 64, "y": 65, "f": 73}
+        assert g.outputs == (73, 0)
+
+
+# A name or value error is reported only if the whole text is free of
+# syntax errors, and of its name errors the first in the text wins.
+@pytest.mark.parametrize("source, error, line, column", [
+    ("input x ~ Normal(0,1)\na = y + 1\nb = x +\n", ParseError, 3, 8),
+    ("pi = 3\nx = (1\n", ParseError, 2, 7),
+    ("input x ~ Normal(0, -1)\nf = 1 +* 2\n", ParseError, 2, 8),
+    ("f = (\ng = 1 $ 2\n", ParseError, 2, 7),
+    ("input x ~ Normal(0,1)\nx = y\n", DuplicateNameError, 2, 1),
+    ("output f = a + b\n", UndefinedNameError, 1, 12),
+])
+def test_error_precedence(source, error, line, column):
+    with pytest.raises(error) as excinfo:
+        parse_model(source)
+    assert type(excinfo.value) is error
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
 
 class TestPrettyPrint:
     @pytest.mark.parametrize("name", ["simple", "piston", "multipoint"])
