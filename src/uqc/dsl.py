@@ -42,7 +42,7 @@ _KEYWORDS = ("input", "param", "output")
 _BINARY_KINDS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 _TOKEN_RE = re.compile(r"""
-    (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
+    (?P<number>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[-+*/^()=,~])
   | (?P<ws>[ \t]+)
@@ -329,7 +329,7 @@ def parse_model_file(path) -> Graph:
 
 def _format_real(value: float) -> str:
     text = repr(float(value))
-    return f"({text})" if value < 0 else text
+    return f"({text})" if text.startswith("-") else text
 
 
 def pretty_print(graph: Graph) -> str:

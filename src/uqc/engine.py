@@ -4,10 +4,10 @@ All entry points run one executor over a graph's cached plan (Graph.plan)
 of elementary operations.  evaluate_naive feeds each uncertain input its
 full-length grid vector, so every operation runs at every grid point;
 evaluate_on_samples and evaluate_single_point do the same over sample rows
-or one point.  evaluate_amtc runs a transformed graph with its expands
-stripped: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
+or one point.  evaluate_amtc runs the graph a transformed graph was built
+from: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
 runs each operation once per distinct point of its subspace.  The expands'
-elements are counted from the IR as copies, never made.
+elements are counted from the transformed IR as copies, never made.
 
 Constants are 1-element arrays that numpy broadcasts.  A value is dropped
 after its last reader, and a result reuses the buffer of a dying operand
@@ -307,29 +307,27 @@ def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
 def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> EvaluationReport:
     """Evaluate a transformed graph, one run per distinct subspace point.
 
-    Runs transformed.stripped.  Uncertain input j is fed its k_j raw nodes
-    along axis j, constants are 1-element arrays, and broadcasting runs
-    each operation over the product of axis sizes in its signature.  The
-    expands contribute their output sizes to expansion_copies, not to
-    total_scalar_evals.  Outputs are presented on the full grid so they
-    compare directly with evaluate_naive (the final broadcast, if any, is
-    not counted).
+    Runs transformed.source, the graph the transform was built from, over
+    its cached plan, the one evaluate_naive runs.  Uncertain input j is fed
+    its k_j raw nodes along axis j, constants are 1-element arrays, and
+    broadcasting runs each operation over the product of axis sizes in its
+    signature.  The expands of transformed.graph contribute their output
+    sizes to expansion_copies, not to total_scalar_evals.  Outputs are
+    broadcast from their own shapes onto the full grid so they compare
+    directly with evaluate_naive (that broadcast is not counted).
     """
-    graph = transformed.graph
-    _check_grid(graph, grid)
-    stripped = transformed.stripped
+    source = transformed.source
+    _check_grid(source, grid)
     sizes = grid.axis_sizes
-    full: Signature = tuple(range(graph.dim))
+    full: Signature = tuple(range(source.dim))
     start = time.perf_counter()
-    columns = [rule.nodes.reshape([k if j == axis else 1 for j, k in enumerate(sizes)])
-               for axis, rule in enumerate(grid.axes)]
-    values, counts = _execute(stripped, columns, sizes)
+    columns = [grid.axis_column(axis) for axis in range(grid.dim)]
+    values, counts = _execute(source, columns, sizes)
     wall_ms = (time.perf_counter() - start) * 1e3
-    outputs = {}
-    for vid in stripped.outputs:
-        tensor = ValueTensor(transformed.signature_of[vid], values[vid].ravel())
-        outputs[stripped.variable_by_id[vid].name] = expand_tensor(tensor, full, sizes)
-    return _report(graph, outputs, counts, expansion_copies(graph, sizes), wall_ms)
+    outputs = {source.variable_by_id[vid].name:
+               ValueTensor(full, np.broadcast_to(values[vid], sizes).ravel())
+               for vid in source.outputs}
+    return _report(source, outputs, counts, expansion_copies(transformed.graph, sizes), wall_ms)
 
 
 def evaluate_single_point(graph: Graph, point) -> dict[str, float]:

@@ -130,8 +130,8 @@ class Graph:
         Every graph the package builds already lists its operations in
         that order.  Only elementary operations have a kernel: a graph
         with expands raises SignatureMismatchError, as evaluate_amtc runs
-        a transformed graph with its expands stripped.  Raises CycleError
-        like topo_sort."""
+        the graph a transformed graph was built from, whose cached plan
+        evaluate_naive runs too.  Raises CycleError like topo_sort."""
         order = self.order
         last_use: dict[int, int] = {}
         for index, op in enumerate(order):

@@ -107,6 +107,12 @@ class TensorGrid:
             acc = np.multiply.outer(acc, rule.weights).ravel()
         return _frozen(acc)
 
+    def axis_column(self, axis: int) -> np.ndarray:
+        """The nodes of `axis` shaped k_axis on that axis and 1 on every
+        other, so that they broadcast against axis_sizes."""
+        sizes = self.axis_sizes
+        return self.axes[axis].nodes.reshape([k if j == axis else 1 for j, k in enumerate(sizes)])
+
     def input_vector(self, axis: int) -> np.ndarray:
         return grid_input_vector(self, axis)
 
@@ -136,7 +142,8 @@ def grid_input_vector(grid: TensorGrid, axis: int) -> np.ndarray:
     """
     if not 0 <= axis < grid.dim:
         raise AxisOutOfRangeError(f"axis {axis} out of range for {grid.dim} axes")
-    sizes = grid.axis_sizes
-    repeats = int(np.prod(sizes[axis + 1:], initial=1))
-    tiles = int(np.prod(sizes[:axis], initial=1))
-    return _frozen(np.tile(np.repeat(grid.axes[axis].nodes, repeats), tiles))
+    # ravel copies the broadcast view once; the nodes are already read-only
+    # floats, so no second copy is needed to freeze it.
+    vector = np.broadcast_to(grid.axis_column(axis), grid.axis_sizes).ravel()
+    vector.setflags(write=False)
+    return vector

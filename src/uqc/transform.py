@@ -16,18 +16,19 @@ the savings explicit in the graph itself:
 
 After the transformation every operation's inputs carry exactly the
 operation's own signature, so each operation can be evaluated once per
-distinct point of its own subspace.  Removing the expand nodes and
-re-splicing producers to consumers recovers the original graph, which the
-transformed engine runs: broadcasting does the expands' work.
+distinct point of its own subspace.  The result keeps the graph it was
+built from, and the transformed engine runs that graph: over values shaped
+per axis, numpy broadcasting does the expands' work.  The expands stay in
+the IR for cost accounting and DOT export; removing them and re-splicing
+producers to consumers (strip_expansions) recovers the original graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
-from .errors import InternalError, SignatureMismatchError
+from .errors import InternalError
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
 
 
@@ -103,32 +104,14 @@ def partition_operations(matrix: InfluenceMatrix) -> Partition:
 
 @dataclass(frozen=True)
 class TransformedGraph:
+    """The graph with expands (`graph`), the graph it was built from
+    (`source`), which evaluate_amtc runs, and the signature of every
+    variable of `graph`."""
+
     graph: Graph
     partition: Partition
     signature_of: dict[int, Signature]
-
-    @cached_property
-    def stripped(self) -> Graph:
-        """The graph without its expands, built and checked once.  Over
-        values shaped k_j on their signature's axes and 1 elsewhere, each
-        operation broadcasts over the union of its inputs' signatures, so
-        this raises SignatureMismatchError unless that union is every
-        variable's signature and each elementary operation of the
-        transformed graph reads values of its own signature."""
-        signature_of = self.signature_of
-        for op in self.graph.operations:
-            for vid in op.inputs:
-                if op.kind != EXPAND and signature_of[vid] != signature_of[op.output]:
-                    raise SignatureMismatchError(
-                        f"operation {op.id} with signature {signature_of[op.output]} "
-                        f"received input {vid} with signature {signature_of[vid]}")
-        stripped = strip_expansions(self.graph)
-        for vid, union in compute_influence_matrix(stripped).variable_signatures.items():
-            if signature_of.get(vid) != union:
-                raise SignatureMismatchError(
-                    f"variable {vid} has signature {signature_of.get(vid)} "
-                    f"but depends on axes {union}")
-        return stripped
+    source: Graph
 
 
 def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> TransformedGraph:
@@ -186,7 +169,7 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
 
     transformed = Graph(tuple(variables), tuple(operations),
                         graph.uncertain_inputs, graph.outputs)
-    return TransformedGraph(transformed, partition_operations(matrix), signature_of)
+    return TransformedGraph(transformed, partition_operations(matrix), signature_of, graph)
 
 
 def strip_expansions(graph: Graph) -> Graph:

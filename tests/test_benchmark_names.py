@@ -1,0 +1,59 @@
+"""The uqc functions that perfbench/run.py names must exist.
+
+run.py traces uqc's public functions by name and reads their spans and
+call counts back by name, so a uqc function it names that is renamed or
+deleted only shows up as a KeyError in a `--trace 1` run.  The file is
+read with ast, not imported: importing it rewrites os.environ and sys.path.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+RUN_PY = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+# Span names of methods that run.py wraps besides module functions.
+METHODS = {"quadrature.points": ("TensorGrid", "points")}
+
+
+def _run_py_names() -> tuple[set[str], set[str]]:
+    """(the uqc modules run.py imports, every `module.function` it names)."""
+    tree = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "uqc"
+               for alias in node.names}
+    assigned = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    names = {ast.literal_eval(element) for element in assigned["NAMED_LAYER_TIMES"].elts}
+    names |= {ast.literal_eval(key) for key in assigned["MEASURES"].keys}
+    names |= {key.removesuffix(".calls") for key in
+              map(ast.literal_eval, assigned["PER_LAYER_UNITS"].keys) if key.endswith(".calls")}
+    # functions run.py calls directly, such as engine.worker_count()
+    names |= {f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in modules}
+    return modules, names
+
+
+MODULES, NAMES = _run_py_names()
+
+
+def test_names_are_read_from_run_py():
+    assert {"engine.expand_tensor", "engine.worker_count", "graph.topo_sort",
+            "quadrature.points", "transform.strip_expansions"} <= NAMES
+
+
+@pytest.mark.parametrize("name", sorted(NAMES))
+def test_named_function_is_public_in_its_module(name):
+    module_name, function = name.split(".")
+    assert module_name in MODULES
+    module = importlib.import_module(f"uqc.{module_name}")
+    if name in METHODS:
+        cls, attr = METHODS[name]
+        assert inspect.isfunction(vars(getattr(module, cls)).get(attr)), name
+        return
+    obj = getattr(module, function, None)
+    assert not function.startswith("_") and inspect.isfunction(obj), name
+    assert obj.__module__ == module.__name__, f"{name} is defined in {obj.__module__}"

@@ -178,6 +178,7 @@ class TestParsing:
     ("f = (\ng = 1 $ 2\n", ParseError, 2, 7),
     ("input x ~ Normal(0,1)\nx = y\n", DuplicateNameError, 2, 1),
     ("output f = a + b\n", UndefinedNameError, 1, 12),
+    ("input x ~ Normal(0,1)\noutput f = ٣ * x\n", ParseError, 2, 12),
 ])
 def test_error_precedence(source, error, line, column):
     with pytest.raises(error) as excinfo:
@@ -200,6 +201,7 @@ class TestPrettyPrint:
         "input a ~ Normal(0,1)\ninput b ~ Uniform(0,1)\ng = a + b\noutput f = g ^ g\n",
         "input x ~ Normal(0,1)\noutput f = pi\n",
         "input x ~ Normal(0,1)\noutput f = x\noutput h = sqrt(x + 4)\n",
+        "input x ~ Normal(0,1)\noutput f = (-0) ^ 2 + x\n",
     ])
     def test_round_trip_is_isomorphic(self, source):
         g = parse_model(source)

@@ -22,11 +22,13 @@ from uqc import (
     evaluate_single_point,
     expand_tensor,
     gauss_rule,
+    graph as graph_module,
     grid_for,
     grid_input_vector,
     insert_expansions,
     parse_model,
     partition_operations,
+    scheduled_eval_counts,
     strip_expansions,
     tensor_grid,
     transform,
@@ -286,10 +288,10 @@ class TestAmtc:
                                    rtol=1e-12, atol=0)
 
     def test_buffer_read_by_an_expand_view_is_not_reused(self):
-        # The tuple lists the expand of x right after x, and topo_sort keeps
-        # that order, so x's last reader is `square`, which has x's shape and
-        # would overwrite x in place while `product` still reads x through
-        # the expand view.
+        # The tuple lists the expand of x right after x, so in the
+        # transformed graph x's last reader is `square`, which has x's shape;
+        # in the source graph `product` reads x after `square` does, so
+        # `square` must not overwrite x in place.
         b = GraphBuilder()
         a = b.add_uncertain_input("a", Normal(0, 1))
         c = b.add_uncertain_input("c", Normal(0, 1))
@@ -305,7 +307,7 @@ class TestAmtc:
             c_wide: (0, 1), product: (0, 1)})
         grid = grid_for(transformed.graph.distributions, 3)
         fast = evaluate_amtc(transformed, grid)
-        naive = evaluate_naive(transformed.stripped, grid)
+        naive = evaluate_naive(transformed.source, grid)
         for name in ("square", "product"):
             np.testing.assert_array_equal(fast.outputs[name].data, naive.outputs[name].data)
 
@@ -321,43 +323,45 @@ class TestAmtc:
         naive = evaluate_naive(g, grid)
         np.testing.assert_array_equal(fast.outputs["f"].data, naive.outputs["f"].data)
 
-    def test_rejects_input_of_another_signature_without_expand(self):
-        # the product runs over (0, 1), but reads a, of signature (0,),
-        # with no expand in between
+    def test_signature_labels_are_not_read(self):
+        # signature_of swaps the labels of axes 0 and 1, which on a square
+        # grid still fit every shape; values and counts come from running
+        # the source graph, so the swap changes nothing
         b = GraphBuilder()
         a = b.add_uncertain_input("a", Normal(0, 1))
-        c = b.add_uncertain_input("c", Normal(0, 1))
-        product = b.add_operation("mul", [a, c])
-        b.mark_output(product)
-        transformed = hand_transformed(b.build(), {a: (0,), c: (1,), product: (0, 1)})
-        with pytest.raises(SignatureMismatchError, match=f"received input {a} "):
-            evaluate_amtc(transformed, grid_for(transformed.graph.distributions, 3))
-
-    def test_rejects_signature_wider_than_its_inputs(self):
-        # sin reads cos(a) through an expand into (0, 1), but its value only
-        # depends on a: labelled (0, 1), it would hold 3 values, not 9
-        b = GraphBuilder()
-        a = b.add_uncertain_input("a", Normal(0, 1))
-        c = b.add_uncertain_input("c", Normal(0, 1))
-        x = b.add_operation("cos", [a])
+        c = b.add_uncertain_input("c", Uniform(0, 1))
+        x = b.add_operation("cos", [a], name="x")
         x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
-        y = b.add_operation("sin", [x_wide])
-        b.mark_output(y)
+        y = b.add_operation("exp", [c])
+        y_wide = b.add_operation("expand", [y], expand_from=(1,), expand_to=(0, 1))
+        product = b.add_operation("mul", [x_wide, y_wide], name="product")
+        b.mark_output(x)
+        b.mark_output(product)
         transformed = hand_transformed(b.build(), {
-            a: (0,), c: (1,), x: (0,), x_wide: (0, 1), y: (0, 1)})
-        with pytest.raises(SignatureMismatchError,
-                           match=rf"variable {y} has signature \(0, 1\) but depends on axes \(0,\)"):
-            evaluate_amtc(transformed, grid_for(transformed.graph.distributions, 3))
+            a: (1,), c: (0,), x: (1,), x_wide: (0, 1), y: (0,), y_wide: (0, 1),
+            product: (0, 1)})
+        source = transformed.source
+        grid = grid_for(source.distributions, 3)
+        fast = evaluate_amtc(transformed, grid)
+        naive = evaluate_naive(source, grid)
+        for name in ("x", "product"):
+            assert bits(fast.outputs[name].data) == bits(naive.outputs[name].data)
+        assert fast.op_eval_counts == scheduled_eval_counts(
+            compute_influence_matrix(source), grid.axis_sizes)
 
-    def test_stripped_graph_is_built_and_checked_once(self):
+    def test_runs_the_source_graph_without_rebuilding_it(self):
         g = builtin_model("piston")
         tg = insert_expansions(g)
         grid = grid_for(g.distributions, 3)
-        with patch.object(transform, "strip_expansions", wraps=strip_expansions) as spy:
-            first = evaluate_amtc(tg, grid)
-            assert evaluate_amtc(tg, grid) == first
-        assert spy.call_count == 1
-        assert tg.stripped == g
+        with patch.object(transform, "strip_expansions", wraps=strip_expansions) as strip, \
+                patch.object(transform, "compute_influence_matrix",
+                             wraps=compute_influence_matrix) as influence, \
+                patch.object(graph_module, "topo_sort", wraps=graph_module.topo_sort) as sort, \
+                patch.object(engine, "_execute", wraps=engine._execute) as execute:
+            report = evaluate_amtc(tg, grid)
+        assert (strip.call_count, influence.call_count, sort.call_count) == (0, 0, 0)
+        assert execute.call_count == 1 and execute.call_args.args[0] is g
+        assert bits(report.outputs["C"].data) == bits(evaluate_naive(g, grid).outputs["C"].data)
 
     def test_piston_out_of_domain_matches_naive_failure(self):
         g = builtin_model("piston")
@@ -537,8 +541,9 @@ class TestBlocking:
 
 def hand_transformed(graph, signature_of) -> TransformedGraph:
     """A hand-built graph with expands, labelled with `signature_of`."""
-    partition = partition_operations(compute_influence_matrix(strip_expansions(graph)))
-    return TransformedGraph(graph, partition, signature_of)
+    source = strip_expansions(graph)
+    partition = partition_operations(compute_influence_matrix(source))
+    return TransformedGraph(graph, partition, signature_of, source)
 
 
 def bits(array) -> bytes:

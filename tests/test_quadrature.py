@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,23 @@ class TestTensorGrid:
             vector = grid_input_vector(grid, axis)
             assert len(vector) == grid.total_points
             assert len(np.unique(vector)) == k
+
+    def test_input_vector_is_one_allocation(self):
+        sizes = (40, 40, 40)
+        rules = [gauss_rule(Normal(i, 1.0 + i), k) for i, k in enumerate(sizes)]
+        grid = tensor_grid(rules)
+        for axis, rule in enumerate(rules):
+            tracemalloc.start()
+            try:
+                vector = grid_input_vector(grid, axis)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * vector.nbytes, axis
+            assert vector.flags.c_contiguous and not vector.flags.writeable
+            repeats, tiles = math.prod(sizes[axis + 1:]), math.prod(sizes[:axis])
+            expected = np.tile(np.repeat(rule.nodes, repeats), tiles)
+            assert vector.tobytes() == expected.tobytes()
 
     def test_empty_axes_rejected(self):
         with pytest.raises(EmptyAxesError):
