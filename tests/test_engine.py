@@ -323,28 +323,19 @@ class TestAmtc:
         naive = evaluate_naive(g, grid)
         np.testing.assert_array_equal(fast.outputs["f"].data, naive.outputs["f"].data)
 
-    def test_signature_labels_are_not_read(self):
-        # signature_of swaps the labels of axes 0 and 1, which on a square
-        # grid still fit every shape; values and counts come from running
-        # the source graph, so the swap changes nothing
-        b = GraphBuilder()
-        a = b.add_uncertain_input("a", Normal(0, 1))
-        c = b.add_uncertain_input("c", Uniform(0, 1))
-        x = b.add_operation("cos", [a], name="x")
-        x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
-        y = b.add_operation("exp", [c])
-        y_wide = b.add_operation("expand", [y], expand_from=(1,), expand_to=(0, 1))
-        product = b.add_operation("mul", [x_wide, y_wide], name="product")
-        b.mark_output(x)
-        b.mark_output(product)
-        transformed = hand_transformed(b.build(), {
-            a: (1,), c: (0,), x: (1,), x_wide: (0, 1), y: (0,), y_wide: (0, 1),
-            product: (0, 1)})
+    @pytest.mark.parametrize("case", ["swapped_axes", "input_of_another_signature_without_expand",
+                                      "signature_wider_than_its_inputs"])
+    def test_signature_labels_are_not_read(self, case):
+        # each case labels the graph with expands in a way that disagrees
+        # with its edges (see mislabelled); values and counts come from
+        # running the source graph, so the labels change nothing
+        transformed = mislabelled(case)
         source = transformed.source
         grid = grid_for(source.distributions, 3)
         fast = evaluate_amtc(transformed, grid)
         naive = evaluate_naive(source, grid)
-        for name in ("x", "product"):
+        assert fast.outputs.keys() == naive.outputs.keys()
+        for name in naive.outputs:
             assert bits(fast.outputs[name].data) == bits(naive.outputs[name].data)
         assert fast.op_eval_counts == scheduled_eval_counts(
             compute_influence_matrix(source), grid.axis_sizes)
@@ -544,6 +535,45 @@ def hand_transformed(graph, signature_of) -> TransformedGraph:
     source = strip_expansions(graph)
     partition = partition_operations(compute_influence_matrix(source))
     return TransformedGraph(graph, partition, signature_of, source)
+
+
+def mislabelled(case: str) -> TransformedGraph:
+    """A hand-built transformed graph whose signature_of disagrees with
+    its edges.
+
+    swapped_axes: the labels of axes 0 and 1 are swapped, which on a
+    square grid still fit every shape.
+    input_of_another_signature_without_expand: a product labelled (0, 1)
+    reads a, labelled (0,), with no expand in between.
+    signature_wider_than_its_inputs: sin reads cos(a) through an expand
+    into (0, 1) and is labelled (0, 1), though its value only depends on a.
+    """
+    b = GraphBuilder()
+    a = b.add_uncertain_input("a", Normal(0, 1))
+    if case == "swapped_axes":
+        c = b.add_uncertain_input("c", Uniform(0, 1))
+        x = b.add_operation("cos", [a], name="x")
+        x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+        y = b.add_operation("exp", [c])
+        y_wide = b.add_operation("expand", [y], expand_from=(1,), expand_to=(0, 1))
+        product = b.add_operation("mul", [x_wide, y_wide], name="product")
+        b.mark_output(x)
+        b.mark_output(product)
+        return hand_transformed(b.build(), {
+            a: (1,), c: (0,), x: (1,), x_wide: (0, 1), y: (0,), y_wide: (0, 1),
+            product: (0, 1)})
+    c = b.add_uncertain_input("c", Normal(0, 1))
+    if case == "input_of_another_signature_without_expand":
+        product = b.add_operation("mul", [a, c], name="product")
+        b.mark_output(product)
+        return hand_transformed(b.build(), {a: (0,), c: (1,), product: (0, 1)})
+    assert case == "signature_wider_than_its_inputs"
+    x = b.add_operation("cos", [a])
+    x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+    y = b.add_operation("sin", [x_wide], name="y")
+    b.mark_output(y)
+    return hand_transformed(b.build(), {
+        a: (0,), c: (1,), x: (0,), x_wide: (0, 1), y: (0, 1)})
 
 
 def bits(array) -> bytes:
