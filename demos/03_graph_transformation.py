@@ -21,7 +21,7 @@ for signature, ops in sorted(partition.groups.items()):
     kinds = [graph.operation_by_id[op_id].kind for op_id in sorted(ops)]
     print(f"  signature {str(signature):12s} operations {kinds}")
 
-transformed = uqc.insert_expansions(graph, matrix)
+transformed = uqc.insert_expansions(graph)
 expands = [op for op in transformed.graph.operations if op.kind == "expand"]
 print(f"\ninserted {len(expands)} expand nodes:")
 for op in expands:

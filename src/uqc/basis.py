@@ -117,22 +117,22 @@ def enumerate_basis(dim: int, order: int, distributions) -> PceBasis:
     return PceBasis(dim, order, tuple(indices), norms, distributions)
 
 
-def eval_multivariate(basis: PceBasis, index: MultiIndex, u, distributions=None):
-    """Product of univariate polynomials at point(s) u (raw coordinates).
+def eval_multivariate(basis: PceBasis, index: MultiIndex, u):
+    """Product of the basis' univariate polynomials at point(s) u (raw
+    coordinates).
 
     `u` is a length-dim point or an (n, dim) array of points.
     """
-    dists = tuple(distributions) if distributions is not None else basis.distributions
     index = tuple(index)
-    if len(index) != basis.dim or len(dists) != basis.dim:
+    if len(index) != basis.dim:
         raise DimensionMismatchError(
-            f"index/distribution length does not match dimension {basis.dim}")
+            f"index length {len(index)} does not match dimension {basis.dim}")
     u = np.atleast_2d(np.asarray(u, dtype=float))
     if u.shape[1] != basis.dim:
         raise DimensionMismatchError(
             f"points have {u.shape[1]} coordinates, expected {basis.dim}")
     value = np.ones(u.shape[0])
-    for axis, (dist, degree) in enumerate(zip(dists, index)):
+    for axis, (dist, degree) in enumerate(zip(basis.distributions, index)):
         value = value * eval_univariate(dist, degree, dist.standardize(u[:, axis]))
     return value if value.size > 1 else float(value[0])
 

@@ -156,7 +156,7 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
     cells are left empty.
     """
     matrix = transform.compute_influence_matrix(graph)
-    transformed = transform.insert_expansions(graph, matrix)
+    transformed = transform.insert_expansions(graph)
     n_ops = graph.elementary_operation_count()
 
     rows = [["k", "naive_scalar_evals", "amtc_scalar_evals", "expansion_copies",
@@ -243,20 +243,19 @@ def cmd_convergence(args) -> int:
 
 def cmd_graph(args) -> int:
     _, graph = load_model(args.model)
-    matrix = transform.compute_influence_matrix(graph)
-    transformed = transform.insert_expansions(graph, matrix)
+    transformed = transform.insert_expansions(graph)
+    partition = transform.partition_operations(transform.compute_influence_matrix(graph))
 
     before = to_dot(graph)
     clusters = {}
-    for signature in sorted(transformed.partition.groups):
+    for signature in sorted(partition.groups):
         members: list[int] = []
-        for op_id in sorted(transformed.partition.groups[signature]):
+        for op_id in sorted(partition.groups[signature]):
             members.append(op_id)
             members.append(graph.operation_by_id[op_id].output)
         clusters[transform.signature_label(graph, signature)] = tuple(members)
-    after = to_dot(transformed.graph,
-                   variable_signatures=transformed.signature_of,
-                   clusters=clusters)
+    signatures = transform.compute_influence_matrix(transformed.graph).variable_signatures
+    after = to_dot(transformed.graph, variable_signatures=signatures, clusters=clusters)
     Path(args.out_before).write_text(before, encoding="utf-8", newline="")
     Path(args.out_after).write_text(after, encoding="utf-8", newline="")
     return 0

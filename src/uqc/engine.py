@@ -115,16 +115,7 @@ class EvaluationReport:
     total_scalar_evals: int
     expansion_copies: int
     equivalent_model_evals: float
-    wall_time_ms: float = field(default=0.0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EvaluationReport):
-            return NotImplemented
-        return (self.outputs == other.outputs
-                and self.op_eval_counts == other.op_eval_counts
-                and self.total_scalar_evals == other.total_scalar_evals
-                and self.expansion_copies == other.expansion_copies
-                and self.equivalent_model_evals == other.equivalent_model_evals)
+    wall_time_ms: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,27 +224,30 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     return values, counts
 
 
+def _own_output(graph: Graph, vid: int, value: np.ndarray, shape) -> np.ndarray:
+    """An output's value as an array of `shape` that nothing else holds: a
+    buffer the executor allocated in that shape is handed over, anything
+    else (an input, a constant, a smaller result) is broadcast into a copy."""
+    if vid in graph.producer_of and value.shape == shape:
+        return value
+    return np.broadcast_to(value, shape).copy()
+
+
 def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     """Every output over n aligned points, each as its own length-n vector.
 
-    Up to _BLOCK points run as one block: buffers the executor allocated
-    are handed over, anything else (an input, a constant, a 1-element
-    result) is broadcast into a copy.  Longer inputs run the whole plan
-    over one block of _BLOCK points at a time, so intermediates stay
-    block-sized, and each block's outputs are written into preallocated
-    length-n vectors.  A DomainError in any block re-runs the plan over all
-    n points, so that the error names the first operation in plan order
-    and its first point, as an unblocked run does.
+    Up to _BLOCK points run as one block, whose outputs _own_output hands
+    over.  Longer inputs run the whole plan over one block of _BLOCK points
+    at a time, so intermediates stay block-sized, and each block's outputs
+    are written into preallocated length-n vectors.  A DomainError in any
+    block re-runs the plan over all n points, so that the error names the
+    first operation in plan order and its first point, as an unblocked run
+    does.
     """
     if n <= _BLOCK:
         values = _execute(graph, columns, (n,))[0]
-        outputs = {}
-        for vid in graph.outputs:
-            array = values[vid]
-            if vid not in graph.producer_of or array.shape != (n,):
-                array = np.broadcast_to(array, (n,)).copy()
-            outputs[graph.variable_by_id[vid].name] = array
-        return outputs
+        return {graph.variable_by_id[vid].name: _own_output(graph, vid, values[vid], (n,))
+                for vid in graph.outputs}
 
     names = [graph.variable_by_id[vid].name for vid in graph.outputs]
     outputs = {name: np.empty(n) for name in names}
@@ -325,7 +319,7 @@ def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> Evaluation
     values, counts = _execute(source, columns, sizes)
     wall_ms = (time.perf_counter() - start) * 1e3
     outputs = {source.variable_by_id[vid].name:
-               ValueTensor(full, np.broadcast_to(values[vid], sizes).ravel())
+               ValueTensor(full, _own_output(source, vid, values[vid], sizes).ravel())
                for vid in source.outputs}
     return _report(source, outputs, counts, expansion_copies(transformed.graph, sizes), wall_ms)
 

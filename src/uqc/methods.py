@@ -3,7 +3,6 @@ polynomial chaos, tensor-grid collocation surrogates, and Monte Carlo."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -43,9 +42,6 @@ class UqResult:
             "n_model_points": self.n_model_points,
             "details": self.details,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _full_signature_data(outputs: ValueTensor, grid: TensorGrid) -> np.ndarray:
@@ -192,19 +188,16 @@ def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:
     return draws.T
 
 
-def monte_carlo(graph: Graph, n: int, seed: int,
-                output: str | None = None) -> UqResult:
-    """Plain Monte Carlo estimate of the output mean and stddev.
+def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
+    """Plain Monte Carlo estimate of the first output's mean and stddev.
 
     Identical seeds give identical results.  A DomainError from the model
     carries the offending sample.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    outputs = evaluate_on_samples(graph, sample_inputs(graph, n, seed))
-    if output is None:
-        output = graph.variable_by_id[graph.outputs[0]].name
-    values = outputs[output]
+    output = graph.variable_by_id[graph.outputs[0]].name
+    values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
     mean = float(np.mean(values))
     stddev = float(np.std(values, ddof=1))
     return UqResult("mc", mean, stddev, n, details={

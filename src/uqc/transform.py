@@ -16,11 +16,15 @@ the savings explicit in the graph itself:
 
 After the transformation every operation's inputs carry exactly the
 operation's own signature, so each operation can be evaluated once per
-distinct point of its own subspace.  The result keeps the graph it was
-built from, and the transformed engine runs that graph: over values shaped
-per axis, numpy broadcasting does the expands' work.  The expands stay in
-the IR for cost accounting and DOT export; removing them and re-splicing
-producers to consumers (strip_expansions) recovers the original graph.
+distinct point of its own subspace.  The result holds two graphs and
+nothing derived from them: `graph`, with the expands, and `source`, the
+graph it was built from, which the transformed engine runs (over values
+shaped per axis, numpy broadcasting does the expands' work).  Signatures
+and the partition are not stored: compute_influence_matrix and
+partition_operations derive them from either graph where they are read.
+The expands stay in the IR for cost accounting and DOT export; removing
+them and re-splicing producers to consumers (strip_expansions) recovers
+the original graph.
 """
 
 from __future__ import annotations
@@ -104,17 +108,14 @@ def partition_operations(matrix: InfluenceMatrix) -> Partition:
 
 @dataclass(frozen=True)
 class TransformedGraph:
-    """The graph with expands (`graph`), the graph it was built from
-    (`source`), which evaluate_amtc runs, and the signature of every
-    variable of `graph`."""
+    """The graph with expands (`graph`) and the graph it was built from
+    (`source`), which evaluate_amtc runs."""
 
     graph: Graph
-    partition: Partition
-    signature_of: dict[int, Signature]
     source: Graph
 
 
-def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> TransformedGraph:
+def insert_expansions(graph: Graph) -> TransformedGraph:
     """Splice an expand node into every edge that crosses signatures.
 
     For each (producer variable v -> consumer operation c) where the
@@ -132,12 +133,9 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
     untransformed one, and both grid engines meet out-of-domain values
     at the same operation first.
     """
-    if matrix is None:
-        matrix = compute_influence_matrix(graph)
-
+    matrix = compute_influence_matrix(graph)
     variables = list(graph.variables)
     operations: list[OperationNode] = []
-    signature_of = dict(matrix.variable_signatures)
     expanded: dict[tuple[int, Signature], int] = {}
     next_id = len(graph.variables) + len(graph.operations)
 
@@ -145,7 +143,7 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
         target = matrix.rows[op.id]
         new_inputs = []
         for vid in op.inputs:
-            source = signature_of[vid]
+            source = matrix.variable_signatures[vid]
             if source == target:
                 new_inputs.append(vid)
                 continue
@@ -162,14 +160,13 @@ def insert_expansions(graph: Graph, matrix: InfluenceMatrix | None = None) -> Tr
                     expand_id, EXPAND, (vid,), out_id,
                     expand_from=source, expand_to=target))
                 variables.append(VariableNode(out_id, f"_x{out_id}", "intermediate"))
-                signature_of[out_id] = target
                 expanded[key] = out_id
             new_inputs.append(expanded[key])
         operations.append(replace(op, inputs=tuple(new_inputs)))
 
     transformed = Graph(tuple(variables), tuple(operations),
                         graph.uncertain_inputs, graph.outputs)
-    return TransformedGraph(transformed, partition_operations(matrix), signature_of, graph)
+    return TransformedGraph(transformed, graph)
 
 
 def strip_expansions(graph: Graph) -> Graph:
@@ -193,10 +190,9 @@ def strip_expansions(graph: Graph) -> Graph:
     return Graph(variables, operations, graph.uncertain_inputs, outputs)
 
 
-def influence_matrix_to_csv(graph: Graph, matrix: InfluenceMatrix | None = None) -> str:
+def influence_matrix_to_csv(graph: Graph) -> str:
     """0/1 table of operations (rows) versus uncertain inputs (columns)."""
-    if matrix is None:
-        matrix = compute_influence_matrix(graph)
+    matrix = compute_influence_matrix(graph)
     input_names = [graph.variable_by_id[vid].name for vid, _ in graph.uncertain_inputs]
     lines = ["operation," + ",".join(input_names)]
     for op in graph.order:

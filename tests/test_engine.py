@@ -27,7 +27,6 @@ from uqc import (
     grid_input_vector,
     insert_expansions,
     parse_model,
-    partition_operations,
     scheduled_eval_counts,
     strip_expansions,
     tensor_grid,
@@ -302,9 +301,7 @@ class TestAmtc:
         product = b.add_operation("mul", [x_wide, c_wide], name="product")
         b.mark_output(square)
         b.mark_output(product)
-        transformed = hand_transformed(b.build(), {
-            a: (0,), c: (1,), x: (0,), x_wide: (0, 1), square: (0,),
-            c_wide: (0, 1), product: (0, 1)})
+        transformed = hand_transformed(b.build())
         grid = grid_for(transformed.graph.distributions, 3)
         fast = evaluate_amtc(transformed, grid)
         naive = evaluate_naive(transformed.source, grid)
@@ -326,10 +323,10 @@ class TestAmtc:
     @pytest.mark.parametrize("case", ["swapped_axes", "input_of_another_signature_without_expand",
                                       "signature_wider_than_its_inputs"])
     def test_signature_labels_are_not_read(self, case):
-        # each case labels the graph with expands in a way that disagrees
-        # with its edges (see mislabelled); values and counts come from
-        # running the source graph, so the labels change nothing
-        transformed = mislabelled(case)
+        # each case is a hand-built transformed graph (see hand_built);
+        # values and counts come from running the source graph, whatever
+        # the expands say
+        transformed = hand_built(case)
         source = transformed.source
         grid = grid_for(source.distributions, 3)
         fast = evaluate_amtc(transformed, grid)
@@ -530,50 +527,44 @@ class TestBlocking:
         assert bits(fast.outputs["f"].data) == bits(evaluate_naive(g, grid).outputs["f"].data)
 
 
-def hand_transformed(graph, signature_of) -> TransformedGraph:
-    """A hand-built graph with expands, labelled with `signature_of`."""
-    source = strip_expansions(graph)
-    partition = partition_operations(compute_influence_matrix(source))
-    return TransformedGraph(graph, partition, signature_of, source)
+def hand_transformed(graph) -> TransformedGraph:
+    """A hand-built graph with expands, run through its stripped source."""
+    return TransformedGraph(graph, strip_expansions(graph))
 
 
-def mislabelled(case: str) -> TransformedGraph:
-    """A hand-built transformed graph whose signature_of disagrees with
-    its edges.
+def hand_built(case: str) -> TransformedGraph:
+    """A hand-built transformed graph whose expands do not describe
+    its edges as insert_expansions would.
 
-    swapped_axes: the labels of axes 0 and 1 are swapped, which on a
-    square grid still fit every shape.
-    input_of_another_signature_without_expand: a product labelled (0, 1)
-    reads a, labelled (0,), with no expand in between.
+    swapped_axes: the expands' expand_from labels swap axes 0 and 1.
+    input_of_another_signature_without_expand: a product reads a, of
+    signature (0,), and c, of signature (1,), with no expand in between.
     signature_wider_than_its_inputs: sin reads cos(a) through an expand
-    into (0, 1) and is labelled (0, 1), though its value only depends on a.
+    into (0, 1), though its value only depends on a.
     """
     b = GraphBuilder()
     a = b.add_uncertain_input("a", Normal(0, 1))
     if case == "swapped_axes":
         c = b.add_uncertain_input("c", Uniform(0, 1))
         x = b.add_operation("cos", [a], name="x")
-        x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+        x_wide = b.add_operation("expand", [x], expand_from=(1,), expand_to=(0, 1))
         y = b.add_operation("exp", [c])
-        y_wide = b.add_operation("expand", [y], expand_from=(1,), expand_to=(0, 1))
+        y_wide = b.add_operation("expand", [y], expand_from=(0,), expand_to=(0, 1))
         product = b.add_operation("mul", [x_wide, y_wide], name="product")
         b.mark_output(x)
         b.mark_output(product)
-        return hand_transformed(b.build(), {
-            a: (1,), c: (0,), x: (1,), x_wide: (0, 1), y: (0,), y_wide: (0, 1),
-            product: (0, 1)})
+        return hand_transformed(b.build())
     c = b.add_uncertain_input("c", Normal(0, 1))
     if case == "input_of_another_signature_without_expand":
         product = b.add_operation("mul", [a, c], name="product")
         b.mark_output(product)
-        return hand_transformed(b.build(), {a: (0,), c: (1,), product: (0, 1)})
+        return hand_transformed(b.build())
     assert case == "signature_wider_than_its_inputs"
     x = b.add_operation("cos", [a])
     x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
     y = b.add_operation("sin", [x_wide], name="y")
     b.mark_output(y)
-    return hand_transformed(b.build(), {
-        a: (0,), c: (1,), x: (0,), x_wide: (0, 1), y: (0, 1)})
+    return hand_transformed(b.build())
 
 
 def bits(array) -> bytes:
@@ -650,6 +641,20 @@ class TestMemory:
         assert not np.shares_memory(outputs["x"], samples)
         np.testing.assert_array_equal(outputs["x"], samples[:, 0])
         np.testing.assert_array_equal(outputs["c"], np.full(5, 2.5))
+
+        # on a grid, both engines give every output as its own writable
+        # vector: an input, a constant and a full-grid product alike
+        g2 = parse_model("input x ~ Uniform(0,1)\ninput y ~ Uniform(0,1)\n"
+                         "output f = x * y\noutput c = 2.5\n")
+        for model in (g, g2):
+            grid = grid_for(model.distributions, 3)
+            for report in (evaluate_naive(model, grid),
+                           evaluate_amtc(insert_expansions(model), grid)):
+                for name, tensor in report.outputs.items():
+                    assert tensor.data.flags.writeable, name
+                    assert len(tensor.data) == grid.total_points, name
+                    for rule in grid.axes:
+                        assert not np.shares_memory(tensor.data, rule.nodes), name
 
 
 class TestReport:

@@ -15,7 +15,7 @@ from uqc import (
     validate,
 )
 from uqc.errors import InternalError
-from uqc.transform import InfluenceMatrix, signature_is_subset
+from uqc.transform import signature_is_subset
 
 BUILTINS = ["simple", "piston", "multipoint"]
 
@@ -138,12 +138,13 @@ class TestInsertExpansions:
     def test_soundness_inputs_carry_consumer_signature(self, name):
         g = builtin_model(name)
         tg = insert_expansions(g)
+        signature_of = compute_influence_matrix(tg.graph).variable_signatures
         for op in tg.graph.operations:
             if op.kind == "expand":
                 continue
-            sig = tg.signature_of[op.output]
+            sig = signature_of[op.output]
             for vid in op.inputs:
-                assert tg.signature_of[vid] == sig
+                assert signature_of[vid] == sig
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_reversible(self, name):
@@ -156,8 +157,7 @@ class TestInsertExpansions:
         a = insert_expansions(builtin_model(name))
         b = insert_expansions(builtin_model(name))
         assert a.graph == b.graph
-        assert a.partition == b.partition
-        assert a.signature_of == b.signature_of
+        assert compute_influence_matrix(a.graph) == compute_influence_matrix(b.graph)
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_expand_nodes_strictly_enlarge(self, name):
@@ -166,14 +166,17 @@ class TestInsertExpansions:
             if op.kind == "expand":
                 assert set(op.expand_from) < set(op.expand_to)
 
-    def test_inconsistent_matrix_raises_internal_error(self):
-        g = builtin_model("simple")
-        matrix = compute_influence_matrix(g)
-        add_op = g.operations[-1]
-        rows = dict(matrix.rows)
-        rows[add_op.id] = (0,)  # claims the mix only depends on axis 0
+    def test_expand_that_does_not_cover_its_input_raises_internal_error(self):
+        # the hand-built expand claims to widen cos(a), of signature (0,),
+        # into (1,), which does not contain axis 0
+        b = GraphBuilder()
+        a = b.add_uncertain_input("a", Normal(0, 1))
+        b.add_uncertain_input("c", Normal(0, 1))
+        x = b.add_operation("cos", [a])
+        b.mark_output(b.add_operation("expand", [x], expand_from=(0,), expand_to=(1,)))
+        g = b.build()
         with pytest.raises(InternalError):
-            insert_expansions(g, InfluenceMatrix(rows, matrix.variable_signatures))
+            insert_expansions(g)
 
 
 class TestScheduledCounts:
