@@ -25,39 +25,33 @@ MAX_DEGREE = 32
 MultiIndex = tuple[int, ...]
 
 
-def hermite_value(degree: int, x):
-    """Probabilists' Hermite He_n(x) by the three-term recurrence."""
+def univariate_table(dist: Distribution, order: int, x) -> np.ndarray:
+    """Family members of `dist` of degree 0..order at standardized
+    coordinate(s) x, shape (order + 1, *x.shape), by the family's
+    three-term recurrence: He_{n+1} = x He_n - n He_{n-1} (probabilists'
+    Hermite) or Bonnet's (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
+    (Legendre)."""
+    if order < 0 or order > MAX_DEGREE:
+        raise InvalidOrderError(f"degree must be in [0, {MAX_DEGREE}], got {order}")
+    if not isinstance(dist, (Normal, Uniform)):
+        raise UnsupportedDistributionError(f"no polynomial family for {type(dist).__name__}")
+    hermite = isinstance(dist, Normal)
     x = np.asarray(x, dtype=float)
-    previous = np.ones_like(x)
-    if degree == 0:
-        return previous
-    current = x.copy()
-    for n in range(1, degree):
-        previous, current = current, x * current - n * previous
-    return current
-
-
-def legendre_value(degree: int, x):
-    """Legendre P_n(x) by Bonnet's recurrence."""
-    x = np.asarray(x, dtype=float)
-    previous = np.ones_like(x)
-    if degree == 0:
-        return previous
-    current = x.copy()
-    for n in range(1, degree):
-        previous, current = current, ((2 * n + 1) * x * current - n * previous) / (n + 1)
-    return current
+    table = np.empty((order + 1, *x.shape))
+    table[0] = 1.0
+    if order:
+        table[1] = x
+    for n in range(1, order):
+        if hermite:
+            table[n + 1] = x * table[n] - n * table[n - 1]
+        else:
+            table[n + 1] = ((2 * n + 1) * x * table[n] - n * table[n - 1]) / (n + 1)
+    return table
 
 
 def eval_univariate(dist: Distribution, degree: int, x):
     """Family member of `dist` at standardized coordinate(s) x."""
-    if degree < 0 or degree > MAX_DEGREE:
-        raise InvalidOrderError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
-    if isinstance(dist, Normal):
-        return hermite_value(degree, x)
-    if isinstance(dist, Uniform):
-        return legendre_value(degree, x)
-    raise UnsupportedDistributionError(f"no polynomial family for {type(dist).__name__}")
+    return univariate_table(dist, degree, x)[degree]
 
 
 def univariate_norm(dist: Distribution, degree: int) -> float:
@@ -108,11 +102,13 @@ def enumerate_basis(dim: int, order: int, distributions) -> PceBasis:
         raise DimensionMismatchError(
             f"{len(distributions)} distributions for dimension {dim}")
     indices = _graded_lex_indices(dim, order)
-    norms = np.array([
-        np.prod([univariate_norm(dist, deg)
-                 for dist, deg in zip(distributions, index)])
-        for index in indices
-    ])
+    degrees = np.array(indices).T
+    # One norm table per axis, multiplied in axis order: the same products,
+    # rounded the same way, as np.prod over each index's univariate norms.
+    norms = np.ones(len(indices))
+    for dist, axis_degrees in zip(distributions, degrees):
+        table = np.array([univariate_norm(dist, deg) for deg in range(order + 1)])
+        norms *= table[axis_degrees]
     norms.setflags(write=False)
     return PceBasis(dim, order, tuple(indices), norms, distributions)
 
@@ -121,20 +117,23 @@ def eval_multivariate(basis: PceBasis, index: MultiIndex, u):
     """Product of the basis' univariate polynomials at point(s) u (raw
     coordinates).
 
-    `u` is a length-dim point or an (n, dim) array of points.
+    `u` is a length-dim point, which gives a float, or an (n, dim) array
+    of points, which gives a length-n array.
     """
     index = tuple(index)
     if len(index) != basis.dim:
         raise DimensionMismatchError(
             f"index length {len(index)} does not match dimension {basis.dim}")
-    u = np.atleast_2d(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    one_point = u.ndim < 2
+    u = np.atleast_2d(u)
     if u.shape[1] != basis.dim:
         raise DimensionMismatchError(
             f"points have {u.shape[1]} coordinates, expected {basis.dim}")
     value = np.ones(u.shape[0])
     for axis, (dist, degree) in enumerate(zip(basis.distributions, index)):
         value = value * eval_univariate(dist, degree, dist.standardize(u[:, axis]))
-    return value if value.size > 1 else float(value[0])
+    return float(value[0]) if one_point else value
 
 
 def design_matrix(basis: PceBasis, points) -> np.ndarray:
@@ -147,11 +146,8 @@ def design_matrix(basis: PceBasis, points) -> np.ndarray:
     if points.shape[1] != basis.dim:
         raise DimensionMismatchError(
             f"points have {points.shape[1]} coordinates, expected {basis.dim}")
-    tables = []
-    for axis, dist in enumerate(basis.distributions):
-        z = dist.standardize(points[:, axis])
-        tables.append(np.stack([eval_univariate(dist, degree, z)
-                                for degree in range(basis.order + 1)]))
+    tables = [univariate_table(dist, basis.order, dist.standardize(points[:, axis]))
+              for axis, dist in enumerate(basis.distributions)]
     matrix = np.ones((points.shape[0], len(basis.indices)))
     for column, index in enumerate(basis.indices):
         for axis, degree in enumerate(index):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, SignatureNotSubsetError
-from .graph import Graph, Signature, Step
+from .graph import Graph, Signature
 from .quadrature import TensorGrid, grid_input_vector
 from .transform import TransformedGraph, expansion_copies, signature_is_subset
 
@@ -147,6 +147,10 @@ def _raise_if(bad: np.ndarray, op, reason: str, space) -> None:
         raise DomainError(op.id, op.kind, _grid_index(bad, space), reason)
 
 
+# The operations _check_domain looks at; every other kind has no domain.
+_GUARDED_KINDS = frozenset(("div", "log", "sqrt", "pow_const"))
+
+
 def _check_domain(op, arrays, space) -> None:
     kind = op.kind
     if kind == "div":
@@ -163,28 +167,24 @@ def _check_domain(op, arrays, space) -> None:
             _raise_if(arrays[0] == 0.0, op, f"zero base for exponent {exponent}", space)
 
 
-def _apply(step: Step, operands, out: np.ndarray, space) -> None:
-    """Apply the step's ufunc into `out`.  Run under np.errstate(raise), so
-    a result that overflows or is invalid raises FloatingPointError once
-    `out` is complete; that becomes a DomainError at the first point that
-    raised the flag: an inf from finite operands or a NaN from operands
-    that are not NaN.  Points that only carry a non-finite input along
-    (exp(inf) is inf) are not named, as they raise nothing on their own."""
-    op = step.op
-    extra = () if op.exponent is None else (op.exponent,)
-    try:
-        step.ufunc(*operands, *extra, out=out)
-    except FloatingPointError:
-        overflow, invalid = np.isinf(out), np.isnan(out)
-        for operand in operands:
-            if operand is not out:  # a reused buffer held finite values
-                overflow &= np.isfinite(operand)
-                invalid &= ~np.isnan(operand)
-        bad = overflow | invalid
-        if bad.any():
-            value = out.flat[int(np.flatnonzero(bad)[0])]
-            raise DomainError(op.id, op.kind, _grid_index(bad, space),
-                              f"non-finite result {value}") from None
+def _raise_if_non_finite(op, operands, out: np.ndarray, space) -> None:
+    """Called when the operation's ufunc, run under np.errstate(raise),
+    raised FloatingPointError for a result that overflows or is invalid;
+    numpy completes `out` before it raises.  Raises a DomainError at the
+    first point that raised the flag: an inf from finite operands or a NaN
+    from operands that are not NaN.  Points that only carry a non-finite
+    input along (exp(inf) is inf) are not named, as they raise nothing on
+    their own."""
+    overflow, invalid = np.isinf(out), np.isnan(out)
+    for operand in operands:
+        if operand is not out:  # a reused buffer held finite values
+            overflow &= np.isfinite(operand)
+            invalid &= ~np.isnan(operand)
+    bad = overflow | invalid
+    if bad.any():
+        value = out.flat[int(np.flatnonzero(bad)[0])]
+        raise DomainError(op.id, op.kind, _grid_index(bad, space),
+                          f"non-finite result {value}") from None
 
 
 def _execute(graph: Graph, columns, space: tuple[int, ...]):
@@ -200,26 +200,42 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
         if var.kind == "constant":
             values[var.id] = np.array(var.constant_value, ndmin=len(space))
     # A non-finite input passes through operations without a flag.  Buffers
-    # are reused only when every input is finite, so that _apply then sees
-    # the operands it needs to tell such points from those that raised.
+    # are reused only when every input is finite, so that
+    # _raise_if_non_finite sees the operands it needs to tell such points
+    # from those that raised.
     reuse = all(np.isfinite(column).all() for column in columns)
     counts: dict[int, int] = {}
+    produced = graph.producer_of
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for step in graph.plan:
-            op = step.op
+        for op, ufunc, release in graph.plan:
             operands = [values[vid] for vid in op.inputs]
+            # Every value has one axis per entry of `space`, so a binary
+            # result's shape is the larger size on each axis.
             shape = operands[0].shape
-            if len(operands) == 2 and operands[1].shape != shape:
-                shape = np.broadcast_shapes(shape, operands[1].shape)
-            _check_domain(op, operands, space)
-            result = next((values[vid] for vid in op.inputs if reuse and vid in step.release
-                           and vid in graph.producer_of and values[vid].shape == shape), None)
+            if len(operands) == 2:
+                shape = tuple(map(max, shape, operands[1].shape))
+            if op.kind in _GUARDED_KINDS:
+                _check_domain(op, operands, space)
+            # Reuse a dying operand's buffer if an operation allocated it in
+            # this shape (release may also name this step's unread output).
+            result = None
+            if reuse:
+                for vid in release:
+                    if vid in produced and vid in values and values[vid].shape == shape:
+                        result = values[vid]
+                        break
             if result is None:
                 result = np.empty(shape)
-            _apply(step, operands, result, space)
+            try:
+                if op.exponent is None:
+                    ufunc(*operands, out=result)
+                else:
+                    ufunc(operands[0], op.exponent, out=result)
+            except FloatingPointError:
+                _raise_if_non_finite(op, operands, result, space)
             counts[op.id] = result.size
             values[op.output] = result
-            for vid in step.release:
+            for vid in release:
                 del values[vid]
     return values, counts
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import PceBasis, design_matrix
+from .basis import PceBasis, design_matrix, univariate_table
 from .engine import ValueTensor, evaluate_on_samples
 from .errors import (
     DimensionMismatchError,
@@ -59,15 +59,23 @@ def nipc_integration(outputs: ValueTensor, grid: TensorGrid,
                      basis: PceBasis) -> PceCoefficients:
     """Project grid outputs onto each basis function by quadrature.
 
-    alpha_i = (1 / <Phi_i^2>) * sum_points weight * f * Phi_i, accumulated
-    over the canonical flat point order.
+    alpha_i = (1 / <Phi_i^2>) * sum_points weight * f * Phi_i, by sum
+    factorization (Orszag 1980): the values, shaped to the grid, are
+    contracted one axis at a time with that axis' (p+1) x k_j table of
+    weighted univariate polynomials; the entries of total degree <= p are
+    then gathered by multi-index.  No points or design matrix are built.
     """
     values = _full_signature_data(outputs, grid)
     if basis.dim != grid.dim or basis.distributions != grid.distributions:
         raise DimensionMismatchError("basis distributions do not match the grid")
-    phi = design_matrix(basis, grid.points())
-    weighted = grid.joint_weights * values
-    alpha = phi.T @ weighted / basis.norms
+    tensor = values.reshape(grid.axis_sizes)
+    for rule in grid.axes:
+        # Contracting the leading axis appends the degree axis last, so
+        # after every axis the degrees are back in axis order.
+        dist = rule.distribution
+        table = univariate_table(dist, basis.order, dist.standardize(rule.nodes)) * rule.weights
+        tensor = np.tensordot(tensor, table, axes=(0, 1))
+    alpha = tensor[tuple(np.array(basis.indices).T)] / basis.norms
     return PceCoefficients(basis, alpha)
 
 

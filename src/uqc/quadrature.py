@@ -58,6 +58,12 @@ def gauss_rule(dist: Distribution, k: int) -> QuadratureRule1D:
     mapped affinely to [a, b], weights normalized to the probability
     measure.
     """
+    return _mapped_rule(dist, _standard_rule(dist, k))
+
+
+def _standard_rule(dist: Distribution, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard nodes and weights of the k-point rule of `dist`'s family,
+    which depend on its family and k only."""
     if int(k) != k or not 1 <= k <= MAX_RULE_ORDER:
         raise InvalidOrderError(f"quadrature order must be in [1, {MAX_RULE_ORDER}], got {k}")
     k = int(k)
@@ -73,8 +79,12 @@ def gauss_rule(dist: Distribution, k: int) -> QuadratureRule1D:
 
     standard_nodes, eigenvectors = eigh_tridiagonal(np.zeros(k), off_diagonal)
     weights = eigenvectors[0] ** 2  # orthonormal columns: sums to 1 exactly
-    nodes = dist.from_standard(standard_nodes)
-    return QuadratureRule1D(_frozen(nodes), _frozen(weights), dist)
+    return standard_nodes, weights
+
+
+def _mapped_rule(dist: Distribution, standard: tuple[np.ndarray, np.ndarray]) -> QuadratureRule1D:
+    standard_nodes, weights = standard
+    return QuadratureRule1D(_frozen(dist.from_standard(standard_nodes)), _frozen(weights), dist)
 
 
 @dataclass(frozen=True)
@@ -129,8 +139,17 @@ def tensor_grid(rules) -> TensorGrid:
 
 
 def grid_for(distributions, k: int) -> TensorGrid:
-    """Convenience: one k-point rule per distribution."""
-    return tensor_grid([gauss_rule(dist, k) for dist in distributions])
+    """Convenience: one k-point rule per distribution, each equal to
+    gauss_rule(dist, k).  The eigenproblem of each family is solved once
+    and its standard nodes are mapped onto every axis of that family."""
+    standard: dict[type, tuple[np.ndarray, np.ndarray]] = {}
+    rules = []
+    for dist in distributions:
+        family = type(dist)
+        if family not in standard:
+            standard[family] = _standard_rule(dist, k)
+        rules.append(_mapped_rule(dist, standard[family]))
+    return tensor_grid(rules)
 
 
 def grid_input_vector(grid: TensorGrid, axis: int) -> np.ndarray:

@@ -84,9 +84,12 @@ def compute_influence_matrix(graph: Graph) -> InfluenceMatrix:
         if op.kind == EXPAND:
             signature = op.expand_to
         else:
-            signature: Signature = ()
-            for vid in op.inputs:
-                signature = signature_union(signature, variable_signatures[vid])
+            first, *rest = op.inputs
+            signature = variable_signatures[first]
+            for vid in rest:
+                other = variable_signatures[vid]
+                if other != signature:
+                    signature = signature_union(signature, other)
         rows[op.id] = signature
         variable_signatures[op.output] = signature
     return InfluenceMatrix(rows, variable_signatures)
@@ -162,7 +165,11 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
                 variables.append(VariableNode(out_id, f"_x{out_id}", "intermediate"))
                 expanded[key] = out_id
             new_inputs.append(expanded[key])
-        operations.append(replace(op, inputs=tuple(new_inputs)))
+        new_inputs = tuple(new_inputs)
+        if new_inputs != op.inputs:
+            op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent,
+                               op.expand_from, op.expand_to)
+        operations.append(op)
 
     transformed = Graph(tuple(variables), tuple(operations),
                         graph.uncertain_inputs, graph.outputs)

@@ -57,6 +57,16 @@ class TestEnumeration:
         assert basis.norms[0] == pytest.approx(1.0)
         assert np.all(basis.norms > 0)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("p", range(7))
+    def test_norms_equal_per_index_product_bytewise(self, d, p):
+        dists = [Normal(1.0, 2.0) if axis % 3 else Uniform(-1.0, 3.0) for axis in range(d)]
+        basis = enumerate_basis(d, p, dists)
+        expected = np.array([np.prod([univariate_norm(dist, degree)
+                                      for dist, degree in zip(dists, index)])
+                             for index in basis.indices])
+        assert basis.norms.tobytes() == expected.tobytes()
+
     def test_norm_of_mixed_index(self):
         basis = enumerate_basis(3, 3, [Normal(0, 1)] * 3)
         position = basis.indices.index((2, 1, 0))
@@ -95,6 +105,19 @@ class TestMultivariate:
     def test_second_order_at_center(self):
         basis = enumerate_basis(2, 2, [Normal(0, 1), Normal(0, 1)])
         assert eval_multivariate(basis, (2, 0), [0.0, 1.7]) == pytest.approx(-1.0)
+
+    def test_result_type_follows_the_shape_of_u(self):
+        # He_1(z) = z: a point gives a float, an (n, dim) array n values,
+        # one row included.
+        basis = enumerate_basis(2, 1, [Normal(0, 1), Normal(0, 1)])
+        single = eval_multivariate(basis, (1, 0), [0.5, 0.2])
+        assert type(single) is float and single == 0.5
+        one_row = eval_multivariate(basis, (1, 0), [[0.5, 0.2]])
+        assert isinstance(one_row, np.ndarray) and one_row.shape == (1,)
+        np.testing.assert_array_equal(one_row, [0.5])
+        two_rows = eval_multivariate(basis, (1, 0), [[0.5, 0.2], [0.1, 0.3]])
+        assert two_rows.shape == (2,)
+        np.testing.assert_array_equal(two_rows, [0.5, 0.1])
 
     def test_dimension_mismatch(self):
         basis = enumerate_basis(2, 1, [Normal(0, 1), Normal(0, 1)])

@@ -1,18 +1,25 @@
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqc import (
+    BUILTIN_SOURCES,
     Normal,
     Uniform,
+    ValueTensor,
     builtin_model,
     enumerate_basis,
     evaluate_amtc,
     evaluate_naive,
     evaluate_pce,
+    gauss_rule,
     grid_for,
     insert_expansions,
+    methods,
     moments_from_pce,
     monte_carlo,
     nipc_integration,
@@ -21,6 +28,7 @@ from uqc import (
     sc_build,
     sc_eval,
     sc_moments,
+    tensor_grid,
 )
 from uqc.basis import design_matrix
 from uqc.cli import REGRESSION_SAMPLE_MULTIPLIER, run_pipeline
@@ -31,6 +39,7 @@ from uqc.errors import (
     UnderdeterminedError,
 )
 from uqc.methods import PceCoefficients, sample_inputs
+from uqc.quadrature import TensorGrid
 
 
 def run_model(source, k):
@@ -98,6 +107,33 @@ class TestNipcIntegration:
         b = nipc_integration(
             evaluate_amtc(insert_expansions(g), grid).outputs["f"], grid, basis).alpha
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([Normal(0.3, 1.5), Uniform(-1.0, 2.0)]),
+                              st.integers(1, 5)), min_size=1, max_size=4),
+           st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_sum_factorization_matches_design_matrix_projection(self, axes, p, seed):
+        # Anisotropic grids with mixed families: the axis-by-axis contraction
+        # gives the coefficients of the (points x coefficients) design-matrix
+        # projection up to rounding.
+        grid = tensor_grid([gauss_rule(dist, k) for dist, k in axes])
+        basis = enumerate_basis(grid.dim, p, grid.distributions)
+        values = np.random.default_rng(seed).standard_normal(grid.total_points)
+        alpha = nipc_integration(ValueTensor(tuple(range(grid.dim)), values), grid, basis).alpha
+        reference = (design_matrix(basis, grid.points()).T @ (grid.joint_weights * values)
+                     / basis.norms)
+        assert np.max(np.abs(alpha - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    def test_builds_no_points_and_no_design_matrix(self):
+        g, grid, outputs = run_model(BUILTIN_SOURCES["piston"], 3)
+        basis = enumerate_basis(3, 3, g.distributions)
+        with patch.object(TensorGrid, "points", side_effect=AssertionError("points")) as points, \
+                patch.object(methods, "design_matrix",
+                             side_effect=AssertionError("design_matrix")) as matrix:
+            alpha = nipc_integration(outputs, grid, basis).alpha
+        assert points.call_count == 0 and matrix.call_count == 0
+        reference = design_matrix(basis, grid.points()).T @ (grid.joint_weights * outputs.data)
+        np.testing.assert_allclose(alpha, reference / basis.norms, rtol=1e-12, atol=1e-12)
 
     def test_basis_grid_mismatch(self):
         g, grid, outputs = run_model("input x ~ Normal(0,1)\noutput f = x\n", 3)

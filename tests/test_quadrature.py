@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
-from uqc import Normal, Uniform, gauss_rule, grid_input_vector, tensor_grid
+from uqc import Normal, Uniform, gauss_rule, grid_for, grid_input_vector, quadrature, tensor_grid
 from uqc.errors import (
     AxisOutOfRangeError,
     EmptyAxesError,
@@ -100,6 +101,38 @@ class TestGaussRule:
     def test_unsupported_distribution(self):
         with pytest.raises(UnsupportedDistributionError):
             gauss_rule("exponential", 3)
+
+
+class TestGridFor:
+    @pytest.mark.parametrize("dists", [
+        (Normal(50, 10), Normal(0.01, 0.005), Normal(0.005, 0.002)),
+        (Uniform(0, 1),) * 3,
+        (Normal(0.3, 1), Uniform(-1, 2), Normal(-4, 0.5), Uniform(0, 1)),
+        (Uniform(-2, 5),),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 5, 13])
+    def test_axes_equal_gauss_rule_bitwise(self, dists, k):
+        grid = grid_for(dists, k)
+        assert len(grid.axes) == len(dists)
+        for rule, dist in zip(grid.axes, dists):
+            expected = gauss_rule(dist, k)
+            assert rule.distribution == dist
+            assert rule.nodes.tobytes() == expected.nodes.tobytes()
+            assert rule.weights.tobytes() == expected.weights.tobytes()
+            assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+
+    def test_solves_each_family_once(self):
+        dists = (Normal(50, 10), Uniform(0, 1), Normal(0.01, 0.005), Uniform(-1, 2))
+        with patch.object(quadrature, "eigh_tridiagonal",
+                          wraps=quadrature.eigh_tridiagonal) as solver:
+            grid_for(dists, 4)
+        assert solver.call_count == 2
+
+    def test_order_bounds(self):
+        with pytest.raises(InvalidOrderError):
+            grid_for([Normal(0, 1)], 0)
+        with pytest.raises(EmptyAxesError):
+            grid_for([], 3)
 
 
 class TestTensorGrid:
