@@ -82,9 +82,10 @@ def _fit_by_regression(graph: Graph, basis, n: int, seed: int):
     return (coefficients, *methods.moments_from_pce(coefficients))
 
 
-def run_pipeline(name: str, graph: Graph, method: str, k: int, pce_order: int,
-                 mc_samples: int, seed: int) -> dict:
-    """Execute one method end to end; returns the JSON-ready report payload."""
+def run_pipeline(graph: Graph, method: str, k: int, pce_order: int, mc_samples: int,
+                 seed: int) -> tuple[methods.UqResult, engine.EvaluationReport | None]:
+    """Execute one method end to end; returns its result and, for the grid
+    methods, the engine's evaluation report."""
     output = _output_name(graph)
     report = None
     if method in ("nipc-full", "nipc-full-amtc", "sc"):
@@ -121,29 +122,34 @@ def run_pipeline(name: str, graph: Graph, method: str, k: int, pce_order: int,
         result = methods.monte_carlo(graph, mc_samples, seed)
     else:
         raise ValueError(f"unknown method '{method}'")
-
-    return {
-        "model": name,
-        "method": method,
-        "uq_result": result.to_json_dict(),
-        "evaluation": report.to_json_dict() if report is not None else None,
-    }
+    return result, report
 
 
 def cmd_run(args) -> int:
+    """The only code that knows the report layout: a CSV row of the moments,
+    or JSON of the UqResult and the evaluation report (null without a grid)."""
     name, graph = load_model(args.model)
     if args.method in ("nipc-full", "nipc-full-amtc", "sc") and args.k is None:
         raise ValueError(f"method '{args.method}' requires --k")
-    payload = run_pipeline(name, graph, args.method, args.k or 0,
-                           args.pce_order, args.mc_samples, args.seed)
-    if args.format == "json":
-        _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        result = payload["uq_result"]
+    result, report = run_pipeline(graph, args.method, args.k or 0, args.pce_order,
+                                  args.mc_samples, args.seed)
+    if args.format == "csv":
         rows = [["model", "method", "mean", "stddev", "n_model_points"],
-                [name, args.method, repr(result["mean"]), repr(result["stddev"]),
-                 result["n_model_points"]]]
+                [name, args.method, repr(result.mean), repr(result.stddev),
+                 result.n_model_points]]
         _write_text(args.out, _csv(rows))
+        return 0
+    evaluation = None if report is None else {
+        **vars(report),
+        "outputs": {output: {"signature": list(tensor.signature),
+                             "data": tensor.data.tolist()}
+                    for output, tensor in report.outputs.items()},
+        "op_eval_counts": {str(op_id): count
+                           for op_id, count in report.op_eval_counts.items()},
+    }
+    payload = {"model": name, "method": args.method, "uq_result": vars(result),
+               "evaluation": evaluation}
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -155,6 +161,8 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
     a grid point leaves the model's domain; in that case the wall-time
     cells are left empty.
     """
+    if repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {repeats}")
     matrix = transform.compute_influence_matrix(graph)
     transformed = transform.insert_expansions(graph)
     n_ops = graph.elementary_operation_count()
@@ -194,15 +202,18 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def convergence_rows(name: str, graph: Graph, method_list: list[str],
-                     k_values: list[int], pce_order: int, seed: int,
-                     mc_seeds: int = 3) -> list[list]:
+def convergence_rows(graph: Graph, method_list: list[str], k_values: list[int],
+                     pce_order: int, seed: int, mc_seeds: int = 3) -> list[list]:
     """Error of each method at each budget against full-grid projection at
     the largest k.  Monte Carlo runs use the same point budget (k^d) and
     average the error over `mc_seeds` seeds."""
+    if mc_seeds < 1:
+        raise ValueError(f"--mc-seeds must be at least 1, got {mc_seeds}")
     reference_k = max(k_values)
-    reference = run_pipeline(name, graph, "nipc-full", reference_k,
-                             pce_order, 0, seed)["uq_result"]["mean"]
+    reference = run_pipeline(graph, "nipc-full", reference_k, pce_order, 0, seed)[0].mean
+    if reference == 0.0:
+        raise ValueError(f"the reference mean at k={reference_k} is 0, "
+                         "so the relative error against it is undefined")
 
     rows = [["method", "k", "n_model_points", "mean", "error_vs_reference_pct"]]
     for method in method_list:
@@ -221,21 +232,19 @@ def convergence_rows(name: str, graph: Graph, method_list: list[str],
                 mean = _fit_by_regression(graph, basis, budget, seed)[1]
                 error = abs(mean - reference) / abs(reference) * 100.0
             else:
-                result = run_pipeline(name, graph, method, k, pce_order,
-                                      budget, seed)["uq_result"]
-                mean = result["mean"]
+                mean = run_pipeline(graph, method, k, pce_order, budget, seed)[0].mean
                 error = abs(mean - reference) / abs(reference) * 100.0
             rows.append([method, k, budget, repr(mean), repr(error)])
     return rows
 
 
 def cmd_convergence(args) -> int:
-    name, graph = load_model(args.model)
+    _, graph = load_model(args.model)
     method_list = [m.strip() for m in args.methods.split(",") if m.strip()]
     for method in method_list:
         if method not in METHODS:
             raise ValueError(f"unknown method '{method}'")
-    rows = convergence_rows(name, graph, method_list, parse_k_range(args.k),
+    rows = convergence_rows(graph, method_list, parse_k_range(args.k),
                             args.pce_order, args.seed, args.mc_seeds)
     _write_text(args.out, _csv(rows))
     return 0

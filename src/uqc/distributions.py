@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -18,6 +19,8 @@ class Normal:
     def __post_init__(self):
         if not self.stddev > 0:
             raise ValueError(f"stddev must be positive, got {self.stddev}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.stddev)):
+            raise ValueError(f"need a finite mean and stddev, got ({self.mean}, {self.stddev})")
 
     def from_standard(self, x):
         """Map standardized coordinates (zero mean, unit variance) to values."""
@@ -43,6 +46,8 @@ class Uniform:
     def __post_init__(self):
         if not self.lower < self.upper:
             raise ValueError(f"need lower < upper, got [{self.lower}, {self.upper}]")
+        if not math.isfinite(self.upper - self.lower):
+            raise ValueError(f"need a finite upper - lower, got [{self.lower}, {self.upper}]")
 
     def from_standard(self, x):
         """Map standardized coordinates on [-1, 1] to [lower, upper]."""

@@ -24,7 +24,8 @@ bare or parenthesized, but is rewritten as exp(b * log(a)) otherwise.
 The text is tokenized in full before parsing starts, and a name or value
 error is held until the parse ends, so an unexpected character is
 reported ahead of any syntax error, and any syntax error ahead of the
-first undefined, duplicate or reserved name or invalid distribution.
+first undefined, duplicate or reserved name, out-of-range number or
+invalid distribution.
 """
 
 from __future__ import annotations
@@ -159,6 +160,12 @@ class _Parser:
             self._hold(UndefinedNameError(tok.text, tok.line, tok.column))
         return vid
 
+    def _number(self, tok: Token) -> float:
+        value = float(tok.text)
+        if math.isinf(value):
+            self._hold(ParseError("number out of range", tok.line, tok.column))
+        return value
+
     def _variable(self, value: int | float) -> int:
         """The variable id of an expression's value; a literal becomes a
         constant node here."""
@@ -197,7 +204,7 @@ class _Parser:
             self._builder.mark_output(vid)
 
     def _input_statement(self) -> None:
-        name = self._expect_ident()
+        name = self._define(self._expect_ident())
         self._expect("~")
         family = self._expect_ident("Normal or Uniform")
         if family.text not in ("Normal", "Uniform"):
@@ -209,19 +216,18 @@ class _Parser:
         b = self._signed_real()
         self._expect(")")
         self._end_statement()
-        self._define(name)
         try:
             dist = Normal(a, b) if family.text == "Normal" else Uniform(a, b)
         except ValueError as exc:
             return self._hold(exc)
-        self._env[name.text] = self._builder.add_uncertain_input(name.text, dist)
+        self._env[name] = self._builder.add_uncertain_input(name, dist)
 
     def _param_statement(self) -> None:
-        name = self._expect_ident()
+        name = self._define(self._expect_ident())
         self._expect("=")
         value = self._signed_real()
         self._end_statement()
-        self._env[self._define(name)] = self._builder.add_constant(value, name=name.text)
+        self._env[name] = self._builder.add_constant(value, name=name)
 
     def _signed_real(self) -> float:
         sign = 1.0
@@ -232,7 +238,7 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "number":
             self._next()
-            return sign * float(tok.text)
+            return sign * self._number(tok)
         if tok.kind == "ident" and tok.text == "pi":
             self._next()
             return sign * math.pi
@@ -285,7 +291,7 @@ class _Parser:
     def _primary(self) -> int | float:
         tok = self._next()
         if tok.kind == "number":
-            return float(tok.text)
+            return self._number(tok)
         if tok.kind == "ident":
             if tok.text == "pi":
                 return math.pi
@@ -309,12 +315,13 @@ def parse_model(text: str) -> Graph:
     """Parse model source text into a Graph, lowering each statement as it
     is read.
 
-    Raises ParseError with line/column on malformed input, plus
-    UndefinedNameError / DuplicateNameError for names that do not
-    resolve, and ValueError for invalid distribution parameters.  An
-    unexpected character is reported first, then the first syntax error,
-    then the first name or value error.  Lowering is deterministic: the
-    same text always produces the same node id assignment.
+    Raises ParseError with line/column on malformed input or a number
+    literal too large for a float, plus UndefinedNameError /
+    DuplicateNameError for names that do not resolve, and ValueError for
+    invalid distribution parameters.  An unexpected character is reported
+    first, then the first syntax error, then the first name or value
+    error.  Lowering is deterministic: the same text always produces the
+    same node id assignment.
     """
     return _Parser(_tokenize(text)).parse_program()
 

@@ -36,7 +36,6 @@ point.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -116,23 +115,6 @@ class EvaluationReport:
     expansion_copies: int
     equivalent_model_evals: float
     wall_time_ms: float = field(default=0.0, compare=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outputs": {
-                name: {"signature": list(vt.signature), "data": vt.data.tolist()}
-                for name, vt in self.outputs.items()
-            },
-            "op_eval_counts": {str(op_id): count
-                               for op_id, count in sorted(self.op_eval_counts.items())},
-            "total_scalar_evals": self.total_scalar_evals,
-            "expansion_copies": self.expansion_copies,
-            "equivalent_model_evals": self.equivalent_model_evals,
-            "wall_time_ms": self.wall_time_ms,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _grid_index(mask: np.ndarray, space: tuple[int, ...]) -> int:

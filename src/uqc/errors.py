@@ -81,7 +81,8 @@ class SignatureNotSubsetError(UqcError):
 
 
 class SignatureMismatchError(UqcError):
-    """Internal inconsistency between value signatures during evaluation."""
+    """A graph's execution plan meets an operation with no elementwise
+    kernel, such as an expand, which only a transformed graph holds."""
 
 
 class InternalError(UqcError):

@@ -34,15 +34,6 @@ class UqResult:
     n_model_points: int
     details: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "mean": self.mean,
-            "stddev": self.stddev,
-            "n_model_points": self.n_model_points,
-            "details": self.details,
-        }
-
 
 def _full_signature_data(outputs: ValueTensor, grid: TensorGrid) -> np.ndarray:
     if tuple(outputs.signature) != tuple(range(grid.dim)):

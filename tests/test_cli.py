@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from uqc import builtin_model
 from uqc.cli import METHODS, build_parser, main, parse_k_range
 
 
@@ -112,6 +113,96 @@ class TestRun:
         assert lines[0] == "model,method,mean,stddev,n_model_points"
         assert lines[1].startswith("simple,sc,")
 
+    @pytest.mark.parametrize("source, message", [
+        ("param p = 1e400\ninput x ~ Normal(0,1)\noutput f = x + p\n",
+         "line 1, column 11: number out of range"),
+        ("input x ~ Normal(0,1)\noutput f = x * 1e400\n",
+         "line 2, column 16: number out of range"),
+        ("input x ~ Normal(0, 1e400)\noutput f = x\n",
+         "line 1, column 21: number out of range"),
+        ("input x ~ Uniform(-1e308, 1e308)\noutput f = x\n",
+         "need a finite upper - lower"),
+    ])
+    def test_non_finite_literal_or_parameter_exits_one(self, tmp_path, capsys,
+                                                       source, message):
+        path = tmp_path / "huge.uq"
+        path.write_text(source)
+        rc = run_cli(["run", "--model", str(path), "--method", "nipc-full", "--k", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+EVALUATION_KEYS = {"outputs", "op_eval_counts", "total_scalar_evals", "expansion_copies",
+                   "equivalent_model_evals", "wall_time_ms"}
+UQ_RESULT_DETAILS = {
+    "nipc-full": {"k", "pce_order", "n_coefficients", "engine"},
+    "nipc-full-amtc": {"k", "pce_order", "n_coefficients", "engine"},
+    "sc": {"k", "extrapolation"},
+    "nipc-reg": {"pce_order", "n_samples", "seed", "multiplier", "residual", "rank",
+                 "n_points"},
+    "mc": {"seed", "standard_error", "output"},
+}
+
+
+class TestReport:
+    """The report layout that `uqc run` writes."""
+
+    def test_json_round_trip_structure(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--model", "simple", "--method", "nipc-full",
+                        "--k", "2", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())["evaluation"]
+        assert set(payload) == EVALUATION_KEYS
+        assert payload["total_scalar_evals"] == 16
+        assert payload["outputs"]["f"]["signature"] == [0, 1]
+
+    def test_json_is_byte_stable_modulo_wall_time(self, tmp_path):
+        texts = []
+        for i in range(2):
+            out = tmp_path / f"report{i}.json"
+            assert run_cli(["run", "--model", "simple", "--method", "nipc-full",
+                            "--k", "3", "--out", str(out)]) == 0
+            texts.append(out.read_text())
+        assert strip_wall_times(texts[0]) == strip_wall_times(texts[1])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_layout(self, tmp_path, method):
+        argv = ["run", "--model", "simple", "--method", method, "--k", "3",
+                "--mc-samples", "100"]
+        json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+        assert run_cli(argv + ["--out", str(json_out)]) == 0
+        assert run_cli(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+        text = json_out.read_text()
+        payload = json.loads(text)
+        # Indented by 2, keys sorted at every level, one trailing newline.
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+        assert set(payload) == {"model", "method", "uq_result", "evaluation"}
+        assert (payload["model"], payload["method"]) == ("simple", method)
+        result = payload["uq_result"]
+        assert set(result) == {"method", "mean", "stddev", "n_model_points", "details"}
+        assert result["method"] == method
+        assert set(result["details"]) == UQ_RESULT_DETAILS[method]
+        evaluation = payload["evaluation"]
+        if method in ("nipc-reg", "mc"):
+            assert evaluation is None
+        else:
+            assert set(evaluation) == EVALUATION_KEYS
+            assert set(evaluation["outputs"]) == {"f"}
+            assert set(evaluation["outputs"]["f"]) == {"signature", "data"}
+            assert len(evaluation["outputs"]["f"]["data"]) == 9
+            ops = builtin_model("simple").operations
+            assert set(evaluation["op_eval_counts"]) == {str(op.id) for op in ops}
+
+        # The CSV row carries the JSON report's moments in repr form.
+        assert csv_out.read_text().split("\n") == [
+            "model,method,mean,stddev,n_model_points",
+            f"simple,{method},{result['mean']!r},{result['stddev']!r},"
+            f"{result['n_model_points']}",
+            "",
+        ]
+
 
 class TestBench:
     def test_simple_reduction_closed_form(self, tmp_path):
@@ -165,6 +256,11 @@ class TestBench:
         assert [row[:4] for row in rows] == [["2", "0", "0", "0"], ["3", "0", "0", "0"]]
         assert [row[6] for row in rows] == ["0.0", "0.0"]
 
+    def test_no_repeats_exits_one(self, capsys):
+        rc = run_cli(["bench", "--model", "simple", "--k", "2", "--repeats", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --repeats must be at least 1, got 0\n"
+
     def test_line_endings_are_lf(self, tmp_path):
         out = tmp_path / "bench.csv"
         run_cli(["bench", "--model", "simple", "--k", "2..3",
@@ -202,6 +298,22 @@ class TestConvergence:
                       "--k", "2..3"])
         assert rc == 1
         assert capsys.readouterr().err == "error: model declares no output\n"
+
+    def test_zero_reference_mean_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "zero.uq"
+        path.write_text("input x ~ Uniform(-1, 1)\noutput f = x - x\n")
+        rc = run_cli(["convergence", "--model", str(path), "--methods", "nipc-full",
+                      "--k", "2..3"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the reference mean at k=3 is 0")
+        assert "undefined" in err
+
+    def test_no_mc_seeds_exits_one(self, capsys):
+        rc = run_cli(["convergence", "--model", "simple", "--methods", "mc",
+                      "--k", "2", "--mc-seeds", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --mc-seeds must be at least 1, got 0\n"
 
     def test_unknown_method_rejected(self, capsys):
         rc = run_cli(["convergence", "--model", "simple", "--methods", "kriging",

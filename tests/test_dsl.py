@@ -179,6 +179,10 @@ class TestParsing:
     ("input x ~ Normal(0,1)\nx = y\n", DuplicateNameError, 2, 1),
     ("output f = a + b\n", UndefinedNameError, 1, 12),
     ("input x ~ Normal(0,1)\noutput f = ٣ * x\n", ParseError, 2, 12),
+    ("param p = 1e400\nf = 1 +* 2\n", ParseError, 2, 8),
+    ("output f = 1e400 + y\n", ParseError, 1, 12),
+    ("output f = y + 1e400\n", UndefinedNameError, 1, 12),
+    ("input x ~ Normal(0,1)\ninput x ~ Normal(0, 1e400)\n", DuplicateNameError, 2, 7),
 ])
 def test_error_precedence(source, error, line, column):
     with pytest.raises(error) as excinfo:

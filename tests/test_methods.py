@@ -280,7 +280,7 @@ class TestMonteCarlo:
         # seed 6 draws a piston regression sample outside the real domain
         g = builtin_model("piston")
         with pytest.raises(DomainError) as excinfo:
-            run_pipeline("piston", g, "nipc-reg", 0, 3, 0, 6)
+            run_pipeline(g, "nipc-reg", 0, 3, 0, 6)
         n = REGRESSION_SAMPLE_MULTIPLIER * len(enumerate_basis(3, 3, g.distributions))
         samples = sample_inputs(g, n, seed=6)
         assert excinfo.value.sample == tuple(samples[excinfo.value.point_index])
