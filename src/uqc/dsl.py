@@ -40,17 +40,17 @@ from .graph import Graph, GraphBuilder, OperationNode
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _KEYWORDS = ("input", "param", "output")
-_BINARY_KINDS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+# Operator symbol -> (operation kind, precedence level).
+_BINARY_OPERATORS = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(r"""[ \t]*(?:
     (?P<number>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<punct>[-+*/^()=,~])
-  | (?P<ws>[ \t]+)
   | (?P<comment>\#[^\n]*)
   | (?P<newline>\n)
-  | (?P<error>.)
-""", re.VERBOSE)
+  | (?P<error>[^ \t])
+)""", re.VERBOSE)
 
 # Stands in for the variable of a name that failed to resolve, so parsing
 # can go on to find any syntax error after it.
@@ -65,22 +65,28 @@ class Token(NamedTuple):
 
 
 def _tokenize(text: str) -> list[Token]:
+    """Every token of the text, then a newline and an eof token.  Blanks
+    and tabs are matched as the prefix of the token after them, so they
+    cost no match of their own; blanks at the end of the text match
+    nothing."""
     tokens: list[Token] = []
     line, line_start = 1, 0
+    new = tuple.__new__
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
+        if kind == "comment":
             continue
-        column = m.start() - line_start + 1
-        if kind == "error":
-            raise ParseError(f"unexpected character {m.group()!r}", line, column)
+        start = m.start(kind)
         if kind == "newline":
-            tokens.append(Token("newline", "", line, column))
-            line, line_start = line + 1, m.end()
+            tokens.append(new(Token, ("newline", "", line, start - line_start + 1)))
+            line, line_start = line + 1, start + 1
+        elif kind == "error":
+            raise ParseError(f"unexpected character {text[start]!r}", line,
+                             start - line_start + 1)
         else:
-            tokens.append(Token(kind, m.group(), line, column))
-    tokens.append(Token("newline", "", line, len(text) - line_start + 1))
-    tokens.append(Token("eof", "", line, 1))
+            tokens.append(new(Token, (kind, m[kind], line, start - line_start + 1)))
+    tokens.append(new(Token, ("newline", "", line, len(text) - line_start + 1)))
+    tokens.append(new(Token, ("eof", "", line, 1)))
     return tokens
 
 
@@ -103,37 +109,34 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._tok = tokens[0]  # the current token; eof once the text is read
         self._builder = GraphBuilder()
         self._env: dict[str, int] = {}
         self._error: Exception | None = None
 
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
-
     def _next(self) -> Token:
-        tok = self._tokens[self._pos]
+        tok = self._tok
         if tok.kind != "eof":
             self._pos += 1
+            self._tok = self._tokens[self._pos]
         return tok
 
     def _expect(self, text: str) -> Token:
-        tok = self._peek()
-        if tok.text == text:
+        if self._tok.text == text:
             return self._next()
-        raise _unexpected(tok, repr(text))
+        raise _unexpected(self._tok, repr(text))
 
     def _expect_ident(self, what: str = "identifier") -> Token:
-        tok = self._peek()
-        if tok.kind == "ident":
+        if self._tok.kind == "ident":
             return self._next()
-        raise _unexpected(tok, what)
+        raise _unexpected(self._tok, what)
 
     def _skip_newlines(self) -> None:
-        while self._peek().kind == "newline":
+        while self._tok.kind == "newline":
             self._next()
 
     def _end_statement(self) -> None:
-        tok = self._peek()
+        tok = self._tok
         if tok.kind == "newline":
             self._next()
         elif tok.kind != "eof":
@@ -175,7 +178,7 @@ class _Parser:
 
     def parse_program(self) -> Graph:
         self._skip_newlines()
-        while self._peek().kind != "eof":
+        while self._tok.kind != "eof":
             self._statement()
             self._skip_newlines()
         if self._error is not None:
@@ -194,7 +197,7 @@ class _Parser:
         self._expect("=")
         name = self._define(head)
         fresh_before = self._builder._next_id
-        vid = self._variable(self._expression())
+        vid = self._variable(self._expression(1))
         self._end_statement()
         if vid >= fresh_before:
             # The statement created this variable; give it the user's name.
@@ -231,11 +234,10 @@ class _Parser:
 
     def _signed_real(self) -> float:
         sign = 1.0
-        tok = self._peek()
-        if tok.kind == "punct" and tok.text == "-":
+        if self._tok.text == "-":
             self._next()
             sign = -1.0
-        tok = self._peek()
+        tok = self._tok
         if tok.kind == "number":
             self._next()
             return sign * self._number(tok)
@@ -246,47 +248,44 @@ class _Parser:
 
     # Expressions ---------------------------------------------------------
 
-    def _expression(self) -> int | float:
-        return self._left_assoc("+-", self._term)
-
-    def _term(self) -> int | float:
-        return self._left_assoc("*/", self._unary)
-
-    def _left_assoc(self, symbols: str, operand) -> int | float:
-        value = operand()
-        tok = self._peek()
-        while tok.kind == "punct" and tok.text in symbols:
+    def _expression(self, level: int) -> int | float:
+        """Precedence climbing over the left-associative binary operators
+        of `level` and above: `+ -` are level 1, `* /` level 2.  A left
+        operand becomes a variable before its right operand is read."""
+        value = self._unary()
+        binary = _BINARY_OPERATORS.get(self._tok.text)
+        while binary is not None and binary[1] >= level:
             self._next()
             left = self._variable(value)
-            value = self._builder.add_operation(
-                _BINARY_KINDS[tok.text], [left, self._variable(operand())])
-            tok = self._peek()
+            right = self._variable(self._expression(binary[1] + 1))
+            value = self._builder.add_operation(binary[0], (left, right))
+            binary = _BINARY_OPERATORS.get(self._tok.text)
         return value
 
     def _unary(self) -> int | float:
-        if self._peek().text != "-":
-            return self._power()
-        self._next()
-        parenthesized = self._peek().text == "("
-        operand = self._unary()
-        if isinstance(operand, float) and not parenthesized:
-            # A sign directly on a literal is part of the literal; -(3) is a neg.
-            return -operand
-        return self._builder.add_operation("neg", [self._variable(operand)])
-
-    def _power(self) -> int | float:
+        """A signed operand, or a primary with its `^` exponent: `^` is
+        right-associative and binds tighter than a sign on its left, and
+        its exponent may carry a sign, as in 2^-3."""
+        if self._tok.text == "-":
+            self._next()
+            parenthesized = self._tok.text == "("
+            operand = self._unary()
+            if isinstance(operand, float) and not parenthesized:
+                # A sign directly on a literal is part of the literal; -(3) is a neg.
+                return -operand
+            return self._builder.add_operation("neg", (self._variable(operand),))
         base = self._primary()
-        if self._peek().text != "^":
+        if self._tok.text != "^":
             return base
         self._next()
         base = self._variable(base)
-        exponent = self._unary()  # right-associative, allows 2^-3
+        exponent = self._unary()
         if isinstance(exponent, float):
-            return self._builder.add_operation("pow_const", [base], exponent=exponent)
+            return self._builder.add_operation("pow_const", (base,), exponent=exponent)
         # General power: a^b = exp(b * log(a)).
-        log_base = self._builder.add_operation("log", [base])
-        product = self._builder.add_operation("mul", [exponent, log_base])
-        return self._builder.add_operation("exp", [product])
+        log_base = self._builder.add_operation("log", (base,))
+        product = self._builder.add_operation("mul", (exponent, log_base))
+        return self._builder.add_operation("exp", (product,))
 
     def _primary(self) -> int | float:
         tok = self._next()
@@ -295,17 +294,17 @@ class _Parser:
         if tok.kind == "ident":
             if tok.text == "pi":
                 return math.pi
-            if self._peek().text != "(":
+            if self._tok.text != "(":
                 return self._lookup(tok)
             if tok.text not in FUNCTIONS:
                 raise ParseError(f"unknown function '{tok.text}'",
                                  tok.line, tok.column, expected=FUNCTIONS)
             self._next()
-            arg = self._variable(self._expression())
+            arg = self._variable(self._expression(1))
             self._expect(")")
-            return self._builder.add_operation(tok.text, [arg])
+            return self._builder.add_operation(tok.text, (arg,))
         if tok.text == "(":
-            value = self._expression()
+            value = self._expression(1)
             self._expect(")")
             return value
         raise _unexpected(tok, "number", "name", "function call", "'('")
@@ -327,7 +326,8 @@ def parse_model(text: str) -> Graph:
 
 
 def parse_model_file(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as handle:
+    """Parse a .uq file; a UTF-8 byte-order mark at its start is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_model(handle.read())
 
 

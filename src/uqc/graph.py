@@ -16,7 +16,7 @@ sorted once per graph, and every pass and engine reads it.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -44,16 +44,16 @@ UFUNCS = {
 }
 
 
-@dataclass(frozen=True)
-class VariableNode:
+# Nodes are named tuples, immutable and cheaper to build than frozen
+# dataclasses; every parse builds one per variable and operation.
+class VariableNode(NamedTuple):
     id: int
     name: str
     kind: str
     constant_value: float | None = None
 
 
-@dataclass(frozen=True)
-class OperationNode:
+class OperationNode(NamedTuple):
     id: int
     kind: str
     inputs: tuple[int, ...]
@@ -158,12 +158,19 @@ def topo_sort(graph: Graph) -> list[int]:
     A graph whose operations are already listed in a valid evaluation
     order thus keeps that order; parsed and GraphBuilder graphs list them
     in id order, and insert_expansions lists each expand just before its
-    first reader.  Raises CycleError naming one operation on a cycle if
-    the graph is not acyclic.  Pure: identical graphs yield identical
-    orderings.
+    first reader.  One scan finds such a list, in which each operation
+    reads only variables that no operation or an earlier-listed one
+    writes (the last-listed, for a variable written twice), and returns it
+    as listed; any other list runs Kahn.  Raises CycleError naming one
+    operation on a cycle if the graph is not acyclic.  Pure: identical
+    graphs yield identical orderings.
     """
     operations = graph.operations
     producer = {op.output: position for position, op in enumerate(operations)}
+    if all(producer.get(v, -1) < position
+           for position, op in enumerate(operations) for v in op.inputs):
+        return [op.id for op in operations]
+
     indegree: list[int] = []
     dependents: list[list[int]] = [[] for _ in operations]
     for position, op in enumerate(operations):
@@ -269,58 +276,57 @@ class GraphBuilder:
     """Mutable construction helper; produces an immutable Graph."""
 
     def __init__(self):
-        self._variables: list[VariableNode] = []
+        self._variables: dict[int, VariableNode] = {}
         self._operations: list[OperationNode] = []
         self._uncertain: list[tuple[int, Distribution]] = []
         self._outputs: list[int] = []
+        self._names: dict[int, str] = {}  # renames, applied by build
         self._next_id = 0
 
-    def _take_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
-
     def add_uncertain_input(self, name: str, dist: Distribution) -> int:
-        vid = self._take_id()
-        self._variables.append(VariableNode(vid, name, "uncertain_input"))
+        vid = self._next_id
+        self._next_id = vid + 1
+        self._variables[vid] = VariableNode(vid, name, "uncertain_input")
         self._uncertain.append((vid, dist))
         return vid
 
     def add_constant(self, value: float, name: str | None = None) -> int:
-        vid = self._take_id()
-        self._variables.append(
-            VariableNode(vid, name or f"_c{vid}", "constant", float(value)))
+        vid = self._next_id
+        self._next_id = vid + 1
+        self._variables[vid] = VariableNode(vid, name or f"_c{vid}", "constant", float(value))
         return vid
 
-    def add_operation(self, kind: str, inputs: list[int], *, exponent: float | None = None,
+    def add_operation(self, kind: str, inputs: tuple[int, ...] | list[int], *,
+                      exponent: float | None = None,
                       expand_from: Signature | None = None,
                       expand_to: Signature | None = None,
                       name: str | None = None) -> int:
         """Append an operation plus its fresh output variable; returns the output id."""
-        op_id = self._take_id()
-        out_id = self._take_id()
+        op_id = self._next_id
+        out_id = op_id + 1
+        self._next_id = op_id + 2
         self._operations.append(OperationNode(
-            op_id, kind, tuple(inputs), out_id,
-            exponent=exponent, expand_from=expand_from, expand_to=expand_to))
-        self._variables.append(VariableNode(out_id, name or f"_t{out_id}", "intermediate"))
+            op_id, kind, tuple(inputs), out_id, exponent, expand_from, expand_to))
+        self._variables[out_id] = VariableNode(out_id, name or f"_t{out_id}", "intermediate")
         return out_id
 
     def rename(self, var_id: int, name: str) -> None:
-        for i, var in enumerate(self._variables):
-            if var.id == var_id:
-                self._variables[i] = replace(var, name=name)
-                return
-        raise KeyError(var_id)
+        if var_id not in self._variables:
+            raise KeyError(var_id)
+        self._names[var_id] = name
 
     def mark_output(self, var_id: int) -> None:
         self._outputs.append(var_id)
 
     def build(self) -> Graph:
-        produced = {op.output for op in self._operations}
-        out_set = set(self._outputs)
+        names = self._names
+        outputs = set(self._outputs)
         variables = tuple(
-            replace(v, kind="output") if v.id in out_set and v.id in produced else v
-            for v in self._variables)
+            VariableNode(v.id, names.get(v.id, v.name),
+                         "output" if v.id in outputs and v.kind == "intermediate" else v.kind,
+                         v.constant_value)
+            if v.id in names or v.id in outputs else v
+            for v in self._variables.values())
         return Graph(variables, tuple(self._operations),
                      tuple(self._uncertain), tuple(self._outputs))
 

@@ -126,12 +126,11 @@ def sc_build(outputs: ValueTensor, grid: TensorGrid) -> SurrogateSC:
     values = _full_signature_data(outputs, grid)
     weights = []
     for rule in grid.axes:
-        nodes = rule.nodes
-        w = np.ones(len(nodes))
-        for i in range(len(nodes)):
-            diff = np.delete(nodes[i] - nodes, i)
-            w[i] = 1.0 / np.prod(diff)
-        weights.append(w)
+        # w_i = 1 / prod_{j != i} (x_i - x_j); a factor 1.0 on the diagonal
+        # is exact, so row i's product is that over j != i.
+        diff = rule.nodes[:, None] - rule.nodes
+        np.fill_diagonal(diff, 1.0)
+        weights.append(1.0 / np.prod(diff, axis=1))
     return SurrogateSC(grid, ValueTensor(outputs.signature, values.copy()),
                        tuple(weights))
 
@@ -165,13 +164,14 @@ def sc_moments(surrogate: SurrogateSC) -> tuple[float, float]:
     """Quadrature moments of the interpolant on its own grid.
 
     The interpolant reproduces nodal values, so its quadrature mean and
-    second moment reduce to weighted sums of the stored values.
+    variance reduce to weighted sums of the stored values.  The variance
+    is two-pass, w @ (f - mean)^2, which keeps an output with a large
+    mean from cancelling to 0 as E[f^2] - E[f]^2 does.
     """
     w = surrogate.grid.joint_weights
     f = surrogate.values.data
     mean = float(w @ f)
-    variance = float(w @ (f * f)) - mean * mean
-    return mean, math.sqrt(max(variance, 0.0))
+    return mean, math.sqrt(float(w @ (f - mean) ** 2))
 
 
 def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:

@@ -30,7 +30,7 @@ the original graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InternalError
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
@@ -137,34 +137,32 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
     at the same operation first.
     """
     matrix = compute_influence_matrix(graph)
+    rows, signatures = matrix.rows, matrix.variable_signatures
     variables = list(graph.variables)
     operations: list[OperationNode] = []
     expanded: dict[tuple[int, Signature], int] = {}
+    subsets: set[tuple[Signature, Signature]] = set()  # (source, target) pairs checked
     next_id = len(graph.variables) + len(graph.operations)
 
     for op in graph.order:
-        target = matrix.rows[op.id]
+        target = rows[op.id]
         new_inputs = []
         for vid in op.inputs:
-            source = matrix.variable_signatures[vid]
-            if source == target:
-                new_inputs.append(vid)
-                continue
-            if not signature_is_subset(source, target):
-                raise InternalError(
-                    f"variable {vid} signature {source} is not a subset of "
-                    f"operation {op.id} signature {target}")
-            key = (vid, target)
-            if key not in expanded:
-                expand_id = next_id
+            source = signatures[vid]
+            if source != target and (vid, target) not in expanded:
+                if (source, target) not in subsets:
+                    if not signature_is_subset(source, target):
+                        raise InternalError(
+                            f"variable {vid} signature {source} is not a subset of "
+                            f"operation {op.id} signature {target}")
+                    subsets.add((source, target))
                 out_id = next_id + 1
-                next_id += 2
-                operations.append(OperationNode(
-                    expand_id, EXPAND, (vid,), out_id,
-                    expand_from=source, expand_to=target))
+                operations.append(OperationNode(next_id, EXPAND, (vid,), out_id,
+                                                None, source, target))
                 variables.append(VariableNode(out_id, f"_x{out_id}", "intermediate"))
-                expanded[key] = out_id
-            new_inputs.append(expanded[key])
+                expanded[vid, target] = out_id
+                next_id += 2
+            new_inputs.append(vid if source == target else expanded[vid, target])
         new_inputs = tuple(new_inputs)
         if new_inputs != op.inputs:
             op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent,
@@ -190,7 +188,7 @@ def strip_expansions(graph: Graph) -> Graph:
         return vid
 
     operations = tuple(
-        replace(op, inputs=tuple(resolve(v) for v in op.inputs))
+        op._replace(inputs=tuple(resolve(v) for v in op.inputs))
         for op in graph.operations if op.kind != EXPAND)
     variables = tuple(v for v in graph.variables if v.id not in redirect)
     outputs = tuple(resolve(v) for v in graph.outputs)

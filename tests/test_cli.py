@@ -1,9 +1,10 @@
 import json
 import re
+from unittest.mock import patch
 
 import pytest
 
-from uqc import builtin_model
+from uqc import builtin_model, engine
 from uqc.cli import METHODS, build_parser, main, parse_k_range
 
 
@@ -280,6 +281,18 @@ class TestConvergence:
         by_k = {int(r[1]): float(r[4]) for r in rows}
         assert by_k[5] == 0.0
         assert by_k[5] < by_k[2]  # converges with k
+
+    def test_reference_study_runs_once(self, tmp_path):
+        # The nipc-full row at the largest k reuses the reference study.
+        out = tmp_path / "conv.csv"
+        with patch("uqc.engine.evaluate_naive", wraps=engine.evaluate_naive) as spy:
+            rc = run_cli(["convergence", "--model", "piston", "--methods", "nipc-full",
+                          "--k", "2..4", "--out", str(out)])
+        assert rc == 0
+        assert sorted(call.args[1].axis_sizes[0] for call in spy.call_args_list) == [2, 3, 4]
+        rows = [line.split(",") for line in out.read_text().rstrip().split("\n")[1:]]
+        assert [r[1] for r in rows] == ["2", "3", "4"]
+        assert rows[-1][4] == "0.0"
 
     def test_mc_noisier_than_projection(self, tmp_path):
         out = tmp_path / "conv2.csv"

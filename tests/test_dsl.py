@@ -1,14 +1,19 @@
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
 from uqc import (
+    BUILTIN_SOURCES,
     Normal,
     Uniform,
     builtin_model,
     evaluate_single_point,
+    insert_expansions,
     isomorphic,
     parse_model,
+    parse_model_file,
     pretty_print,
 )
 from uqc.errors import (
@@ -18,6 +23,20 @@ from uqc.errors import (
     UnknownModelError,
 )
 from uqc.transform import compute_influence_matrix
+
+
+# Every literal form the lowering treats specially; test_node_ids_of_literal_forms
+# pins the id of each of its nodes.
+LITERAL_FORMS_SOURCE = ("input x ~ Normal(1, 0.1)\n"
+                        "a = -2 + - -2 * -(2)\n"
+                        "b = -pi * (2 * x) + x * 2\n"
+                        "c = sin(2) + x ^ (2) - x ^ -(2)\n"
+                        "d = 2 ^ x - -2 ^ 2 + 2 ^ 3 ^ 2\n"
+                        "y = 3\n"
+                        "output f = a + b + c + d + y\n"
+                        "output g = x\n")
+
+SEP6 = Path(__file__).resolve().parent.parent / "perfbench" / "sep6.uq"
 
 
 def piston_cycle_time(M, S, V0, k=3000.0, P0=100000.0, Ta=293.0, T0=350.0):
@@ -80,6 +99,9 @@ class TestParsing:
         g = parse_model("# a model\n\ninput x ~ Normal(0,1)  # trailing\n\n"
                         "output f = x * 2  # double\n")
         assert [op.kind for op in g.operations] == ["mul"]
+        for ending in ("  # no final newline", "\n\t\n  \t"):
+            g = parse_model("input x ~ Normal(0,1)\noutput f = x * 2" + ending)
+            assert [op.kind for op in g.operations] == ["mul"]
 
     def test_scientific_and_decimal_literals(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = x * 1.5e-3 + .25 + 2e2\n")
@@ -130,14 +152,7 @@ class TestParsing:
         # depth-first, left-to-right walk of the expression meets it, a sign
         # on a bare literal folds into it, and a literal exponent (bare or
         # parenthesized) makes pow_const with no constant node.
-        g = parse_model("input x ~ Normal(1, 0.1)\n"
-                        "a = -2 + - -2 * -(2)\n"
-                        "b = -pi * (2 * x) + x * 2\n"
-                        "c = sin(2) + x ^ (2) - x ^ -(2)\n"
-                        "d = 2 ^ x - -2 ^ 2 + 2 ^ 3 ^ 2\n"
-                        "y = 3\n"
-                        "output f = a + b + c + d + y\n"
-                        "output g = x\n")
+        g = parse_model(LITERAL_FORMS_SOURCE)
         nodes = sorted(
             [(v.id, v.constant_value if v.kind == "constant" else v.kind)
              for v in g.variables]
@@ -189,6 +204,58 @@ def test_error_precedence(source, error, line, column):
         parse_model(source)
     assert type(excinfo.value) is error
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+
+# Blanks and tabs are matched as part of the token after them; these are
+# the places where that could shift a reported column.
+@pytest.mark.parametrize("source, line, column, message", [
+    ("output f = 1 +   ", 1, 18, "got end of line"),
+    ("output f = 1 +\t", 1, 16, "got end of line"),
+    ("output f = 1 + \t\n", 1, 17, "got end of line"),
+    ("output f = (1 + 2  ", 1, 20, "got end of line"),
+    ("output f = x +  # no final newline", 1, 35, "got end of line"),
+    ("output f = 1\r\n", 1, 13, "unexpected character '\\r'"),
+    ("output f = 1 +\r 2\n", 1, 15, "unexpected character '\\r'"),
+    ("output f = 1\t\t$ 2\n", 1, 15, "unexpected character '$'"),
+    ("x = 1\n \t @", 2, 4, "unexpected character '@'"),
+])
+def test_error_columns_around_blanks(source, line, column, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_model(source)
+    assert (excinfo.value.line, excinfo.value.column) == (line, column)
+    assert message in str(excinfo.value)
+
+
+def test_byte_order_mark_is_skipped_in_files_only(tmp_path):
+    path = tmp_path / "bom.uq"
+    path.write_bytes(b"\xef\xbb\xbfinput x ~ Normal(0, 1)\noutput f = 2 * x\n")
+    g = parse_model_file(path)
+    assert g == parse_model("input x ~ Normal(0, 1)\noutput f = 2 * x\n")
+    with pytest.raises(ParseError) as excinfo:
+        parse_model("\ufeffinput x ~ Normal(0, 1)\n")
+    assert (excinfo.value.line, excinfo.value.column) == (1, 1)
+    assert "unexpected character '\\ufeff'" in str(excinfo.value)
+
+
+# sha256 of repr(graph) + repr(graph.plan) + repr(insert_expansions(graph)):
+# the lowering, the execution plan and the transformed graph, node for node.
+FRONT_END_DIGESTS = {
+    "simple": "bf38f6a2a598f0b264ad9bcf9fa25b0f26d9cc2a18991e214e9d7f325012e24c",
+    "piston": "53e37d1df831c58b61f28d0dcbf7178024852baa66e63a84d5145fc6f3db6e37",
+    "multipoint": "3163eab56d7fad9ba4bfea471ba63e3efcef8371032094d1c963a179e9f8c375",
+    "literal-forms": "471e6c67cbeaa3baee1ed1ac24fc9be087d3cda79295891725109c82a0f2e092",
+    "sep6": "ae014fda398f30d92370d5baa939f60af5cc531a5176966f1e5f159131ad5dfd",
+}
+
+
+@pytest.mark.parametrize("name", FRONT_END_DIGESTS)
+def test_front_end_output_is_pinned(name):
+    if name == "sep6":
+        g = parse_model_file(SEP6)
+    else:
+        g = parse_model({**BUILTIN_SOURCES, "literal-forms": LITERAL_FORMS_SOURCE}[name])
+    text = repr(g) + repr(g.plan) + repr(insert_expansions(g))
+    assert hashlib.sha256(text.encode()).hexdigest() == FRONT_END_DIGESTS[name]
 
 
 class TestPrettyPrint:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqc import GraphBuilder, Normal, builtin_model, to_dot, topo_sort, validate
 from uqc.errors import CycleError
@@ -71,6 +73,69 @@ class TestTopoSort:
     @pytest.mark.parametrize("name", ["simple", "piston", "multipoint"])
     def test_deterministic(self, name):
         assert topo_sort(builtin_model(name)) == topo_sort(builtin_model(name))
+
+
+def kahn_reference(graph):
+    """Operation ids in evaluation order: repeatedly run the first-listed
+    operation whose inputs' producers (the last-listed one of a variable
+    written twice; an operation reading its own output does not wait for
+    itself) have all run.  Raises CycleError naming the least id left."""
+    operations = graph.operations
+    producer = {op.output: position for position, op in enumerate(operations)}
+    waits_on = [{producer[v] for v in op.inputs if v in producer} - {position}
+                for position, op in enumerate(operations)]
+    done: list[int] = []
+    while len(done) < len(operations):
+        ready = [p for p in range(len(operations)) if p not in done and waits_on[p] <= set(done)]
+        if not ready:
+            raise CycleError(min(op.id for p, op in enumerate(operations) if p not in done))
+        done.append(ready[0])
+    return [operations[p].id for p in done]
+
+
+@st.composite
+def operation_lists(draw):
+    """Operations over 1-3 input variables (ids 0-2), each writing a fresh
+    variable (ids 10+) and reading earlier ones, listed in order, shuffled,
+    or edited to hold a self-loop, a variable with two producers or a
+    two-operation cycle."""
+    n_inputs = draw(st.integers(1, 3))
+    n_ops = draw(st.integers(0, 9))
+    readable = list(range(n_inputs))
+    specs = []
+    for i in range(n_ops):
+        specs.append([draw(st.lists(st.sampled_from(readable), min_size=1, max_size=2)), 10 + i])
+        readable.append(10 + i)
+    form = draw(st.sampled_from(["ordered", "shuffled", "self-loop", "two producers", "cycle"]))
+    if form != "ordered" and n_ops >= 2:
+        i, j = sorted(draw(st.lists(st.integers(0, n_ops - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        if form == "self-loop":
+            specs[j][0] = specs[j][0][:1] + [specs[j][1]]
+        elif form == "two producers":
+            specs[j][1] = specs[i][1]
+        elif form == "cycle":
+            specs[i][0] = [specs[j][1]]
+            specs[j][0] = [specs[i][1]]
+        if draw(st.booleans()) or form == "shuffled":
+            specs = draw(st.permutations(specs))
+    operations = tuple(OperationNode(100 + position, "add" if len(reads) == 2 else "neg",
+                                     tuple(reads), output)
+                       for position, (reads, output) in enumerate(specs))
+    return Graph((), operations, (), ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(operation_lists())
+def test_topo_sort_equals_kahn(graph):
+    try:
+        expected = kahn_reference(graph)
+    except CycleError as exc:
+        with pytest.raises(CycleError) as excinfo:
+            topo_sort(graph)
+        assert excinfo.value.node_id == exc.node_id
+    else:
+        assert topo_sort(graph) == expected
 
 
 class TestValidate:

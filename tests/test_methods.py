@@ -226,6 +226,26 @@ class TestStochasticCollocation:
         surrogate = sc_build(outputs, grid)
         assert sc_eval(surrogate, [2.5]) == pytest.approx(6.25, rel=1e-10)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_variance_survives_a_large_mean(self, k):
+        # E[f^2] - E[f]^2 cancels to 0 here (stddev 0.0 at k = 2 and 3).
+        _, grid, outputs = run_model("input x ~ Normal(0, 1)\noutput f = 1e8 + x\n", k)
+        _, stddev = sc_moments(sc_build(outputs, grid))
+        assert abs(stddev - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("dist", [Normal(0, 1), Normal(50, 10), Uniform(-1, 2)])
+    def test_barycentric_weights_equal_the_per_node_products(self, dist):
+        # The weights are bit for bit those of the loop over nodes that
+        # multiplies out each node's differences to the others in order.
+        for k in range(1, 65):
+            rule = gauss_rule(dist, k)
+            nodes = rule.nodes
+            expected = np.ones(k)
+            for i in range(k):
+                expected[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i))
+            surrogate = sc_build(ValueTensor((0,), np.zeros(k)), tensor_grid([rule]))
+            assert surrogate.barycentric_weights[0].tobytes() == expected.tobytes(), k
+
 
 class TestMonteCarlo:
     def test_constant_model(self):
