@@ -350,4 +350,4 @@ def evaluate_on_samples(graph: Graph, samples: np.ndarray) -> dict[str, np.ndarr
         return _evaluate_vectors(graph, samples.T, samples.shape[0])
     except DomainError as exc:
         raise DomainError(exc.op_id, exc.op_kind, exc.point_index, exc.reason,
-                          sample=tuple(samples[exc.point_index])) from None
+                          sample=tuple(samples[exc.point_index].tolist())) from None

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lstsq
 
 from .basis import PceBasis, design_matrix, univariate_table
 from .engine import ValueTensor, evaluate_on_samples
@@ -73,9 +74,13 @@ def nipc_integration(outputs: ValueTensor, grid: TensorGrid,
 def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
     """Least-squares fit of the expansion to sampled model values.
 
-    Requires at least as many points as coefficients and a full-rank
-    design matrix; solved by SVD (numpy lstsq), residual reported in
-    fit_details.
+    Requires at least as many points as coefficients, finite data and a
+    full-rank design matrix.  The fit is solved by column-pivoted QR
+    (LAPACK xGELSY), which also reveals the rank: the order of the largest
+    leading triangle of R whose estimated condition number stays below
+    1 / (eps * max(m, n)), the threshold numpy lstsq uses by default.
+    The residual ||A alpha - values||, the rank and the number of points
+    are reported in fit_details.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
@@ -87,7 +92,14 @@ def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
         raise UnderdeterminedError(
             f"{points.shape[0]} samples cannot determine {n_coefficients} coefficients")
     matrix = design_matrix(basis, points)
-    alpha, _, rank, _ = np.linalg.lstsq(matrix, values, rcond=None)
+    finite = np.isfinite(values) & np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(
+            f"non-finite regression data at sample row {row}: "
+            f"point {tuple(points[row].tolist())}, value {values[row]}")
+    alpha, _, rank, _ = lstsq(matrix, values, cond=np.finfo(float).eps * max(matrix.shape),
+                              lapack_driver="gelsy", check_finite=False)
     if rank < n_coefficients:
         raise RankDeficientError(
             f"design matrix rank {rank} < {n_coefficients} coefficients")

@@ -1,11 +1,19 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
 
 from uqc import builtin_model, engine
 from uqc.cli import METHODS, build_parser, main, parse_k_range
+from uqc.errors import DomainError
+from uqc.methods import monte_carlo, sample_inputs
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(argv):
@@ -79,6 +87,20 @@ class TestRun:
         rc = run_cli(["run", "--model", str(path), "--method", "nipc-full", "--k", "3"])
         assert rc == 1
         assert "non-finite result inf in operation 4 (exp)" in capsys.readouterr().err
+
+    def test_domain_error_prints_the_sample_as_plain_floats(self, capsys):
+        rc = run_cli(["run", "--model", "piston", "--method", "mc",
+                      "--mc-samples", "1000", "--seed", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "input sample (43.96708115857752, 0.010903889631818016, " in err
+        assert "np.float64(" not in err
+        with pytest.raises(DomainError) as excinfo:
+            monte_carlo(builtin_model("piston"), 1000, seed=0)
+        sample = excinfo.value.sample
+        assert all(type(x) is float for x in sample)
+        assert sample == tuple(sample_inputs(builtin_model("piston"), 1000, 0)[
+            excinfo.value.point_index])
 
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.uq"
@@ -404,6 +426,26 @@ class TestGraphCommand:
                       "--out-after", str(after)])
         assert rc == 0
         assert after.read_text().count("subgraph cluster_") == len(partition.groups)
+
+
+class TestModuleEntryPoint:
+    # `python -m uqc` from a checkout, with only src/ on the path
+    @staticmethod
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "uqc", *argv],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+
+    def test_python_dash_m_runs_the_cli(self):
+        done = self.run_module("run", "--model", "simple", "--method", "nipc-reg",
+                               "--pce-order", "2", "--format", "csv")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("model,method,mean,stddev,n_model_points\nsimple,nipc-reg,")
+
+    def test_python_dash_m_exits_one_on_error(self):
+        done = self.run_module("run", "--model", "nosuch", "--method", "mc")
+        assert done.returncode == 1
+        assert "unknown model" in done.stderr
 
 
 class TestArgumentHelpers:

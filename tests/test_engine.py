@@ -435,7 +435,7 @@ class TestDomainGuards:
             errors.append(excinfo.value)
         assert [(e.op_id, e.op_kind, e.point_index) for e in errors] == [(4, "sqrt", 1)] * 3
         message = "sqrt of negative value in operation 4 (sqrt) at point index 1"
-        sample = tuple(grid.points()[1])
+        sample = tuple(grid.points()[1].tolist())
         assert [str(e) for e in errors] == [message, message,
                                             f"{message}, input sample {sample}"]
 

@@ -189,6 +189,68 @@ class TestNipcRegression:
         by_regression = nipc_regression(points, values, basis).alpha
         np.testing.assert_allclose(by_regression, by_integration, atol=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_is_refused(self, bad):
+        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        points = np.random.default_rng(3).normal(0, 1, (9, 1))
+        values = np.ones(9)
+        values[[4, 7]] = bad
+        with pytest.raises(ValueError, match="sample row 4"):
+            nipc_regression(points, values, basis)
+
+    def test_non_finite_point_is_refused_before_lapack(self, capfd):
+        # An inf point gives an inf design row; LAPACK's scaling step would
+        # print an illegal-parameter message to stderr before failing.
+        basis = enumerate_basis(2, 2, [Normal(0, 1), Uniform(-1, 1)])
+        points = np.random.default_rng(3).uniform(-1, 1, (12, 2))
+        points[5, 0] = np.inf
+        with pytest.raises(ValueError, match=r"sample row 5: point \(inf, "):
+            nipc_regression(points, np.ones(12), basis)
+        assert capfd.readouterr().err == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([Normal(0.3, 1.5), Uniform(-1.0, 2.0)]),
+                    min_size=1, max_size=4),
+           st.integers(0, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
+    def test_solve_matches_numpy_lstsq(self, dists, p, multiplier, seed):
+        # Pivoted QR finds the rank numpy's SVD finds, and the same
+        # coefficients up to rounding.
+        basis = enumerate_basis(len(dists), p, dists)
+        rng = np.random.default_rng(seed)
+        draws = np.empty((len(dists), multiplier * len(basis)))
+        for row, dist in zip(draws, dists):
+            dist.sample(rng, row)
+        points = draws.T
+        values = rng.standard_normal(len(points))
+        matrix = design_matrix(basis, points)
+        rank = np.linalg.matrix_rank(matrix)
+        if rank < len(basis):
+            with pytest.raises(RankDeficientError, match=f"rank {rank} <"):
+                nipc_regression(points, values, basis)
+            return
+        fit = nipc_regression(points, values, basis)
+        assert fit.fit_details["rank"] == rank
+        reference = np.linalg.lstsq(matrix, values, rcond=None)[0]
+        assert np.max(np.abs(fit.alpha - reference)) <= 1e-10 * np.max(np.abs(reference))
+        assert fit.fit_details["residual"] == pytest.approx(
+            np.linalg.norm(matrix @ reference - values), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("dists, p, n_distinct", [
+        ((Normal(0, 1),), 3, 3),
+        ((Uniform(-1, 1),), 5, 2),
+        ((Normal(0, 1), Uniform(-1, 2)), 2, 4),
+        ((Normal(1, 2), Normal(0, 1), Uniform(0, 1)), 2, 7),
+    ])
+    def test_fewer_distinct_points_than_coefficients(self, dists, p, n_distinct):
+        basis = enumerate_basis(len(dists), p, dists)
+        rng = np.random.default_rng(8)
+        distinct = np.column_stack([rng.uniform(0.1, 0.9, n_distinct) for _ in dists])
+        points = np.repeat(distinct, 3, axis=0)
+        rank = np.linalg.matrix_rank(design_matrix(basis, points))
+        assert rank == n_distinct < len(basis)
+        with pytest.raises(RankDeficientError,
+                           match=f"rank {rank} < {len(basis)} coefficients"):
+            nipc_regression(points, np.ones(len(points)), basis)
 
 class TestStochasticCollocation:
     def test_reproduces_nodal_values(self):
