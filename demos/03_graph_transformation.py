@@ -15,9 +15,9 @@ print("== influence matrix (operations x uncertain inputs) ==")
 print(uqc.influence_matrix_to_csv(graph))
 
 matrix = uqc.compute_influence_matrix(graph)
-partition = uqc.partition_operations(matrix)
+groups = uqc.partition_operations(matrix)
 print("== sub-graphs by shared signature ==")
-for signature, ops in sorted(partition.groups.items()):
+for signature, ops in sorted(groups.items()):
     kinds = [graph.operation_by_id[op_id].kind for op_id in sorted(ops)]
     print(f"  signature {str(signature):12s} operations {kinds}")
 

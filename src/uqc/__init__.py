@@ -15,7 +15,6 @@ from .distributions import Distribution, Normal, Uniform
 from .dsl import isomorphic, parse_model, parse_model_file, pretty_print
 from .engine import (
     EvaluationReport,
-    ValueTensor,
     evaluate_amtc,
     evaluate_naive,
     evaluate_on_samples,
@@ -47,7 +46,6 @@ from .quadrature import (
 )
 from .transform import (
     InfluenceMatrix,
-    Partition,
     TransformedGraph,
     compute_influence_matrix,
     influence_matrix_to_csv,
@@ -68,7 +66,6 @@ __all__ = [
     "InfluenceMatrix",
     "Normal",
     "OperationNode",
-    "Partition",
     "PceBasis",
     "PceCoefficients",
     "QuadratureRule1D",
@@ -77,7 +74,6 @@ __all__ = [
     "TransformedGraph",
     "Uniform",
     "UqResult",
-    "ValueTensor",
     "VariableNode",
     "builtin_model",
     "compute_influence_matrix",

@@ -63,18 +63,15 @@ def univariate_norm(dist: Distribution, degree: int) -> float:
 
 
 def _graded_lex_indices(dim: int, order: int) -> list[MultiIndex]:
-    def compositions(axes: int, total: int):
-        if axes == 1:
-            yield (total,)
-            return
-        for head in range(total, -1, -1):
-            for tail in compositions(axes - 1, total - head):
-                yield (head,) + tail
-
-    indices: list[MultiIndex] = []
-    for total in range(order + 1):
-        indices.extend(compositions(dim, total))
-    return indices
+    # by_total[t] lists the multi-indices of total degree t over the last m
+    # axes in order, for m = 1, ..., dim: each leading degree, highest first,
+    # followed by every index of the remaining total over the axes after it.
+    by_total = [[(total,)] for total in range(order + 1)]
+    for _ in range(dim - 1):
+        by_total = [[(head,) + tail
+                     for head in range(total, -1, -1) for tail in by_total[total - head]]
+                    for total in range(order + 1)]
+    return [index for group in by_total for index in group]
 
 
 @dataclass(frozen=True)

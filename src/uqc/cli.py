@@ -56,12 +56,6 @@ def parse_k_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _output_name(graph: Graph) -> str:
-    if not graph.outputs:
-        raise ValueError("model declares no output")
-    return graph.variable_by_id[graph.outputs[0]].name
-
-
 def _write_text(out: str | None, text: str) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
@@ -77,7 +71,7 @@ def _fit_by_regression(graph: Graph, basis, n: int, seed: int):
     """PCE on `basis` fitted to the first output at n random samples;
     returns (coefficients, mean, stddev)."""
     points = methods.sample_inputs(graph, n, seed)
-    values = engine.evaluate_on_samples(graph, points)[_output_name(graph)]
+    values = engine.evaluate_on_samples(graph, points)[graph.first_output_name()]
     coefficients = methods.nipc_regression(points, values, basis)
     return (coefficients, *methods.moments_from_pce(coefficients))
 
@@ -86,7 +80,7 @@ def run_pipeline(graph: Graph, method: str, k: int, pce_order: int, mc_samples: 
                  seed: int) -> tuple[methods.UqResult, engine.EvaluationReport | None]:
     """Execute one method end to end; returns its result and, for the grid
     methods, the engine's evaluation report."""
-    output = _output_name(graph)
+    output = graph.first_output_name()
     report = None
     if method in ("nipc-full", "nipc-full-amtc", "sc"):
         grid = grid_for(graph.distributions, k)
@@ -95,15 +89,15 @@ def run_pipeline(graph: Graph, method: str, k: int, pce_order: int, mc_samples: 
             report = engine.evaluate_amtc(transformed, grid)
         else:
             report = engine.evaluate_naive(graph, grid)
-        tensor = report.outputs[output]
+        values = report.outputs[output]
         if method == "sc":
-            surrogate = methods.sc_build(tensor, grid)
+            surrogate = methods.sc_build(values, grid)
             mean, stddev = methods.sc_moments(surrogate)
             result = methods.UqResult("sc", mean, stddev, grid.total_points,
                                       details={"k": k, "extrapolation": False})
         else:
             basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
-            coefficients = methods.nipc_integration(tensor, grid, basis)
+            coefficients = methods.nipc_integration(values, grid, basis)
             mean, stddev = methods.moments_from_pce(coefficients)
             result = methods.UqResult(
                 method, mean, stddev, grid.total_points,
@@ -141,9 +135,8 @@ def cmd_run(args) -> int:
         return 0
     evaluation = None if report is None else {
         **vars(report),
-        "outputs": {output: {"signature": list(tensor.signature),
-                             "data": tensor.data.tolist()}
-                    for output, tensor in report.outputs.items()},
+        "outputs": {output: {"signature": list(range(graph.dim)), "data": values.tolist()}
+                    for output, values in report.outputs.items()},
         "op_eval_counts": {str(op_id): count
                            for op_id, count in report.op_eval_counts.items()},
     }
@@ -255,13 +248,13 @@ def cmd_convergence(args) -> int:
 def cmd_graph(args) -> int:
     _, graph = load_model(args.model)
     transformed = transform.insert_expansions(graph)
-    partition = transform.partition_operations(transform.compute_influence_matrix(graph))
+    groups = transform.partition_operations(transform.compute_influence_matrix(graph))
 
     before = to_dot(graph)
     clusters = {}
-    for signature in sorted(partition.groups):
+    for signature in sorted(groups):
         members: list[int] = []
-        for op_id in sorted(partition.groups[signature]):
+        for op_id in sorted(groups[signature]):
             members.append(op_id)
             members.append(graph.operation_by_id[op_id].output)
         clusters[transform.signature_label(graph, signature)] = tuple(members)

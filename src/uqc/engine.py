@@ -37,7 +37,7 @@ point.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,64 +57,50 @@ def worker_count() -> int:
     return 1
 
 
-@dataclass(eq=False, frozen=True)
-class ValueTensor:
-    """Values of one variable over the distinct points of its signature.
-
-    `data` is flat, in canonical axis-ascending order with the last axis
-    varying fastest; an empty signature means a single scalar entry.
+def expand_tensor(data: np.ndarray, signature: Signature, to: Signature,
+                  axis_sizes) -> np.ndarray:
+    """Broadcast `data`, a flat vector over the points of `signature`
+    (last axis fastest; one entry for an empty signature), into the larger
+    signature `to`: the result's entry at a multi-index over `to` is the
+    entry of `data` at that index restricted to `signature`.  Raises
+    SignatureNotSubsetError unless `signature` is a subset of `to`.
     """
-
-    signature: Signature
-    data: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ValueTensor):
-            return NotImplemented
-        return self.signature == other.signature and np.array_equal(self.data, other.data)
-
-    def __len__(self) -> int:
-        return len(self.data)
+    signature, to = tuple(signature), tuple(to)
+    if not signature_is_subset(signature, to):
+        raise SignatureNotSubsetError(f"cannot expand signature {signature} into {to}")
+    if signature == to:
+        return data
+    shape = tuple(axis_sizes[axis] if axis in signature else 1 for axis in to)
+    target_shape = tuple(axis_sizes[axis] for axis in to)
+    return np.broadcast_to(data.reshape(shape), target_shape).ravel()
 
 
-def expand_tensor(value: ValueTensor, to: Signature, axis_sizes) -> ValueTensor:
-    """Broadcast a value tensor into the larger signature `to`.
-
-    Equivalent to an outer product with a ones tensor over the missing
-    axes followed by a canonical flatten: the output entry at a
-    multi-index over `to` equals the input entry at that index restricted
-    to the source signature.
-    """
-    to = tuple(to)
-    if not signature_is_subset(value.signature, to):
-        raise SignatureNotSubsetError(
-            f"cannot expand signature {value.signature} into {to}")
-    sizes = tuple(int(s) for s in axis_sizes)
-    if value.signature == to:
-        return value
-    source = set(value.signature)
-    shape = tuple(sizes[axis] if axis in source else 1 for axis in to)
-    reshaped = value.data.reshape(shape)
-    target_shape = tuple(sizes[axis] for axis in to)
-    expanded = np.broadcast_to(reshaped, target_shape)
-    return ValueTensor(to, np.ascontiguousarray(expanded).ravel())
-
-
-@dataclass
+@dataclass(eq=False)
 class EvaluationReport:
     """Outputs plus the cost accounting of one engine run.
 
-    equivalent_model_evals divides the total scalar evaluations by the
-    number of elementary operations in one single-point model evaluation.
-    wall_time_ms is informational and excluded from equality.
+    Each output is a flat float64 vector over the full grid, last axis
+    fastest.  equivalent_model_evals divides the total scalar evaluations
+    by the number of elementary operations in one single-point model
+    evaluation.  Equality compares outputs element by element and every
+    other field but wall_time_ms, which is informational.
     """
 
-    outputs: dict[str, ValueTensor]
+    outputs: dict[str, np.ndarray]
     op_eval_counts: dict[int, int]
     total_scalar_evals: int
     expansion_copies: int
     equivalent_model_evals: float
-    wall_time_ms: float = field(default=0.0, compare=False)
+    wall_time_ms: float = 0.0
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EvaluationReport):
+            return NotImplemented
+        ignored = {"outputs": None, "wall_time_ms": None}
+        return (vars(self) | ignored == vars(other) | ignored
+                and self.outputs.keys() == other.outputs.keys()
+                and all(np.array_equal(data, other.outputs[name])
+                        for name, data in self.outputs.items()))
 
 
 def _grid_index(mask: np.ndarray, space: tuple[int, ...]) -> int:
@@ -234,20 +220,23 @@ def _own_output(graph: Graph, vid: int, value: np.ndarray, shape) -> np.ndarray:
 def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     """Every output over n aligned points, each as its own length-n vector.
 
-    Up to _BLOCK points run as one block, whose outputs _own_output hands
-    over.  Longer inputs run the whole plan over one block of _BLOCK points
+    No points give every output as an empty vector, without running the
+    plan.  Up to _BLOCK points run as one block, whose outputs _own_output
+    hands over.  Longer inputs run the whole plan over one block of _BLOCK points
     at a time, so intermediates stay block-sized, and each block's outputs
     are written into preallocated length-n vectors.  A DomainError in any
     block re-runs the plan over all n points, so that the error names the
     first operation in plan order and its first point, as an unblocked run
     does.
     """
+    names = graph.output_names
+    if n == 0:
+        return {name: np.empty(0) for name in names}
     if n <= _BLOCK:
         values = _execute(graph, columns, (n,))[0]
-        return {graph.variable_by_id[vid].name: _own_output(graph, vid, values[vid], (n,))
-                for vid in graph.outputs}
+        return {name: _own_output(graph, vid, values[vid], (n,))
+                for vid, name in zip(graph.outputs, names)}
 
-    names = [graph.variable_by_id[vid].name for vid in graph.outputs]
     outputs = {name: np.empty(n) for name in names}
     try:
         for start in range(0, n, _BLOCK):
@@ -263,7 +252,7 @@ def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     return outputs
 
 
-def _report(graph: Graph, outputs: dict[str, ValueTensor], counts: dict[int, int],
+def _report(graph: Graph, outputs: dict[str, np.ndarray], counts: dict[int, int],
             copies: int, wall_ms: float) -> EvaluationReport:
     total = sum(counts.values())
     per_point = graph.elementary_operation_count()
@@ -286,14 +275,12 @@ def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
     """Conventional full-grid sweep: every operation runs at every point."""
     _check_grid(graph, grid)
     n = grid.total_points
-    full: Signature = tuple(range(graph.dim))
     start = time.perf_counter()
     vectors = [grid_input_vector(grid, axis) for axis in range(grid.dim)]
     outputs = _evaluate_vectors(graph, vectors, n)
     wall_ms = (time.perf_counter() - start) * 1e3
     counts = {step.op.id: n for step in graph.plan}
-    return _report(graph, {name: ValueTensor(full, data) for name, data in outputs.items()},
-                   counts, 0, wall_ms)
+    return _report(graph, outputs, counts, 0, wall_ms)
 
 
 def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> EvaluationReport:
@@ -311,14 +298,12 @@ def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> Evaluation
     source = transformed.source
     _check_grid(source, grid)
     sizes = grid.axis_sizes
-    full: Signature = tuple(range(source.dim))
     start = time.perf_counter()
     columns = [grid.axis_column(axis) for axis in range(grid.dim)]
     values, counts = _execute(source, columns, sizes)
     wall_ms = (time.perf_counter() - start) * 1e3
-    outputs = {source.variable_by_id[vid].name:
-               ValueTensor(full, _own_output(source, vid, values[vid], sizes).ravel())
-               for vid in source.outputs}
+    outputs = {name: _own_output(source, vid, values[vid], sizes).ravel()
+               for vid, name in zip(source.outputs, source.output_names)}
     return _report(source, outputs, counts, expansion_copies(transformed.graph, sizes), wall_ms)
 
 

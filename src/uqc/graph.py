@@ -101,6 +101,17 @@ class Graph:
         """Variable id -> id of the operation that writes it."""
         return {op.output: op.id for op in self.operations}
 
+    @cached_property
+    def output_names(self) -> tuple[str, ...]:
+        """Output names in the order of Graph.outputs, the keys of every engine's results."""
+        return tuple(self.variable_by_id[vid].name for vid in self.outputs)
+
+    def first_output_name(self) -> str:
+        """Name of the first output, which the estimators study; ValueError if there is none."""
+        if not self.outputs:
+            raise ValueError("model declares no output")
+        return self.output_names[0]
+
     @property
     def dim(self) -> int:
         return len(self.uncertain_inputs)

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import lstsq
 
 from .basis import PceBasis, design_matrix, univariate_table
-from .engine import ValueTensor, evaluate_on_samples
+from .engine import evaluate_on_samples
 from .errors import (
     DimensionMismatchError,
     RankDeficientError,
@@ -36,20 +36,17 @@ class UqResult:
     details: dict = field(default_factory=dict)
 
 
-def _full_signature_data(outputs: ValueTensor, grid: TensorGrid) -> np.ndarray:
-    if tuple(outputs.signature) != tuple(range(grid.dim)):
+def _check_grid_values(values: np.ndarray, grid: TensorGrid) -> None:
+    if np.shape(values) != (grid.total_points,):
         raise DimensionMismatchError(
-            f"expected a full-signature tensor over {grid.dim} axes, "
-            f"got signature {outputs.signature}")
-    if len(outputs) != grid.total_points:
-        raise DimensionMismatchError(
-            f"tensor has {len(outputs)} entries but the grid has {grid.total_points} points")
-    return outputs.data
+            f"values of shape {np.shape(values)} do not fit a grid of "
+            f"{grid.total_points} points")
 
 
-def nipc_integration(outputs: ValueTensor, grid: TensorGrid,
+def nipc_integration(values: np.ndarray, grid: TensorGrid,
                      basis: PceBasis) -> PceCoefficients:
-    """Project grid outputs onto each basis function by quadrature.
+    """Project `values`, one per grid point with the last axis fastest, as
+    the grid engines give each output, onto each basis function.
 
     alpha_i = (1 / <Phi_i^2>) * sum_points weight * f * Phi_i, by sum
     factorization (Orszag 1980): the values, shaped to the grid, are
@@ -57,7 +54,7 @@ def nipc_integration(outputs: ValueTensor, grid: TensorGrid,
     weighted univariate polynomials; the entries of total degree <= p are
     then gathered by multi-index.  No points or design matrix are built.
     """
-    values = _full_signature_data(outputs, grid)
+    _check_grid_values(values, grid)
     if basis.dim != grid.dim or basis.distributions != grid.distributions:
         raise DimensionMismatchError("basis distributions do not match the grid")
     tensor = values.reshape(grid.axis_sizes)
@@ -130,12 +127,14 @@ class SurrogateSC:
     """Tensor-product Lagrange interpolant through grid values."""
 
     grid: TensorGrid
-    values: ValueTensor
+    values: np.ndarray
     barycentric_weights: tuple[np.ndarray, ...]
 
 
-def sc_build(outputs: ValueTensor, grid: TensorGrid) -> SurrogateSC:
-    values = _full_signature_data(outputs, grid)
+def sc_build(values: np.ndarray, grid: TensorGrid) -> SurrogateSC:
+    """Interpolant through `values`, one per grid point with the last axis
+    fastest, as the grid engines give each output.  It keeps a copy."""
+    _check_grid_values(values, grid)
     weights = []
     for rule in grid.axes:
         # w_i = 1 / prod_{j != i} (x_i - x_j); a factor 1.0 on the diagonal
@@ -143,8 +142,7 @@ def sc_build(outputs: ValueTensor, grid: TensorGrid) -> SurrogateSC:
         diff = rule.nodes[:, None] - rule.nodes
         np.fill_diagonal(diff, 1.0)
         weights.append(1.0 / np.prod(diff, axis=1))
-    return SurrogateSC(grid, ValueTensor(outputs.signature, values.copy()),
-                       tuple(weights))
+    return SurrogateSC(grid, values.copy(), tuple(weights))
 
 
 def sc_eval(surrogate: SurrogateSC, point) -> float:
@@ -158,7 +156,7 @@ def sc_eval(surrogate: SurrogateSC, point) -> float:
     if len(point) != grid.dim:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates, expected {grid.dim}")
-    tensor = surrogate.values.data.reshape(grid.axis_sizes)
+    tensor = surrogate.values.reshape(grid.axis_sizes)
     for axis in range(grid.dim):
         nodes = grid.axes[axis].nodes
         exact = np.flatnonzero(nodes == point[axis])
@@ -181,7 +179,7 @@ def sc_moments(surrogate: SurrogateSC) -> tuple[float, float]:
     mean from cancelling to 0 as E[f^2] - E[f]^2 does.
     """
     w = surrogate.grid.joint_weights
-    f = surrogate.values.data
+    f = surrogate.values
     mean = float(w @ f)
     return mean, math.sqrt(float(w @ (f - mean) ** 2))
 
@@ -207,7 +205,7 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    output = graph.variable_by_id[graph.outputs[0]].name
+    output = graph.first_output_name()
     values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
     mean = float(np.mean(values))
     stddev = float(np.std(values, ddof=1))

@@ -95,18 +95,12 @@ def compute_influence_matrix(graph: Graph) -> InfluenceMatrix:
     return InfluenceMatrix(rows, variable_signatures)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Operations grouped by shared dependency signature."""
-
-    groups: dict[Signature, frozenset[int]]
-
-
-def partition_operations(matrix: InfluenceMatrix) -> Partition:
+def partition_operations(matrix: InfluenceMatrix) -> dict[Signature, frozenset[int]]:
+    """Operation ids grouped by shared dependency signature."""
     groups: dict[Signature, set[int]] = {}
     for op_id, signature in matrix.rows.items():
         groups.setdefault(signature, set()).add(op_id)
-    return Partition({sig: frozenset(ops) for sig, ops in groups.items()})
+    return {sig: frozenset(ops) for sig, ops in groups.items()}
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,18 @@ class TestEnumeration:
         assert basis.indices[0] == (0,) * d
         assert basis.norms[0] == pytest.approx(1.0)
         assert np.all(basis.norms > 0)
+
+    def test_graded_lex_order_against_product_oracle(self):
+        # oracle: every multi-index of the (p+1)^d box with total degree
+        # <= p, sorted by total degree, then by degrees in descending
+        # lexicographic order
+        for d in range(1, 7):
+            for p in range(7):
+                expected = sorted(
+                    (i for i in itertools.product(range(p + 1), repeat=d) if sum(i) <= p),
+                    key=lambda i: (sum(i), [-x for x in i]))
+                basis = enumerate_basis(d, p, [Normal(0, 1)] * d)
+                assert list(basis.indices) == expected, (d, p)
 
     @pytest.mark.parametrize("d", range(1, 9))
     @pytest.mark.parametrize("p", range(7))

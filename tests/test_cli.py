@@ -418,14 +418,13 @@ class TestGraphCommand:
 
     def test_piston_cluster_count_matches_partition(self, tmp_path):
         from uqc import builtin_model, compute_influence_matrix, partition_operations
-        partition = partition_operations(
-            compute_influence_matrix(builtin_model("piston")))
+        groups = partition_operations(compute_influence_matrix(builtin_model("piston")))
         after = tmp_path / "after.dot"
         rc = run_cli(["graph", "--model", "piston",
                       "--out-before", str(tmp_path / "b.dot"),
                       "--out-after", str(after)])
         assert rc == 0
-        assert after.read_text().count("subgraph cluster_") == len(partition.groups)
+        assert after.read_text().count("subgraph cluster_") == len(groups)
 
 
 class TestModuleEntryPoint:

@@ -11,7 +11,6 @@ from uqc import (
     Normal,
     TransformedGraph,
     Uniform,
-    ValueTensor,
     builtin_model,
     engine,
     compute_influence_matrix,
@@ -42,33 +41,29 @@ SAFE_K = {"simple": range(2, 8), "piston": range(2, 5), "multipoint": range(2, 8
 
 class TestExpandTensor:
     def test_expand_first_axis_into_two(self):
-        value = ValueTensor((0,), np.array([1.0, 2.0]))
-        out = expand_tensor(value, (0, 1), (2, 2))
-        assert out.signature == (0, 1)
-        assert out.data.tolist() == [1.0, 1.0, 2.0, 2.0]
+        out = expand_tensor(np.array([1.0, 2.0]), (0,), (0, 1), (2, 2))
+        assert out.tolist() == [1.0, 1.0, 2.0, 2.0]
 
     def test_expand_second_axis_into_two(self):
-        value = ValueTensor((1,), np.array([3.0, 4.0]))
-        out = expand_tensor(value, (0, 1), (2, 2))
-        assert out.data.tolist() == [3.0, 4.0, 3.0, 4.0]
+        out = expand_tensor(np.array([3.0, 4.0]), (1,), (0, 1), (2, 2))
+        assert out.tolist() == [3.0, 4.0, 3.0, 4.0]
 
     def test_scalar_broadcast(self):
-        value = ValueTensor((), np.array([7.0]))
-        out = expand_tensor(value, (0,), (3,))
-        assert out.data.tolist() == [7.0, 7.0, 7.0]
+        out = expand_tensor(np.array([7.0]), (), (0,), (3,))
+        assert out.tolist() == [7.0, 7.0, 7.0]
 
     def test_middle_axis_insertion(self):
         # oracle: enumerate indices explicitly for sig {0,2} -> {0,1,2}
-        value = ValueTensor((0, 2), np.arange(6.0))
+        data = np.arange(6.0)
         sizes = (2, 4, 3)
-        out = expand_tensor(value, (0, 1, 2), sizes)
-        expected = [value.data[i0 * 3 + i2]
+        out = expand_tensor(data, (0, 2), (0, 1, 2), sizes)
+        expected = [data[i0 * 3 + i2]
                     for i0 in range(2) for i1 in range(4) for i2 in range(3)]
-        assert out.data.tolist() == expected
+        assert out.tolist() == expected
 
     def test_not_a_subset(self):
         with pytest.raises(SignatureNotSubsetError):
-            expand_tensor(ValueTensor((0,), np.array([1.0, 2.0])), (1, 2), (2, 2, 2))
+            expand_tensor(np.array([1.0, 2.0]), (0,), (1, 2), (2, 2, 2))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_signatures_against_index_oracle(self, seed):
@@ -84,7 +79,7 @@ class TestExpandTensor:
         source_sizes = [sizes[a] for a in source_sig]
         data = rng.standard_normal(int(np.prod(source_sizes, initial=1)))
 
-        result = expand_tensor(ValueTensor(source_sig, data), to, sizes)
+        result = expand_tensor(data, source_sig, to, sizes)
 
         strides = {}
         acc = 1
@@ -99,7 +94,7 @@ class TestExpandTensor:
                 index[axis] = remainder % sizes[axis]
                 remainder //= sizes[axis]
             expected.append(data[sum(index[a] * strides[a] for a in source_sig)])
-        np.testing.assert_array_equal(result.data, expected)
+        np.testing.assert_array_equal(result, expected)
 
 
 class TestNaive:
@@ -117,7 +112,7 @@ class TestNaive:
         report = evaluate_naive(g, grid)
         assert report.total_scalar_evals == 0
         assert report.equivalent_model_evals == 0.0
-        np.testing.assert_array_equal(report.outputs["x"].data, grid_input_vector(grid, 0))
+        np.testing.assert_array_equal(report.outputs["x"], grid_input_vector(grid, 0))
 
     def test_piston_out_of_domain_grid_names_sqrt(self):
         g = builtin_model("piston")
@@ -147,11 +142,11 @@ class TestNaive:
             g = builtin_model(name)
             grid = grid_for(g.distributions, k)
             report = evaluate_naive(g, grid)
-            output = g.variable_by_id[g.outputs[0]].name
+            output = g.first_output_name()
             points = grid.points()
             for p in range(0, grid.total_points, 7):
                 scalar = evaluate_single_point(g, points[p])[output]
-                vector = report.outputs[output].data[p]
+                vector = report.outputs[output][p]
                 assert vector == pytest.approx(scalar, rel=1e-14, abs=1e-14)
 
 
@@ -172,11 +167,11 @@ class TestAmtc:
     def test_equivalence_with_naive(self, name):
         g = builtin_model(name)
         tg = insert_expansions(g)
-        output = g.variable_by_id[g.outputs[0]].name
+        output = g.first_output_name()
         for k in SAFE_K[name]:
             grid = grid_for(g.distributions, k)
-            naive = evaluate_naive(g, grid).outputs[output].data
-            fast = evaluate_amtc(tg, grid).outputs[output].data
+            naive = evaluate_naive(g, grid).outputs[output]
+            fast = evaluate_amtc(tg, grid).outputs[output]
             np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name", BUILTINS)
@@ -213,7 +208,7 @@ class TestAmtc:
                   for op_id, count in report.op_eval_counts.items()}
         assert counts == {"cos": 2, "neg": 5, "exp": 5, "add": 10}
         naive = evaluate_naive(g, grid)
-        np.testing.assert_allclose(report.outputs["f"].data, naive.outputs["f"].data,
+        np.testing.assert_allclose(report.outputs["f"], naive.outputs["f"],
                                    rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("name, sizes", [
@@ -227,11 +222,11 @@ class TestAmtc:
         # symmetric grids would mask
         g = builtin_model(name)
         tg = insert_expansions(g)
-        output = g.variable_by_id[g.outputs[0]].name
+        output = g.first_output_name()
         grid = tensor_grid([gauss_rule(dist, k)
                             for dist, k in zip(g.distributions, sizes)])
-        naive = evaluate_naive(g, grid).outputs[output].data
-        fast = evaluate_amtc(tg, grid).outputs[output].data
+        naive = evaluate_naive(g, grid).outputs[output]
+        fast = evaluate_amtc(tg, grid).outputs[output]
         np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=0)
 
     def test_three_level_signature_chain_is_single_hop(self):
@@ -250,8 +245,8 @@ class TestAmtc:
         assert ((0,), (0, 1)) in expands      # first feeding `+ b`
         assert ((0, 1), (0, 1, 2)) in expands  # second feeding `* c`
         grid = grid_for(g.distributions, 3)
-        naive = evaluate_naive(g, grid).outputs["third"].data
-        fast = evaluate_amtc(tg, grid).outputs["third"].data
+        naive = evaluate_naive(g, grid).outputs["third"]
+        fast = evaluate_amtc(tg, grid).outputs["third"]
         np.testing.assert_allclose(fast, naive, rtol=1e-12, atol=0)
 
     def test_single_input_model_counts_match_naive(self):
@@ -271,7 +266,7 @@ class TestAmtc:
         fast = evaluate_amtc(tg, grid)
         naive = evaluate_naive(g, grid)
         assert fast.total_scalar_evals == naive.total_scalar_evals == 2 * 16
-        np.testing.assert_allclose(fast.outputs["f"].data, naive.outputs["f"].data,
+        np.testing.assert_allclose(fast.outputs["f"], naive.outputs["f"],
                                    rtol=1e-12, atol=0)
 
     def test_partial_signature_output_is_presented_on_full_grid(self):
@@ -281,8 +276,8 @@ class TestAmtc:
         grid = grid_for(g.distributions, 3)
         fast = evaluate_amtc(tg, grid)
         naive = evaluate_naive(g, grid)
-        assert fast.outputs["f"].signature == (0, 1)
-        np.testing.assert_allclose(fast.outputs["f"].data, naive.outputs["f"].data,
+        assert fast.outputs["f"].shape == (grid.total_points,)
+        np.testing.assert_allclose(fast.outputs["f"], naive.outputs["f"],
                                    rtol=1e-12, atol=0)
 
     def test_buffer_read_by_an_expand_view_is_not_reused(self):
@@ -305,7 +300,7 @@ class TestAmtc:
         fast = evaluate_amtc(transformed, grid)
         naive = evaluate_naive(transformed.source, grid)
         for name in ("square", "product"):
-            np.testing.assert_array_equal(fast.outputs[name].data, naive.outputs[name].data)
+            np.testing.assert_array_equal(fast.outputs[name], naive.outputs[name])
 
     def test_parsed_model_keeps_the_buffer_behind_an_expand_view(self):
         # insert_expansions puts the expand of x before t1, its first reader,
@@ -317,7 +312,7 @@ class TestAmtc:
         grid = grid_for(g.distributions, 3)
         fast = evaluate_amtc(insert_expansions(g), grid)
         naive = evaluate_naive(g, grid)
-        np.testing.assert_array_equal(fast.outputs["f"].data, naive.outputs["f"].data)
+        np.testing.assert_array_equal(fast.outputs["f"], naive.outputs["f"])
 
     @pytest.mark.parametrize("case", ["swapped_axes", "input_of_another_signature_without_expand",
                                       "signature_wider_than_its_inputs"])
@@ -332,7 +327,7 @@ class TestAmtc:
         naive = evaluate_naive(source, grid)
         assert fast.outputs.keys() == naive.outputs.keys()
         for name in naive.outputs:
-            assert bits(fast.outputs[name].data) == bits(naive.outputs[name].data)
+            assert bits(fast.outputs[name]) == bits(naive.outputs[name])
         assert fast.op_eval_counts == scheduled_eval_counts(
             compute_influence_matrix(source), grid.axis_sizes)
 
@@ -348,7 +343,7 @@ class TestAmtc:
             report = evaluate_amtc(tg, grid)
         assert (strip.call_count, influence.call_count, sort.call_count) == (0, 0, 0)
         assert execute.call_count == 1 and execute.call_args.args[0] is g
-        assert bits(report.outputs["C"].data) == bits(evaluate_naive(g, grid).outputs["C"].data)
+        assert bits(report.outputs["C"]) == bits(evaluate_naive(g, grid).outputs["C"])
 
     def test_piston_out_of_domain_matches_naive_failure(self):
         g = builtin_model("piston")
@@ -369,6 +364,16 @@ class TestSinglePoint:
         g = builtin_model("simple")
         with pytest.raises(DimensionMismatchError):
             evaluate_single_point(g, [1.0])
+
+
+class TestSamples:
+    def test_zero_rows_give_empty_outputs(self):
+        # 2*x broadcasts a 1-element constant against 0 samples
+        g = parse_model("input x ~ Normal(0,1)\noutput f = 2*x\noutput c = 2.5\n")
+        outputs = evaluate_on_samples(g, np.zeros((0, 1)))
+        assert list(outputs) == ["f", "c"]
+        for values in outputs.values():
+            assert values.shape == (0,) and values.dtype == np.float64
 
 
 class TestDomainGuards:
@@ -483,12 +488,12 @@ class TestDomainGuards:
     def test_underflow_to_zero_is_fine(self):
         g = parse_model("input u ~ Uniform(1,2)\noutput f = exp(-1000*u)\n")
         report = evaluate_naive(g, grid_for(g.distributions, 3))
-        np.testing.assert_array_equal(report.outputs["f"].data, np.zeros(3))
+        np.testing.assert_array_equal(report.outputs["f"], np.zeros(3))
 
     def test_integer_power_of_negative_is_fine(self):
         g = parse_model("input x ~ Uniform(-2,-1)\noutput f = x ^ 3\n")
         report = evaluate_naive(g, grid_for(g.distributions, 2))
-        assert np.all(report.outputs["f"].data < 0)
+        assert np.all(report.outputs["f"] < 0)
 
 
 class TestBlocking:
@@ -513,8 +518,8 @@ class TestBlocking:
                         "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
         grid = tensor_grid([gauss_rule(dist, 40) for dist in g.distributions])
         outputs = assert_blocked_run_identical(
-            lambda: {"f": evaluate_naive(g, grid).outputs["f"].data}, grid.total_points)
-        assert bits(outputs["f"]) == bits(evaluate_amtc(insert_expansions(g), grid).outputs["f"].data)
+            lambda: {"f": evaluate_naive(g, grid).outputs["f"]}, grid.total_points)
+        assert bits(outputs["f"]) == bits(evaluate_amtc(insert_expansions(g), grid).outputs["f"])
 
     def test_amtc_bit_identical_to_naive_on_wide_grid(self):
         # the last two operations cover 2 x 64 x 64 points and broadcast
@@ -523,7 +528,7 @@ class TestBlocking:
                         "input c ~ Normal(0,1)\noutput f = (cos(a) + b) * 3 + exp(-c)\n")
         grid = tensor_grid([gauss_rule(dist, k) for dist, k in zip(g.distributions, (2, 64, 64))])
         fast = evaluate_amtc(insert_expansions(g), grid)
-        assert bits(fast.outputs["f"].data) == bits(evaluate_naive(g, grid).outputs["f"].data)
+        assert bits(fast.outputs["f"]) == bits(evaluate_naive(g, grid).outputs["f"])
 
 
 def hand_transformed(graph) -> TransformedGraph:
@@ -649,11 +654,11 @@ class TestMemory:
             grid = grid_for(model.distributions, 3)
             for report in (evaluate_naive(model, grid),
                            evaluate_amtc(insert_expansions(model), grid)):
-                for name, tensor in report.outputs.items():
-                    assert tensor.data.flags.writeable, name
-                    assert len(tensor.data) == grid.total_points, name
+                for name, values in report.outputs.items():
+                    assert values.flags.writeable, name
+                    assert values.shape == (grid.total_points,), name
                     for rule in grid.axes:
-                        assert not np.shares_memory(tensor.data, rule.nodes), name
+                        assert not np.shares_memory(values, rule.nodes), name
 
 
 class TestReport:
@@ -665,3 +670,12 @@ class TestReport:
         b = dataclasses.replace(a, wall_time_ms=a.wall_time_ms + 1.0)
         assert b.wall_time_ms != a.wall_time_ms
         assert a == b
+
+    def test_equality_compares_outputs_and_counts(self):
+        g = builtin_model("simple")
+        a = evaluate_naive(g, grid_for(g.distributions, 3))
+        changed = a.outputs["f"].copy()
+        changed[4] += 1.0
+        assert a != dataclasses.replace(a, outputs={"f": changed})
+        assert a != dataclasses.replace(a, outputs={"g": a.outputs["f"]})
+        assert a != dataclasses.replace(a, total_scalar_evals=a.total_scalar_evals + 1)

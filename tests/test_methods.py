@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from uqc import (
     BUILTIN_SOURCES,
+    GraphBuilder,
     Normal,
     Uniform,
-    ValueTensor,
     builtin_model,
     enumerate_basis,
     evaluate_amtc,
@@ -46,8 +46,7 @@ def run_model(source, k):
     g = parse_model(source)
     grid = grid_for(g.distributions, k)
     report = evaluate_naive(g, grid)
-    name = g.variable_by_id[g.outputs[0]].name
-    return g, grid, report.outputs[name]
+    return g, grid, report.outputs[g.first_output_name()]
 
 
 class TestNipcIntegration:
@@ -94,9 +93,7 @@ class TestNipcIntegration:
         alpha_true = rng.standard_normal(len(basis))
         grid = grid_for(dists, 4)  # k = p + 1 integrates degree 2p exactly
         values = design_matrix(basis, grid.points()) @ alpha_true
-        from uqc import ValueTensor
-        outputs = ValueTensor((0, 1), values)
-        alpha = nipc_integration(outputs, grid, basis).alpha
+        alpha = nipc_integration(values, grid, basis).alpha
         np.testing.assert_allclose(alpha, alpha_true, rtol=1e-10, atol=1e-10)
 
     def test_engine_agnostic_coefficients(self):
@@ -119,7 +116,7 @@ class TestNipcIntegration:
         grid = tensor_grid([gauss_rule(dist, k) for dist, k in axes])
         basis = enumerate_basis(grid.dim, p, grid.distributions)
         values = np.random.default_rng(seed).standard_normal(grid.total_points)
-        alpha = nipc_integration(ValueTensor(tuple(range(grid.dim)), values), grid, basis).alpha
+        alpha = nipc_integration(values, grid, basis).alpha
         reference = (design_matrix(basis, grid.points()).T @ (grid.joint_weights * values)
                      / basis.norms)
         assert np.max(np.abs(alpha - reference)) <= 1e-12 * np.max(np.abs(reference))
@@ -132,7 +129,7 @@ class TestNipcIntegration:
                              side_effect=AssertionError("design_matrix")) as matrix:
             alpha = nipc_integration(outputs, grid, basis).alpha
         assert points.call_count == 0 and matrix.call_count == 0
-        reference = design_matrix(basis, grid.points()).T @ (grid.joint_weights * outputs.data)
+        reference = design_matrix(basis, grid.points()).T @ (grid.joint_weights * outputs)
         np.testing.assert_allclose(alpha, reference / basis.norms, rtol=1e-12, atol=1e-12)
 
     def test_basis_grid_mismatch(self):
@@ -140,6 +137,15 @@ class TestNipcIntegration:
         wrong = enumerate_basis(1, 2, [Uniform(-1, 1)])
         with pytest.raises(DimensionMismatchError):
             nipc_integration(outputs, grid, wrong)
+
+    def test_values_must_have_one_entry_per_grid_point(self):
+        g, grid, outputs = run_model("input x ~ Normal(0,1)\noutput f = x\n", 3)
+        basis = enumerate_basis(1, 2, g.distributions)
+        for values in (outputs[:-1], outputs.reshape(1, -1)):
+            with pytest.raises(DimensionMismatchError, match="grid of 3 points"):
+                nipc_integration(values, grid, basis)
+            with pytest.raises(DimensionMismatchError, match="grid of 3 points"):
+                sc_build(values, grid)
 
 
 class TestNipcRegression:
@@ -261,7 +267,7 @@ class TestStochasticCollocation:
         points = grid.points()
         for p in range(grid.total_points):
             assert sc_eval(surrogate, points[p]) == pytest.approx(
-                outputs.data[p], rel=1e-12, abs=1e-12)
+                outputs[p], rel=1e-12, abs=1e-12)
 
     def test_linear_function_exact_everywhere_with_k2(self):
         g, grid, outputs = run_model(
@@ -305,7 +311,7 @@ class TestStochasticCollocation:
             expected = np.ones(k)
             for i in range(k):
                 expected[i] = 1.0 / np.prod(np.delete(nodes[i] - nodes, i))
-            surrogate = sc_build(ValueTensor((0,), np.zeros(k)), tensor_grid([rule]))
+            surrogate = sc_build(np.zeros(k), tensor_grid([rule]))
             assert surrogate.barycentric_weights[0].tobytes() == expected.tobytes(), k
 
 
@@ -341,6 +347,12 @@ class TestMonteCarlo:
         g = builtin_model("simple")
         with pytest.raises(ValueError):
             monte_carlo(g, 1, seed=0)
+
+    def test_graph_without_outputs_is_refused(self):
+        builder = GraphBuilder()
+        builder.add_uncertain_input("x", Normal(0, 1))
+        with pytest.raises(ValueError, match="^model declares no output$"):
+            monte_carlo(builder.build(), 100, seed=0)
 
     def test_domain_error_records_offending_sample(self):
         # unbounded normal tails leave the piston model's real domain

@@ -61,9 +61,9 @@ class TestInfluenceMatrix:
 class TestPartition:
     def test_simple_model_three_groups(self):
         g = builtin_model("simple")
-        partition = partition_operations(compute_influence_matrix(g))
+        groups = partition_operations(compute_influence_matrix(g))
         cos_op, neg_op, exp_op, add_op = g.operations
-        assert partition.groups == {
+        assert groups == {
             (0,): frozenset({cos_op.id}),
             (1,): frozenset({neg_op.id, exp_op.id}),
             (0, 1): frozenset({add_op.id}),
@@ -71,16 +71,14 @@ class TestPartition:
 
     def test_single_group_when_signatures_coincide(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = sin(x) + cos(x)\n")
-        partition = partition_operations(compute_influence_matrix(g))
-        assert len(partition.groups) == 1
+        assert len(partition_operations(compute_influence_matrix(g))) == 1
 
     def test_piston_grouping(self):
         g = builtin_model("piston")
         matrix = compute_influence_matrix(g)
-        partition = partition_operations(matrix)
-        assert len(partition.groups) >= 3
-        assert all(set(sig) <= {0, 1, 2} for sig in partition.groups)
-        groups = partition.groups
+        groups = partition_operations(matrix)
+        assert len(groups) >= 3
+        assert all(set(sig) <= {0, 1, 2} for sig in groups)
         # disjoint cover of all operations
         all_ops = set()
         for ops in groups.values():
