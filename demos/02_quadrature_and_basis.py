@@ -31,8 +31,8 @@ print("\n== tensor grid flattening ==")
 grid = uqc.tensor_grid([uqc.gauss_rule(uqc.Uniform(0, 1), 2),
                         uqc.gauss_rule(uqc.Uniform(10, 11), 3)])
 print("axis sizes:", grid.axis_sizes, "-> total points:", grid.total_points)
-print("axis-0 vector:", np.round(grid.input_vector(0), 3), " (each node repeated)")
-print("axis-1 vector:", np.round(grid.input_vector(1), 3), " (pattern tiled)")
+print("axis-0 vector:", np.round(uqc.grid_input_vector(grid, 0), 3), " (each node repeated)")
+print("axis-1 vector:", np.round(uqc.grid_input_vector(grid, 1), 3), " (pattern tiled)")
 print("joint weights sum:", grid.joint_weights.sum())
 
 print("\n== multivariate basis, d=2, p=2 ==")

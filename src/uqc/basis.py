@@ -134,10 +134,13 @@ def eval_multivariate(basis: PceBasis, index: MultiIndex, u):
 
 
 def design_matrix(basis: PceBasis, points) -> np.ndarray:
-    """Basis functions at points: shape (n_points, n_basis).
+    """Basis functions at points: shape (n_points, n_basis), Fortran
+    ordered, so each basis function's column is contiguous.
 
-    Univariate values are built once per axis up to the basis order, then
-    multiplied per multi-index.
+    Univariate values are built once per axis up to the basis order.  Each
+    column is built as one contiguous row of the transpose, multiplied in
+    axis order; the result is that transpose, so LAPACK can factor it in
+    place without a copy.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != basis.dim:
@@ -145,9 +148,9 @@ def design_matrix(basis: PceBasis, points) -> np.ndarray:
             f"points have {points.shape[1]} coordinates, expected {basis.dim}")
     tables = [univariate_table(dist, basis.order, dist.standardize(points[:, axis]))
               for axis, dist in enumerate(basis.distributions)]
-    matrix = np.ones((points.shape[0], len(basis.indices)))
-    for column, index in enumerate(basis.indices):
+    rows = np.ones((len(basis.indices), points.shape[0]))
+    for row, index in zip(rows, basis.indices):
         for axis, degree in enumerate(index):
             if degree:
-                matrix[:, column] *= tables[axis][degree]
-    return matrix
+                row *= tables[axis][degree]
+    return rows.T

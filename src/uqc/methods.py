@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lstsq
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
 from .basis import PceBasis, design_matrix, univariate_table
 from .engine import evaluate_on_samples
@@ -68,26 +68,39 @@ def nipc_integration(values: np.ndarray, grid: TensorGrid,
     return PceCoefficients(basis, alpha)
 
 
+# xTRCON estimates R's 1-norm reciprocal condition number 1 / kappa_1(R).
+# Only below sqrt(eps) is the rank of an (m, n) design measured: above it,
+# kappa_2(A) <= n * kappa_1(R) < n / sqrt(eps), which is below numpy's rank
+# threshold 1 / (eps * max(m, n)) by a factor 1 / (sqrt(eps) * m * n), about
+# 150 for a 924 x 462 design.  That factor is the margin left for the
+# estimate, which never exceeds kappa_1, to fall short of it.
+RANK_CHECK_RCOND = math.sqrt(np.finfo(float).eps)
+
+
 def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
     """Least-squares fit of the expansion to sampled model values.
 
-    Requires at least as many points as coefficients, finite data and a
-    full-rank design matrix.  The fit is solved by column-pivoted QR
-    (LAPACK xGELSY), which also reveals the rank: the order of the largest
-    leading triangle of R whose estimated condition number stays below
-    1 / (eps * max(m, n)), the threshold numpy lstsq uses by default.
-    The residual ||A alpha - values||, the rank and the number of points
+    Requires one value per point, at least as many points as coefficients,
+    finite data and a full-rank design matrix.  The fit is one blocked
+    Householder QR of the design matrix, factored in place (LAPACK xGEQRF),
+    Q^T applied to the values (xORMQR) and R alpha = (Q^T y)[:n] solved
+    (xTRTRS); the residual ||A alpha - values|| is ||(Q^T y)[n:]||.  When
+    the 1-norm reciprocal condition estimate of R (xTRCON) is below
+    sqrt(eps), the rank of a fresh design matrix is measured with numpy's
+    matrix_rank, and a rank short of the number of coefficients raises
+    RankDeficientError.  The residual, the rank and the number of points
     are reported in fit_details.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
-    n_coefficients = len(basis)
-    if points.shape[0] != len(values):
+    n_points, n_coefficients = points.shape[0], len(basis)
+    if values.shape != (n_points,):
         raise DimensionMismatchError(
-            f"{points.shape[0]} points but {len(values)} values")
-    if points.shape[0] < n_coefficients:
+            f"values of shape {values.shape} do not give one value for each of "
+            f"{n_points} points")
+    if n_points < n_coefficients:
         raise UnderdeterminedError(
-            f"{points.shape[0]} samples cannot determine {n_coefficients} coefficients")
+            f"{n_points} samples cannot determine {n_coefficients} coefficients")
     matrix = design_matrix(basis, points)
     finite = np.isfinite(values) & np.isfinite(matrix).all(axis=1)
     if not finite.all():
@@ -95,16 +108,25 @@ def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
         raise ValueError(
             f"non-finite regression data at sample row {row}: "
             f"point {tuple(points[row].tolist())}, value {values[row]}")
-    alpha, _, rank, _ = lstsq(matrix, values, cond=np.finfo(float).eps * max(matrix.shape),
-                              lapack_driver="gelsy", check_finite=False)
-    if rank < n_coefficients:
-        raise RankDeficientError(
-            f"design matrix rank {rank} < {n_coefficients} coefficients")
-    residual = float(np.linalg.norm(matrix @ alpha - values))
-    return PceCoefficients(basis, alpha, fit_details={
-        "residual": residual,
-        "rank": int(rank),
-        "n_points": int(points.shape[0]),
+    lwork, _ = dgeqrf_lwork(n_points, n_coefficients)
+    qr, tau, _, _ = dgeqrf(matrix, lwork=int(lwork), overwrite_a=True)
+    rank = n_coefficients
+    rcond, _ = dtrcon(qr[:n_coefficients])
+    if rcond < RANK_CHECK_RCOND:
+        rank = int(np.linalg.matrix_rank(design_matrix(basis, points)))
+        if rank < n_coefficients:
+            raise RankDeficientError(
+                f"design matrix rank {rank} < {n_coefficients} coefficients")
+    # lwork = 1 is xORMQR's minimum for one column, on which the unblocked
+    # update does the blocked one's work.
+    qty, _, _ = dormqr("L", "T", qr, tau, values[:, None], lwork=1)
+    qty, info = dtrtrs(qr, qty, overwrite_b=True)
+    if info:
+        raise RankDeficientError(f"design matrix R has a zero pivot in column {info - 1}")
+    return PceCoefficients(basis, qty[:n_coefficients, 0], fit_details={
+        "residual": float(np.linalg.norm(qty[n_coefficients:])),
+        "rank": rank,
+        "n_points": n_points,
     })
 
 
@@ -116,10 +138,15 @@ def moments_from_pce(coefficients: PceCoefficients) -> tuple[float, float]:
     return float(alpha[0]), math.sqrt(max(variance, 0.0))
 
 
-def evaluate_pce(coefficients: PceCoefficients, points) -> np.ndarray:
-    """Expansion value at arbitrary points (surrogate evaluation)."""
-    matrix = design_matrix(coefficients.basis, points)
-    return matrix @ coefficients.alpha
+def evaluate_pce(coefficients: PceCoefficients, points):
+    """Expansion value at arbitrary points (surrogate evaluation).
+
+    `points` is a length-dim point, which gives a float, or an (n, dim)
+    array of points, which gives a length-n array.
+    """
+    points = np.asarray(points, dtype=float)
+    values = design_matrix(coefficients.basis, points) @ coefficients.alpha
+    return float(values[0]) if points.ndim < 2 else values
 
 
 @dataclass(frozen=True)

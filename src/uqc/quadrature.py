@@ -123,12 +123,9 @@ class TensorGrid:
         sizes = self.axis_sizes
         return self.axes[axis].nodes.reshape([k if j == axis else 1 for j, k in enumerate(sizes)])
 
-    def input_vector(self, axis: int) -> np.ndarray:
-        return grid_input_vector(self, axis)
-
     def points(self) -> np.ndarray:
         """All grid points as an array of shape (total_points, dim)."""
-        return np.column_stack([self.input_vector(j) for j in range(self.dim)])
+        return np.column_stack([grid_input_vector(self, j) for j in range(self.dim)])
 
 
 def tensor_grid(rules) -> TensorGrid:

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -30,7 +31,7 @@ from uqc import (
     sc_moments,
     tensor_grid,
 )
-from uqc.basis import design_matrix
+from uqc.basis import design_matrix, univariate_table
 from uqc.cli import REGRESSION_SAMPLE_MULTIPLIER, run_pipeline
 from uqc.errors import (
     DimensionMismatchError,
@@ -219,8 +220,8 @@ class TestNipcRegression:
                     min_size=1, max_size=4),
            st.integers(0, 4), st.integers(2, 3), st.integers(0, 2**32 - 1))
     def test_solve_matches_numpy_lstsq(self, dists, p, multiplier, seed):
-        # Pivoted QR finds the rank numpy's SVD finds, and the same
-        # coefficients up to rounding.
+        # The QR fit refuses the designs whose rank numpy's SVD finds short,
+        # and gives the same coefficients up to rounding.
         basis = enumerate_basis(len(dists), p, dists)
         rng = np.random.default_rng(seed)
         draws = np.empty((len(dists), multiplier * len(basis)))
@@ -257,6 +258,81 @@ class TestNipcRegression:
         with pytest.raises(RankDeficientError,
                            match=f"rank {rank} < {len(basis)} coefficients"):
             nipc_regression(points, np.ones(len(points)), basis)
+
+    def test_values_must_be_one_per_point(self):
+        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        points = np.random.default_rng(3).normal(0, 1, (9, 1))
+        for values in (np.ones((9, 1)), np.ones(8)):
+            with pytest.raises(DimensionMismatchError,
+                               match=re.escape(f"values of shape {values.shape}")):
+                nipc_regression(points, values, basis)
+
+    def test_caller_arrays_are_unchanged(self):
+        basis = enumerate_basis(2, 3, [Normal(0, 1), Uniform(-1, 1)])
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-1, 1, (2 * len(basis), 2))
+        values = rng.standard_normal(len(points))
+        points_before, values_before = points.copy(), values.copy()
+        nipc_regression(points, values, basis)
+        np.testing.assert_array_equal(points, points_before)
+        np.testing.assert_array_equal(values, values_before)
+
+    def test_square_system_fits_exactly(self):
+        basis = enumerate_basis(2, 3, [Normal(0, 1), Uniform(-1, 1)])
+        rng = np.random.default_rng(6)
+        points = rng.uniform(-1, 1, (len(basis), 2))
+        values = rng.standard_normal(len(basis))
+        fit = nipc_regression(points, values, basis)
+        assert fit.fit_details["residual"] == 0.0
+        assert fit.fit_details["rank"] == len(basis)
+        np.testing.assert_allclose(design_matrix(basis, points) @ fit.alpha, values,
+                                   rtol=0, atol=1e-12)
+
+    def test_well_conditioned_fit_does_not_measure_the_rank(self):
+        basis = enumerate_basis(2, 3, [Normal(0, 1), Uniform(-1, 1)])
+        rng = np.random.default_rng(7)
+        points = rng.uniform(-1, 1, (2 * len(basis), 2))
+        with patch.object(methods, "design_matrix", wraps=design_matrix) as built, \
+                patch("numpy.linalg.matrix_rank") as measured:
+            fit = nipc_regression(points, rng.standard_normal(len(points)), basis)
+        assert built.call_count == 1
+        measured.assert_not_called()
+        assert fit.fit_details["rank"] == len(basis)
+
+    def test_ill_conditioned_full_rank_design_is_accepted(self):
+        # Degree 10 on 22 points in [0, 0.3] of [-1, 1]: kappa_2 is about
+        # 2.5e11, so R's estimate is below sqrt(eps) and the rank is measured.
+        basis = enumerate_basis(1, 10, [Uniform(-1, 1)])
+        points = np.linspace(0.0, 0.3, 22)[:, None]
+        values = np.cos(3 * points[:, 0])
+        matrix = design_matrix(basis, points)
+        assert np.linalg.cond(matrix) > 1e11
+        reference = np.linalg.lstsq(matrix, values, rcond=None)[0]
+        with patch("numpy.linalg.matrix_rank", wraps=np.linalg.matrix_rank) as measured:
+            fit = nipc_regression(points, values, basis)
+        measured.assert_called_once()
+        assert fit.fit_details["rank"] == 11
+        assert np.max(np.abs(fit.alpha - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("dists, p", [
+        ((Normal(0.3, 1.5),), 6),
+        ((Uniform(-1, 2), Normal(0, 1)), 4),
+        ((Normal(1, 2), Uniform(0, 1), Normal(0, 1)), 3),
+    ])
+    def test_design_matrix_equals_row_by_row_products(self, dists, p):
+        basis = enumerate_basis(len(dists), p, dists)
+        rng = np.random.default_rng(9)
+        points = np.column_stack([rng.uniform(-2, 2, 13) for _ in dists])
+        expected = np.empty((len(points), len(basis)))
+        for i, point in enumerate(points):
+            for j, index in enumerate(basis.indices):
+                value = 1.0
+                for dist, degree, x in zip(dists, index, point):
+                    value *= univariate_table(dist, degree, dist.standardize(x))[degree]
+                expected[i, j] = value
+        matrix = design_matrix(basis, points)
+        assert matrix.flags.f_contiguous
+        assert np.array_equal(matrix, expected)
 
 class TestStochasticCollocation:
     def test_reproduces_nodal_values(self):
@@ -416,3 +492,10 @@ class TestMoments:
         coefficients = PceCoefficients(basis, np.array([1.0, 2.0, 3.0]))
         # 1 + 2 He1(x) + 3 He2(x) at x = 2 -> 1 + 4 + 9 = 14
         assert evaluate_pce(coefficients, [[2.0]])[0] == pytest.approx(14.0)
+
+    def test_pce_of_one_point_is_a_float(self):
+        basis = enumerate_basis(2, 2, [Normal(0, 1), Uniform(-1, 1)])
+        coefficients = PceCoefficients(basis, np.arange(1.0, len(basis) + 1))
+        value = evaluate_pce(coefficients, [0.5, 0.1])
+        assert type(value) is float
+        assert value == evaluate_pce(coefficients, [[0.5, 0.1]])[0]

@@ -149,7 +149,7 @@ class TestTensorGrid:
     def test_single_axis_identity(self):
         rule = gauss_rule(Normal(0, 1), 3)
         grid = tensor_grid([rule])
-        np.testing.assert_array_equal(grid.input_vector(0), rule.nodes)
+        np.testing.assert_array_equal(grid_input_vector(grid, 0), rule.nodes)
         np.testing.assert_array_equal(grid.joint_weights, rule.weights)
 
     def test_three_axes_weights_sum_to_one(self):
@@ -169,8 +169,8 @@ class TestTensorGrid:
         grid = tensor_grid([ra, rb])
         a1, a2 = ra.nodes
         b1, b2 = rb.nodes
-        assert grid.input_vector(0).tolist() == [a1, a1, a2, a2]
-        assert grid.input_vector(1).tolist() == [b1, b2, b1, b2]
+        assert grid_input_vector(grid, 0).tolist() == [a1, a1, a2, a2]
+        assert grid_input_vector(grid, 1).tolist() == [b1, b2, b1, b2]
 
     @pytest.mark.parametrize("sizes", [(2, 3), (3, 2, 4), (5,)])
     def test_input_vector_distinct_value_count(self, sizes):
