@@ -10,7 +10,7 @@ uncertainty-quantification estimators: quadrature-projected and regression
 polynomial chaos, tensor-grid collocation, and Monte Carlo.
 """
 
-from .basis import PceBasis, enumerate_basis, eval_multivariate, eval_univariate
+from .basis import PceBasis, enumerate_basis
 from .distributions import Distribution, Normal, Uniform
 from .dsl import isomorphic, parse_model, parse_model_file, pretty_print
 from .engine import (
@@ -78,8 +78,6 @@ __all__ = [
     "builtin_model",
     "compute_influence_matrix",
     "enumerate_basis",
-    "eval_multivariate",
-    "eval_univariate",
     "evaluate_amtc",
     "evaluate_naive",
     "evaluate_on_samples",

@@ -49,11 +49,6 @@ def univariate_table(dist: Distribution, order: int, x) -> np.ndarray:
     return table
 
 
-def eval_univariate(dist: Distribution, degree: int, x):
-    """Family member of `dist` at standardized coordinate(s) x."""
-    return univariate_table(dist, degree, x)[degree]
-
-
 def univariate_norm(dist: Distribution, degree: int) -> float:
     if isinstance(dist, Normal):
         return float(math.factorial(degree))
@@ -108,29 +103,6 @@ def enumerate_basis(dim: int, order: int, distributions) -> PceBasis:
         norms *= table[axis_degrees]
     norms.setflags(write=False)
     return PceBasis(dim, order, tuple(indices), norms, distributions)
-
-
-def eval_multivariate(basis: PceBasis, index: MultiIndex, u):
-    """Product of the basis' univariate polynomials at point(s) u (raw
-    coordinates).
-
-    `u` is a length-dim point, which gives a float, or an (n, dim) array
-    of points, which gives a length-n array.
-    """
-    index = tuple(index)
-    if len(index) != basis.dim:
-        raise DimensionMismatchError(
-            f"index length {len(index)} does not match dimension {basis.dim}")
-    u = np.asarray(u, dtype=float)
-    one_point = u.ndim < 2
-    u = np.atleast_2d(u)
-    if u.shape[1] != basis.dim:
-        raise DimensionMismatchError(
-            f"points have {u.shape[1]} coordinates, expected {basis.dim}")
-    value = np.ones(u.shape[0])
-    for axis, (dist, degree) in enumerate(zip(basis.distributions, index)):
-        value = value * eval_univariate(dist, degree, dist.standardize(u[:, axis]))
-    return float(value[0]) if one_point else value
 
 
 def design_matrix(basis: PceBasis, points) -> np.ndarray:

@@ -7,12 +7,16 @@ Subcommands:
     convergence  error of each method against a reference, CSV
     graph        DOT dumps of a model before and after transformation
 
-Methods: nipc-full (full-grid projection), nipc-full-amtc (same result via
-the transformed graph), nipc-reg (regression on random samples), sc
-(collocation surrogate), mc (Monte Carlo).  CSV output uses a header row,
-comma separators, '.' decimals, and LF line endings; JSON output has a
-stable key order so identical invocations are byte-identical except for
-wall-time fields.
+Methods, one row each in METHODS.  On the tensor grid of --k points per
+axis: nipc-full (full-grid projection), nipc-full-amtc (same result via the
+transformed graph) and sc (collocation surrogate).  On random samples:
+nipc-reg (regression, two samples per coefficient in `run`) and mc (Monte
+Carlo, --mc-samples in `run`); `convergence` gives them the grid's point
+count, skips a count below nipc-reg's coefficient count or mc's 2, and
+averages mc alone over --mc-seeds.  CSV output uses a header row, comma
+separators, '.' decimals, and LF line endings; JSON output has a stable key
+order so identical invocations are byte-identical except for wall-time
+fields.
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import statistics
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 from . import engine, methods, models, transform
 from .basis import enumerate_basis
@@ -31,7 +38,6 @@ from .errors import DomainError, UnknownModelError, UqcError
 from .graph import Graph, to_dot
 from .quadrature import grid_for
 
-METHODS = ("nipc-full", "nipc-full-amtc", "nipc-reg", "sc", "mc")
 REGRESSION_SAMPLE_MULTIPLIER = 2  # samples per coefficient for nipc-reg
 
 
@@ -67,63 +73,86 @@ def _csv(rows: list[list]) -> str:
     return "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
 
 
-def _fit_by_regression(graph: Graph, basis, n: int, seed: int):
-    """PCE on `basis` fitted to the first output at n random samples;
-    returns (coefficients, mean, stddev)."""
+def _run_nipc_full(graph: Graph, grid, pce_order: int, seed: int, amtc: bool = False):
+    output = graph.first_output_name()
+    report = (engine.evaluate_amtc(transform.insert_expansions(graph), grid) if amtc
+              else engine.evaluate_naive(graph, grid))
+    basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
+    coefficients = methods.nipc_integration(report.outputs[output], grid, basis)
+    details = {"k": grid.axis_sizes[0], "pce_order": pce_order,
+               "n_coefficients": len(basis), "engine": "amtc" if amtc else "naive"}
+    return methods.UqResult("nipc-full-amtc" if amtc else "nipc-full",
+                            *methods.moments_from_pce(coefficients), grid.total_points,
+                            details=details), report
+
+
+def _run_sc(graph: Graph, grid, pce_order: int, seed: int):
+    output = graph.first_output_name()
+    report = engine.evaluate_naive(graph, grid)
+    mean, stddev = methods.sc_moments(methods.sc_build(report.outputs[output], grid))
+    return methods.UqResult("sc", mean, stddev, grid.total_points, details={
+        "k": grid.axis_sizes[0], "extrapolation": False}), report
+
+
+def _run_nipc_reg(graph: Graph, n: int, pce_order: int, seed: int):
+    basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
     points = methods.sample_inputs(graph, n, seed)
     values = engine.evaluate_on_samples(graph, points)[graph.first_output_name()]
     coefficients = methods.nipc_regression(points, values, basis)
-    return (coefficients, *methods.moments_from_pce(coefficients))
+    return methods.UqResult("nipc-reg", *methods.moments_from_pce(coefficients), n, details={
+        "pce_order": pce_order, "n_samples": n, "seed": seed,
+        "multiplier": REGRESSION_SAMPLE_MULTIPLIER, **coefficients.fit_details}), None
+
+
+class Method(NamedTuple):
+    """A row of METHODS: `run(graph, grid or n, pce_order, seed)` gives the
+    UqResult and, on a grid, the engine's EvaluationReport (else None)."""
+
+    run: Callable
+    min_samples: Callable | None = None  # (graph, pce_order); None: on the --k grid
+    run_samples: Callable | None = None  # (minimum, mc_samples) -> samples in `uqc run`
+    averages_seeds: bool = False  # over --mc-seeds in `convergence`
+
+    @property
+    def on_grid(self) -> bool:
+        return self.min_samples is None
+
+
+METHODS = {
+    "nipc-full": Method(_run_nipc_full),
+    "nipc-full-amtc": Method(functools.partial(_run_nipc_full, amtc=True)),
+    # The coefficient count; 0 for a negative order, which enumerate_basis refuses.
+    "nipc-reg": Method(_run_nipc_reg,
+                       min_samples=lambda graph, p: math.comb(graph.dim + p, p) if p >= 0 else 0,
+                       run_samples=lambda minimum, _: REGRESSION_SAMPLE_MULTIPLIER * minimum),
+    "sc": Method(_run_sc),
+    "mc": Method(lambda graph, n, p, seed: (methods.monte_carlo(graph, n, seed), None),
+                 min_samples=lambda graph, p: 2, run_samples=lambda _, mc_samples: mc_samples,
+                 averages_seeds=True),
+}
+
+
+def _method(name: str) -> Method:
+    if name not in METHODS:
+        raise ValueError(f"unknown method '{name}'")
+    return METHODS[name]
 
 
 def run_pipeline(graph: Graph, method: str, k: int, pce_order: int, mc_samples: int,
                  seed: int) -> tuple[methods.UqResult, engine.EvaluationReport | None]:
     """Execute one method end to end; returns its result and, for the grid
     methods, the engine's evaluation report."""
-    output = graph.first_output_name()
-    report = None
-    if method in ("nipc-full", "nipc-full-amtc", "sc"):
-        grid = grid_for(graph.distributions, k)
-        if method == "nipc-full-amtc":
-            transformed = transform.insert_expansions(graph)
-            report = engine.evaluate_amtc(transformed, grid)
-        else:
-            report = engine.evaluate_naive(graph, grid)
-        values = report.outputs[output]
-        if method == "sc":
-            surrogate = methods.sc_build(values, grid)
-            mean, stddev = methods.sc_moments(surrogate)
-            result = methods.UqResult("sc", mean, stddev, grid.total_points,
-                                      details={"k": k, "extrapolation": False})
-        else:
-            basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
-            coefficients = methods.nipc_integration(values, grid, basis)
-            mean, stddev = methods.moments_from_pce(coefficients)
-            result = methods.UqResult(
-                method, mean, stddev, grid.total_points,
-                details={"k": k, "pce_order": pce_order,
-                         "n_coefficients": len(basis),
-                         "engine": "amtc" if method == "nipc-full-amtc" else "naive"})
-    elif method == "nipc-reg":
-        basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
-        n = REGRESSION_SAMPLE_MULTIPLIER * len(basis)
-        coefficients, mean, stddev = _fit_by_regression(graph, basis, n, seed)
-        details = {"pce_order": pce_order, "n_samples": n, "seed": seed,
-                   "multiplier": REGRESSION_SAMPLE_MULTIPLIER}
-        details.update(coefficients.fit_details or {})
-        result = methods.UqResult("nipc-reg", mean, stddev, n, details=details)
-    elif method == "mc":
-        result = methods.monte_carlo(graph, mc_samples, seed)
-    else:
-        raise ValueError(f"unknown method '{method}'")
-    return result, report
+    row = _method(method)
+    budget = (grid_for(graph.distributions, k) if row.on_grid
+              else row.run_samples(row.min_samples(graph, pce_order), mc_samples))
+    return row.run(graph, budget, pce_order, seed)
 
 
 def cmd_run(args) -> int:
     """The only code that knows the report layout: a CSV row of the moments,
     or JSON of the UqResult and the evaluation report (null without a grid)."""
     name, graph = load_model(args.model)
-    if args.method in ("nipc-full", "nipc-full-amtc", "sc") and args.k is None:
+    if METHODS[args.method].on_grid and args.k is None:
         raise ValueError(f"method '{args.method}' requires --k")
     result, report = run_pipeline(graph, args.method, args.k or 0, args.pce_order,
                                   args.mc_samples, args.seed)
@@ -198,47 +227,40 @@ def cmd_bench(args) -> int:
 def convergence_rows(graph: Graph, method_list: list[str], k_values: list[int],
                      pce_order: int, seed: int, mc_seeds: int = 3) -> list[list]:
     """Error of each method at each budget against full-grid projection at
-    the largest k.  Monte Carlo runs use the same point budget (k^d) and
-    average the error over `mc_seeds` seeds."""
+    the largest k.  Grid methods run on the k-point grid, sample methods on
+    the same point budget (k^d), skipping a budget below their minimum;
+    Monte Carlo averages the error over `mc_seeds` seeds."""
+    chosen = [(method, _method(method)) for method in method_list]
     if mc_seeds < 1:
         raise ValueError(f"--mc-seeds must be at least 1, got {mc_seeds}")
     reference_k = max(k_values)
-    reference = run_pipeline(graph, "nipc-full", reference_k, pce_order, 0, seed)[0].mean
+    grids = {k: grid_for(graph.distributions, k) for k in k_values}
+    reference = METHODS["nipc-full"].run(graph, grids[reference_k], pce_order, seed)[0].mean
     if reference == 0.0:
         raise ValueError(f"the reference mean at k={reference_k} is 0, "
                          "so the relative error against it is undefined")
 
     rows = [["method", "k", "n_model_points", "mean", "error_vs_reference_pct"]]
-    for method in method_list:
+    for method, row in chosen:
         for k in k_values:
-            budget = grid_for(graph.distributions, k).total_points
-            if method == "mc":
-                means = [methods.monte_carlo(graph, budget, seed + i).mean
-                         for i in range(mc_seeds)]
-                mean = statistics.fmean(means)
-                error = statistics.fmean(
-                    abs(m - reference) / abs(reference) * 100.0 for m in means)
-            elif method == "nipc-reg":
-                basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
-                if budget < len(basis):
-                    continue
-                mean = _fit_by_regression(graph, basis, budget, seed)[1]
-                error = abs(mean - reference) / abs(reference) * 100.0
-            else:
+            budget = grids[k].total_points
+            if row.on_grid:
                 # The nipc-full study at the reference k is the reference itself.
-                mean = (reference if (method, k) == ("nipc-full", reference_k)
-                        else run_pipeline(graph, method, k, pce_order, budget, seed)[0].mean)
-                error = abs(mean - reference) / abs(reference) * 100.0
-            rows.append([method, k, budget, repr(mean), repr(error)])
+                means = [reference if (method, k) == ("nipc-full", reference_k)
+                         else row.run(graph, grids[k], pce_order, seed)[0].mean]
+            elif budget < row.min_samples(graph, pce_order):
+                continue
+            else:
+                means = [row.run(graph, budget, pce_order, seed + i)[0].mean
+                         for i in range(mc_seeds if row.averages_seeds else 1)]
+            error = statistics.fmean(abs(m - reference) / abs(reference) * 100.0 for m in means)
+            rows.append([method, k, budget, repr(statistics.fmean(means)), repr(error)])
     return rows
 
 
 def cmd_convergence(args) -> int:
     _, graph = load_model(args.model)
     method_list = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for method in method_list:
-        if method not in METHODS:
-            raise ValueError(f"unknown method '{method}'")
     rows = convergence_rows(graph, method_list, parse_k_range(args.k),
                             args.pce_order, args.seed, args.mc_seeds)
     _write_text(args.out, _csv(rows))

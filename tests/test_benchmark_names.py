@@ -28,8 +28,12 @@ def _run_py_names() -> tuple[set[str], set[str]]:
                 for target in node.targets if isinstance(target, ast.Name)}
     names = {ast.literal_eval(element) for element in assigned["NAMED_LAYER_TIMES"].elts}
     names |= {ast.literal_eval(key) for key in assigned["MEASURES"].keys}
-    names |= {key.removesuffix(".calls") for key in
-              map(ast.literal_eval, assigned["PER_LAYER_UNITS"].keys) if key.endswith(".calls")}
+    per_layer = [ast.literal_eval(key) for key in assigned["PER_LAYER_UNITS"].keys]
+    names |= {key.removesuffix(".calls") for key in per_layer if key.endswith(".calls")}
+    # `module.function.ms` self times, which read 0 if the function is
+    # renamed; cli.report is derived from the other cli spans, not a function.
+    names |= {key.removesuffix(".ms") for key in per_layer
+              if key.endswith(".ms") and key.count(".") == 2 and key != "cli.report.ms"}
     # functions run.py calls directly, such as engine.worker_count()
     names |= {f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(tree)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
@@ -42,7 +46,9 @@ MODULES, NAMES = _run_py_names()
 
 def test_names_are_read_from_run_py():
     assert {"engine.expand_tensor", "engine.worker_count", "graph.topo_sort",
-            "quadrature.points", "transform.strip_expansions"} <= NAMES
+            "quadrature.points", "transform.strip_expansions", "cli.run_pipeline",
+            "dsl.parse_model", "basis.design_matrix", "methods.moments_from_pce",
+            "basis.enumerate_basis"} <= NAMES
 
 
 @pytest.mark.parametrize("name", sorted(NAMES))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -208,7 +209,7 @@ class TestReport:
         assert result["method"] == method
         assert set(result["details"]) == UQ_RESULT_DETAILS[method]
         evaluation = payload["evaluation"]
-        if method in ("nipc-reg", "mc"):
+        if not METHODS[method].on_grid:
             assert evaluation is None
         else:
             assert set(evaluation) == EVALUATION_KEYS
@@ -349,6 +350,39 @@ class TestConvergence:
                       "--k", "2", "--mc-seeds", "0"])
         assert rc == 1
         assert capsys.readouterr().err == "error: --mc-seeds must be at least 1, got 0\n"
+
+    @staticmethod
+    def rows(tmp_path, *argv):
+        out = tmp_path / "conv.csv"
+        assert run_cli(["convergence", *argv, "--out", str(out)]) == 0
+        lines = out.read_text().rstrip("\n").split("\n")
+        assert lines[0] == "method,k,n_model_points,mean,error_vs_reference_pct"
+        return [line.split(",") for line in lines[1:]]
+
+    def test_sample_budget_below_the_minimum_is_skipped(self, tmp_path):
+        # mc needs 2 samples: the 1-point grid's budget gets no row, and the
+        # other rows are those of the same study without k=1.
+        rows = self.rows(tmp_path, "--model", "simple", "--methods", "mc", "--k", "1..4")
+        assert [row[1] for row in rows] == ["2", "3", "4"]
+        assert rows == self.rows(tmp_path, "--model", "simple", "--methods", "mc",
+                                 "--k", "2..4")
+
+    def test_every_method(self, tmp_path):
+        rows = self.rows(tmp_path, "--model", "multipoint", "--methods", ",".join(METHODS),
+                         "--k", "2..4", "--pce-order", "3")
+        by_method = {}
+        for method, k, points, mean, _ in rows:
+            by_method.setdefault(method, {})[int(k)] = (int(points), mean)
+        assert by_method["nipc-full-amtc"] == by_method["nipc-full"]
+        assert set(by_method["sc"]) == {2, 3, 4}
+        # 10 coefficients at order 3 in 2 dimensions: only k=4's 16 points fit them
+        assert by_method["nipc-reg"].keys() == {4}
+        assert by_method["nipc-reg"][4][0] == 16
+        graph = builtin_model("multipoint")
+        for k, (points, mean) in by_method["mc"].items():
+            assert points == k * k
+            assert float(mean) == statistics.fmean(
+                monte_carlo(graph, points, seed).mean for seed in range(3))
 
     def test_unknown_method_rejected(self, capsys):
         rc = run_cli(["convergence", "--model", "simple", "--methods", "kriging",
