@@ -287,6 +287,17 @@ def cmd_graph(args) -> int:
     return 0
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of --seed, which numpy's generators refuse below 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uqc",
@@ -299,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--k", type=int, default=None, help="quadrature points per axis")
     run.add_argument("--pce-order", type=int, default=3)
     run.add_argument("--mc-samples", type=int, default=10000)
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--seed", type=non_negative_int, default=0)
     run.add_argument("--out", default="-")
     run.add_argument("--format", choices=("json", "csv"), default="json")
     run.set_defaults(handler=cmd_run)
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated subset of " + ",".join(METHODS))
     conv.add_argument("--k", required=True, help="budget grid, e.g. 2..7")
     conv.add_argument("--pce-order", type=int, default=3)
-    conv.add_argument("--seed", type=int, default=0)
+    conv.add_argument("--seed", type=non_negative_int, default=0)
     conv.add_argument("--mc-seeds", type=int, default=3)
     conv.add_argument("--out", default="-")
     conv.set_defaults(handler=cmd_convergence)

@@ -21,17 +21,25 @@ on a numeric literal is part of the literal (no neg operation, but `-(3)`
 is one), and `a ^ b` becomes a pow_const operation when b is a literal,
 bare or parenthesized, but is rewritten as exp(b * log(a)) otherwise.
 
+Reports name each output after its variable, so an output statement gives
+the variable of its expression the declared name, also when an earlier
+statement made it.  An uncertain input keeps its own name, which labels
+its axis, and a second output of one variable is an error.
+
 The text is tokenized in full before parsing starts, and a name or value
 error is held until the parse ends, so an unexpected character is
 reported ahead of any syntax error, and any syntax error ahead of the
-first undefined, duplicate or reserved name, out-of-range number or
-invalid distribution.
+first undefined, duplicate or reserved name, repeated output,
+out-of-range number or invalid distribution.  A token holds its kind, text
+and index only; the line and column of an error come from a second scan
+of the text, made only when a parse fails.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from typing import NamedTuple
 
 from .distributions import Normal, Uniform
@@ -42,15 +50,26 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 _KEYWORDS = ("input", "param", "output")
 # Operator symbol -> (operation kind, precedence level).
 _BINARY_OPERATORS = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
+_TOP_LEVEL = 2  # the highest of those levels
 
-_TOKEN_RE = re.compile(r"""[ \t]*(?:
-    (?P<number>[0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<punct>[-+*/^()=,~])
-  | (?P<comment>\#[^\n]*)
-  | (?P<newline>\n)
-  | (?P<error>[^ \t])
+# One token, or a comment, after any blanks.  A character that starts
+# neither matches alone and is an error.
+_TOKEN_RE = re.compile(r"""[ \t]*(
+    [A-Za-z_][A-Za-z_0-9]*
+  | [-+*/^()=,~\n]
+  | [0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?
+  | \#[^\n]*
+  | [^ \t]
 )""", re.VERBOSE)
+
+# A token's kind follows from its first character, except for a lone '.',
+# which starts no number and is an error.
+_KIND_OF_FIRST = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
+    **dict.fromkeys("0123456789.", "number"),
+    **dict.fromkeys("-+*/^()=,~", "punct"),
+    "\n": "newline",
+}
 
 # Stands in for the variable of a name that failed to resolve, so parsing
 # can go on to find any syntax error after it.
@@ -60,39 +79,46 @@ _MISSING = -1
 class Token(NamedTuple):
     kind: str   # 'number' | 'ident' | 'punct' | 'newline' | 'eof'
     text: str
-    line: int
-    column: int
+    index: int  # position in the token list; _token_positions has its line and column
 
 
 def _tokenize(text: str) -> list[Token]:
     """Every token of the text, then a newline and an eof token.  Blanks
     and tabs are matched as the prefix of the token after them, so they
     cost no match of their own; blanks at the end of the text match
-    nothing."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    new = tuple.__new__
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        start = m.start(kind)
-        if kind == "newline":
-            tokens.append(new(Token, ("newline", "", line, start - line_start + 1)))
-            line, line_start = line + 1, start + 1
-        elif kind == "error":
-            raise ParseError(f"unexpected character {text[start]!r}", line,
-                             start - line_start + 1)
-        else:
-            tokens.append(new(Token, (kind, m[kind], line, start - line_start + 1)))
-    tokens.append(new(Token, ("newline", "", line, len(text) - line_start + 1)))
-    tokens.append(new(Token, ("eof", "", line, 1)))
+    nothing.  Kinds come from the first character, and no match object is
+    made: where a token is, is worked out only for an error."""
+    words = _TOKEN_RE.findall(text)
+    if "#" in text:  # only a comment holds one
+        words = [word for word in words if word[0] != "#"]
+    kinds = [_KIND_OF_FIRST.get(word[0], "error") if word != "." else "error"
+             for word in words]
+    words += ("\n", "")
+    kinds += ("newline", "eof")
+    # Token tuples made in C: tuple.__new__(Token, (kind, word, index)).
+    tokens = list(map(tuple.__new__, repeat(Token), zip(kinds, words, range(len(words)))))
+    if "error" in kinds:
+        first = tokens[kinds.index("error")]
+        raise ParseError(f"unexpected character {first.text!r}",
+                         *_token_positions(text)[first.index])
     return tokens
 
 
-def _unexpected(tok: Token, *expected: str) -> ParseError:
-    return ParseError(f"got {tok.text!r}" if tok.text else "got end of line",
-                      tok.line, tok.column, expected=expected)
+def _token_positions(text: str) -> list[tuple[int, int]]:
+    """(line, column) of each token of _tokenize(text), by index: the final
+    newline sits after the last character and eof at column 1 of the last
+    line."""
+    positions = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        if m[1][0] == "#":
+            continue
+        start = m.start(1)
+        positions.append((line, start - line_start + 1))
+        if m[1] == "\n":
+            line, line_start = line + 1, start + 1
+    positions += [(line, len(text) - line_start + 1), (line, 1)]
+    return positions
 
 
 class _Parser:
@@ -106,8 +132,10 @@ class _Parser:
     error in the text is reported ahead of it.
     """
 
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
+    def __init__(self, text: str):
+        self._text = text
+        self._positions: list[tuple[int, int]] | None = None
+        self._tokens = tokens = _tokenize(text)
         self._pos = 0
         self._tok = tokens[0]  # the current token; eof once the text is read
         self._builder = GraphBuilder()
@@ -121,15 +149,25 @@ class _Parser:
             self._tok = self._tokens[self._pos]
         return tok
 
+    def _at(self, tok: Token) -> tuple[int, int]:
+        """The token's line and column, found once the parse needs one."""
+        if self._positions is None:
+            self._positions = _token_positions(self._text)
+        return self._positions[tok.index]
+
+    def _unexpected(self, tok: Token, *expected: str) -> ParseError:
+        got = "end of line" if tok.kind in ("newline", "eof") else repr(tok.text)
+        return ParseError(f"got {got}", *self._at(tok), expected=expected)
+
     def _expect(self, text: str) -> Token:
         if self._tok.text == text:
             return self._next()
-        raise _unexpected(self._tok, repr(text))
+        raise self._unexpected(self._tok, repr(text))
 
     def _expect_ident(self, what: str = "identifier") -> Token:
         if self._tok.kind == "ident":
             return self._next()
-        raise _unexpected(self._tok, what)
+        raise self._unexpected(self._tok, what)
 
     def _skip_newlines(self) -> None:
         while self._tok.kind == "newline":
@@ -141,7 +179,7 @@ class _Parser:
             self._next()
         elif tok.kind != "eof":
             raise ParseError(f"unexpected {tok.text!r} after statement",
-                             tok.line, tok.column, expected=("end of line",))
+                             *self._at(tok), expected=("end of line",))
 
     # Names and values ----------------------------------------------------
 
@@ -152,21 +190,21 @@ class _Parser:
     def _define(self, tok: Token) -> str:
         name = tok.text
         if name == "pi" or name in _KEYWORDS or name in FUNCTIONS:
-            self._hold(ParseError(f"'{name}' is reserved", tok.line, tok.column))
+            self._hold(ParseError(f"'{name}' is reserved", *self._at(tok)))
         elif name in self._env:
-            self._hold(DuplicateNameError(name, tok.line, tok.column))
+            self._hold(DuplicateNameError(name, *self._at(tok)))
         return name
 
     def _lookup(self, tok: Token) -> int:
         vid = self._env.get(tok.text, _MISSING)
         if vid == _MISSING:
-            self._hold(UndefinedNameError(tok.text, tok.line, tok.column))
+            self._hold(UndefinedNameError(tok.text, *self._at(tok)))
         return vid
 
     def _number(self, tok: Token) -> float:
         value = float(tok.text)
         if math.isinf(value):
-            self._hold(ParseError("number out of range", tok.line, tok.column))
+            self._hold(ParseError("number out of range", *self._at(tok)))
         return value
 
     def _variable(self, value: int | float) -> int:
@@ -199,12 +237,20 @@ class _Parser:
         fresh_before = self._builder._next_id
         vid = self._variable(self._expression(1))
         self._end_statement()
-        if vid >= fresh_before:
-            # The statement created this variable; give it the user's name.
-            self._builder.rename(vid, name)
         self._env[name] = vid
-        if is_output:
-            self._builder.mark_output(vid)
+        if not is_output:
+            if vid >= fresh_before:
+                # The statement created this variable; give it the user's name.
+                self._builder.rename(vid, name)
+            return
+        # Reports name an output after its variable, so the variable takes
+        # the declared name, unless that would rename an uncertain input.
+        if vid in self._builder._outputs:
+            self._hold(ParseError(f"output '{name}' names a value that is already "
+                                  "an output", *self._at(head)))
+        elif vid != _MISSING and self._builder._variables[vid].kind != "uncertain_input":
+            self._builder.rename(vid, name)
+        self._builder.mark_output(vid)
 
     def _input_statement(self) -> None:
         name = self._define(self._expect_ident())
@@ -212,7 +258,7 @@ class _Parser:
         family = self._expect_ident("Normal or Uniform")
         if family.text not in ("Normal", "Uniform"):
             raise ParseError(f"unknown distribution '{family.text}'",
-                             family.line, family.column, expected=("Normal", "Uniform"))
+                             *self._at(family), expected=("Normal", "Uniform"))
         self._expect("(")
         a = self._signed_real()
         self._expect(",")
@@ -244,20 +290,23 @@ class _Parser:
         if tok.kind == "ident" and tok.text == "pi":
             self._next()
             return sign * math.pi
-        raise _unexpected(tok, "number")
+        raise self._unexpected(tok, "number")
 
     # Expressions ---------------------------------------------------------
 
     def _expression(self, level: int) -> int | float:
         """Precedence climbing over the left-associative binary operators
         of `level` and above: `+ -` are level 1, `* /` level 2.  A left
-        operand becomes a variable before its right operand is read."""
+        operand becomes a variable before its right operand is read.  Above
+        the top level an expression is a unary one, read directly."""
         value = self._unary()
         binary = _BINARY_OPERATORS.get(self._tok.text)
         while binary is not None and binary[1] >= level:
             self._next()
             left = self._variable(value)
-            right = self._variable(self._expression(binary[1] + 1))
+            above = binary[1] + 1
+            right = self._variable(self._expression(above) if above <= _TOP_LEVEL
+                                   else self._unary())
             value = self._builder.add_operation(binary[0], (left, right))
             binary = _BINARY_OPERATORS.get(self._tok.text)
         return value
@@ -298,7 +347,7 @@ class _Parser:
                 return self._lookup(tok)
             if tok.text not in FUNCTIONS:
                 raise ParseError(f"unknown function '{tok.text}'",
-                                 tok.line, tok.column, expected=FUNCTIONS)
+                                 *self._at(tok), expected=FUNCTIONS)
             self._next()
             arg = self._variable(self._expression(1))
             self._expect(")")
@@ -307,22 +356,22 @@ class _Parser:
             value = self._expression(1)
             self._expect(")")
             return value
-        raise _unexpected(tok, "number", "name", "function call", "'('")
+        raise self._unexpected(tok, "number", "name", "function call", "'('")
 
 
 def parse_model(text: str) -> Graph:
     """Parse model source text into a Graph, lowering each statement as it
     is read.
 
-    Raises ParseError with line/column on malformed input or a number
-    literal too large for a float, plus UndefinedNameError /
-    DuplicateNameError for names that do not resolve, and ValueError for
-    invalid distribution parameters.  An unexpected character is reported
-    first, then the first syntax error, then the first name or value
-    error.  Lowering is deterministic: the same text always produces the
-    same node id assignment.
+    Raises ParseError with line/column on malformed input, a number
+    literal too large for a float or a second output of one value, plus
+    UndefinedNameError / DuplicateNameError for names that do not
+    resolve, and ValueError for invalid distribution parameters.  An
+    unexpected character is reported first, then the first syntax error,
+    then the first name or value error.  Lowering is deterministic: the
+    same text always produces the same node id assignment.
     """
-    return _Parser(_tokenize(text)).parse_program()
+    return _Parser(text).parse_program()
 
 
 def parse_model_file(path) -> Graph:

@@ -174,13 +174,14 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     reuse = all(np.isfinite(column).all() for column in columns)
     counts: dict[int, int] = {}
     produced = graph.producer_of
+    value_of = values.__getitem__
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for op, ufunc, release in graph.plan:
-            operands = [values[vid] for vid in op.inputs]
+            operands = list(map(value_of, op.inputs))
             # Every value has one axis per entry of `space`, so a binary
             # result's shape is the larger size on each axis.
             shape = operands[0].shape
-            if len(operands) == 2:
+            if len(operands) == 2 and operands[1].shape != shape:
                 shape = tuple(map(max, shape, operands[1].shape))
             if op.kind in _GUARDED_KINDS:
                 _check_domain(op, operands, space)

@@ -80,6 +80,11 @@ class Step(NamedTuple):
     release: tuple[int, ...]
 
 
+# Builds a named tuple from all of its fields, in order, without the
+# Python-level __new__ of the class; a parse builds one per node.
+_new_node = tuple.__new__
+
+
 @dataclass(frozen=True)
 class Graph:
     variables: tuple[VariableNode, ...]
@@ -131,8 +136,7 @@ class Graph:
     def order(self) -> tuple[OperationNode, ...]:
         """The operations in topo_sort order, sorted once per graph.
         Raises CycleError like topo_sort."""
-        by_id = self.operation_by_id
-        return tuple(by_id[op_id] for op_id in topo_sort(self))
+        return tuple(map(self.operation_by_id.__getitem__, topo_sort(self)))
 
     @cached_property
     def plan(self) -> tuple[Step, ...]:
@@ -157,7 +161,7 @@ class Graph:
         for vid, index in last_use.items():
             if vid not in outputs:
                 release[index].append(vid)
-        return tuple(Step(op, UFUNCS[op.kind], tuple(dead))
+        return tuple(_new_node(Step, (op, UFUNCS[op.kind], tuple(dead)))
                      for op, dead in zip(order, release))
 
 
@@ -297,14 +301,15 @@ class GraphBuilder:
     def add_uncertain_input(self, name: str, dist: Distribution) -> int:
         vid = self._next_id
         self._next_id = vid + 1
-        self._variables[vid] = VariableNode(vid, name, "uncertain_input")
+        self._variables[vid] = _new_node(VariableNode, (vid, name, "uncertain_input", None))
         self._uncertain.append((vid, dist))
         return vid
 
     def add_constant(self, value: float, name: str | None = None) -> int:
         vid = self._next_id
         self._next_id = vid + 1
-        self._variables[vid] = VariableNode(vid, name or f"_c{vid}", "constant", float(value))
+        self._variables[vid] = _new_node(VariableNode,
+                                         (vid, name or f"_c{vid}", "constant", float(value)))
         return vid
 
     def add_operation(self, kind: str, inputs: tuple[int, ...] | list[int], *,
@@ -316,9 +321,10 @@ class GraphBuilder:
         op_id = self._next_id
         out_id = op_id + 1
         self._next_id = op_id + 2
-        self._operations.append(OperationNode(
-            op_id, kind, tuple(inputs), out_id, exponent, expand_from, expand_to))
-        self._variables[out_id] = VariableNode(out_id, name or f"_t{out_id}", "intermediate")
+        self._operations.append(_new_node(OperationNode, (
+            op_id, kind, tuple(inputs), out_id, exponent, expand_from, expand_to)))
+        self._variables[out_id] = _new_node(VariableNode,
+                                            (out_id, name or f"_t{out_id}", "intermediate", None))
         return out_id
 
     def rename(self, var_id: int, name: str) -> None:
@@ -333,9 +339,10 @@ class GraphBuilder:
         names = self._names
         outputs = set(self._outputs)
         variables = tuple(
-            VariableNode(v.id, names.get(v.id, v.name),
-                         "output" if v.id in outputs and v.kind == "intermediate" else v.kind,
-                         v.constant_value)
+            _new_node(VariableNode, (
+                v.id, names.get(v.id, v.name),
+                "output" if v.id in outputs and v.kind == "intermediate" else v.kind,
+                v.constant_value))
             if v.id in names or v.id in outputs else v
             for v in self._variables.values())
         return Graph(variables, tuple(self._operations),

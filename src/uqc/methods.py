@@ -63,7 +63,11 @@ def nipc_integration(values: np.ndarray, grid: TensorGrid,
         # after every axis the degrees are back in axis order.
         dist = rule.distribution
         table = univariate_table(dist, basis.order, dist.standardize(rule.nodes)) * rule.weights
-        tensor = np.tensordot(tensor, table, axes=(0, 1))
+        # np.tensordot(tensor, table, axes=(0, 1)), made of the same
+        # transposes and dot that numpy's Python-level function makes.
+        rest = tensor.shape[1:]
+        leading_last = tensor.transpose(*range(1, tensor.ndim), 0).reshape(-1, rule.order)
+        tensor = np.dot(leading_last, table.T).reshape(*rest, -1)
     alpha = tensor[tuple(np.array(basis.indices).T)] / basis.norms
     return PceCoefficients(basis, alpha)
 
@@ -217,6 +221,8 @@ def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:
     The draws are made in place, input by input, into one (dim, n) array,
     which is returned transposed, so each input's column is contiguous.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     draws = np.empty((graph.dim, n))
     for row, (_, dist) in zip(draws, graph.uncertain_inputs):

@@ -7,6 +7,11 @@ Both polynomial families are set up against probability measures, so the
 weights of every rule sum to one exactly and a k-point rule integrates
 polynomials up to degree 2k-1 exactly.
 
+The eigenproblem of each family and order is solved once per process and
+its read-only standard nodes and weights are kept (at most 2 x
+MAX_RULE_ORDER pairs); every rule of that family and order is mapped from
+them and shares the kept weights, which no caller may write.
+
 Tensor grids flatten in row-major order over (axis 1, ..., axis d) with
 the last axis varying fastest; every module in this package shares that
 single convention.
@@ -14,8 +19,9 @@ single convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -58,33 +64,30 @@ def gauss_rule(dist: Distribution, k: int) -> QuadratureRule1D:
     mapped affinely to [a, b], weights normalized to the probability
     measure.
     """
-    return _mapped_rule(dist, _standard_rule(dist, k))
-
-
-def _standard_rule(dist: Distribution, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Standard nodes and weights of the k-point rule of `dist`'s family,
-    which depend on its family and k only."""
     if int(k) != k or not 1 <= k <= MAX_RULE_ORDER:
         raise InvalidOrderError(f"quadrature order must be in [1, {MAX_RULE_ORDER}], got {k}")
-    k = int(k)
-    if isinstance(dist, Normal):
-        # He_{n+1} = x He_n - n He_{n-1}: Jacobi off-diagonal sqrt(n).
-        off_diagonal = np.sqrt(np.arange(1, k, dtype=float))
-    elif isinstance(dist, Uniform):
-        # Monic Legendre: b_n^2 = n^2 / (4 n^2 - 1).
-        n = np.arange(1, k, dtype=float)
-        off_diagonal = n / np.sqrt(4.0 * n * n - 1.0)
-    else:
+    family = next((f for f in (Normal, Uniform) if isinstance(dist, f)), None)
+    if family is None:
         raise UnsupportedDistributionError(f"no quadrature rule for {type(dist).__name__}")
+    standard_nodes, weights = _standard_rule(family, int(k))
+    return QuadratureRule1D(_frozen(dist.from_standard(standard_nodes)), weights, dist)
 
+
+@cache
+def _standard_rule(family: type, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only standard nodes and weights of the k-point rule of a
+    family, solved once per process for each of the 2 families and
+    MAX_RULE_ORDER orders."""
+    n = np.arange(1, k, dtype=float)
+    if family is Normal:
+        # He_{n+1} = x He_n - n He_{n-1}: Jacobi off-diagonal sqrt(n).
+        off_diagonal = np.sqrt(n)
+    else:
+        # Monic Legendre: b_n^2 = n^2 / (4 n^2 - 1).
+        off_diagonal = n / np.sqrt(4.0 * n * n - 1.0)
     standard_nodes, eigenvectors = eigh_tridiagonal(np.zeros(k), off_diagonal)
     weights = eigenvectors[0] ** 2  # orthonormal columns: sums to 1 exactly
-    return standard_nodes, weights
-
-
-def _mapped_rule(dist: Distribution, standard: tuple[np.ndarray, np.ndarray]) -> QuadratureRule1D:
-    standard_nodes, weights = standard
-    return QuadratureRule1D(_frozen(dist.from_standard(standard_nodes)), _frozen(weights), dist)
+    return _frozen(standard_nodes), _frozen(weights)
 
 
 @dataclass(frozen=True)
@@ -97,13 +100,13 @@ class TensorGrid:
     def dim(self) -> int:
         return len(self.axes)
 
-    @property
+    @cached_property
     def axis_sizes(self) -> tuple[int, ...]:
         return tuple(rule.order for rule in self.axes)
 
     @property
     def total_points(self) -> int:
-        return int(np.prod(self.axis_sizes))
+        return math.prod(self.axis_sizes)
 
     @property
     def distributions(self) -> tuple[Distribution, ...]:
@@ -137,16 +140,8 @@ def tensor_grid(rules) -> TensorGrid:
 
 def grid_for(distributions, k: int) -> TensorGrid:
     """Convenience: one k-point rule per distribution, each equal to
-    gauss_rule(dist, k).  The eigenproblem of each family is solved once
-    and its standard nodes are mapped onto every axis of that family."""
-    standard: dict[type, tuple[np.ndarray, np.ndarray]] = {}
-    rules = []
-    for dist in distributions:
-        family = type(dist)
-        if family not in standard:
-            standard[family] = _standard_rule(dist, k)
-        rules.append(_mapped_rule(dist, standard[family]))
-    return tensor_grid(rules)
+    gauss_rule(dist, k)."""
+    return tensor_grid(gauss_rule(dist, k) for dist in distributions)
 
 
 def grid_input_vector(grid: TensorGrid, axis: int) -> np.ndarray:
@@ -158,8 +153,8 @@ def grid_input_vector(grid: TensorGrid, axis: int) -> np.ndarray:
     """
     if not 0 <= axis < grid.dim:
         raise AxisOutOfRangeError(f"axis {axis} out of range for {grid.dim} axes")
-    # ravel copies the broadcast view once; the nodes are already read-only
-    # floats, so no second copy is needed to freeze it.
-    vector = np.broadcast_to(grid.axis_column(axis), grid.axis_sizes).ravel()
+    # One broadcasting copy of the nodes into the grid's shape, frozen in place.
+    vector = np.empty(grid.axis_sizes)
+    vector[...] = grid.axis_column(axis)
     vector.setflags(write=False)
-    return vector
+    return vector.reshape(-1)

@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import pytest
 
-from uqc import builtin_model, engine
+from uqc import builtin_model, engine, quadrature
 from uqc.cli import METHODS, build_parser, main, parse_k_range
 from uqc.errors import DomainError
 from uqc.methods import monte_carlo, sample_inputs
@@ -228,6 +228,42 @@ class TestReport:
         ]
 
 
+SEP6 = Path(__file__).parent.parent / "perfbench" / "sep6.uq"
+
+
+class TestRepeatedRuns:
+    """A second study in one process reuses the kept 1-D rules and must
+    report exactly what the first did."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("model, k_values", [
+        ("simple", (2, 3, 4)), ("multipoint", (2, 3, 4)), ("piston", (2, 3, 4)),
+        ("sep6", (2, 3)),
+    ])
+    def test_second_report_equals_the_first(self, tmp_path, capsys, model, method,
+                                            k_values):
+        if not METHODS[method].on_grid:
+            k_values = k_values[:1]  # the sample methods do not read --k
+        for k in k_values:
+            argv = ["run", "--model", str(SEP6) if model == "sep6" else model,
+                    "--method", method, "--k", str(k), "--mc-samples", "2000", "--seed", "1"]
+            quadrature._standard_rule.cache_clear()
+            runs = []
+            for i in range(2):
+                out, csv = tmp_path / f"report{i}.json", tmp_path / f"report{i}.csv"
+                json_rc = run_cli(argv + ["--out", str(out)])
+                csv_rc = run_cli(argv + ["--format", "csv", "--out", str(csv)])
+                runs.append((json_rc, csv_rc, capsys.readouterr().err,
+                             json_rc or strip_wall_times(out.read_text()),
+                             csv_rc or csv.read_text()))
+            assert runs[1] == runs[0]
+            # seed 1 draws piston samples outside the model's real domain
+            if (model, method) == ("piston", "mc"):
+                assert runs[0][:2] == (1, 1) and "sqrt of negative value" in runs[0][2]
+            else:
+                assert runs[0][:3] == (0, 0, "")
+
+
 class TestBench:
     def test_simple_reduction_closed_form(self, tmp_path):
         out = tmp_path / "bench.csv"
@@ -344,6 +380,26 @@ class TestConvergence:
         err = capsys.readouterr().err
         assert err.startswith("error: the reference mean at k=3 is 0")
         assert "undefined" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--model", "simple", "--method", "mc", "--seed", "-1"],
+        ["run", "--model", "simple", "--method", "nipc-reg", "--seed", "-2"],
+        ["run", "--model", "simple", "--method", "nipc-full", "--k", "2", "--seed", "-1"],
+        ["convergence", "--model", "simple", "--methods", "mc", "--k", "2..3", "--seed", "-3"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --seed: must be non-negative, got {argv[-1]}\n")
+
+    def test_seed_that_is_no_integer_is_named_as_before(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["run", "--model", "simple", "--method", "mc", "--seed", "x"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seed: invalid int value: 'x'\n")
 
     def test_no_mc_seeds_exits_one(self, capsys):
         rc = run_cli(["convergence", "--model", "simple", "--methods", "mc",

@@ -206,8 +206,9 @@ def test_error_precedence(source, error, line, column):
     assert (excinfo.value.line, excinfo.value.column) == (line, column)
 
 
-# Blanks and tabs are matched as part of the token after them; these are
-# the places where that could shift a reported column.
+# Blanks and tabs are matched as part of the token after them, and a
+# token's column is found by a second scan; these are the places where
+# that could shift a reported column.
 @pytest.mark.parametrize("source, line, column, message", [
     ("output f = 1 +   ", 1, 18, "got end of line"),
     ("output f = 1 +\t", 1, 16, "got end of line"),
@@ -218,6 +219,9 @@ def test_error_precedence(source, error, line, column):
     ("output f = 1 +\r 2\n", 1, 15, "unexpected character '\\r'"),
     ("output f = 1\t\t$ 2\n", 1, 15, "unexpected character '$'"),
     ("x = 1\n \t @", 2, 4, "unexpected character '@'"),
+    ("x = 1 .e5\n", 1, 7, "unexpected character '.'"),
+    ("# a @ comment\nx = 1 @\n", 2, 7, "unexpected character '@'"),
+    ("# note\nx = (1 +  # open\n", 2, 17, "got end of line"),
 ])
 def test_error_columns_around_blanks(source, line, column, message):
     with pytest.raises(ParseError) as excinfo:
@@ -235,6 +239,43 @@ def test_byte_order_mark_is_skipped_in_files_only(tmp_path):
         parse_model("\ufeffinput x ~ Normal(0, 1)\n")
     assert (excinfo.value.line, excinfo.value.column) == (1, 1)
     assert "unexpected character '\\ufeff'" in str(excinfo.value)
+
+
+class TestOutputNames:
+    def test_output_of_an_earlier_statement_takes_the_declared_name(self):
+        g = parse_model("input x ~ Normal(0, 1)\ninput y ~ Normal(0, 1)\n"
+                        "t = x*y\noutput f = t\nu = t + 1\n")
+        assert g.output_names == ("f",)
+        assert [v.name for v in g.variables if v.kind == "output"] == ["f"]
+        # later statements may still read the value by its first name
+        assert g.operations[-1].inputs[0] == g.outputs[0]
+
+    def test_output_of_a_parameter_takes_the_declared_name(self):
+        g = parse_model("input x ~ Normal(0, 1)\nparam c = 2\noutput f = c\n"
+                        "output g = c * x\n")
+        assert g.output_names == ("f", "g")
+        assert g.variable_by_id[g.outputs[0]].kind == "constant"
+
+    def test_output_of_an_input_keeps_the_input_name(self):
+        # the input's name labels its axis, so it is not renamed
+        g = parse_model("input x ~ Normal(0, 1)\noutput f = x\n")
+        assert g.output_names == ("x",)
+        assert g.variable_by_id[g.outputs[0]].kind == "uncertain_input"
+
+    @pytest.mark.parametrize("source, line, column", [
+        ("input x ~ Normal(0, 1)\noutput f = x\noutput g = x\n", 3, 8),
+        ("input x ~ Normal(0, 1)\nt = 2*x\noutput f = t\noutput g = t\n", 4, 8),
+        ("input x ~ Normal(0, 1)\noutput f = 2*x\noutput g = f\n", 3, 8),
+    ])
+    def test_second_output_of_one_value_is_refused(self, source, line, column):
+        with pytest.raises(ParseError, match="already an output") as excinfo:
+            parse_model(source)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
+    def test_second_output_error_is_held_behind_syntax_errors(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_model("input x ~ Normal(0, 1)\noutput f = x\noutput g = x\nh = (\n")
+        assert (excinfo.value.line, excinfo.value.column) == (4, 6)
 
 
 # sha256 of repr(graph) + repr(graph.plan) + repr(insert_expansions(graph)):

@@ -424,6 +424,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(g, 1, seed=0)
 
+    def test_negative_seed_is_refused(self):
+        g = builtin_model("simple")
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            sample_inputs(g, 10, seed=-1)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -4$"):
+            monte_carlo(g, 10, seed=-4)
+
     def test_graph_without_outputs_is_refused(self):
         builder = GraphBuilder()
         builder.add_uncertain_input("x", Normal(0, 1))

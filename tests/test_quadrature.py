@@ -123,10 +123,39 @@ class TestGridFor:
 
     def test_solves_each_family_once(self):
         dists = (Normal(50, 10), Uniform(0, 1), Normal(0.01, 0.005), Uniform(-1, 2))
+        quadrature._standard_rule.cache_clear()  # earlier tests may have solved k=4
         with patch.object(quadrature, "eigh_tridiagonal",
                           wraps=quadrature.eigh_tridiagonal) as solver:
             grid_for(dists, 4)
+            assert solver.call_count == 2
+            # a later grid, or rule, of the same order solves nothing
+            grid_for(dists[::-1], 4)
+            gauss_rule(Normal(1, 2), 4)
         assert solver.call_count == 2
+
+    def test_kept_standard_rules_are_read_only(self):
+        for dist in (Normal(0, 1), Uniform(-1, 1)):
+            rule = gauss_rule(dist, 5)
+            nodes, weights = quadrature._standard_rule(type(dist), 5)
+            assert rule.weights is weights and gauss_rule(dist, 5.0).weights is weights
+            for array in (nodes, weights, rule.nodes):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_kept_rules_are_bounded_by_family_and_order(self):
+        quadrature._standard_rule.cache_clear()
+        for k in (1, 2, quadrature.MAX_RULE_ORDER):
+            for dist in (Normal(0, 1), Normal(3, 2), Uniform(0, 1), Uniform(-5, 5)):
+                gauss_rule(dist, k)
+        assert quadrature._standard_rule.cache_info().currsize == 6
+
+    def test_invalid_order_and_family_are_refused_every_time(self):
+        for _ in range(2):
+            with pytest.raises(InvalidOrderError):
+                gauss_rule(Normal(0, 1), quadrature.MAX_RULE_ORDER + 1)
+            with pytest.raises(UnsupportedDistributionError):
+                gauss_rule(object(), 3)
 
     def test_order_bounds(self):
         with pytest.raises(InvalidOrderError):
