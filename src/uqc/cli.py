@@ -53,13 +53,14 @@ def load_model(spec: str) -> tuple[str, Graph]:
 
 def parse_k_range(text: str) -> list[int]:
     """'5' -> [5]; '3..7' -> [3, 4, 5, 6, 7]."""
-    if ".." in text:
-        low, high = text.split("..", 1)
-        lo, hi = int(low), int(high)
-        if hi < lo:
-            raise ValueError(f"empty k range '{text}'")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    low, dots, high = text.partition("..")
+    try:
+        lo, hi = int(low), int(high if dots else low)
+    except ValueError:
+        raise ValueError(f"invalid k range '{text}'") from None
+    if hi < lo:
+        raise ValueError(f"empty k range '{text}'")
+    return list(range(lo, hi + 1))
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -231,6 +232,8 @@ def convergence_rows(graph: Graph, method_list: list[str], k_values: list[int],
     the same point budget (k^d), skipping a budget below their minimum;
     Monte Carlo averages the error over `mc_seeds` seeds."""
     chosen = [(method, _method(method)) for method in method_list]
+    if not chosen:
+        raise ValueError("--methods names no method")
     if mc_seeds < 1:
         raise ValueError(f"--mc-seeds must be at least 1, got {mc_seeds}")
     reference_k = max(k_values)

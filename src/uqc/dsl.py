@@ -26,6 +26,9 @@ the variable of its expression the declared name, also when an earlier
 statement made it.  An uncertain input keeps its own name, which labels
 its axis, and a second output of one variable is an error.
 
+pretty_print is the parser's inverse, outputs last and in declared order,
+and isomorphic compares graphs with their outputs in order.
+
 The text is tokenized in full before parsing starts, and a name or value
 error is held until the parse ends, so an unexpected character is
 reported ahead of any syntax error, and any syntax error ahead of the
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import astuple
 from itertools import repeat
 from typing import NamedTuple
 
@@ -47,15 +51,20 @@ from .errors import DuplicateNameError, ParseError, UndefinedNameError
 from .graph import Graph, GraphBuilder, OperationNode
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
-_KEYWORDS = ("input", "param", "output")
+# Names no statement may define.
+_RESERVED = frozenset(("input", "param", "output", "pi", *FUNCTIONS))
+# Distribution family name -> its class, whose fields are the two parameters.
+_FAMILIES = {family.__name__: family for family in (Normal, Uniform)}
 # Operator symbol -> (operation kind, precedence level).
 _BINARY_OPERATORS = {"+": ("add", 1), "-": ("sub", 1), "*": ("mul", 2), "/": ("div", 2)}
 _TOP_LEVEL = 2  # the highest of those levels
+_SYMBOLS = {kind: symbol for symbol, (kind, _) in _BINARY_OPERATORS.items()}
 
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 # One token, or a comment, after any blanks.  A character that starts
 # neither matches alone and is an error.
-_TOKEN_RE = re.compile(r"""[ \t]*(
-    [A-Za-z_][A-Za-z_0-9]*
+_TOKEN_RE = re.compile(rf"""[ \t]*(
+    {_NAME}
   | [-+*/^()=,~\n]
   | [0-9]+\.[0-9]*(?:[eE][+-]?[0-9]+)?|\.[0-9]+(?:[eE][+-]?[0-9]+)?|[0-9]+(?:[eE][+-]?[0-9]+)?
   | \#[^\n]*
@@ -189,7 +198,7 @@ class _Parser:
 
     def _define(self, tok: Token) -> str:
         name = tok.text
-        if name == "pi" or name in _KEYWORDS or name in FUNCTIONS:
+        if name in _RESERVED:
             self._hold(ParseError(f"'{name}' is reserved", *self._at(tok)))
         elif name in self._env:
             self._hold(DuplicateNameError(name, *self._at(tok)))
@@ -255,10 +264,10 @@ class _Parser:
     def _input_statement(self) -> None:
         name = self._define(self._expect_ident())
         self._expect("~")
-        family = self._expect_ident("Normal or Uniform")
-        if family.text not in ("Normal", "Uniform"):
+        family = self._expect_ident(" or ".join(_FAMILIES))
+        if family.text not in _FAMILIES:
             raise ParseError(f"unknown distribution '{family.text}'",
-                             *self._at(family), expected=("Normal", "Uniform"))
+                             *self._at(family), expected=tuple(_FAMILIES))
         self._expect("(")
         a = self._signed_real()
         self._expect(",")
@@ -266,7 +275,7 @@ class _Parser:
         self._expect(")")
         self._end_statement()
         try:
-            dist = Normal(a, b) if family.text == "Normal" else Uniform(a, b)
+            dist = _FAMILIES[family.text](a, b)
         except ValueError as exc:
             return self._hold(exc)
         self._env[name] = self._builder.add_uncertain_input(name, dist)
@@ -389,12 +398,16 @@ def _format_real(value: float) -> str:
 
 
 def pretty_print(graph: Graph) -> str:
-    """Render a graph back to model source.
+    """Render a graph back to model source: inputs, parameters, one
+    assignment per operation in evaluation order, then one `output NAME =
+    VAR` statement per output, in the order of graph.outputs.
 
-    Re-parsing the result yields a graph isomorphic to the input (same
-    operations, kinds, wiring, and distributions); names are preserved
-    where they are unique.  Expand operations have no surface syntax, so
-    only untransformed graphs can be printed.
+    Re-parsing the result yields an isomorphic graph.  An output's value is
+    printed under another name, which its `output` statement turns back
+    into the declared name; an uncertain input keeps its own.  Other names
+    are kept where they are valid and unique, as in any parsed graph.
+    Expand operations have no surface syntax, so only untransformed graphs
+    can be printed.
     """
     if graph.has_expansions():
         raise ValueError("cannot pretty-print a graph containing expand operations")
@@ -403,16 +416,12 @@ def pretty_print(graph: Graph) -> str:
     used: set[str] = set()
 
     def assign_name(var_id: int) -> str:
-        base = graph.variable_by_id[var_id].name
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", base) or base == "pi" \
-                or base in _KEYWORDS or base in FUNCTIONS:
-            base = f"v{var_id}"
-        name = base
+        name = graph.variable_by_id[var_id].name
+        if not re.fullmatch(_NAME, name) or name in _RESERVED:
+            name = f"v{var_id}"
         while name in used:
-            name = f"{base}_{var_id}"
-            base = name
+            name += "_"
         used.add(name)
-        names[var_id] = name
         return name
 
     # How many operand slots read each variable.
@@ -421,18 +430,18 @@ def pretty_print(graph: Graph) -> str:
         for vid in op.inputs:
             slot_counts[vid] += 1
 
-    output_set = set(graph.outputs)
     lines: list[str] = []
-
     for vid, dist in graph.uncertain_inputs:
-        name = assign_name(vid)
-        if isinstance(dist, Normal):
-            lines.append(f"input {name} ~ Normal({dist.mean!r}, {dist.stddev!r})")
-        else:
-            lines.append(f"input {name} ~ Uniform({dist.lower!r}, {dist.upper!r})")
+        names[vid] = assign_name(vid)
+        a, b = astuple(dist)
+        lines.append(f"input {names[vid]} ~ {type(dist).__name__}({a!r}, {b!r})")
+    # Output names are taken first, so no variable, an output's own value
+    # included, is printed under one.
+    declared = [assign_name(vid) for vid in graph.outputs]
 
     # Constants referenced once inline at their operand slot; the rest
-    # (shared, unused, or output-aliased) become param declarations.
+    # (shared, unused, or outputs) become param declarations.
+    output_set = set(graph.outputs)
     inline_constants: set[int] = set()
     for var in graph.variables:
         if var.kind != "constant":
@@ -440,7 +449,8 @@ def pretty_print(graph: Graph) -> str:
         if slot_counts[var.id] == 1 and var.id not in output_set:
             inline_constants.add(var.id)
         else:
-            lines.append(f"param {assign_name(var.id)} = {var.constant_value!r}")
+            names[var.id] = assign_name(var.id)
+            lines.append(f"param {names[var.id]} = {var.constant_value!r}")
 
     def operand(vid: int) -> str:
         if vid in inline_constants:
@@ -454,28 +464,14 @@ def pretty_print(graph: Graph) -> str:
             return f"-({text})" if op.inputs[0] in inline_constants else f"-{text}"
         if op.kind == "pow_const":
             return f"{operand(op.inputs[0])} ^ {_format_real(op.exponent)}"
-        if op.kind in ("add", "sub", "mul", "div"):
-            symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op.kind]
-            return f"{operand(op.inputs[0])} {symbol} {operand(op.inputs[1])}"
+        if op.kind in _SYMBOLS:
+            return f"{operand(op.inputs[0])} {_SYMBOLS[op.kind]} {operand(op.inputs[1])}"
         return f"{op.kind}({operand(op.inputs[0])})"
 
     for op in graph.order:
-        name = assign_name(op.output)
-        prefix = "output " if op.output in output_set else ""
-        lines.append(f"{prefix}{name} = {render(op)}")
-
-    # Outputs that alias an input or a constant have no producing statement.
-    producer = graph.producer_of
-    for vid in graph.outputs:
-        if vid in producer:
-            continue
-        alias = names.get(vid) or assign_name(vid)
-        out_name = alias + "_out"
-        while out_name in used:
-            out_name += "_"
-        used.add(out_name)
-        lines.append(f"output {out_name} = {alias}")
-
+        names[op.output] = assign_name(op.output)
+        lines.append(f"{names[op.output]} = {render(op)}")
+    lines += [f"output {name} = {names[vid]}" for name, vid in zip(declared, graph.outputs)]
     return "\n".join(lines) + "\n"
 
 
@@ -519,7 +515,6 @@ def _canonical_form(graph: Graph):
             else:
                 assign(vid)
         outputs_form.append(canonical[vid])
-    outputs_form.sort()  # output identity matters, declaration order does not
 
     leftovers = sorted(
         (var.kind, var.constant_value)
@@ -535,7 +530,8 @@ def _canonical_form(graph: Graph):
 
 def isomorphic(a: Graph, b: Graph) -> bool:
     """Structural equivalence: same operations, kinds, wiring, constants,
-    distributions, and outputs, up to node renumbering and renaming."""
+    distributions, and outputs in the same order (the first is the one
+    the estimators study), up to node renumbering and renaming."""
     form_a = _canonical_form(a)
     form_b = _canonical_form(b)
     return form_a is not None and form_a == form_b

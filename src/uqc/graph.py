@@ -295,7 +295,6 @@ class GraphBuilder:
         self._operations: list[OperationNode] = []
         self._uncertain: list[tuple[int, Distribution]] = []
         self._outputs: list[int] = []
-        self._names: dict[int, str] = {}  # renames, applied by build
         self._next_id = 0
 
     def add_uncertain_input(self, name: str, dist: Distribution) -> int:
@@ -328,24 +327,20 @@ class GraphBuilder:
         return out_id
 
     def rename(self, var_id: int, name: str) -> None:
-        if var_id not in self._variables:
-            raise KeyError(var_id)
-        self._names[var_id] = name
+        var = self._variables[var_id]
+        self._variables[var_id] = _new_node(VariableNode,
+                                            (var_id, name, var.kind, var.constant_value))
 
     def mark_output(self, var_id: int) -> None:
+        """List the variable as an output; an intermediate one becomes of
+        kind output.  An id with no variable is listed as it is."""
         self._outputs.append(var_id)
+        var = self._variables.get(var_id)
+        if var is not None and var.kind == "intermediate":
+            self._variables[var_id] = _new_node(VariableNode, (var_id, var.name, "output", None))
 
     def build(self) -> Graph:
-        names = self._names
-        outputs = set(self._outputs)
-        variables = tuple(
-            _new_node(VariableNode, (
-                v.id, names.get(v.id, v.name),
-                "output" if v.id in outputs and v.kind == "intermediate" else v.kind,
-                v.constant_value))
-            if v.id in names or v.id in outputs else v
-            for v in self._variables.values())
-        return Graph(variables, tuple(self._operations),
+        return Graph(tuple(self._variables.values()), tuple(self._operations),
                      tuple(self._uncertain), tuple(self._outputs))
 
 

@@ -407,6 +407,14 @@ class TestConvergence:
         assert rc == 1
         assert capsys.readouterr().err == "error: --mc-seeds must be at least 1, got 0\n"
 
+    @pytest.mark.parametrize("methods", [",", ""])
+    def test_no_method_exits_one(self, capsys, methods):
+        # refused before the reference study, which fails on piston at k=7
+        rc = run_cli(["convergence", "--model", "piston", "--methods", methods,
+                      "--k", "2..7"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --methods names no method\n"
+
     @staticmethod
     def rows(tmp_path, *argv):
         out = tmp_path / "conv.csv"
@@ -541,8 +549,11 @@ class TestArgumentHelpers:
     def test_parse_k_range(self):
         assert parse_k_range("5") == [5]
         assert parse_k_range("3..7") == [3, 4, 5, 6, 7]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty k range"):
             parse_k_range("7..3")
+        for text in ("3..", "..3", "2..3..4", "x", ""):
+            with pytest.raises(ValueError, match=re.escape(f"invalid k range '{text}'")):
+                parse_k_range(text)
 
     def test_parser_builds(self):
         parser = build_parser()

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -314,11 +315,21 @@ class TestPrettyPrint:
         "input x ~ Normal(0,1)\noutput f = pi\n",
         "input x ~ Normal(0,1)\noutput f = x\noutput h = sqrt(x + 4)\n",
         "input x ~ Normal(0,1)\noutput f = (-0) ^ 2 + x\n",
+        "input x ~ Normal(0,1)\na = sin(x)\noutput g = x * 3\noutput f = a\n",
+        "input x ~ Normal(0,1)\noutput f = 2\noutput g = 3 * x\n",
+        "input x ~ Normal(0,1)\noutput f = x\n",
+        SEP6.read_text(),
+        LITERAL_FORMS_SOURCE,
     ])
     def test_round_trip_is_isomorphic(self, source):
         g = parse_model(source)
         again = parse_model(pretty_print(g))
         assert isomorphic(g, again)
+        assert again.output_names == g.output_names
+        point = [dist.from_standard(0.3) for dist in g.distributions]
+        assert evaluate_single_point(again, point) == evaluate_single_point(g, point)
+        # isomorphic compares the outputs in order
+        assert isomorphic(replace(g, outputs=g.outputs[::-1]), again) == (len(g.outputs) == 1)
 
     def test_round_trip_idempotent(self):
         g = builtin_model("piston")

@@ -193,6 +193,9 @@ def test_blocked_evaluators_refuse_alike(model, block):
 @given(st.one_of(models(), models(RISKY_UNARY_FORMS, RISKY_BINARY_FORMS)))
 # A minus sign printed directly on a literal would fold into it.
 @example(("input x0 ~ Normal(0.3, 1)\nt0 = -(0.5)\noutput o0 = t0\n", (1,)))
+# An output of a computed value, of an input and of a constant, in that order.
+@example(("input x0 ~ Normal(0.3, 1)\nt0 = -(x0)\noutput o0 = t0\noutput o1 = x0\n"
+          "output o2 = 0.25\n", (1,)))
 def test_transform_and_printer_round_trip(model):
     graph = parse_model(model[0])
     transformed = insert_expansions(graph).graph
@@ -200,4 +203,6 @@ def test_transform_and_printer_round_trip(model):
     # insert_expansions lists the transformed graph in its evaluation order
     assert topo_sort(transformed) == [op.id for op in transformed.operations]
     assert strip_expansions(transformed) == graph
-    assert isomorphic(parse_model(pretty_print(graph)), graph)
+    again = parse_model(pretty_print(graph))
+    assert isomorphic(again, graph)
+    assert again.output_names == graph.output_names
