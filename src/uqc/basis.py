@@ -25,14 +25,18 @@ MAX_DEGREE = 32
 MultiIndex = tuple[int, ...]
 
 
+def _check_degree(order: int) -> None:
+    if not 0 <= order <= MAX_DEGREE:
+        raise InvalidOrderError(f"degree must be in [0, {MAX_DEGREE}], got {order}")
+
+
 def univariate_table(dist: Distribution, order: int, x) -> np.ndarray:
     """Family members of `dist` of degree 0..order at standardized
     coordinate(s) x, shape (order + 1, *x.shape), by the family's
     three-term recurrence: He_{n+1} = x He_n - n He_{n-1} (probabilists'
     Hermite) or Bonnet's (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
     (Legendre)."""
-    if order < 0 or order > MAX_DEGREE:
-        raise InvalidOrderError(f"degree must be in [0, {MAX_DEGREE}], got {order}")
+    _check_degree(order)
     if not isinstance(dist, (Normal, Uniform)):
         raise UnsupportedDistributionError(f"no polynomial family for {type(dist).__name__}")
     hermite = isinstance(dist, Normal)
@@ -85,11 +89,13 @@ def enumerate_basis(dim: int, order: int, distributions) -> PceBasis:
     """All multivariate basis functions of total degree <= order.
 
     The count is (dim + order)! / (dim! order!); norms are products of the
-    univariate norms.
+    univariate norms.  An order above MAX_DEGREE is refused before any
+    index is built.
     """
     distributions = tuple(distributions)
     if dim < 1 or order < 0:
         raise InvalidOrderError(f"need dim >= 1 and order >= 0, got ({dim}, {order})")
+    _check_degree(order)
     if len(distributions) != dim:
         raise DimensionMismatchError(
             f"{len(distributions)} distributions for dimension {dim}")

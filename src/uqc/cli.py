@@ -234,6 +234,9 @@ def convergence_rows(graph: Graph, method_list: list[str], k_values: list[int],
     chosen = [(method, _method(method)) for method in method_list]
     if not chosen:
         raise ValueError("--methods names no method")
+    repeated = sorted({method for method in method_list if method_list.count(method) > 1})
+    if repeated:
+        raise ValueError(f"--methods names {', '.join(repeated)} more than once")
     if mc_seeds < 1:
         raise ValueError(f"--mc-seeds must be at least 1, got {mc_seeds}")
     reference_k = max(k_values)

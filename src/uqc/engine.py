@@ -8,30 +8,29 @@ or one point.  evaluate_amtc runs the graph a transformed graph was built
 from: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
 runs each operation once per distinct point of its subspace.  The expands'
 elements are counted from the transformed IR as copies, never made.
+Costs are counted as scalar applications per operation, so the accounting
+is machine-independent; wall time is measured but never part of report
+equality.
 
 Constants are 1-element arrays that numpy broadcasts.  A value is dropped
 after its last reader, and a result reuses the buffer of a dying operand
 of its shape that the executor allocated, so peak memory follows the
 largest live set rather than the operation count.  Grid nodes, caller
-samples and constants are never written.
+samples and constants are never written.  Aligned vectors (naive grid,
+samples) longer than _BLOCK points run the whole plan one block at a
+time (cache blocking), so intermediates stay block-sized; evaluate_amtc
+runs unblocked, because its values are shaped per axis, not aligned.
 
-Aligned vectors (naive grid, samples) longer than _BLOCK points run the
-whole plan one block at a time (cache blocking), writing each block's
-outputs into preallocated vectors: intermediates stay block-sized, so a
-run holds its inputs, its outputs and a few blocks.  Blocks run one after
-another.  evaluate_amtc runs unblocked, because its values are shaped per
-axis, not aligned.
-
-Costs are counted as scalar applications per operation, which makes the
-accounting machine-independent; wall time is measured but never part of
-report equality.  Out-of-domain arguments (sqrt of a negative, log of a
-non-positive, division by zero) and results that overflow or are invalid
-(inf or NaN, caught by np.errstate) raise DomainError rather than
-propagating into moments.  It names the first operation in plan order
-that meets one, and the first full-grid point where it does; every engine
-runs the original operations in the same order, and a blocked run that
-fails is re-run unblocked, so all of them name the same operation and
-point.
+Every value an engine holds is finite: a non-finite grid node, sample
+entry, constant or pow_const exponent is refused with a ValueError where
+it enters (_check_grid, _refuse_non_finite, Graph.plan).  Out-of-domain
+arguments (sqrt of a negative, log of a non-positive, division by zero)
+and results that overflow or are invalid (caught by np.errstate) raise
+DomainError rather than propagating into moments.  It names the first
+operation in plan order that meets one, and the first full-grid point
+where it does; every engine runs the original operations in the same
+order, and a blocked run that fails is re-run unblocked, so all of them
+name the same operation and point.
 """
 
 from __future__ import annotations
@@ -135,24 +134,16 @@ def _check_domain(op, arrays, space) -> None:
             _raise_if(arrays[0] == 0.0, op, f"zero base for exponent {exponent}", space)
 
 
-def _raise_if_non_finite(op, operands, out: np.ndarray, space) -> None:
+def _raise_if_non_finite(op, out: np.ndarray, space) -> None:
     """Called when the operation's ufunc, run under np.errstate(raise),
     raised FloatingPointError for a result that overflows or is invalid;
-    numpy completes `out` before it raises.  Raises a DomainError at the
-    first point that raised the flag: an inf from finite operands or a NaN
-    from operands that are not NaN.  Points that only carry a non-finite
-    input along (exp(inf) is inf) are not named, as they raise nothing on
-    their own."""
-    overflow, invalid = np.isinf(out), np.isnan(out)
-    for operand in operands:
-        if operand is not out:  # a reused buffer held finite values
-            overflow &= np.isfinite(operand)
-            invalid &= ~np.isnan(operand)
-    bad = overflow | invalid
+    numpy completes `out` before it raises.  Every operand is finite, so
+    the first non-finite entry of `out` raised the flag: a DomainError
+    names that point."""
+    bad = ~np.isfinite(out)
     if bad.any():
-        value = out.flat[int(np.flatnonzero(bad)[0])]
         raise DomainError(op.id, op.kind, _grid_index(bad, space),
-                          f"non-finite result {value}") from None
+                          f"non-finite result {out.flat[np.argmax(bad)]}") from None
 
 
 def _execute(graph: Graph, columns, space: tuple[int, ...]):
@@ -167,11 +158,6 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     for var in graph.variables:
         if var.kind == "constant":
             values[var.id] = np.array(var.constant_value, ndmin=len(space))
-    # A non-finite input passes through operations without a flag.  Buffers
-    # are reused only when every input is finite, so that
-    # _raise_if_non_finite sees the operands it needs to tell such points
-    # from those that raised.
-    reuse = all(np.isfinite(column).all() for column in columns)
     counts: dict[int, int] = {}
     produced = graph.producer_of
     value_of = values.__getitem__
@@ -187,13 +173,11 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
                 _check_domain(op, operands, space)
             # Reuse a dying operand's buffer if an operation allocated it in
             # this shape (release may also name this step's unread output).
-            result = None
-            if reuse:
-                for vid in release:
-                    if vid in produced and vid in values and values[vid].shape == shape:
-                        result = values[vid]
-                        break
-            if result is None:
+            for vid in release:
+                if vid in produced and vid in values and values[vid].shape == shape:
+                    result = values[vid]
+                    break
+            else:
                 result = np.empty(shape)
             try:
                 if op.exponent is None:
@@ -201,7 +185,7 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
                 else:
                     ufunc(operands[0], op.exponent, out=result)
             except FloatingPointError:
-                _raise_if_non_finite(op, operands, result, space)
+                _raise_if_non_finite(op, result, space)
             counts[op.id] = result.size
             values[op.output] = result
             for vid in release:
@@ -221,16 +205,14 @@ def _own_output(graph: Graph, vid: int, value: np.ndarray, shape) -> np.ndarray:
 def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     """Every output over n aligned points, each as its own length-n vector.
 
-    No points give every output as an empty vector, without running the
-    plan.  Up to _BLOCK points run as one block, whose outputs _own_output
-    hands over.  Longer inputs run the whole plan over one block of _BLOCK points
-    at a time, so intermediates stay block-sized, and each block's outputs
-    are written into preallocated length-n vectors.  A DomainError in any
-    block re-runs the plan over all n points, so that the error names the
-    first operation in plan order and its first point, as an unblocked run
-    does.
+    Up to _BLOCK points run as one block, whose outputs _own_output hands
+    over; longer runs write each block's outputs into preallocated vectors.
+    A DomainError in any block re-runs the plan over all n points, so that
+    the error names the first operation in plan order and its first point,
+    as an unblocked run does.
     """
     names = graph.output_names
+    graph.plan  # refuses a graph it cannot run at every n, also at 0
     if n == 0:
         return {name: np.empty(0) for name in names}
     if n <= _BLOCK:
@@ -265,11 +247,25 @@ def _check_grid(graph: Graph, grid: TensorGrid) -> None:
     if grid.dim != graph.dim:
         raise DimensionMismatchError(
             f"grid has {grid.dim} axes but the model has {graph.dim} uncertain inputs")
-    for axis, (_, dist) in enumerate(graph.uncertain_inputs):
-        if grid.axes[axis].distribution != dist:
+    for axis, ((vid, dist), rule) in enumerate(zip(graph.uncertain_inputs, grid.axes)):
+        if rule.distribution != dist:
             raise DimensionMismatchError(
-                f"grid axis {axis} distribution {grid.axes[axis].distribution} "
+                f"grid axis {axis} distribution {rule.distribution} "
                 f"does not match model input {dist}")
+        finite = np.isfinite(rule.nodes)
+        if not finite.all():
+            raise ValueError(f"non-finite grid node {rule.nodes[finite.argmin()]} of uncertain "
+                             f"input '{graph.variable_by_id[vid].name}' on axis {axis}")
+
+
+def _refuse_non_finite(graph: Graph, samples: np.ndarray) -> None:
+    """ValueError naming the first row of an (n, dim) array of input points
+    with a non-finite entry, and that row's value of each input."""
+    if not np.isfinite(samples).all():
+        row = int(np.argmin(np.isfinite(samples).all(axis=1)))
+        values = ", ".join(f"{graph.variable_by_id[vid].name}={value}" for (vid, _), value
+                           in zip(graph.uncertain_inputs, samples[row].tolist()))
+        raise ValueError(f"non-finite input at sample row {row}: {values}")
 
 
 def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
@@ -287,14 +283,13 @@ def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
 def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> EvaluationReport:
     """Evaluate a transformed graph, one run per distinct subspace point.
 
-    Runs transformed.source, the graph the transform was built from, over
-    its cached plan, the one evaluate_naive runs.  Uncertain input j is fed
-    its k_j raw nodes along axis j, constants are 1-element arrays, and
+    Runs transformed.source over its cached plan, the one evaluate_naive
+    runs, feeding uncertain input j its k_j raw nodes along axis j, so
     broadcasting runs each operation over the product of axis sizes in its
     signature.  The expands of transformed.graph contribute their output
     sizes to expansion_copies, not to total_scalar_evals.  Outputs are
-    broadcast from their own shapes onto the full grid so they compare
-    directly with evaluate_naive (that broadcast is not counted).
+    broadcast onto the full grid so they compare directly with
+    evaluate_naive (that broadcast is not counted).
     """
     source = transformed.source
     _check_grid(source, grid)
@@ -312,11 +307,13 @@ def evaluate_single_point(graph: Graph, point) -> dict[str, float]:
     """Plain scalar interpretation of the graph at one input point.
 
     Reference semantics for both grid engines and for sampling drivers.
+    A non-finite coordinate is refused as evaluate_on_samples refuses it.
     """
     point = np.atleast_1d(np.asarray(point, dtype=float))
     if len(point) != graph.dim:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates but the model has {graph.dim} inputs")
+    _refuse_non_finite(graph, point[None, :])
     outputs = _evaluate_vectors(graph, point[:, None], 1)
     return {name: float(vector[0]) for name, vector in outputs.items()}
 
@@ -326,12 +323,14 @@ def evaluate_on_samples(graph: Graph, samples: np.ndarray) -> dict[str, np.ndarr
 
     Vectorized equivalent of evaluate_single_point row by row; DomainError
     point indices refer to sample rows, and the error carries that row as
-    its sample.
+    its sample.  A row with a non-finite entry is refused before any
+    block runs.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != graph.dim:
         raise DimensionMismatchError(
             f"samples have {samples.shape[1]} columns but the model has {graph.dim} inputs")
+    _refuse_non_finite(graph, samples)
     try:
         return _evaluate_vectors(graph, samples.T, samples.shape[0])
     except DomainError as exc:

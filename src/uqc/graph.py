@@ -16,6 +16,7 @@ sorted once per graph, and every pass and engine reads it.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -146,7 +147,12 @@ class Graph:
         that order.  Only elementary operations have a kernel: a graph
         with expands raises SignatureMismatchError, as evaluate_amtc runs
         the graph a transformed graph was built from, whose cached plan
-        evaluate_naive runs too.  Raises CycleError like topo_sort."""
+        evaluate_naive runs too.  A non-finite constant or pow_const
+        exponent raises ValueError naming its variable, so every value an
+        engine holds is finite.  Raises CycleError like topo_sort."""
+        for var in self.variables:
+            if var.kind == "constant" and not math.isfinite(var.constant_value):
+                raise ValueError(f"constant '{var.name}' has non-finite value {var.constant_value}")
         order = self.order
         last_use: dict[int, int] = {}
         for index, op in enumerate(order):
@@ -154,6 +160,9 @@ class Graph:
                 hint = "; run a transformed graph with evaluate_amtc" if op.kind == EXPAND else ""
                 raise SignatureMismatchError(
                     f"cannot apply operation kind '{op.kind}' elementwise{hint}")
+            if op.exponent is not None and not math.isfinite(op.exponent):
+                raise ValueError(f"non-finite exponent {op.exponent} in operation {op.id} "
+                                 f"(pow_const) of '{self.variable_by_id[op.inputs[0]].name}'")
             for vid in (op.output, *op.inputs):
                 last_use[vid] = index
         release: list[list[int]] = [[] for _ in order]
@@ -275,9 +284,11 @@ def validate(graph: Graph) -> list[str]:
             violations.append(f"uncertain input references missing variable {vid}")
         elif var.kind != "uncertain_input":
             violations.append(f"uncertain input variable {vid} has kind '{var.kind}'")
-    for vid in graph.outputs:
+    for index, vid in enumerate(graph.outputs):
         if vid not in var_ids:
             violations.append(f"outputs reference missing variable {vid}")
+        if vid in graph.outputs[:index]:
+            violations.append(f"variable {vid} is listed more than once in outputs")
 
     if not violations:
         try:

@@ -35,6 +35,13 @@ class UqResult:
     n_model_points: int
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Every evaluated value is finite, but moments of finite values can
+        # still overflow (f = x * 1e200 has stddev inf).
+        if not (math.isfinite(self.mean) and math.isfinite(self.stddev)):
+            raise ValueError(f"{self.method}: non-finite moments, mean {self.mean}, "
+                             f"stddev {self.stddev}")
+
 
 def _check_grid_values(values: np.ndarray, grid: TensorGrid) -> None:
     if np.shape(values) != (grid.total_points,):

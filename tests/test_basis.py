@@ -6,8 +6,9 @@ import pytest
 from numpy.polynomial import hermite_e, legendre
 
 from uqc import Normal, Uniform, enumerate_basis
+from uqc import basis as basis_module
 from uqc.basis import design_matrix, univariate_norm, univariate_table
-from uqc.errors import DimensionMismatchError, UnsupportedDistributionError
+from uqc.errors import DimensionMismatchError, InvalidOrderError, UnsupportedDistributionError
 from uqc.quadrature import grid_for
 
 
@@ -48,6 +49,13 @@ class TestEnumeration:
         basis = enumerate_basis(1, 0, [Normal(0, 1)])
         assert basis.indices == ((0,),)
         assert basis.norms[0] == pytest.approx(1.0)
+
+    def test_order_above_max_degree_is_refused_before_enumerating(self, monkeypatch):
+        def enumerate_nothing(dim, order):
+            raise AssertionError("indices enumerated")
+        monkeypatch.setattr(basis_module, "_graded_lex_indices", enumerate_nothing)
+        with pytest.raises(InvalidOrderError, match=r"^degree must be in \[0, 32\], got 33$"):
+            enumerate_basis(2, 33, [Normal(0, 1)] * 2)
 
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("p", range(7))

@@ -89,6 +89,34 @@ class TestRun:
         assert rc == 1
         assert "non-finite result inf in operation 4 (exp)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_overflowing_inputs_exit_one_naming_the_input(self, tmp_path, capsys, method):
+        # finite parameters, but the mapped Gauss nodes and the draws overflow
+        path = tmp_path / "huge.uq"
+        path.write_text("input x ~ Normal(1e308, 1e308)\noutput f = x\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = run_cli(["run", "--model", str(path), "--method", method, "--k", "3",
+                          "--mc-samples", "1000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: non-finite (grid node inf of uncertain input 'x' on "
+                            r"axis 0|input at sample row \d+: x=-?inf)\n", err)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the moments overflow
+    def test_non_finite_moments_exit_one(self, tmp_path, capsys, method):
+        # every value evaluated is finite, but the variance is about 1e400
+        path = tmp_path / "steep.uq"
+        path.write_text("input x ~ Normal(0, 1)\noutput f = x * 1e200\n")
+        rc = run_cli(["run", "--model", str(path), "--method", method, "--k", "3",
+                      "--mc-samples", "1000"])
+        assert rc == 1
+        assert re.fullmatch(rf"error: {method}: non-finite moments, mean \S+, stddev inf\n",
+                            capsys.readouterr().err)
+        rc = run_cli(["convergence", "--model", str(path), "--methods", method, "--k", "2..3"])
+        assert rc == 1
+        assert "non-finite moments" in capsys.readouterr().err
+
     def test_domain_error_prints_the_sample_as_plain_floats(self, capsys):
         rc = run_cli(["run", "--model", "piston", "--method", "mc",
                       "--mc-samples", "1000", "--seed", "0"])
@@ -414,6 +442,13 @@ class TestConvergence:
                       "--k", "2..7"])
         assert rc == 1
         assert capsys.readouterr().err == "error: --methods names no method\n"
+
+    def test_repeated_method_exits_one(self, capsys):
+        # refused before the reference study, which fails on piston at k=7
+        rc = run_cli(["convergence", "--model", "piston", "--methods", "sc,mc,sc",
+                      "--k", "2..7"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --methods names sc more than once\n"
 
     @staticmethod
     def rows(tmp_path, *argv):

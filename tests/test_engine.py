@@ -375,6 +375,63 @@ class TestSamples:
         for values in outputs.values():
             assert values.shape == (0,) and values.dtype == np.float64
 
+    def test_zero_rows_read_the_plan(self):
+        # a graph with expands has no plan, at zero rows as at one
+        g = insert_expansions(builtin_model("simple")).graph
+        for n in (0, 1):
+            with pytest.raises(SignatureMismatchError, match="evaluate_amtc"):
+                evaluate_on_samples(g, np.zeros((n, 2)))
+
+
+class TestNonFiniteInputs:
+    """Every value an engine holds is finite: what is not is refused where
+    it enters."""
+
+    def test_sample_refused_at_its_first_non_finite_row(self):
+        g = parse_model("input u ~ Uniform(0,1)\ninput v ~ Uniform(0,1)\noutput f = u * v\n")
+        samples = np.full((2 * engine._BLOCK + 5, 2), 0.5)
+        samples[engine._BLOCK + 7, 1] = np.nan
+        samples[engine._BLOCK + 9, 0] = -np.inf
+        with pytest.raises(ValueError, match=f"^non-finite input at sample row "
+                                             f"{engine._BLOCK + 7}: u=0.5, v=nan$"):
+            evaluate_on_samples(g, samples)
+
+    def test_overflowing_grid_nodes_are_refused_by_both_grid_engines(self):
+        # finite parameters whose mapped Gauss nodes overflow: 1e308 + 1e308 * 1.73
+        g = parse_model("input x ~ Normal(1e308, 1e308)\noutput f = x\n")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            grid = grid_for(g.distributions, 3)
+        for run in (lambda: evaluate_naive(g, grid),
+                    lambda: evaluate_amtc(insert_expansions(g), grid)):
+            with pytest.raises(ValueError, match="^non-finite grid node inf of uncertain "
+                                                 "input 'x' on axis 0$"):
+                run()
+
+    @staticmethod
+    def builder_graph(constant=1.0, exponent=2.0):
+        b = GraphBuilder()
+        x = b.add_uncertain_input("x", Normal(0, 1))
+        scaled = b.add_operation("mul", [x, b.add_constant(constant, "c")])
+        b.mark_output(b.add_operation("pow_const", [scaled], exponent=exponent, name="f"))
+        return b.build()
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"constant": np.inf}, "^constant 'c' has non-finite value inf$"),
+        ({"exponent": np.nan},
+         r"^non-finite exponent nan in operation 4 \(pow_const\) of '_t3'$"),
+    ], ids=["inf-constant", "nan-exponent"])
+    def test_builder_constant_or_exponent_is_refused_by_every_evaluator(self, kwargs, message):
+        g = self.builder_graph(**kwargs)
+        grid = grid_for(g.distributions, 2)
+        for run in (lambda: evaluate_naive(g, grid),
+                    lambda: evaluate_amtc(insert_expansions(g), grid),
+                    lambda: evaluate_on_samples(g, np.zeros((3, 1))),
+                    lambda: evaluate_on_samples(g, np.zeros((0, 1))),
+                    lambda: evaluate_single_point(g, [0.0])):
+            with pytest.raises(ValueError, match=message):
+                run()
+        assert evaluate_single_point(self.builder_graph(), [1.5]) == {"f": 2.25}
+
 
 class TestDomainGuards:
     def test_division_by_zero(self):
@@ -461,29 +518,25 @@ class TestDomainGuards:
             [(4, "exp", 2, "non-finite result inf")] * 3 + [(4, "exp", 0, "non-finite result inf")]
         assert str(errors[0]) == "non-finite result inf in operation 4 (exp) at point index 2"
 
-    def test_nan_result_names_its_sample(self):
-        # an infinite input passes the subtraction's operands unflagged,
-        # but inf - inf is NaN
+    def test_infinite_sample_is_refused_at_its_row(self):
+        # inf - inf would be NaN: the infinite input is refused before any
+        # operation runs
         g = parse_model("input u ~ Uniform(0,1)\noutput f = u - u\n")
-        with pytest.raises(DomainError) as excinfo:
+        with pytest.raises(ValueError, match="^non-finite input at sample row 1: u=inf$"):
             evaluate_on_samples(g, np.array([[0.5], [np.inf]]))
-        error = excinfo.value
-        assert (error.op_kind, error.point_index, error.reason, error.sample) == \
-            ("sub", 1, "non-finite result nan", (np.inf,))
 
     def test_non_finite_operand_is_not_the_operations_fault(self):
-        # exp(inf) is inf without a flag; exp(900) overflows, so the error
-        # names row 1, the row where evaluate_single_point raises too
+        # exp(inf) would be inf without a flag: the infinite input is
+        # refused, while exp(900) still overflows in the operation
         g = parse_model("input u ~ Uniform(0,1)\noutput f = exp(1000*u)\n")
         samples = np.array([[np.inf], [0.9]])
-        with pytest.raises(DomainError) as excinfo:
+        with pytest.raises(ValueError, match="^non-finite input at sample row 0: u=inf$"):
             evaluate_on_samples(g, samples)
-        error = excinfo.value
-        assert (error.op_kind, error.point_index, error.reason, error.sample) == \
-            ("exp", 1, "non-finite result inf", (0.9,))
-        assert evaluate_single_point(g, samples[0]) == {"f": np.inf}
-        with pytest.raises(DomainError, match="non-finite result inf"):
+        with pytest.raises(ValueError, match="^non-finite input at sample row 0: u=inf$"):
+            evaluate_single_point(g, samples[0])
+        with pytest.raises(DomainError, match="non-finite result inf") as excinfo:
             evaluate_single_point(g, samples[1])
+        assert (excinfo.value.op_kind, excinfo.value.point_index) == ("exp", 0)
 
     def test_underflow_to_zero_is_fine(self):
         g = parse_model("input u ~ Uniform(1,2)\noutput f = exp(-1000*u)\n")

@@ -166,6 +166,13 @@ class TestValidate:
         problems = validate(Graph(g.variables, tuple(ops), g.uncertain_inputs, g.outputs))
         assert any("expected 2" in p for p in problems)
 
+    def test_repeated_output(self):
+        b = GraphBuilder()
+        y = b.add_operation("sin", [b.add_uncertain_input("x", Normal(0, 1))])
+        b.mark_output(y)
+        b.mark_output(y)
+        assert validate(b.build()) == [f"variable {y} is listed more than once in outputs"]
+
     def test_valid_implies_sortable(self):
         g = two_branch_graph()
         assert validate(g) == []
