@@ -14,15 +14,17 @@ nipc-reg (regression, two samples per coefficient in `run`) and mc (Monte
 Carlo, --mc-samples in `run`); `convergence` gives them the grid's point
 count, skips a count below nipc-reg's coefficient count or mc's 2, and
 averages mc alone over --mc-seeds.  CSV output uses a header row, comma
-separators, '.' decimals, and LF line endings; JSON output has a stable key
-order so identical invocations are byte-identical except for wall-time
-fields.
+separators, '.' decimals, LF line endings, and quotes only a cell holding
+a comma, a quote or a newline; JSON output has a stable key order so
+identical invocations are byte-identical except for wall-time fields.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import statistics
@@ -30,6 +32,8 @@ import sys
 from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import engine, methods, models, transform
 from .basis import enumerate_basis
@@ -71,7 +75,10 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _csv(rows: list[list]) -> str:
-    return "\n".join(",".join(str(cell) for cell in row) for row in rows) + "\n"
+    """Rows as CSV; a cell holding a comma, a quote or a newline is quoted."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def _run_nipc_full(graph: Graph, grid, pce_order: int, seed: int, amtc: bool = False):
@@ -356,7 +363,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # Every value numpy would warn about here is refused afterwards with
+        # an error naming it, so the warning would only repeat that error.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except (UqcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,10 +21,11 @@ on a numeric literal is part of the literal (no neg operation, but `-(3)`
 is one), and `a ^ b` becomes a pow_const operation when b is a literal,
 bare or parenthesized, but is rewritten as exp(b * log(a)) otherwise.
 
-Reports name each output after its variable, so an output statement gives
-the variable of its expression the declared name, also when an earlier
-statement made it.  An uncertain input keeps its own name, which labels
-its axis, and a second output of one variable is an error.
+A statement names the variable it creates, and an output statement also
+records its name as the output's, under which reports key the value.  A
+variable an earlier statement made keeps its own name, so `output f = x`
+reports `f` while `x` still labels its axis; a second output of one
+variable is an error.
 
 pretty_print is the parser's inverse, outputs last and in declared order,
 and isomorphic compares graphs with their outputs in order.
@@ -247,19 +248,14 @@ class _Parser:
         vid = self._variable(self._expression(1))
         self._end_statement()
         self._env[name] = vid
-        if not is_output:
-            if vid >= fresh_before:
-                # The statement created this variable; give it the user's name.
-                self._builder.rename(vid, name)
-            return
-        # Reports name an output after its variable, so the variable takes
-        # the declared name, unless that would rename an uncertain input.
-        if vid in self._builder._outputs:
-            self._hold(ParseError(f"output '{name}' names a value that is already "
-                                  "an output", *self._at(head)))
-        elif vid != _MISSING and self._builder._variables[vid].kind != "uncertain_input":
+        if vid >= fresh_before:
+            # The statement created this variable; give it the user's name.
             self._builder.rename(vid, name)
-        self._builder.mark_output(vid)
+        if is_output:
+            if vid in self._builder._outputs:
+                self._hold(ParseError(f"output '{name}' names a value that is already "
+                                      "an output", *self._at(head)))
+            self._builder.mark_output(vid, name)
 
     def _input_statement(self) -> None:
         name = self._define(self._expect_ident())
@@ -402,12 +398,12 @@ def pretty_print(graph: Graph) -> str:
     assignment per operation in evaluation order, then one `output NAME =
     VAR` statement per output, in the order of graph.outputs.
 
-    Re-parsing the result yields an isomorphic graph.  An output's value is
-    printed under another name, which its `output` statement turns back
-    into the declared name; an uncertain input keeps its own.  Other names
-    are kept where they are valid and unique, as in any parsed graph.
-    Expand operations have no surface syntax, so only untransformed graphs
-    can be printed.
+    Re-parsing the result yields an isomorphic graph with the same output
+    names.  Those names are reserved first, so a variable of the same name,
+    such as the one an output statement created, is printed under another.
+    Other names are kept where they are valid and unique, as in any parsed
+    graph.  Expand operations have no surface syntax, so only untransformed
+    graphs can be printed.
     """
     if graph.has_expansions():
         raise ValueError("cannot pretty-print a graph containing expand operations")
@@ -415,8 +411,8 @@ def pretty_print(graph: Graph) -> str:
     names: dict[int, str] = {}
     used: set[str] = set()
 
-    def assign_name(var_id: int) -> str:
-        name = graph.variable_by_id[var_id].name
+    def assign_name(var_id: int, name: str | None = None) -> str:
+        name = graph.variable_by_id[var_id].name if name is None else name
         if not re.fullmatch(_NAME, name) or name in _RESERVED:
             name = f"v{var_id}"
         while name in used:
@@ -430,14 +426,12 @@ def pretty_print(graph: Graph) -> str:
         for vid in op.inputs:
             slot_counts[vid] += 1
 
+    declared = [assign_name(vid, name) for vid, name in zip(graph.outputs, graph.output_names)]
     lines: list[str] = []
     for vid, dist in graph.uncertain_inputs:
         names[vid] = assign_name(vid)
         a, b = astuple(dist)
         lines.append(f"input {names[vid]} ~ {type(dist).__name__}({a!r}, {b!r})")
-    # Output names are taken first, so no variable, an output's own value
-    # included, is printed under one.
-    declared = [assign_name(vid) for vid in graph.outputs]
 
     # Constants referenced once inline at their operand slot; the rest
     # (shared, unused, or outputs) become param declarations.

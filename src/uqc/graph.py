@@ -4,7 +4,10 @@ A model is a directed acyclic graph whose nodes are either variables or
 operations; edges only connect variables to operations and operations to
 variables.  Variables are scalars in the dataflow sense: the number of
 grid points a variable carries at evaluation time is an engine concern,
-not an IR concern.  Node ids are assigned in insertion order from a single
+not an IR concern.  A variable is an uncertain input, a constant or an
+intermediate (written by one operation).  An output is any variable
+listed in Graph.outputs, reported under its own entry of
+Graph.output_names.  Node ids are assigned in insertion order from a single
 dense counter shared by variables and operations.
 
 An operation's position in Graph.operations is the deterministic
@@ -29,7 +32,7 @@ from .errors import CycleError, SignatureMismatchError
 # Subset of uncertain-input axes a value depends on, ascending and duplicate-free.
 Signature = tuple[int, ...]
 
-VARIABLE_KINDS = ("uncertain_input", "constant", "intermediate", "output")
+VARIABLE_KINDS = ("uncertain_input", "constant", "intermediate")
 
 UNARY_OP_KINDS = ("neg", "pow_const", "sin", "cos", "tan", "exp", "log", "sqrt")
 BINARY_OP_KINDS = ("add", "sub", "mul", "div")
@@ -93,6 +96,8 @@ class Graph:
     # Ordered (variable id, distribution) pairs; the order defines axes u_1..u_d.
     uncertain_inputs: tuple[tuple[int, Distribution], ...]
     outputs: tuple[int, ...]
+    # The name each output is reported under, in the order of outputs.
+    output_names: tuple[str, ...]
 
     @cached_property
     def variable_by_id(self) -> dict[int, VariableNode]:
@@ -106,11 +111,6 @@ class Graph:
     def producer_of(self) -> dict[int, int]:
         """Variable id -> id of the operation that writes it."""
         return {op.output: op.id for op in self.operations}
-
-    @cached_property
-    def output_names(self) -> tuple[str, ...]:
-        """Output names in the order of Graph.outputs, the keys of every engine's results."""
-        return tuple(self.variable_by_id[vid].name for vid in self.outputs)
 
     def first_output_name(self) -> str:
         """Name of the first output, which the estimators study; ValueError if there is none."""
@@ -252,8 +252,8 @@ def validate(graph: Graph) -> list[str]:
         has_producer = var.id in producers
         if var.kind in ("uncertain_input", "constant") and has_producer:
             violations.append(f"{var.kind} variable {var.id} has a producer")
-        if var.kind in ("intermediate", "output") and not has_producer:
-            violations.append(f"{var.kind} variable {var.id} has no producer")
+        if var.kind == "intermediate" and not has_producer:
+            violations.append(f"intermediate variable {var.id} has no producer")
 
     for op in graph.operations:
         if op.kind not in OP_KINDS:
@@ -289,6 +289,11 @@ def validate(graph: Graph) -> list[str]:
             violations.append(f"outputs reference missing variable {vid}")
         if vid in graph.outputs[:index]:
             violations.append(f"variable {vid} is listed more than once in outputs")
+    if len(graph.output_names) != len(graph.outputs):
+        violations.append(f"{len(graph.output_names)} output names for "
+                          f"{len(graph.outputs)} outputs")
+    if len(set(graph.output_names)) != len(graph.output_names):
+        violations.append("output names are not distinct")
 
     if not violations:
         try:
@@ -306,6 +311,7 @@ class GraphBuilder:
         self._operations: list[OperationNode] = []
         self._uncertain: list[tuple[int, Distribution]] = []
         self._outputs: list[int] = []
+        self._output_names: list[str] = []
         self._next_id = 0
 
     def add_uncertain_input(self, name: str, dist: Distribution) -> int:
@@ -342,17 +348,14 @@ class GraphBuilder:
         self._variables[var_id] = _new_node(VariableNode,
                                             (var_id, name, var.kind, var.constant_value))
 
-    def mark_output(self, var_id: int) -> None:
-        """List the variable as an output; an intermediate one becomes of
-        kind output.  An id with no variable is listed as it is."""
+    def mark_output(self, var_id: int, name: str) -> None:
+        """List the variable as an output reported under `name`."""
         self._outputs.append(var_id)
-        var = self._variables.get(var_id)
-        if var is not None and var.kind == "intermediate":
-            self._variables[var_id] = _new_node(VariableNode, (var_id, var.name, "output", None))
+        self._output_names.append(name)
 
     def build(self) -> Graph:
         return Graph(tuple(self._variables.values()), tuple(self._operations),
-                     tuple(self._uncertain), tuple(self._outputs))
+                     tuple(self._uncertain), tuple(self._outputs), tuple(self._output_names))
 
 
 def _size_label(n_axes: int) -> str:

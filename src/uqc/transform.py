@@ -164,7 +164,7 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
         operations.append(op)
 
     transformed = Graph(tuple(variables), tuple(operations),
-                        graph.uncertain_inputs, graph.outputs)
+                        graph.uncertain_inputs, graph.outputs, graph.output_names)
     return TransformedGraph(transformed, graph)
 
 
@@ -186,7 +186,7 @@ def strip_expansions(graph: Graph) -> Graph:
         for op in graph.operations if op.kind != EXPAND)
     variables = tuple(v for v in graph.variables if v.id not in redirect)
     outputs = tuple(resolve(v) for v in graph.outputs)
-    return Graph(variables, operations, graph.uncertain_inputs, outputs)
+    return Graph(variables, operations, graph.uncertain_inputs, outputs, graph.output_names)
 
 
 def influence_matrix_to_csv(graph: Graph) -> str:

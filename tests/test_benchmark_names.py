@@ -1,14 +1,21 @@
-"""The uqc functions that perfbench/run.py names must exist.
+"""The uqc functions that perfbench/run.py names must exist, and its
+`--trace 1` mode must run.
 
 run.py traces uqc's public functions by name and reads their spans and
 call counts back by name, so a uqc function it names that is renamed or
 deleted only shows up as a KeyError in a `--trace 1` run.  The file is
 read with ast, not imported: importing it rewrites os.environ and sys.path.
+A trace also reads what those functions return (an evaluation report's
+counts, a transformed graph, which it strips of its expands), so one short
+`--trace 1` run checks that too.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +70,15 @@ def test_named_function_is_public_in_its_module(name):
     obj = getattr(module, function, None)
     assert not function.startswith("_") and inspect.isfunction(obj), name
     assert obj.__module__ == module.__name__, f"{name} is defined in {obj.__module__}"
+
+
+def test_trace_mode_runs_and_checks_every_study():
+    # --seconds 0 runs the fewest passes; spans and results go to the
+    # ignored perfbench/out/
+    done = subprocess.run(
+        [sys.executable, str(RUN_PY), "--workload", "piston-sweep", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=RUN_PY.parent.parent, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

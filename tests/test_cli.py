@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -94,16 +96,14 @@ class TestRun:
         # finite parameters, but the mapped Gauss nodes and the draws overflow
         path = tmp_path / "huge.uq"
         path.write_text("input x ~ Normal(1e308, 1e308)\noutput f = x\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            rc = run_cli(["run", "--model", str(path), "--method", method, "--k", "3",
-                          "--mc-samples", "1000"])
+        rc = run_cli(["run", "--model", str(path), "--method", method, "--k", "3",
+                      "--mc-samples", "1000"])
         assert rc == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite (grid node inf of uncertain input 'x' on "
                             r"axis 0|input at sample row \d+: x=-?inf)\n", err)
 
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # the moments overflow
     def test_non_finite_moments_exit_one(self, tmp_path, capsys, method):
         # every value evaluated is finite, but the variance is about 1e400
         path = tmp_path / "steep.uq"
@@ -165,6 +165,25 @@ class TestRun:
         assert lines[0] == "model,method,mean,stddev,n_model_points"
         assert lines[1].startswith("simple,sc,")
 
+    @pytest.mark.parametrize("stem, cell", [
+        ("a,b", '"a,b"'),
+        ('say "f"', '"say ""f"""'),
+    ])
+    def test_csv_quotes_a_model_name_with_a_comma_or_a_quote(self, tmp_path, stem, cell):
+        model = tmp_path / f"{stem}.uq"
+        model.write_text("input x ~ Normal(0, 1)\noutput f = 2 * x\n")
+        out = tmp_path / "run.csv"
+        rc = run_cli(["run", "--model", str(model), "--method", "sc", "--k", "3",
+                      "--format", "csv", "--out", str(out)])
+        assert rc == 0
+        text = out.read_text()
+        assert text.split("\n")[1].startswith(f"{cell},sc,")
+        header, row = csv.reader(io.StringIO(text))
+        assert len(header) == len(row) == 5
+        assert row[:2] == [stem, "sc"]
+        assert float(row[2]) == pytest.approx(0.0, abs=1e-12)
+        assert float(row[3]) == pytest.approx(2.0)
+
     @pytest.mark.parametrize("source, message", [
         ("param p = 1e400\ninput x ~ Normal(0,1)\noutput f = x + p\n",
          "line 1, column 11: number out of range"),
@@ -208,6 +227,23 @@ class TestReport:
         assert set(payload) == EVALUATION_KEYS
         assert payload["total_scalar_evals"] == 16
         assert payload["outputs"]["f"]["signature"] == [0, 1]
+
+    @pytest.mark.parametrize("source", [
+        "input x ~ Normal(0, 1)\noutput f = x\n",
+        "input x ~ Normal(0, 1)\ninput y ~ Normal(0, 1)\nt = x * y\noutput f = t\n",
+    ])
+    @pytest.mark.parametrize("method", ["nipc-full", "mc"])
+    def test_output_is_reported_under_its_declared_name(self, tmp_path, source, method):
+        path = tmp_path / "named.uq"
+        path.write_text(source)
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--model", str(path), "--method", method, "--k", "2",
+                        "--mc-samples", "100", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if method == "mc":
+            assert payload["uq_result"]["details"]["output"] == "f"
+        else:
+            assert list(payload["evaluation"]["outputs"]) == ["f"]
 
     def test_json_is_byte_stable_modulo_wall_time(self, tmp_path):
         texts = []
@@ -578,6 +614,38 @@ class TestModuleEntryPoint:
         done = self.run_module("run", "--model", "nosuch", "--method", "mc")
         assert done.returncode == 1
         assert "unknown model" in done.stderr
+
+    def test_a_failure_prints_one_error_line_and_no_warning(self, tmp_path):
+        # numpy overflows on the way to each of these errors; outside
+        # pytest, which intercepts warnings, its RuntimeWarnings would
+        # reach stderr ahead of the error line
+        cases = [
+            ("input x ~ Normal(1e308, 1e308)\noutput f = x\n", ("nipc-full", "mc", "nipc-reg")),
+            ("input x ~ Uniform(1e308, 1.5e308)\noutput f = x\n", ("mc", "nipc-reg")),
+            ("input x ~ Normal(0, 1)\noutput f = x * 1e200\n", tuple(METHODS)),
+        ]
+        runs = []
+        for index, (source, methods) in enumerate(cases):
+            path = tmp_path / f"case{index}.uq"
+            path.write_text(source)
+            runs += [[str(path), method] for method in methods]
+        script = (
+            "import contextlib, io, json, sys, warnings\n"
+            "from uqc.cli import main\n"
+            "warnings.simplefilter('always')\n"
+            "errors = []\n"
+            "for model, method in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "        code = main(['run', '--model', model, '--method', method, '--k', '3',\n"
+            "                     '--mc-samples', '1000'])\n"
+            "    errors.append([code, err.getvalue()])\n"
+            "print(json.dumps(errors))\n")
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        for (model, method), (code, err) in zip(runs, json.loads(done.stdout), strict=True):
+            assert code == 1 and re.fullmatch(r"error: [^\n]+\n", err), (model, method, err)
 
 
 class TestArgumentHelpers:

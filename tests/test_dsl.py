@@ -10,7 +10,10 @@ from uqc import (
     Normal,
     Uniform,
     builtin_model,
+    evaluate_amtc,
+    evaluate_naive,
     evaluate_single_point,
+    grid_for,
     insert_expansions,
     isomorphic,
     parse_model,
@@ -23,6 +26,7 @@ from uqc.errors import (
     UndefinedNameError,
     UnknownModelError,
 )
+from uqc.graph import VariableNode
 from uqc.transform import compute_influence_matrix
 
 
@@ -36,6 +40,17 @@ LITERAL_FORMS_SOURCE = ("input x ~ Normal(1, 0.1)\n"
                         "y = 3\n"
                         "output f = a + b + c + d + y\n"
                         "output g = x\n")
+
+# One output of each sort of value: an uncertain input, a parameter, an
+# earlier assignment and a fresh expression.
+OUTPUT_SORTS_SOURCE = ("input x ~ Normal(0, 1)\n"
+                       "input y ~ Uniform(-1, 1)\n"
+                       "param c = 2\n"
+                       "t = x * y\n"
+                       "output f = x\n"
+                       "output g = c\n"
+                       "output h = t\n"
+                       "output k = t + c\n")
 
 SEP6 = Path(__file__).resolve().parent.parent / "perfbench" / "sep6.uq"
 
@@ -158,7 +173,7 @@ class TestParsing:
             [(v.id, v.constant_value if v.kind == "constant" else v.kind)
              for v in g.variables]
             + [(op.id, op.kind, *op.inputs) for op in g.operations])
-        i, t, o = "uncertain_input", "intermediate", "output"
+        i, t = "uncertain_input", "intermediate"
         assert nodes == [
             (0, i), (1, -2.0), (2, 2.0), (3, 2.0), (4, "neg", 3), (5, t),
             (6, "mul", 2, 5), (7, t), (8, "add", 1, 7), (9, t),
@@ -177,12 +192,13 @@ class TestParsing:
             (63, "add", 52, 62), (64, t),
             (65, 3.0),
             (66, "add", 9, 20), (67, t), (68, "add", 67, 38), (69, t),
-            (70, "add", 69, 64), (71, t), (72, "add", 71, 65), (73, o),
+            (70, "add", 69, 64), (71, t), (72, "add", 71, 65), (73, t),
         ]
         assert [op.exponent for op in g.operations if op.kind == "pow_const"] == [2.0] * 3
         names = {v.name: v.id for v in g.variables if not v.name.startswith("_")}
         assert names == {"x": 0, "a": 9, "b": 20, "c": 38, "d": 64, "y": 65, "f": 73}
         assert g.outputs == (73, 0)
+        assert g.output_names == ("f", "g")
 
 
 # A name or value error is reported only if the whole text is free of
@@ -247,8 +263,8 @@ class TestOutputNames:
         g = parse_model("input x ~ Normal(0, 1)\ninput y ~ Normal(0, 1)\n"
                         "t = x*y\noutput f = t\nu = t + 1\n")
         assert g.output_names == ("f",)
-        assert [v.name for v in g.variables if v.kind == "output"] == ["f"]
-        # later statements may still read the value by its first name
+        # the variable keeps its name, which later statements may still read
+        assert g.variable_by_id[g.outputs[0]].name == "t"
         assert g.operations[-1].inputs[0] == g.outputs[0]
 
     def test_output_of_a_parameter_takes_the_declared_name(self):
@@ -257,11 +273,19 @@ class TestOutputNames:
         assert g.output_names == ("f", "g")
         assert g.variable_by_id[g.outputs[0]].kind == "constant"
 
-    def test_output_of_an_input_keeps_the_input_name(self):
-        # the input's name labels its axis, so it is not renamed
+    def test_output_of_an_input_takes_the_declared_name(self):
+        # the input keeps its own name, which labels its axis
         g = parse_model("input x ~ Normal(0, 1)\noutput f = x\n")
-        assert g.output_names == ("x",)
-        assert g.variable_by_id[g.outputs[0]].kind == "uncertain_input"
+        assert g.output_names == ("f",)
+        assert g.variable_by_id[g.outputs[0]] == VariableNode(0, "x", "uncertain_input")
+
+    def test_grid_engines_key_results_by_the_declared_names(self):
+        g = parse_model(OUTPUT_SORTS_SOURCE)
+        assert g.output_names == ("f", "g", "h", "k")
+        grid = grid_for(g.distributions, 2)
+        for report in (evaluate_naive(g, grid), evaluate_amtc(insert_expansions(g), grid)):
+            assert list(report.outputs) == ["f", "g", "h", "k"]
+            assert (report.outputs["f"] == grid.points()[:, 0]).all()
 
     @pytest.mark.parametrize("source, line, column", [
         ("input x ~ Normal(0, 1)\noutput f = x\noutput g = x\n", 3, 8),
@@ -282,11 +306,11 @@ class TestOutputNames:
 # sha256 of repr(graph) + repr(graph.plan) + repr(insert_expansions(graph)):
 # the lowering, the execution plan and the transformed graph, node for node.
 FRONT_END_DIGESTS = {
-    "simple": "bf38f6a2a598f0b264ad9bcf9fa25b0f26d9cc2a18991e214e9d7f325012e24c",
-    "piston": "53e37d1df831c58b61f28d0dcbf7178024852baa66e63a84d5145fc6f3db6e37",
-    "multipoint": "3163eab56d7fad9ba4bfea471ba63e3efcef8371032094d1c963a179e9f8c375",
-    "literal-forms": "471e6c67cbeaa3baee1ed1ac24fc9be087d3cda79295891725109c82a0f2e092",
-    "sep6": "ae014fda398f30d92370d5baa939f60af5cc531a5176966f1e5f159131ad5dfd",
+    "simple": "a9589d8416d9b2b54f8871ed39538912b053784aab8304f8fd0671caf66fb928",
+    "piston": "eb40b4c56ff1260848add911cf975e926754189cca6f7a094e0cd6e00f7456ac",
+    "multipoint": "6bbeb0a29f32ba41f52ccdf5ab5e793a82b2600ba9e49ba7a2ce9d6889cbad20",
+    "literal-forms": "6232a18e3f23a02cee31d856d96ac82de6ac7f8e24e26aa2bb86ed601dcc3ae4",
+    "sep6": "0a000979f14000fbb26b3bd690b858fc0a6a2cdc5f35d335f140b9e73d9b2df7",
 }
 
 
@@ -318,6 +342,8 @@ class TestPrettyPrint:
         "input x ~ Normal(0,1)\na = sin(x)\noutput g = x * 3\noutput f = a\n",
         "input x ~ Normal(0,1)\noutput f = 2\noutput g = 3 * x\n",
         "input x ~ Normal(0,1)\noutput f = x\n",
+        "input x ~ Normal(0,1)\noutput x_ = x\noutput f = 2 * x\n",
+        OUTPUT_SORTS_SOURCE,
         SEP6.read_text(),
         LITERAL_FORMS_SOURCE,
     ])
@@ -378,19 +404,27 @@ class TestPrettyPrint:
                 return f"-{expression(depth - 1)}"
             return f"({expression(depth - 1)}) ^ {rng.randint(0, 3)}"
 
-        lines = ["input x ~ Normal(0, 1)", "input y ~ Uniform(-1, 1)"]
-        for i in range(rng.randint(0, 2)):
+        lines = ["input x ~ Normal(0, 1)", "input y ~ Uniform(-1, 1)", "param c = 1.5"]
+        for i in range(rng.randint(1, 2)):
             lines.append(f"a{i} = {expression(2)}")
             names.append(f"a{i}")
-        lines.append(f"output f = {expression(3)}")
+        # outputs of an uncertain input, a param, an earlier assignment and
+        # a fresh expression, in random order and under random names
+        values = [rng.choice(["x", "y"]), "c", rng.choice(names[2:]), expression(3)]
+        declared = rng.sample(["f", "g", "h", "x_", "a", "c_"], len(values))
+        lines += [f"output {name} = {value}"
+                  for name, value in zip(declared, rng.sample(values, len(values)))]
         source = "\n".join(lines) + "\n"
 
         g = parse_model(source)
         again = parse_model(pretty_print(g))
         assert isomorphic(g, again), source
+        assert again.output_names == g.output_names == tuple(declared)
         point = [0.37, -0.21]
-        assert evaluate_single_point(again, point)["f"] == pytest.approx(
-            evaluate_single_point(g, point)["f"], rel=1e-14, abs=1e-14)
+        expected = evaluate_single_point(g, point)
+        assert list(expected) == declared
+        assert evaluate_single_point(again, point) == pytest.approx(
+            expected, rel=1e-14, abs=1e-14)
 
 
 class TestBuiltins:

@@ -112,7 +112,7 @@ class TestNaive:
         report = evaluate_naive(g, grid)
         assert report.total_scalar_evals == 0
         assert report.equivalent_model_evals == 0.0
-        np.testing.assert_array_equal(report.outputs["x"], grid_input_vector(grid, 0))
+        np.testing.assert_array_equal(report.outputs["f"], grid_input_vector(grid, 0))
 
     def test_piston_out_of_domain_grid_names_sqrt(self):
         g = builtin_model("piston")
@@ -293,8 +293,8 @@ class TestAmtc:
         square = b.add_operation("mul", [x, x], name="square")
         c_wide = b.add_operation("expand", [c], expand_from=(1,), expand_to=(0, 1))
         product = b.add_operation("mul", [x_wide, c_wide], name="product")
-        b.mark_output(square)
-        b.mark_output(product)
+        b.mark_output(square, "square")
+        b.mark_output(product, "product")
         transformed = hand_transformed(b.build())
         grid = grid_for(transformed.graph.distributions, 3)
         fast = evaluate_amtc(transformed, grid)
@@ -412,7 +412,7 @@ class TestNonFiniteInputs:
         b = GraphBuilder()
         x = b.add_uncertain_input("x", Normal(0, 1))
         scaled = b.add_operation("mul", [x, b.add_constant(constant, "c")])
-        b.mark_output(b.add_operation("pow_const", [scaled], exponent=exponent, name="f"))
+        b.mark_output(b.add_operation("pow_const", [scaled], exponent=exponent), "f")
         return b.build()
 
     @pytest.mark.parametrize("kwargs, message", [
@@ -608,19 +608,19 @@ def hand_built(case: str) -> TransformedGraph:
         y = b.add_operation("exp", [c])
         y_wide = b.add_operation("expand", [y], expand_from=(0,), expand_to=(0, 1))
         product = b.add_operation("mul", [x_wide, y_wide], name="product")
-        b.mark_output(x)
-        b.mark_output(product)
+        b.mark_output(x, "x")
+        b.mark_output(product, "product")
         return hand_transformed(b.build())
     c = b.add_uncertain_input("c", Normal(0, 1))
     if case == "input_of_another_signature_without_expand":
         product = b.add_operation("mul", [a, c], name="product")
-        b.mark_output(product)
+        b.mark_output(product, "product")
         return hand_transformed(b.build())
     assert case == "signature_wider_than_its_inputs"
     x = b.add_operation("cos", [a])
     x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
     y = b.add_operation("sin", [x_wide], name="y")
-    b.mark_output(y)
+    b.mark_output(y, "y")
     return hand_transformed(b.build())
 
 
@@ -695,8 +695,8 @@ class TestMemory:
         g = parse_model("input x ~ Uniform(0,1)\noutput f = x\noutput c = 2.5\n")
         samples = np.linspace(0.1, 0.9, 5)[:, None]
         outputs = evaluate_on_samples(g, samples)
-        assert not np.shares_memory(outputs["x"], samples)
-        np.testing.assert_array_equal(outputs["x"], samples[:, 0])
+        assert not np.shares_memory(outputs["f"], samples)
+        np.testing.assert_array_equal(outputs["f"], samples[:, 0])
         np.testing.assert_array_equal(outputs["c"], np.full(5, 2.5))
 
         # on a grid, both engines give every output as its own writable

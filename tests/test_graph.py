@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqc import GraphBuilder, Normal, builtin_model, to_dot, topo_sort, validate
 from uqc.errors import CycleError
-from uqc.graph import Graph, OperationNode, VariableNode
+from uqc.graph import VARIABLE_KINDS, Graph, OperationNode, VariableNode
 
 
 def two_branch_graph():
@@ -17,7 +19,7 @@ def two_branch_graph():
     n = b.add_operation("neg", [u2])
     e = b.add_operation("exp", [n])
     f = b.add_operation("add", [c, e])
-    b.mark_output(f)
+    b.mark_output(f, "f")
     return b.build()
 
 
@@ -32,7 +34,8 @@ class TestTopoSort:
         # neg (id 4) is listed before cos (id 2); both are ready at once
         g = two_branch_graph()
         cos, neg, exp, add = g.operations
-        reordered = Graph(g.variables, (neg, cos, exp, add), g.uncertain_inputs, g.outputs)
+        reordered = Graph(g.variables, (neg, cos, exp, add), g.uncertain_inputs, g.outputs,
+                          g.output_names)
         assert topo_sort(reordered) == [neg.id, cos.id, exp.id, add.id]
         assert reordered.order == (neg, cos, exp, add)
 
@@ -40,7 +43,7 @@ class TestTopoSort:
         b = GraphBuilder()
         x = b.add_uncertain_input("x", Normal(0, 1))
         out = b.add_operation("sin", [x])
-        b.mark_output(out)
+        b.mark_output(out, "f")
         g = b.build()
         assert topo_sort(g) == [g.operations[0].id]
 
@@ -54,7 +57,7 @@ class TestTopoSort:
             OperationNode(2, "neg", (1,), 0),
             OperationNode(3, "neg", (0,), 1),
         )
-        g = Graph(variables, operations, (), ())
+        g = Graph(variables, operations, (), (), ())
         with pytest.raises(CycleError) as excinfo:
             topo_sort(g)
         assert excinfo.value.node_id in (2, 3)
@@ -122,7 +125,7 @@ def operation_lists(draw):
     operations = tuple(OperationNode(100 + position, "add" if len(reads) == 2 else "neg",
                                      tuple(reads), output)
                        for position, (reads, output) in enumerate(specs))
-    return Graph((), operations, (), ())
+    return Graph((), operations, (), (), ())
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,32 +149,52 @@ class TestValidate:
     def test_missing_variable_reference(self):
         g = two_branch_graph()
         bad_op = OperationNode(99, "sin", (1234,), g.operations[0].output)
-        bad = Graph(g.variables, g.operations[1:] + (bad_op,),
-                    g.uncertain_inputs, g.outputs)
-        problems = validate(bad)
+        problems = validate(replace(g, operations=g.operations[1:] + (bad_op,)))
         assert any("missing variable 1234" in p for p in problems)
 
     def test_multiple_producers(self):
         g = two_branch_graph()
         first = g.operations[0]
         dup = OperationNode(first.id, "sin", first.inputs, first.output)
-        bad = Graph(g.variables, g.operations + (dup,), g.uncertain_inputs, g.outputs)
-        problems = validate(bad)
+        problems = validate(replace(g, operations=g.operations + (dup,)))
         assert any("multiple producers" in p for p in problems)
 
     def test_arity_violation(self):
         g = two_branch_graph()
         ops = list(g.operations)
         ops[-1] = OperationNode(ops[-1].id, "add", ops[-1].inputs[:1], ops[-1].output)
-        problems = validate(Graph(g.variables, tuple(ops), g.uncertain_inputs, g.outputs))
+        problems = validate(replace(g, operations=tuple(ops)))
         assert any("expected 2" in p for p in problems)
 
     def test_repeated_output(self):
         b = GraphBuilder()
         y = b.add_operation("sin", [b.add_uncertain_input("x", Normal(0, 1))])
-        b.mark_output(y)
-        b.mark_output(y)
+        b.mark_output(y, "f")
+        b.mark_output(y, "g")
         assert validate(b.build()) == [f"variable {y} is listed more than once in outputs"]
+
+    @pytest.mark.parametrize("output_names, problem", [
+        ((), "0 output names for 1 outputs"),
+        (("f", "g"), "2 output names for 1 outputs"),
+    ])
+    def test_one_name_per_output(self, output_names, problem):
+        g = two_branch_graph()
+        assert validate(replace(g, output_names=output_names)) == [problem]
+
+    def test_repeated_output_name(self):
+        b = GraphBuilder()
+        x = b.add_uncertain_input("x", Normal(0, 1))
+        b.mark_output(x, "f")
+        b.mark_output(b.add_operation("sin", [x]), "f")
+        assert validate(b.build()) == ["output names are not distinct"]
+
+    def test_an_output_is_not_a_kind_of_variable(self):
+        assert VARIABLE_KINDS == ("uncertain_input", "constant", "intermediate")
+        g = two_branch_graph()
+        f = g.variable_by_id[g.outputs[0]]
+        variables = tuple(v._replace(kind="output") if v == f else v for v in g.variables)
+        assert validate(replace(g, variables=variables)) == [
+            f"variable {f.id} has unknown kind 'output'"]
 
     def test_valid_implies_sortable(self):
         g = two_branch_graph()

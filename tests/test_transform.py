@@ -171,7 +171,7 @@ class TestInsertExpansions:
         a = b.add_uncertain_input("a", Normal(0, 1))
         b.add_uncertain_input("c", Normal(0, 1))
         x = b.add_operation("cos", [a])
-        b.mark_output(b.add_operation("expand", [x], expand_from=(0,), expand_to=(1,)))
+        b.mark_output(b.add_operation("expand", [x], expand_from=(0,), expand_to=(1,)), "f")
         g = b.build()
         with pytest.raises(InternalError):
             insert_expansions(g)
