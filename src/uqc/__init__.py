@@ -21,7 +21,7 @@ from .engine import (
     evaluate_single_point,
     expand_tensor,
 )
-from .graph import Graph, GraphBuilder, OperationNode, VariableNode, to_dot, topo_sort, validate
+from .graph import Graph, GraphBuilder, OperationNode, VariableNode, topo_sort, validate
 from .methods import (
     PceCoefficients,
     SurrogateSC,
@@ -53,6 +53,7 @@ from .transform import (
     partition_operations,
     scheduled_eval_counts,
     strip_expansions,
+    to_dot,
 )
 
 __version__ = "0.1.0"

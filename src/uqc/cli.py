@@ -39,7 +39,7 @@ from . import engine, methods, models, transform
 from .basis import enumerate_basis
 from .dsl import parse_model_file
 from .errors import DomainError, UnknownModelError, UqcError
-from .graph import Graph, to_dot
+from .graph import Graph
 from .quadrature import grid_for
 
 REGRESSION_SAMPLE_MULTIPLIER = 2  # samples per coefficient for nipc-reg
@@ -183,13 +183,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def bench_rows(graph: Graph, k_values: list[int], repeats: int,
-               warn=lambda message: None) -> list[list]:
+def bench_rows(graph: Graph, k_values: list[int], repeats: int) -> list[list]:
     """Per k: scheduled costs of both engines plus measured wall times.
 
     Counts come from the dependency schedule, so they are exact even when
     a grid point leaves the model's domain; in that case the wall-time
-    cells are left empty.
+    cells are left empty and a warning line goes to stderr.
     """
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
@@ -215,8 +214,8 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
             naive_ms = repr(statistics.median(naive_times))
             amtc_ms = repr(statistics.median(amtc_times))
         except DomainError as exc:
-            warn(f"k={k}: evaluation left the model domain ({exc}); "
-                 "wall times omitted, counts are scheduled costs")
+            print(f"warning: k={k}: evaluation left the model domain ({exc}); "
+                  "wall times omitted, counts are scheduled costs", file=sys.stderr)
         reduction = 1.0 - amtc_total / naive_total if naive_total else 0.0
         rows.append([k, naive_total, amtc_total,
                      transform.expansion_copies(transformed.graph, sizes),
@@ -226,14 +225,13 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int,
 
 def cmd_bench(args) -> int:
     _, graph = load_model(args.model)
-    rows = bench_rows(graph, parse_k_range(args.k), args.repeats,
-                      warn=lambda message: print(f"warning: {message}", file=sys.stderr))
+    rows = bench_rows(graph, parse_k_range(args.k), args.repeats)
     _write_text(args.out, _csv(rows))
     return 0
 
 
 def convergence_rows(graph: Graph, method_list: list[str], k_values: list[int],
-                     pce_order: int, seed: int, mc_seeds: int = 3) -> list[list]:
+                     pce_order: int, seed: int, mc_seeds: int) -> list[list]:
     """Error of each method at each budget against full-grid projection at
     the largest k.  Grid methods run on the k-point grid, sample methods on
     the same point budget (k^d), skipping a budget below their minimum;
@@ -282,19 +280,8 @@ def cmd_convergence(args) -> int:
 
 def cmd_graph(args) -> int:
     _, graph = load_model(args.model)
-    transformed = transform.insert_expansions(graph)
-    groups = transform.partition_operations(transform.compute_influence_matrix(graph))
-
-    before = to_dot(graph)
-    clusters = {}
-    for signature in sorted(groups):
-        members: list[int] = []
-        for op_id in sorted(groups[signature]):
-            members.append(op_id)
-            members.append(graph.operation_by_id[op_id].output)
-        clusters[transform.signature_label(graph, signature)] = tuple(members)
-    signatures = transform.compute_influence_matrix(transformed.graph).variable_signatures
-    after = to_dot(transformed.graph, variable_signatures=signatures, clusters=clusters)
+    before = transform.to_dot(graph)
+    after = transform.to_dot(transform.insert_expansions(graph).graph)
     Path(args.out_before).write_text(before, encoding="utf-8", newline="")
     Path(args.out_after).write_text(after, encoding="utf-8", newline="")
     return 0

@@ -51,12 +51,12 @@ class Uniform:
 
     def from_standard(self, x):
         """Map standardized coordinates on [-1, 1] to [lower, upper]."""
-        mid = 0.5 * (self.lower + self.upper)
+        mid = 0.5 * self.lower + 0.5 * self.upper
         half = 0.5 * (self.upper - self.lower)
         return mid + half * np.asarray(x, dtype=float)
 
     def standardize(self, u):
-        mid = 0.5 * (self.lower + self.upper)
+        mid = 0.5 * self.lower + 0.5 * self.upper
         half = 0.5 * (self.upper - self.lower)
         return (np.asarray(u, dtype=float) - mid) / half
 

@@ -28,7 +28,8 @@ reports `f` while `x` still labels its axis; a second output of one
 variable is an error.
 
 pretty_print is the parser's inverse, outputs last and in declared order,
-and isomorphic compares graphs with their outputs in order.
+and isomorphic compares graphs with their outputs in order, matching
+nodes in evaluation order.
 
 The text is tokenized in full before parsing starts, and a name or value
 error is held until the parse ends, so an unexpected character is
@@ -525,7 +526,9 @@ def _canonical_form(graph: Graph):
 def isomorphic(a: Graph, b: Graph) -> bool:
     """Structural equivalence: same operations, kinds, wiring, constants,
     distributions, and outputs in the same order (the first is the one
-    the estimators study), up to node renumbering and renaming."""
+    the estimators study), up to node ids and names.  Nodes are matched
+    in evaluation order (graph.order), so two graphs that list the same
+    independent operations in another order compare False."""
     form_a = _canonical_form(a)
     form_b = _canonical_form(b)
     return form_a is not None and form_a == form_b

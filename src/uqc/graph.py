@@ -356,73 +356,3 @@ class GraphBuilder:
     def build(self) -> Graph:
         return Graph(tuple(self._variables.values()), tuple(self._operations),
                      tuple(self._uncertain), tuple(self._outputs), tuple(self._output_names))
-
-
-def _size_label(n_axes: int) -> str:
-    if n_axes == 0:
-        return "1"
-    if n_axes == 1:
-        return "k"
-    return f"k^{n_axes}"
-
-
-def _op_label(op: OperationNode) -> str:
-    if op.kind == "pow_const":
-        return f"pow {op.exponent:g}"
-    if op.kind == EXPAND:
-        return f"expand {set(op.expand_from) or '{}'} -> {set(op.expand_to)}"
-    return op.kind
-
-
-def to_dot(graph: Graph, *, variable_signatures: dict[int, Signature] | None = None,
-           clusters: dict[str, tuple[int, ...]] | None = None) -> str:
-    """Render the graph in DOT: variables as ellipses, operations as boxes,
-    expand operations as double boxes.
-
-    Edges are labeled with the grid data size of the variable they carry:
-    k^|signature| when per-variable signatures are given, else the full
-    k^d.  `clusters` maps a cluster label to the node ids it contains.
-    """
-    d = graph.dim
-    lines = ["digraph model {", "  rankdir=TB;"]
-
-    def var_decl(var: VariableNode) -> str:
-        label = var.name
-        if var.kind == "constant":
-            label = f"{var.name} = {var.constant_value:g}"
-        return f'  n{var.id} [shape=ellipse, label="{label}"];'
-
-    def op_decl(op: OperationNode) -> str:
-        peripheries = ", peripheries=2" if op.kind == EXPAND else ""
-        return f'  n{op.id} [shape=box, label="{_op_label(op)}"{peripheries}];'
-
-    clustered: set[int] = set()
-    if clusters:
-        for idx, (label, members) in enumerate(clusters.items()):
-            lines.append(f"  subgraph cluster_{idx} {{")
-            lines.append(f'    label="{label}";')
-            for node_id in members:
-                clustered.add(node_id)
-                if node_id in graph.variable_by_id:
-                    lines.append("  " + var_decl(graph.variable_by_id[node_id]))
-                else:
-                    lines.append("  " + op_decl(graph.operation_by_id[node_id]))
-            lines.append("  }")
-    for var in graph.variables:
-        if var.id not in clustered:
-            lines.append(var_decl(var))
-    for op in graph.operations:
-        if op.id not in clustered:
-            lines.append(op_decl(op))
-
-    def edge_size(var_id: int) -> str:
-        if variable_signatures is not None:
-            return _size_label(len(variable_signatures[var_id]))
-        return _size_label(d)
-
-    for op in graph.operations:
-        for vid in op.inputs:
-            lines.append(f'  n{vid} -> n{op.id} [label="{edge_size(vid)}"];')
-        lines.append(f'  n{op.id} -> n{op.output} [label="{edge_size(op.output)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -22,9 +22,10 @@ graph it was built from, which the transformed engine runs (over values
 shaped per axis, numpy broadcasting does the expands' work).  Signatures
 and the partition are not stored: compute_influence_matrix and
 partition_operations derive them from either graph where they are read.
-The expands stay in the IR for cost accounting and DOT export; removing
-them and re-splicing producers to consumers (strip_expansions) recovers
-the original graph.
+The expands stay in the IR for cost accounting and DOT export (to_dot
+draws a transformed graph's signatures as edge sizes and clusters);
+removing them and re-splicing producers to consumers (strip_expansions)
+recovers the original graph.
 """
 
 from __future__ import annotations
@@ -198,6 +199,79 @@ def influence_matrix_to_csv(graph: Graph) -> str:
         row = matrix.rows[op.id]
         cells = ["1" if axis in row else "0" for axis in range(graph.dim)]
         lines.append(f"{op.id}:{op.kind}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _size_label(n_axes: int) -> str:
+    if n_axes == 0:
+        return "1"
+    if n_axes == 1:
+        return "k"
+    return f"k^{n_axes}"
+
+
+def _op_label(op: OperationNode) -> str:
+    if op.kind == "pow_const":
+        return f"pow {op.exponent:g}"
+    if op.kind == EXPAND:
+        return f"expand {set(op.expand_from) or '{}'} -> {set(op.expand_to)}"
+    return op.kind
+
+
+def to_dot(graph: Graph) -> str:
+    """Render the graph in DOT: variables as ellipses, operations as boxes,
+    expand operations as double boxes.
+
+    Edges are labeled with the grid data size of the variable they carry.
+    A graph without expands is drawn with the full k^d on every edge and
+    no clusters.  A graph with expands, as insert_expansions builds, is
+    drawn with each variable's k^|signature| and one cluster per
+    signature, in ascending order and labeled by signature_label, holding
+    that signature's elementary operations, each followed by its output,
+    in id order.
+    """
+    lines = ["digraph model {", "  rankdir=TB;"]
+
+    def var_decl(var: VariableNode) -> str:
+        label = var.name
+        if var.kind == "constant":
+            label = f"{var.name} = {var.constant_value:g}"
+        return f'  n{var.id} [shape=ellipse, label="{label}"];'
+
+    def op_decl(op: OperationNode) -> str:
+        peripheries = ", peripheries=2" if op.kind == EXPAND else ""
+        return f'  n{op.id} [shape=box, label="{_op_label(op)}"{peripheries}];'
+
+    n_axes = dict.fromkeys(graph.variable_by_id, graph.dim)
+    clusters: dict[Signature, list[OperationNode]] = {}
+    if graph.has_expansions():
+        signatures = compute_influence_matrix(graph).variable_signatures
+        n_axes = {vid: len(signature) for vid, signature in signatures.items()}
+        for op in sorted(graph.operations, key=lambda op: op.id):
+            if op.kind != EXPAND:
+                clusters.setdefault(signatures[op.output], []).append(op)
+
+    clustered: set[int] = set()
+    for index, signature in enumerate(sorted(clusters)):
+        lines.append(f"  subgraph cluster_{index} {{")
+        lines.append(f'    label="{signature_label(graph, signature)}";')
+        for op in clusters[signature]:
+            lines.append("  " + op_decl(op))
+            lines.append("  " + var_decl(graph.variable_by_id[op.output]))
+            clustered.update((op.id, op.output))
+        lines.append("  }")
+    for var in graph.variables:
+        if var.id not in clustered:
+            lines.append(var_decl(var))
+    for op in graph.operations:
+        if op.id not in clustered:
+            lines.append(op_decl(op))
+
+    for op in graph.operations:
+        for vid in op.inputs:
+            lines.append(f'  n{vid} -> n{op.id} [label="{_size_label(n_axes[vid])}"];')
+        lines.append(f'  n{op.id} -> n{op.output} [label="{_size_label(n_axes[op.output])}"];')
+    lines.append("}")
     return "\n".join(lines) + "\n"
 
 

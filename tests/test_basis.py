@@ -38,6 +38,8 @@ class TestUnivariate:
     def test_unsupported_family(self):
         with pytest.raises(UnsupportedDistributionError):
             univariate_table("beta", 2, 0.5)
+        with pytest.raises(UnsupportedDistributionError, match="^no polynomial family for str$"):
+            univariate_norm("beta", 2)
 
 
 class TestEnumeration:
@@ -56,6 +58,12 @@ class TestEnumeration:
         monkeypatch.setattr(basis_module, "_graded_lex_indices", enumerate_nothing)
         with pytest.raises(InvalidOrderError, match=r"^degree must be in \[0, 32\], got 33$"):
             enumerate_basis(2, 33, [Normal(0, 1)] * 2)
+
+    def test_refuses_no_dimension_or_a_distribution_count_other_than_it(self):
+        with pytest.raises(InvalidOrderError, match=r"^need dim >= 1 and order >= 0, got \(0, 2\)$"):
+            enumerate_basis(0, 2, [])
+        with pytest.raises(DimensionMismatchError, match="^1 distributions for dimension 2$"):
+            enumerate_basis(2, 2, [Normal(0, 1)])
 
     @pytest.mark.parametrize("d", range(1, 7))
     @pytest.mark.parametrize("p", range(7))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import statistics
@@ -102,6 +103,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert re.fullmatch(r"error: non-finite (grid node inf of uncertain input 'x' on "
                             r"axis 0|input at sample row \d+: x=-?inf)\n", err)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_uniform_whose_bounds_sum_overflows(self, tmp_path, method):
+        # lower + upper overflows, though every point of the input is finite
+        path = tmp_path / "far.uq"
+        path.write_text("input x ~ Uniform(1e308, 1.5e308)\n"
+                        "output f = (x - 1.25e308) * 1e-300\n")
+        out = tmp_path / "far.json"
+        rc = run_cli(["run", "--model", str(path), "--method", method, "--k", "3",
+                      "--mc-samples", "1000", "--out", str(out)])
+        assert rc == 0
+        stddev = json.loads(out.read_text())["uq_result"]["stddev"]
+        assert stddev == pytest.approx(2.5e7 / math.sqrt(3), rel=0.1 if method == "mc" else 1e-12)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_non_finite_moments_exit_one(self, tmp_path, capsys, method):

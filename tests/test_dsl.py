@@ -7,6 +7,7 @@ import pytest
 
 from uqc import (
     BUILTIN_SOURCES,
+    GraphBuilder,
     Normal,
     Uniform,
     builtin_model,
@@ -118,6 +119,11 @@ class TestParsing:
         for ending in ("  # no final newline", "\n\t\n  \t"):
             g = parse_model("input x ~ Normal(0,1)\noutput f = x * 2" + ending)
             assert [op.kind for op in g.operations] == ["mul"]
+
+    def test_pi_is_a_real_in_declarations(self):
+        g = parse_model("param a = pi\ninput x ~ Normal(-pi, 1)\noutput f = a * x\n")
+        assert g.variables[0] == VariableNode(0, "a", "constant", math.pi)
+        assert g.distributions == (Normal(-math.pi, 1.0),)
 
     def test_scientific_and_decimal_literals(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = x * 1.5e-3 + .25 + 2e2\n")
@@ -247,6 +253,18 @@ def test_error_columns_around_blanks(source, line, column, message):
     assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize("source, message", [
+    ("= 3\n", "line 1, column 1: got '=' (expected statement)"),
+    ("input 3 ~ Normal(0,1)\n", "line 1, column 7: got '3' (expected identifier)"),
+    ("x = 1 2\n", "line 1, column 7: unexpected '2' after statement (expected end of line)"),
+    ("param a = x\n", "line 1, column 11: got 'x' (expected number)"),
+])
+def test_syntax_error_messages(source, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_model(source)
+    assert str(excinfo.value) == message
+
+
 def test_byte_order_mark_is_skipped_in_files_only(tmp_path):
     path = tmp_path / "bom.uq"
     path.write_bytes(b"\xef\xbb\xbfinput x ~ Normal(0, 1)\noutput f = 2 * x\n")
@@ -357,6 +375,21 @@ class TestPrettyPrint:
         # isomorphic compares the outputs in order
         assert isomorphic(replace(g, outputs=g.outputs[::-1]), again) == (len(g.outputs) == 1)
 
+    def test_graph_with_expands_is_refused(self):
+        transformed = insert_expansions(builtin_model("simple")).graph
+        with pytest.raises(ValueError, match="^cannot pretty-print a graph containing "
+                                             "expand operations$"):
+            pretty_print(transformed)
+
+    @pytest.mark.parametrize("name", ["sin", "2x"])
+    def test_name_the_parser_would_refuse_prints_by_id(self, name):
+        b = GraphBuilder()
+        x = b.add_uncertain_input(name, Normal(0, 1))
+        b.mark_output(b.add_operation("cos", [x], name=name), "f")
+        assert pretty_print(b.build()) == ("input v0 ~ Normal(0, 1)\n"
+                                           "v2 = cos(v0)\n"
+                                           "output f = v2\n")
+
     def test_round_trip_idempotent(self):
         g = builtin_model("piston")
         once = pretty_print(g)
@@ -425,6 +458,35 @@ class TestPrettyPrint:
         assert list(expected) == declared
         assert evaluate_single_point(again, point) == pytest.approx(
             expected, rel=1e-14, abs=1e-14)
+
+
+class TestIsomorphic:
+    SOURCE = ("input x ~ Normal(0, 1)\n"
+              "a = sin(x)\n"
+              "b = cos(x)\n"
+              "output f = a + b\n")
+
+    def test_renaming_is_isomorphic(self):
+        renamed = ("input y ~ Normal(0, 1)\n"
+                   "s = sin(y)\n"
+                   "c = cos(y)\n"
+                   "output f = s + c\n")
+        assert isomorphic(parse_model(self.SOURCE), parse_model(renamed))
+
+    def test_independent_statements_in_another_order_are_not_isomorphic(self):
+        # nodes are numbered in evaluation order, which follows the text
+        swapped = ("input x ~ Normal(0, 1)\n"
+                   "b = cos(x)\n"
+                   "a = sin(x)\n"
+                   "output f = a + b\n")
+        assert not isomorphic(parse_model(self.SOURCE), parse_model(swapped))
+
+    def test_dangling_operand_is_not_isomorphic(self):
+        g = parse_model("input x ~ Normal(0, 1)\noutput f = sin(x)\n")
+        (sin,) = g.operations
+        dangling = replace(g, variables=g.variables + (VariableNode(3, "z", "intermediate"),),
+                           operations=(sin._replace(inputs=(3,)),))
+        assert not isomorphic(dangling, dangling)
 
 
 class TestBuiltins:

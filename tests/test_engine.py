@@ -364,6 +364,9 @@ class TestSinglePoint:
         g = builtin_model("simple")
         with pytest.raises(DimensionMismatchError):
             evaluate_single_point(g, [1.0])
+        with pytest.raises(DimensionMismatchError,
+                           match="^samples have 3 columns but the model has 2 inputs$"):
+            evaluate_on_samples(g, np.zeros((4, 3)))
 
 
 class TestSamples:
@@ -732,3 +735,4 @@ class TestReport:
         assert a != dataclasses.replace(a, outputs={"f": changed})
         assert a != dataclasses.replace(a, outputs={"g": a.outputs["f"]})
         assert a != dataclasses.replace(a, total_scalar_evals=a.total_scalar_evals + 1)
+        assert (a == object()) is False

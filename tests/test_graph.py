@@ -23,6 +23,16 @@ def two_branch_graph():
     return b.build()
 
 
+def with_variable(g, var_id, **changes):
+    return replace(g, variables=tuple(v._replace(**changes) if v.id == var_id else v
+                                      for v in g.variables))
+
+
+def with_operation(g, op_id, **changes):
+    return replace(g, operations=tuple(op._replace(**changes) if op.id == op_id else op
+                                       for op in g.operations))
+
+
 class TestTopoSort:
     def test_four_op_order_with_fifo_tie_break(self):
         g = two_branch_graph()
@@ -195,6 +205,40 @@ class TestValidate:
         variables = tuple(v._replace(kind="output") if v == f else v for v in g.variables)
         assert validate(replace(g, variables=variables)) == [
             f"variable {f.id} has unknown kind 'output'"]
+
+    # two_branch_graph: inputs 0 and 1; cos 2 -> 3, neg 4 -> 5, exp 6 -> 7, add 8 -> 9
+    @pytest.mark.parametrize("edit, problems", [
+        (lambda g: replace(g, variables=g.variables + (VariableNode(8, "z", "constant", 1.0),)),
+         ["variable and operation ids overlap"]),
+        (lambda g: with_variable(g, 0, constant_value=1.0),
+         ["variable 0: constant_value present iff kind is constant"]),
+        (lambda g: with_operation(g, 2, output=99),
+         ["operation 2 writes missing variable 99", "intermediate variable 3 has no producer"]),
+        (lambda g: with_variable(g, 3, kind="constant", constant_value=1.0),
+         ["constant variable 3 has a producer"]),
+        (lambda g: replace(g, variables=g.variables + (VariableNode(10, "z", "intermediate"),)),
+         ["intermediate variable 10 has no producer"]),
+        (lambda g: with_operation(g, 2, kind="tanh"),
+         ["operation 2 has unknown kind 'tanh'"]),
+        (lambda g: with_operation(g, 2, exponent=2.0),
+         ["operation 2: exponent present iff kind is pow_const"]),
+        (lambda g: with_operation(g, 2, kind="expand"),
+         ["expand operation 2 missing signatures"]),
+        (lambda g: with_operation(g, 2, kind="expand", expand_from=(0,), expand_to=(0,)),
+         ["expand operation 2: source signature (0,) is not a strict subset of target (0,)"]),
+        (lambda g: with_operation(g, 2, expand_from=(), expand_to=(0,)),
+         ["operation 2: expand signatures on non-expand kind"]),
+        (lambda g: replace(g, uncertain_inputs=g.uncertain_inputs + ((99, Normal(0, 1)),)),
+         ["uncertain input references missing variable 99"]),
+        (lambda g: replace(g, uncertain_inputs=g.uncertain_inputs + ((3, Normal(0, 1)),)),
+         ["uncertain input variable 3 has kind 'intermediate'"]),
+        (lambda g: replace(g, outputs=(99,)),
+         ["outputs reference missing variable 99"]),
+        (lambda g: with_operation(g, 2, inputs=(9,)),  # cos reads add's output
+         ["graph contains a cycle through node 2"]),
+    ])
+    def test_each_violation_is_named(self, edit, problems):
+        assert validate(edit(two_branch_graph())) == problems
 
     def test_valid_implies_sortable(self):
         g = two_branch_graph()

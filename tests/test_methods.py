@@ -345,6 +345,12 @@ class TestStochasticCollocation:
             assert sc_eval(surrogate, points[p]) == pytest.approx(
                 outputs[p], rel=1e-12, abs=1e-12)
 
+    def test_point_of_the_wrong_length_is_refused(self):
+        g, grid, outputs = run_model(
+            "input a ~ Normal(0,1)\ninput b ~ Uniform(-1,2)\noutput f = a * b\n", 2)
+        with pytest.raises(DimensionMismatchError, match="^point has 3 coordinates, expected 2$"):
+            sc_eval(sc_build(outputs, grid), [0.0, 0.0, 0.0])
+
     def test_linear_function_exact_everywhere_with_k2(self):
         g, grid, outputs = run_model(
             "input a ~ Normal(0,1)\ninput b ~ Normal(2,1)\n"
