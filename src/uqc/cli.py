@@ -281,7 +281,7 @@ def cmd_convergence(args) -> int:
 def cmd_graph(args) -> int:
     _, graph = load_model(args.model)
     before = transform.to_dot(graph)
-    after = transform.to_dot(transform.insert_expansions(graph).graph)
+    after = transform.to_dot(transform.insert_expansions(graph))
     Path(args.out_before).write_text(before, encoding="utf-8", newline="")
     Path(args.out_after).write_text(after, encoding="utf-8", newline="")
     return 0

@@ -23,7 +23,7 @@ shaped per axis, numpy broadcasting does the expands' work).  Signatures
 and the partition are not stored: compute_influence_matrix and
 partition_operations derive them from either graph where they are read.
 The expands stay in the IR for cost accounting and DOT export (to_dot
-draws a transformed graph's signatures as edge sizes and clusters);
+draws a TransformedGraph's signatures as edge sizes and clusters);
 removing them and re-splicing producers to consumers (strip_expansions)
 recovers the original graph.
 """
@@ -218,18 +218,20 @@ def _op_label(op: OperationNode) -> str:
     return op.kind
 
 
-def to_dot(graph: Graph) -> str:
-    """Render the graph in DOT: variables as ellipses, operations as boxes,
+def to_dot(model: Graph | TransformedGraph) -> str:
+    """Render a graph in DOT: variables as ellipses, operations as boxes,
     expand operations as double boxes.
 
     Edges are labeled with the grid data size of the variable they carry.
-    A graph without expands is drawn with the full k^d on every edge and
-    no clusters.  A graph with expands, as insert_expansions builds, is
-    drawn with each variable's k^|signature| and one cluster per
-    signature, in ascending order and labeled by signature_label, holding
-    that signature's elementary operations, each followed by its output,
-    in id order.
+    A Graph is drawn as a naive sweep runs it: the full k^d on every edge
+    and no clusters.  A TransformedGraph, as insert_expansions returns
+    it, is drawn from its `graph`, whether or not that holds an expand:
+    each variable's k^|signature| on its edges, and one cluster per
+    signature, in ascending order and labeled by signature_label,
+    holding that signature's elementary operations, each followed by its
+    output, in id order.
     """
+    graph = model.graph if isinstance(model, TransformedGraph) else model
     lines = ["digraph model {", "  rankdir=TB;"]
 
     def var_decl(var: VariableNode) -> str:
@@ -244,7 +246,7 @@ def to_dot(graph: Graph) -> str:
 
     n_axes = dict.fromkeys(graph.variable_by_id, graph.dim)
     clusters: dict[Signature, list[OperationNode]] = {}
-    if graph.has_expansions():
+    if isinstance(model, TransformedGraph):
         signatures = compute_influence_matrix(graph).variable_signatures
         n_axes = {vid: len(signature) for vid, signature in signatures.items()}
         for op in sorted(graph.operations, key=lambda op: op.id):

@@ -609,6 +609,33 @@ class TestGraphCommand:
         assert rc == 0
         assert after.read_text().count("subgraph cluster_") == len(groups)
 
+    def test_a_model_that_needs_no_expand_is_still_drawn_transformed(self, tmp_path):
+        # insert_expansions adds nothing here, yet sin runs on k points of
+        # its {x} subspace, not on the k^2 of the full grid
+        model = tmp_path / "m.uq"
+        model.write_text("input x ~ Normal(0,1)\ninput y ~ Normal(0,1)\noutput f = sin(x)\n")
+        before = tmp_path / "before.dot"
+        after = tmp_path / "after.dot"
+        rc = run_cli(["graph", "--model", str(model), "--out-before", str(before),
+                      "--out-after", str(after)])
+        assert rc == 0
+        assert "cluster" not in before.read_text()
+        assert before.read_text().count('label="k^2"') == 2
+        assert after.read_text() == """\
+digraph model {
+  rankdir=TB;
+  subgraph cluster_0 {
+    label="{x}";
+    n2 [shape=box, label="sin"];
+    n3 [shape=ellipse, label="f"];
+  }
+  n0 [shape=ellipse, label="x"];
+  n1 [shape=ellipse, label="y"];
+  n0 -> n2 [label="k"];
+  n2 -> n3 [label="k"];
+}
+"""
+
 
 class TestModuleEntryPoint:
     # `python -m uqc` from a checkout, with only src/ on the path
