@@ -37,7 +37,7 @@ print("joint weights sum:", grid.joint_weights.sum())
 
 print("\n== multivariate basis, d=2, p=2 ==")
 dists = (uqc.Normal(0, 1), uqc.Uniform(-1, 1))
-basis = uqc.enumerate_basis(2, 2, dists)
+basis = uqc.enumerate_basis(2, dists)
 print("graded-lex multi-indices:", basis.indices)
 print("norms:", np.round(basis.norms, 4))
 

@@ -14,7 +14,7 @@ from uqc.errors import DomainError
 
 graph = uqc.builtin_model("piston")
 transformed = uqc.insert_expansions(graph)
-basis = uqc.enumerate_basis(3, 3, graph.distributions)
+basis = uqc.enumerate_basis(3, graph.distributions)
 
 print("== projection on a 4^3 grid, both engines ==")
 grid = uqc.grid_for(graph.distributions, 4)

@@ -11,7 +11,7 @@ import statistics
 import uqc
 
 graph = uqc.builtin_model("multipoint")
-basis = uqc.enumerate_basis(2, 4, graph.distributions)
+basis = uqc.enumerate_basis(4, graph.distributions)
 output = "f"
 
 

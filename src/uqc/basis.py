@@ -75,7 +75,6 @@ def _graded_lex_indices(dim: int, order: int) -> list[MultiIndex]:
 
 @dataclass(frozen=True)
 class PceBasis:
-    dim: int
     order: int
     indices: tuple[MultiIndex, ...]
     norms: np.ndarray
@@ -85,20 +84,19 @@ class PceBasis:
         return len(self.indices)
 
 
-def enumerate_basis(dim: int, order: int, distributions) -> PceBasis:
-    """All multivariate basis functions of total degree <= order.
+def enumerate_basis(order: int, distributions) -> PceBasis:
+    """All multivariate basis functions of total degree <= order, one axis
+    per distribution.
 
-    The count is (dim + order)! / (dim! order!); norms are products of the
-    univariate norms.  An order above MAX_DEGREE is refused before any
-    index is built.
+    The count is (dim + order)! / (dim! order!) for dim distributions;
+    norms are products of the univariate norms.  An order above
+    MAX_DEGREE is refused before any index is built.
     """
     distributions = tuple(distributions)
+    dim = len(distributions)
     if dim < 1 or order < 0:
         raise InvalidOrderError(f"need dim >= 1 and order >= 0, got ({dim}, {order})")
     _check_degree(order)
-    if len(distributions) != dim:
-        raise DimensionMismatchError(
-            f"{len(distributions)} distributions for dimension {dim}")
     indices = _graded_lex_indices(dim, order)
     degrees = np.array(indices).T
     # One norm table per axis, multiplied in axis order: the same products,
@@ -108,7 +106,7 @@ def enumerate_basis(dim: int, order: int, distributions) -> PceBasis:
         table = np.array([univariate_norm(dist, deg) for deg in range(order + 1)])
         norms *= table[axis_degrees]
     norms.setflags(write=False)
-    return PceBasis(dim, order, tuple(indices), norms, distributions)
+    return PceBasis(order, tuple(indices), norms, distributions)
 
 
 def design_matrix(basis: PceBasis, points) -> np.ndarray:
@@ -121,9 +119,9 @@ def design_matrix(basis: PceBasis, points) -> np.ndarray:
     place without a copy.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != basis.dim:
+    if points.shape[1] != len(basis.distributions):
         raise DimensionMismatchError(
-            f"points have {points.shape[1]} coordinates, expected {basis.dim}")
+            f"points have {points.shape[1]} coordinates, expected {len(basis.distributions)}")
     tables = [univariate_table(dist, basis.order, dist.standardize(points[:, axis]))
               for axis, dist in enumerate(basis.distributions)]
     rows = np.ones((len(basis.indices), points.shape[0]))

@@ -85,7 +85,7 @@ def _run_nipc_full(graph: Graph, grid, pce_order: int, seed: int, amtc: bool = F
     output = graph.first_output_name()
     report = (engine.evaluate_amtc(transform.insert_expansions(graph), grid) if amtc
               else engine.evaluate_naive(graph, grid))
-    basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
+    basis = enumerate_basis(pce_order, graph.distributions)
     coefficients = methods.nipc_integration(report.outputs[output], grid, basis)
     details = {"k": grid.axis_sizes[0], "pce_order": pce_order,
                "n_coefficients": len(basis), "engine": "amtc" if amtc else "naive"}
@@ -103,7 +103,7 @@ def _run_sc(graph: Graph, grid, pce_order: int, seed: int):
 
 
 def _run_nipc_reg(graph: Graph, n: int, pce_order: int, seed: int):
-    basis = enumerate_basis(graph.dim, pce_order, graph.distributions)
+    basis = enumerate_basis(pce_order, graph.distributions)
     points = methods.sample_inputs(graph, n, seed)
     values = engine.evaluate_on_samples(graph, points)[graph.first_output_name()]
     coefficients = methods.nipc_regression(points, values, basis)
@@ -354,8 +354,8 @@ def main(argv=None) -> int:
         # an error naming it, so the warning would only repeat that error.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.handler(args)
-    except (UqcError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UqcError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -487,29 +487,28 @@ def _canonical_form(graph: Graph):
         assign(vid)
 
     constants: list[tuple[int, float]] = []
+
+    def place(vid: int) -> int | None:
+        """Canonical id of an operand or output, placing a constant at its first
+        read; None for an id naming no variable or an unwritten intermediate."""
+        if vid not in canonical:
+            var = graph.variable_by_id.get(vid)
+            if var is None or var.kind != "constant":
+                return None
+            constants.append((assign(vid), var.constant_value))
+        return canonical[vid]
+
     ops_form: list[tuple] = []
     for op in graph.order:
-        input_ids = []
-        for vid in op.inputs:
-            if vid not in canonical:
-                var = graph.variable_by_id[vid]
-                if var.kind != "constant":
-                    return None  # dangling reference; structurally invalid
-                constants.append((assign(vid), var.constant_value))
-            input_ids.append(canonical[vid])
-        out_id = assign(op.output)
+        input_ids = tuple(map(place, op.inputs))
+        if None in input_ids or op.output not in graph.variable_by_id:
+            return None
         ops_form.append((op.kind, op.exponent, op.expand_from, op.expand_to,
-                         tuple(input_ids), out_id))
+                         input_ids, assign(op.output)))
 
-    outputs_form = []
-    for vid in graph.outputs:
-        if vid not in canonical:
-            var = graph.variable_by_id[vid]
-            if var.kind == "constant":
-                constants.append((assign(vid), var.constant_value))
-            else:
-                assign(vid)
-        outputs_form.append(canonical[vid])
+    outputs_form = tuple(map(place, graph.outputs))
+    if None in outputs_form:
+        return None
 
     leftovers = sorted(
         (var.kind, var.constant_value)
@@ -520,7 +519,7 @@ def _canonical_form(graph: Graph):
         for var in graph.variables if var.id in canonical))
 
     return (graph.distributions, tuple(ops_form), tuple(constants),
-            tuple(outputs_form), tuple(leftovers), kinds)
+            outputs_form, tuple(leftovers), kinds)
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -528,7 +527,10 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     distributions, and outputs in the same order (the first is the one
     the estimators study), up to node ids and names.  Nodes are matched
     in evaluation order (graph.order), so two graphs that list the same
-    independent operations in another order compare False."""
+    independent operations in another order compare False.  A graph with
+    an operand, result or output that names no variable, or an
+    intermediate with no producer, is isomorphic to no graph, itself
+    included."""
     form_a = _canonical_form(a)
     form_b = _canonical_form(b)
     return form_a is not None and form_a == form_b

@@ -2,9 +2,11 @@
 
 All entry points run one executor over a graph's cached plan (Graph.plan)
 of elementary operations.  evaluate_naive feeds each uncertain input its
-full-length grid vector, so every operation runs at every grid point;
-evaluate_on_samples and evaluate_single_point do the same over sample rows
-or one point.  evaluate_amtc runs the graph a transformed graph was built
+full-length grid vector, so every operation that depends on an input runs
+at every grid point; an operation of constants only runs once, on
+1-element arrays, though its naive count is the full-grid schedule.
+evaluate_on_samples and evaluate_single_point do the same over sample
+rows or one point.  evaluate_amtc runs the graph a transformed graph was built
 from: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
 runs each operation once per distinct point of its subspace.  The expands'
 elements are counted from the transformed IR as copies, never made.
@@ -269,7 +271,8 @@ def _refuse_non_finite(graph: Graph, samples: np.ndarray) -> None:
 
 
 def evaluate_naive(graph: Graph, grid: TensorGrid) -> EvaluationReport:
-    """Conventional full-grid sweep: every operation runs at every point."""
+    """Conventional full-grid sweep, counted as every operation running at
+    every point (an operation of constants only runs once)."""
     _check_grid(graph, grid)
     n = grid.total_points
     start = time.perf_counter()

@@ -85,10 +85,6 @@ class SignatureMismatchError(UqcError):
     kernel, such as an expand, which only a transformed graph holds."""
 
 
-class InternalError(UqcError):
-    """Invariant violation that indicates a bug in a transformation pass."""
-
-
 class DomainError(UqcError):
     """An elementary operation received an out-of-domain argument.
 

@@ -62,7 +62,7 @@ def nipc_integration(values: np.ndarray, grid: TensorGrid,
     then gathered by multi-index.  No points or design matrix are built.
     """
     _check_grid_values(values, grid)
-    if basis.dim != grid.dim or basis.distributions != grid.distributions:
+    if basis.distributions != grid.distributions:
         raise DimensionMismatchError("basis distributions do not match the grid")
     tensor = values.reshape(grid.axis_sizes)
     for rule in grid.axes:

@@ -14,8 +14,9 @@ the savings explicit in the graph itself:
    operation is spliced in that broadcasts the producer's value tensor
    into the consumer's larger subspace.
 
-After the transformation every operation's inputs carry exactly the
-operation's own signature, so each operation can be evaluated once per
+The pass takes a model graph and refuses one that already holds an
+expand.  After the transformation every operation's inputs carry exactly
+the operation's own signature, so each operation can be evaluated once per
 distinct point of its own subspace.  The result holds two graphs and
 nothing derived from them: `graph`, with the expands, and `source`, the
 graph it was built from, which the transformed engine runs (over values
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalError
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
 
 
@@ -130,13 +130,18 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
     runs its original operations in the same relative order as the
     untransformed one, and both grid engines meet out-of-domain values
     at the same operation first.
+
+    A graph that already holds an expand is refused with a ValueError.  In
+    a model graph every operation's signature is the union of its inputs',
+    so each expand inserted here widens its input to a superset.
     """
+    if graph.has_expansions():
+        raise ValueError("cannot transform a graph that already holds expand operations")
     matrix = compute_influence_matrix(graph)
     rows, signatures = matrix.rows, matrix.variable_signatures
     variables = list(graph.variables)
     operations: list[OperationNode] = []
     expanded: dict[tuple[int, Signature], int] = {}
-    subsets: set[tuple[Signature, Signature]] = set()  # (source, target) pairs checked
     next_id = len(graph.variables) + len(graph.operations)
 
     for op in graph.order:
@@ -145,12 +150,6 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
         for vid in op.inputs:
             source = signatures[vid]
             if source != target and (vid, target) not in expanded:
-                if (source, target) not in subsets:
-                    if not signature_is_subset(source, target):
-                        raise InternalError(
-                            f"variable {vid} signature {source} is not a subset of "
-                            f"operation {op.id} signature {target}")
-                    subsets.add((source, target))
                 out_id = next_id + 1
                 operations.append(OperationNode(next_id, EXPAND, (vid,), out_id,
                                                 None, source, target))

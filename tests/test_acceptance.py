@@ -196,7 +196,7 @@ def test_criterion_6_pce_exactness_via_both_engines():
         graph = parse_model("input u1 ~ Normal(0,1)\ninput u2 ~ Normal(0,1)\n"
                             "output f = u1^2 * u2 + u2\n")
         grid = grid_for(graph.distributions, 4)
-        basis = enumerate_basis(2, 3, graph.distributions)
+        basis = enumerate_basis(3, graph.distributions)
         for engine in ("naive", "amtc"):
             if engine == "naive":
                 outputs = evaluate_naive(graph, grid).outputs["f"]
@@ -223,7 +223,7 @@ def test_criterion_7_piston_mean_against_monte_carlo_oracle():
         oracle_mean = statistics.fmean(means)
         standard_error = math.sqrt(statistics.fmean(variances) / (3 * n))
 
-        basis = enumerate_basis(3, 4, graph.distributions)
+        basis = enumerate_basis(4, graph.distributions)
         grid = grid_for(graph.distributions, 7)
         for outputs in (evaluate_naive(graph, grid).outputs["C"],
                         evaluate_amtc(insert_expansions(graph), grid).outputs["C"]):
@@ -236,7 +236,7 @@ def test_criterion_7_piston_mean_against_monte_carlo_oracle():
 def test_criterion_8_convergence_ordering_on_piston():
     def body():
         graph = builtin_model("piston")
-        basis = enumerate_basis(3, 3, graph.distributions)
+        basis = enumerate_basis(3, graph.distributions)
 
         def projection_mean(k):
             grid = grid_for(graph.distributions, k)
@@ -267,7 +267,7 @@ def test_criterion_9_orthogonality_suite():
         ]
         for dists in cases:
             for p in range(5):
-                basis = enumerate_basis(len(dists), p, dists)
+                basis = enumerate_basis(p, dists)
                 grid = grid_for(dists, p + 2)
                 phi = design_matrix(basis, grid.points())
                 gram = phi.T @ (grid.joint_weights[:, None] * phi)

@@ -160,6 +160,16 @@ class TestRun:
         assert rc == 1
         assert capsys.readouterr().err == "error: model declares no output\n"
 
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 5.43 GiB for an array with shape "
+                    "(30, 30, 30, 30, 30, 30) and data type float64"),
+        MemoryError()])
+    def test_allocation_failure_exits_one_with_one_error_line(self, capsys, exc):
+        with patch.object(engine, "evaluate_amtc", side_effect=exc):
+            rc = run_cli(["run", "--model", "piston", "--method", "nipc-full-amtc", "--k", "3"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {str(exc) or 'MemoryError'}\n"
+
     def test_deterministic_reports_modulo_wall_time(self, tmp_path):
         texts = []
         for i in range(2):

@@ -27,7 +27,7 @@ from uqc.errors import (
     UndefinedNameError,
     UnknownModelError,
 )
-from uqc.graph import VariableNode
+from uqc.graph import VariableNode, validate
 from uqc.transform import compute_influence_matrix
 
 
@@ -487,6 +487,23 @@ class TestIsomorphic:
         dangling = replace(g, variables=g.variables + (VariableNode(3, "z", "intermediate"),),
                            operations=(sin._replace(inputs=(3,)),))
         assert not isomorphic(dangling, dangling)
+
+    @pytest.mark.parametrize("fault", ["missing operand", "missing result", "missing output",
+                                       "dangling output"])
+    def test_graph_with_an_id_it_cannot_place_is_isomorphic_to_nothing(self, fault):
+        g = parse_model("input x ~ Normal(0, 1)\noutput f = sin(x)\n")
+        (sin,) = g.operations
+        bad = {
+            "missing operand": replace(g, operations=(sin._replace(inputs=(7,)),)),
+            "missing result": replace(g, variables=g.variables[:1]),
+            "missing output": replace(g, outputs=(5,)),
+            "dangling output": replace(
+                g, variables=g.variables + (VariableNode(3, "z", "intermediate"),),
+                outputs=(3,)),
+        }[fault]
+        assert validate(bad)
+        assert not isomorphic(bad, bad)
+        assert not isomorphic(bad, g) and not isomorphic(g, bad)
 
 
 class TestBuiltins:

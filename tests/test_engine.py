@@ -114,6 +114,25 @@ class TestNaive:
         assert report.equivalent_model_evals == 0.0
         np.testing.assert_array_equal(report.outputs["f"], grid_input_vector(grid, 0))
 
+    def test_constant_only_operations_run_once_but_count_the_full_grid(self, monkeypatch):
+        # Operations 21, 28 and 48 of piston read only constants: the executor
+        # runs each on 1-element arrays, while the naive counts are the
+        # full-grid schedule.
+        g = builtin_model("piston")
+        execute, produced = engine._execute, []
+
+        def spy(*args):
+            values, counts = execute(*args)
+            produced.append(counts)
+            return values, counts
+
+        monkeypatch.setattr(engine, "_execute", spy)
+        report = evaluate_naive(g, grid_for(g.distributions, 3))
+        (counts,) = produced
+        assert {op_id for op_id, size in counts.items() if size != 27} == {21, 28, 48}
+        assert [counts[op_id] for op_id in (21, 28, 48)] == [1, 1, 1]
+        assert [report.op_eval_counts[op_id] for op_id in (21, 28, 48)] == [27, 27, 27]
+
     def test_piston_out_of_domain_grid_names_sqrt(self):
         g = builtin_model("piston")
         with pytest.raises(DomainError) as excinfo:

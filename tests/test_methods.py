@@ -54,7 +54,7 @@ class TestNipcIntegration:
     def test_constant_model_projects_onto_constant_term(self):
         g, grid, outputs = run_model(
             "input x ~ Normal(0,1)\nparam c = 4.25\noutput f = c + 0 * x\n", 3)
-        basis = enumerate_basis(1, 3, g.distributions)
+        basis = enumerate_basis(3, g.distributions)
         alpha = nipc_integration(outputs, grid, basis).alpha
         assert alpha[0] == pytest.approx(4.25, abs=1e-12)
         np.testing.assert_allclose(alpha[1:], 0.0, atol=1e-12)
@@ -63,7 +63,7 @@ class TestNipcIntegration:
         # f = u1 + u2: alpha with graded-lex basis [1, He1(u1), He1(u2)] is [0, 1, 1]
         g, grid, outputs = run_model(
             "input u1 ~ Normal(0,1)\ninput u2 ~ Normal(0,1)\noutput f = u1 + u2\n", 2)
-        basis = enumerate_basis(2, 1, g.distributions)
+        basis = enumerate_basis(1, g.distributions)
         coefficients = nipc_integration(outputs, grid, basis)
         np.testing.assert_allclose(coefficients.alpha, [0.0, 1.0, 1.0], atol=1e-12)
         mean, stddev = moments_from_pce(coefficients)
@@ -81,7 +81,7 @@ class TestNipcIntegration:
             outputs = evaluate_naive(g, grid).outputs["f"]
         else:
             outputs = evaluate_amtc(insert_expansions(g), grid).outputs["f"]
-        basis = enumerate_basis(2, 3, g.distributions)
+        basis = enumerate_basis(3, g.distributions)
         mean, stddev = moments_from_pce(nipc_integration(outputs, grid, basis))
         assert mean == pytest.approx(0.0, abs=1e-10)
         assert stddev == pytest.approx(math.sqrt(6.0), rel=1e-10)
@@ -89,7 +89,7 @@ class TestNipcIntegration:
     def test_projection_recovers_known_expansion_exactly(self):
         # build f directly from known coefficients, then project it back
         dists = (Normal(1.0, 2.0), Uniform(-1.0, 3.0))
-        basis = enumerate_basis(2, 3, dists)
+        basis = enumerate_basis(3, dists)
         rng = np.random.default_rng(7)
         alpha_true = rng.standard_normal(len(basis))
         grid = grid_for(dists, 4)  # k = p + 1 integrates degree 2p exactly
@@ -100,7 +100,7 @@ class TestNipcIntegration:
     def test_engine_agnostic_coefficients(self):
         g = builtin_model("multipoint")
         grid = grid_for(g.distributions, 5)
-        basis = enumerate_basis(2, 3, g.distributions)
+        basis = enumerate_basis(3, g.distributions)
         a = nipc_integration(evaluate_naive(g, grid).outputs["f"], grid, basis).alpha
         b = nipc_integration(
             evaluate_amtc(insert_expansions(g), grid).outputs["f"], grid, basis).alpha
@@ -115,7 +115,7 @@ class TestNipcIntegration:
         # gives the coefficients of the (points x coefficients) design-matrix
         # projection up to rounding.
         grid = tensor_grid([gauss_rule(dist, k) for dist, k in axes])
-        basis = enumerate_basis(grid.dim, p, grid.distributions)
+        basis = enumerate_basis(p, grid.distributions)
         values = np.random.default_rng(seed).standard_normal(grid.total_points)
         alpha = nipc_integration(values, grid, basis).alpha
         reference = (design_matrix(basis, grid.points()).T @ (grid.joint_weights * values)
@@ -124,7 +124,7 @@ class TestNipcIntegration:
 
     def test_builds_no_points_and_no_design_matrix(self):
         g, grid, outputs = run_model(BUILTIN_SOURCES["piston"], 3)
-        basis = enumerate_basis(3, 3, g.distributions)
+        basis = enumerate_basis(3, g.distributions)
         with patch.object(TensorGrid, "points", side_effect=AssertionError("points")) as points, \
                 patch.object(methods, "design_matrix",
                              side_effect=AssertionError("design_matrix")) as matrix:
@@ -135,13 +135,13 @@ class TestNipcIntegration:
 
     def test_basis_grid_mismatch(self):
         g, grid, outputs = run_model("input x ~ Normal(0,1)\noutput f = x\n", 3)
-        wrong = enumerate_basis(1, 2, [Uniform(-1, 1)])
+        wrong = enumerate_basis(2, [Uniform(-1, 1)])
         with pytest.raises(DimensionMismatchError):
             nipc_integration(outputs, grid, wrong)
 
     def test_values_must_have_one_entry_per_grid_point(self):
         g, grid, outputs = run_model("input x ~ Normal(0,1)\noutput f = x\n", 3)
-        basis = enumerate_basis(1, 2, g.distributions)
+        basis = enumerate_basis(2, g.distributions)
         for values in (outputs[:-1], outputs.reshape(1, -1)):
             with pytest.raises(DimensionMismatchError, match="grid of 3 points"):
                 nipc_integration(values, grid, basis)
@@ -152,7 +152,7 @@ class TestNipcIntegration:
 class TestNipcRegression:
     def test_recovers_polynomial_coefficients(self):
         dists = (Normal(0.0, 1.0), Uniform(-1.0, 1.0))
-        basis = enumerate_basis(2, 3, dists)
+        basis = enumerate_basis(3, dists)
         rng = np.random.default_rng(11)
         alpha_true = rng.standard_normal(len(basis))
         points = np.column_stack([rng.normal(0, 1, 3 * len(basis)),
@@ -164,19 +164,19 @@ class TestNipcRegression:
         assert fit.fit_details["rank"] == len(basis)
 
     def test_underdetermined(self):
-        basis = enumerate_basis(1, 3, [Normal(0, 1)])
+        basis = enumerate_basis(3, [Normal(0, 1)])
         points = np.zeros((3, 1))
         with pytest.raises(UnderdeterminedError):
             nipc_regression(points, np.zeros(3), basis)
 
     def test_rank_deficient(self):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         points = np.full((6, 1), 2.0)  # one repeated sample point
         with pytest.raises(RankDeficientError):
             nipc_regression(points, np.ones(6), basis)
 
     def test_constant_function(self):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         rng = np.random.default_rng(3)
         points = rng.normal(0, 1, (9, 1))
         fit = nipc_regression(points, np.full(9, 3.5), basis)
@@ -187,7 +187,7 @@ class TestNipcRegression:
         g, grid, outputs = run_model(
             "input u1 ~ Normal(0,1)\ninput u2 ~ Normal(0,1)\n"
             "output f = u1^2 * u2 + u2\n", 4)
-        basis = enumerate_basis(2, 3, g.distributions)
+        basis = enumerate_basis(3, g.distributions)
         by_integration = nipc_integration(outputs, grid, basis).alpha
         rng = np.random.default_rng(5)
         points = rng.normal(0, 1, (3 * len(basis), 2))
@@ -198,7 +198,7 @@ class TestNipcRegression:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_value_is_refused(self, bad):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         points = np.random.default_rng(3).normal(0, 1, (9, 1))
         values = np.ones(9)
         values[[4, 7]] = bad
@@ -208,7 +208,7 @@ class TestNipcRegression:
     def test_non_finite_point_is_refused_before_lapack(self, capfd):
         # An inf point gives an inf design row; LAPACK's scaling step would
         # print an illegal-parameter message to stderr before failing.
-        basis = enumerate_basis(2, 2, [Normal(0, 1), Uniform(-1, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1), Uniform(-1, 1)])
         points = np.random.default_rng(3).uniform(-1, 1, (12, 2))
         points[5, 0] = np.inf
         with pytest.raises(ValueError, match=r"sample row 5: point \(inf, "):
@@ -222,7 +222,7 @@ class TestNipcRegression:
     def test_solve_matches_numpy_lstsq(self, dists, p, multiplier, seed):
         # The QR fit refuses the designs whose rank numpy's SVD finds short,
         # and gives the same coefficients up to rounding.
-        basis = enumerate_basis(len(dists), p, dists)
+        basis = enumerate_basis(p, dists)
         rng = np.random.default_rng(seed)
         draws = np.empty((len(dists), multiplier * len(basis)))
         for row, dist in zip(draws, dists):
@@ -249,7 +249,7 @@ class TestNipcRegression:
         ((Normal(1, 2), Normal(0, 1), Uniform(0, 1)), 2, 7),
     ])
     def test_fewer_distinct_points_than_coefficients(self, dists, p, n_distinct):
-        basis = enumerate_basis(len(dists), p, dists)
+        basis = enumerate_basis(p, dists)
         rng = np.random.default_rng(8)
         distinct = np.column_stack([rng.uniform(0.1, 0.9, n_distinct) for _ in dists])
         points = np.repeat(distinct, 3, axis=0)
@@ -260,7 +260,7 @@ class TestNipcRegression:
             nipc_regression(points, np.ones(len(points)), basis)
 
     def test_values_must_be_one_per_point(self):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         points = np.random.default_rng(3).normal(0, 1, (9, 1))
         for values in (np.ones((9, 1)), np.ones(8)):
             with pytest.raises(DimensionMismatchError,
@@ -268,7 +268,7 @@ class TestNipcRegression:
                 nipc_regression(points, values, basis)
 
     def test_caller_arrays_are_unchanged(self):
-        basis = enumerate_basis(2, 3, [Normal(0, 1), Uniform(-1, 1)])
+        basis = enumerate_basis(3, [Normal(0, 1), Uniform(-1, 1)])
         rng = np.random.default_rng(4)
         points = rng.uniform(-1, 1, (2 * len(basis), 2))
         values = rng.standard_normal(len(points))
@@ -278,7 +278,7 @@ class TestNipcRegression:
         np.testing.assert_array_equal(values, values_before)
 
     def test_square_system_fits_exactly(self):
-        basis = enumerate_basis(2, 3, [Normal(0, 1), Uniform(-1, 1)])
+        basis = enumerate_basis(3, [Normal(0, 1), Uniform(-1, 1)])
         rng = np.random.default_rng(6)
         points = rng.uniform(-1, 1, (len(basis), 2))
         values = rng.standard_normal(len(basis))
@@ -289,7 +289,7 @@ class TestNipcRegression:
                                    rtol=0, atol=1e-12)
 
     def test_well_conditioned_fit_does_not_measure_the_rank(self):
-        basis = enumerate_basis(2, 3, [Normal(0, 1), Uniform(-1, 1)])
+        basis = enumerate_basis(3, [Normal(0, 1), Uniform(-1, 1)])
         rng = np.random.default_rng(7)
         points = rng.uniform(-1, 1, (2 * len(basis), 2))
         with patch.object(methods, "design_matrix", wraps=design_matrix) as built, \
@@ -302,7 +302,7 @@ class TestNipcRegression:
     def test_ill_conditioned_full_rank_design_is_accepted(self):
         # Degree 10 on 22 points in [0, 0.3] of [-1, 1]: kappa_2 is about
         # 2.5e11, so R's estimate is below sqrt(eps) and the rank is measured.
-        basis = enumerate_basis(1, 10, [Uniform(-1, 1)])
+        basis = enumerate_basis(10, [Uniform(-1, 1)])
         points = np.linspace(0.0, 0.3, 22)[:, None]
         values = np.cos(3 * points[:, 0])
         matrix = design_matrix(basis, points)
@@ -320,7 +320,7 @@ class TestNipcRegression:
         ((Normal(1, 2), Uniform(0, 1), Normal(0, 1)), 3),
     ])
     def test_design_matrix_equals_row_by_row_products(self, dists, p):
-        basis = enumerate_basis(len(dists), p, dists)
+        basis = enumerate_basis(p, dists)
         rng = np.random.default_rng(9)
         points = np.column_stack([rng.uniform(-2, 2, 13) for _ in dists])
         expected = np.empty((len(points), len(basis)))
@@ -366,7 +366,7 @@ class TestStochasticCollocation:
         g = builtin_model("multipoint")
         grid = grid_for(g.distributions, 5)
         outputs = evaluate_naive(g, grid).outputs["f"]
-        basis = enumerate_basis(2, 3, g.distributions)
+        basis = enumerate_basis(3, g.distributions)
         alpha0 = nipc_integration(outputs, grid, basis).alpha[0]
         mean, _ = sc_moments(sc_build(outputs, grid))
         assert mean == pytest.approx(alpha0, rel=1e-12)
@@ -464,7 +464,7 @@ class TestMonteCarlo:
         g = builtin_model("piston")
         with pytest.raises(DomainError) as excinfo:
             run_pipeline(g, "nipc-reg", 0, 3, 0, 6)
-        n = REGRESSION_SAMPLE_MULTIPLIER * len(enumerate_basis(3, 3, g.distributions))
+        n = REGRESSION_SAMPLE_MULTIPLIER * len(enumerate_basis(3, g.distributions))
         samples = sample_inputs(g, n, seed=6)
         assert excinfo.value.sample == tuple(samples[excinfo.value.point_index])
         assert excinfo.value.reason == "sqrt of negative value"
@@ -490,24 +490,24 @@ class TestMonteCarlo:
 
 class TestMoments:
     def test_constant_only(self):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         mean, stddev = moments_from_pce(PceCoefficients(basis, np.array([5.0, 0.0, 0.0])))
         assert (mean, stddev) == (5.0, 0.0)
 
     def test_single_term_with_norm_two(self):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         assert basis.norms[2] == pytest.approx(2.0)  # <He_2^2> = 2
         _, stddev = moments_from_pce(PceCoefficients(basis, np.array([0.0, 0.0, 1.0])))
         assert stddev == pytest.approx(math.sqrt(2.0))
 
     def test_pce_surrogate_evaluation(self):
-        basis = enumerate_basis(1, 2, [Normal(0, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1)])
         coefficients = PceCoefficients(basis, np.array([1.0, 2.0, 3.0]))
         # 1 + 2 He1(x) + 3 He2(x) at x = 2 -> 1 + 4 + 9 = 14
         assert evaluate_pce(coefficients, [[2.0]])[0] == pytest.approx(14.0)
 
     def test_pce_of_one_point_is_a_float(self):
-        basis = enumerate_basis(2, 2, [Normal(0, 1), Uniform(-1, 1)])
+        basis = enumerate_basis(2, [Normal(0, 1), Uniform(-1, 1)])
         coefficients = PceCoefficients(basis, np.arange(1.0, len(basis) + 1))
         value = evaluate_pce(coefficients, [0.5, 0.1])
         assert type(value) is float

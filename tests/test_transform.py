@@ -14,7 +14,6 @@ from uqc import (
     topo_sort,
     validate,
 )
-from uqc.errors import InternalError
 from uqc.transform import signature_is_subset
 
 BUILTINS = ["simple", "piston", "multipoint"]
@@ -164,7 +163,7 @@ class TestInsertExpansions:
             if op.kind == "expand":
                 assert set(op.expand_from) < set(op.expand_to)
 
-    def test_expand_that_does_not_cover_its_input_raises_internal_error(self):
+    def test_graph_holding_an_expand_is_refused(self):
         # the hand-built expand claims to widen cos(a), of signature (0,),
         # into (1,), which does not contain axis 0
         b = GraphBuilder()
@@ -172,9 +171,12 @@ class TestInsertExpansions:
         b.add_uncertain_input("c", Normal(0, 1))
         x = b.add_operation("cos", [a])
         b.mark_output(b.add_operation("expand", [x], expand_from=(0,), expand_to=(1,)), "f")
-        g = b.build()
-        with pytest.raises(InternalError):
-            insert_expansions(g)
+        graphs = [b.build()] + [insert_expansions(builtin_model(name)).graph
+                                for name in BUILTINS]
+        for g in graphs:
+            with pytest.raises(ValueError, match="^cannot transform a graph that already "
+                                                 "holds expand operations$"):
+                insert_expansions(g)
 
 
 class TestScheduledCounts:
