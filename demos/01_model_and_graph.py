@@ -16,10 +16,18 @@ output f = cos(u1) + exp(-u2)
 
 graph = uqc.parse_model(source)
 
+# A variable's role is where the graph states it: the uncertain-input
+# list, its own constant value, or the operation that writes it.
+distribution_of = dict(graph.uncertain_inputs)
 print("variables:")
 for var in graph.variables:
-    extra = f" = {var.constant_value}" if var.kind == "constant" else ""
-    print(f"  [{var.id}] {var.name} ({var.kind}{extra})")
+    if var.id in distribution_of:
+        role = f"uncertain input ~ {distribution_of[var.id]}"
+    elif var.constant_value is not None:
+        role = f"constant = {var.constant_value}"
+    else:
+        role = f"written by operation {graph.producer_of[var.id]}"
+    print(f"  [{var.id}] {var.name} ({role})")
 
 print("\noperations (id, kind, inputs -> output):")
 for op in graph.operations:

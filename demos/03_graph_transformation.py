@@ -23,9 +23,10 @@ for signature, ops in sorted(groups.items()):
 
 transformed = uqc.insert_expansions(graph)
 expands = [op for op in transformed.graph.operations if op.kind == "expand"]
-print(f"\ninserted {len(expands)} expand nodes:")
+print(f"\ninserted {len(expands)} expand nodes (source signature -> target):")
 for op in expands:
-    print(f"  variable {op.inputs[0]}: {op.expand_from} -> {op.expand_to}")
+    source = matrix.variable_signatures[op.inputs[0]]
+    print(f"  variable {op.inputs[0]}: {source} -> {op.expand_to}")
 
 print("\nremoving them recovers the original graph:",
       uqc.strip_expansions(transformed.graph) == graph)

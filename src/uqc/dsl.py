@@ -370,9 +370,9 @@ def parse_model(text: str) -> Graph:
     is read.
 
     Raises ParseError with line/column on malformed input, a number
-    literal too large for a float or a second output of one value, plus
-    UndefinedNameError / DuplicateNameError for names that do not
-    resolve, and ValueError for invalid distribution parameters.  An
+    literal too large for a float or a second output of one value, and
+    its subclasses UndefinedNameError / DuplicateNameError for names that
+    do not resolve, and ValueError for invalid distribution parameters.  An
     unexpected character is reported first, then the first syntax error,
     then the first name or value error.  Lowering is deterministic: the
     same text always produces the same node id assignment.
@@ -439,7 +439,7 @@ def pretty_print(graph: Graph) -> str:
     output_set = set(graph.outputs)
     inline_constants: set[int] = set()
     for var in graph.variables:
-        if var.kind != "constant":
+        if var.constant_value is None:
             continue
         if slot_counts[var.id] == 1 and var.id not in output_set:
             inline_constants.add(var.id)
@@ -490,10 +490,10 @@ def _canonical_form(graph: Graph):
 
     def place(vid: int) -> int | None:
         """Canonical id of an operand or output, placing a constant at its first
-        read; None for an id naming no variable or an unwritten intermediate."""
+        read; None for an id naming no variable or a variable with no role."""
         if vid not in canonical:
             var = graph.variable_by_id.get(vid)
-            if var is None or var.kind != "constant":
+            if var is None or var.constant_value is None:
                 return None
             constants.append((assign(vid), var.constant_value))
         return canonical[vid]
@@ -503,23 +503,18 @@ def _canonical_form(graph: Graph):
         input_ids = tuple(map(place, op.inputs))
         if None in input_ids or op.output not in graph.variable_by_id:
             return None
-        ops_form.append((op.kind, op.exponent, op.expand_from, op.expand_to,
-                         input_ids, assign(op.output)))
+        ops_form.append((op.kind, op.exponent, op.expand_to, input_ids, assign(op.output)))
 
     outputs_form = tuple(map(place, graph.outputs))
     if None in outputs_form:
         return None
 
-    leftovers = sorted(
-        (var.kind, var.constant_value)
-        for var in graph.variables if var.id not in canonical)
-
-    kinds = tuple(sorted(
-        (canonical[var.id], var.kind)
-        for var in graph.variables if var.id in canonical))
+    # Unread constants by value, then variables with no role (None sorts last).
+    leftovers = sorted((var.constant_value is None, var.constant_value)
+                       for var in graph.variables if var.id not in canonical)
 
     return (graph.distributions, tuple(ops_form), tuple(constants),
-            outputs_form, tuple(leftovers), kinds)
+            outputs_form, tuple(leftovers))
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -528,9 +523,9 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     the estimators study), up to node ids and names.  Nodes are matched
     in evaluation order (graph.order), so two graphs that list the same
     independent operations in another order compare False.  A graph with
-    an operand, result or output that names no variable, or an
-    intermediate with no producer, is isomorphic to no graph, itself
-    included."""
+    an operand, result or output that names no variable, or an operand
+    or output that is a variable with no role, is isomorphic to no graph,
+    itself included."""
     form_a = _canonical_form(a)
     form_b = _canonical_form(b)
     return form_a is not None and form_a == form_b

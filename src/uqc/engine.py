@@ -158,7 +158,7 @@ def _execute(graph: Graph, columns, space: tuple[int, ...]):
     """
     values = {vid: column for (vid, _), column in zip(graph.uncertain_inputs, columns)}
     for var in graph.variables:
-        if var.kind == "constant":
+        if var.constant_value is not None:
             values[var.id] = np.array(var.constant_value, ndmin=len(space))
     counts: dict[int, int] = {}
     produced = graph.producer_of

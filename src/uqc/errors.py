@@ -16,7 +16,7 @@ class CycleError(UqcError):
 
 
 class ParseError(UqcError):
-    """Model source text does not conform to the grammar."""
+    """Model source text is invalid at the given line and column."""
 
     def __init__(self, message: str, line: int, column: int, expected: tuple = ()):
         self.line = line
@@ -28,24 +28,20 @@ class ParseError(UqcError):
         super().__init__(detail)
 
 
-class UndefinedNameError(UqcError):
+class UndefinedNameError(ParseError):
     """An expression references a name that has not been declared."""
 
     def __init__(self, name: str, line: int, column: int):
         self.name = name
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: undefined name '{name}'")
+        super().__init__(f"undefined name '{name}'", line, column)
 
 
-class DuplicateNameError(UqcError):
+class DuplicateNameError(ParseError):
     """A statement re-declares an existing name."""
 
     def __init__(self, name: str, line: int, column: int):
         self.name = name
-        self.line = line
-        self.column = column
-        super().__init__(f"line {line}, column {column}: name '{name}' already defined")
+        super().__init__(f"name '{name}' already defined", line, column)
 
 
 class UnknownModelError(UqcError):

@@ -4,9 +4,11 @@ A model is a directed acyclic graph whose nodes are either variables or
 operations; edges only connect variables to operations and operations to
 variables.  Variables are scalars in the dataflow sense: the number of
 grid points a variable carries at evaluation time is an engine concern,
-not an IR concern.  A variable is an uncertain input, a constant or an
-intermediate (written by one operation).  An output is any variable
-listed in Graph.outputs, reported under its own entry of
+not an IR concern.  A variable's role is where the graph states it: it
+is an uncertain input if Graph.uncertain_inputs lists it, a constant if
+it holds a constant_value, and an intermediate if an operation writes
+it; validate requires exactly one role of each variable.  An output is
+any variable listed in Graph.outputs, reported under its own entry of
 Graph.output_names.  Node ids are assigned in insertion order from a single
 dense counter shared by variables and operations.
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -31,8 +34,6 @@ from .errors import CycleError, SignatureMismatchError
 
 # Subset of uncertain-input axes a value depends on, ascending and duplicate-free.
 Signature = tuple[int, ...]
-
-VARIABLE_KINDS = ("uncertain_input", "constant", "intermediate")
 
 UNARY_OP_KINDS = ("neg", "pow_const", "sin", "cos", "tan", "exp", "log", "sqrt")
 BINARY_OP_KINDS = ("add", "sub", "mul", "div")
@@ -53,7 +54,6 @@ UFUNCS = {
 class VariableNode(NamedTuple):
     id: int
     name: str
-    kind: str
     constant_value: float | None = None
 
 
@@ -62,9 +62,8 @@ class OperationNode(NamedTuple):
     kind: str
     inputs: tuple[int, ...]
     output: int
-    exponent: float | None = None        # pow_const only
-    expand_from: Signature | None = None  # expand only
-    expand_to: Signature | None = None    # expand only
+    exponent: float | None = None       # pow_const only
+    expand_to: Signature | None = None  # expand only
 
     @property
     def arity(self) -> int:
@@ -151,7 +150,7 @@ class Graph:
         exponent raises ValueError naming its variable, so every value an
         engine holds is finite.  Raises CycleError like topo_sort."""
         for var in self.variables:
-            if var.kind == "constant" and not math.isfinite(var.constant_value):
+            if var.constant_value is not None and not math.isfinite(var.constant_value):
                 raise ValueError(f"constant '{var.name}' has non-finite value {var.constant_value}")
         order = self.order
         last_use: dict[int, int] = {}
@@ -232,13 +231,6 @@ def validate(graph: Graph) -> list[str]:
     if all_ids and (all_ids[0] != 0 or all_ids[-1] != len(all_ids) - 1):
         violations.append("node ids are not dense from 0")
 
-    for var in graph.variables:
-        if var.kind not in VARIABLE_KINDS:
-            violations.append(f"variable {var.id} has unknown kind '{var.kind}'")
-        if (var.constant_value is not None) != (var.kind == "constant"):
-            violations.append(
-                f"variable {var.id}: constant_value present iff kind is constant")
-
     producers: dict[int, list[int]] = {}
     for op in graph.operations:
         producers.setdefault(op.output, []).append(op.id)
@@ -248,12 +240,17 @@ def validate(graph: Graph) -> list[str]:
         if vid not in var_ids:
             violations.append(f"operation {ops[0]} writes missing variable {vid}")
 
+    listings = Counter(vid for vid, _ in graph.uncertain_inputs)
     for var in graph.variables:
-        has_producer = var.id in producers
-        if var.kind in ("uncertain_input", "constant") and has_producer:
-            violations.append(f"{var.kind} variable {var.id} has a producer")
-        if var.kind == "intermediate" and not has_producer:
-            violations.append(f"intermediate variable {var.id} has no producer")
+        roles = ["uncertain input"] * listings[var.id]
+        if var.constant_value is not None:
+            roles.append("constant")
+        if var.id in producers:
+            roles.append("operation output")
+        if not roles:
+            violations.append(f"variable {var.id} has no role")
+        elif len(roles) > 1:
+            violations.append(f"variable {var.id} has {len(roles)} roles: {', '.join(roles)}")
 
     for op in graph.operations:
         if op.kind not in OP_KINDS:
@@ -268,22 +265,12 @@ def validate(graph: Graph) -> list[str]:
                 violations.append(f"operation {op.id} reads missing variable {vid}")
         if (op.exponent is not None) != (op.kind == "pow_const"):
             violations.append(f"operation {op.id}: exponent present iff kind is pow_const")
-        if op.kind == EXPAND:
-            if op.expand_from is None or op.expand_to is None:
-                violations.append(f"expand operation {op.id} missing signatures")
-            elif not (set(op.expand_from) < set(op.expand_to)):
-                violations.append(
-                    f"expand operation {op.id}: source signature {op.expand_from} "
-                    f"is not a strict subset of target {op.expand_to}")
-        elif op.expand_from is not None or op.expand_to is not None:
-            violations.append(f"operation {op.id}: expand signatures on non-expand kind")
+        if (op.expand_to is not None) != (op.kind == EXPAND):
+            violations.append(f"operation {op.id}: expand_to present iff kind is expand")
 
-    for vid, _ in graph.uncertain_inputs:
-        var = graph.variable_by_id.get(vid)
-        if var is None:
+    for vid in listings:
+        if vid not in var_ids:
             violations.append(f"uncertain input references missing variable {vid}")
-        elif var.kind != "uncertain_input":
-            violations.append(f"uncertain input variable {vid} has kind '{var.kind}'")
     for index, vid in enumerate(graph.outputs):
         if vid not in var_ids:
             violations.append(f"outputs reference missing variable {vid}")
@@ -317,20 +304,18 @@ class GraphBuilder:
     def add_uncertain_input(self, name: str, dist: Distribution) -> int:
         vid = self._next_id
         self._next_id = vid + 1
-        self._variables[vid] = _new_node(VariableNode, (vid, name, "uncertain_input", None))
+        self._variables[vid] = _new_node(VariableNode, (vid, name, None))
         self._uncertain.append((vid, dist))
         return vid
 
     def add_constant(self, value: float, name: str | None = None) -> int:
         vid = self._next_id
         self._next_id = vid + 1
-        self._variables[vid] = _new_node(VariableNode,
-                                         (vid, name or f"_c{vid}", "constant", float(value)))
+        self._variables[vid] = _new_node(VariableNode, (vid, name or f"_c{vid}", float(value)))
         return vid
 
     def add_operation(self, kind: str, inputs: tuple[int, ...] | list[int], *,
                       exponent: float | None = None,
-                      expand_from: Signature | None = None,
                       expand_to: Signature | None = None,
                       name: str | None = None) -> int:
         """Append an operation plus its fresh output variable; returns the output id."""
@@ -338,15 +323,13 @@ class GraphBuilder:
         out_id = op_id + 1
         self._next_id = op_id + 2
         self._operations.append(_new_node(OperationNode, (
-            op_id, kind, tuple(inputs), out_id, exponent, expand_from, expand_to)))
-        self._variables[out_id] = _new_node(VariableNode,
-                                            (out_id, name or f"_t{out_id}", "intermediate", None))
+            op_id, kind, tuple(inputs), out_id, exponent, expand_to)))
+        self._variables[out_id] = _new_node(VariableNode, (out_id, name or f"_t{out_id}", None))
         return out_id
 
     def rename(self, var_id: int, name: str) -> None:
         var = self._variables[var_id]
-        self._variables[var_id] = _new_node(VariableNode,
-                                            (var_id, name, var.kind, var.constant_value))
+        self._variables[var_id] = _new_node(VariableNode, (var_id, name, var.constant_value))
 
     def mark_output(self, var_id: int, name: str) -> None:
         """List the variable as an output reported under `name`."""

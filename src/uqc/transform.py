@@ -77,7 +77,7 @@ def compute_influence_matrix(graph: Graph) -> InfluenceMatrix:
     for axis, (vid, _) in enumerate(graph.uncertain_inputs):
         variable_signatures[vid] = (axis,)
     for var in graph.variables:
-        if var.kind == "constant":
+        if var.constant_value is not None:
             variable_signatures[var.id] = ()
 
     rows: dict[int, Signature] = {}
@@ -151,16 +151,14 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
             source = signatures[vid]
             if source != target and (vid, target) not in expanded:
                 out_id = next_id + 1
-                operations.append(OperationNode(next_id, EXPAND, (vid,), out_id,
-                                                None, source, target))
-                variables.append(VariableNode(out_id, f"_x{out_id}", "intermediate"))
+                operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None, target))
+                variables.append(VariableNode(out_id, f"_x{out_id}"))
                 expanded[vid, target] = out_id
                 next_id += 2
             new_inputs.append(vid if source == target else expanded[vid, target])
         new_inputs = tuple(new_inputs)
         if new_inputs != op.inputs:
-            op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent,
-                               op.expand_from, op.expand_to)
+            op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent, op.expand_to)
         operations.append(op)
 
     transformed = Graph(tuple(variables), tuple(operations),
@@ -209,14 +207,6 @@ def _size_label(n_axes: int) -> str:
     return f"k^{n_axes}"
 
 
-def _op_label(op: OperationNode) -> str:
-    if op.kind == "pow_const":
-        return f"pow {op.exponent:g}"
-    if op.kind == EXPAND:
-        return f"expand {set(op.expand_from) or '{}'} -> {set(op.expand_to)}"
-    return op.kind
-
-
 def to_dot(model: Graph | TransformedGraph) -> str:
     """Render a graph in DOT: variables as ellipses, operations as boxes,
     expand operations as double boxes.
@@ -228,25 +218,32 @@ def to_dot(model: Graph | TransformedGraph) -> str:
     each variable's k^|signature| on its edges, and one cluster per
     signature, in ascending order and labeled by signature_label,
     holding that signature's elementary operations, each followed by its
-    output, in id order.
+    output, in id order.  An expand is labeled with its input's
+    signature and its expand_to.
     """
-    graph = model.graph if isinstance(model, TransformedGraph) else model
+    transformed = isinstance(model, TransformedGraph)
+    graph = model.graph if transformed else model
+    signatures = (compute_influence_matrix(graph).variable_signatures
+                  if transformed or graph.has_expansions() else {})
     lines = ["digraph model {", "  rankdir=TB;"]
 
     def var_decl(var: VariableNode) -> str:
         label = var.name
-        if var.kind == "constant":
+        if var.constant_value is not None:
             label = f"{var.name} = {var.constant_value:g}"
         return f'  n{var.id} [shape=ellipse, label="{label}"];'
 
     def op_decl(op: OperationNode) -> str:
-        peripheries = ", peripheries=2" if op.kind == EXPAND else ""
-        return f'  n{op.id} [shape=box, label="{_op_label(op)}"{peripheries}];'
+        if op.kind == EXPAND:
+            source = set(signatures[op.inputs[0]]) or "{}"
+            return (f'  n{op.id} [shape=box, label="expand {source} -> {set(op.expand_to)}", '
+                    f'peripheries=2];')
+        label = f"pow {op.exponent:g}" if op.kind == "pow_const" else op.kind
+        return f'  n{op.id} [shape=box, label="{label}"];'
 
     n_axes = dict.fromkeys(graph.variable_by_id, graph.dim)
     clusters: dict[Signature, list[OperationNode]] = {}
-    if isinstance(model, TransformedGraph):
-        signatures = compute_influence_matrix(graph).variable_signatures
+    if transformed:
         n_axes = {vid: len(signature) for vid, signature in signatures.items()}
         for op in sorted(graph.operations, key=lambda op: op.id):
             if op.kind != EXPAND:

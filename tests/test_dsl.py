@@ -122,12 +122,12 @@ class TestParsing:
 
     def test_pi_is_a_real_in_declarations(self):
         g = parse_model("param a = pi\ninput x ~ Normal(-pi, 1)\noutput f = a * x\n")
-        assert g.variables[0] == VariableNode(0, "a", "constant", math.pi)
+        assert g.variables[0] == VariableNode(0, "a", math.pi)
         assert g.distributions == (Normal(-math.pi, 1.0),)
 
     def test_scientific_and_decimal_literals(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = x * 1.5e-3 + .25 + 2e2\n")
-        constants = sorted(v.constant_value for v in g.variables if v.kind == "constant")
+        constants = sorted(v.constant_value for v in g.variables if v.constant_value is not None)
         assert constants == [0.0015, 0.25, 200.0]
 
     def test_literal_pow_becomes_pow_const(self):
@@ -146,7 +146,7 @@ class TestParsing:
     def test_sign_on_literal_folds_into_constant(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = -2 * x\n")
         assert [op.kind for op in g.operations] == ["mul"]
-        assert any(v.constant_value == -2.0 for v in g.variables if v.kind == "constant")
+        assert any(v.constant_value == -2.0 for v in g.variables)
 
     def test_unary_minus_on_expression_is_neg(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = -x\n")
@@ -175,8 +175,11 @@ class TestParsing:
         # on a bare literal folds into it, and a literal exponent (bare or
         # parenthesized) makes pow_const with no constant node.
         g = parse_model(LITERAL_FORMS_SOURCE)
+        inputs = {vid for vid, _ in g.uncertain_inputs}
+        written = set(g.producer_of)
         nodes = sorted(
-            [(v.id, v.constant_value if v.kind == "constant" else v.kind)
+            [(v.id, "uncertain_input" if v.id in inputs else
+              "intermediate" if v.id in written else v.constant_value)
              for v in g.variables]
             + [(op.id, op.kind, *op.inputs) for op in g.operations])
         i, t = "uncertain_input", "intermediate"
@@ -289,13 +292,13 @@ class TestOutputNames:
         g = parse_model("input x ~ Normal(0, 1)\nparam c = 2\noutput f = c\n"
                         "output g = c * x\n")
         assert g.output_names == ("f", "g")
-        assert g.variable_by_id[g.outputs[0]].kind == "constant"
+        assert g.variable_by_id[g.outputs[0]].constant_value == 2.0
 
     def test_output_of_an_input_takes_the_declared_name(self):
         # the input keeps its own name, which labels its axis
         g = parse_model("input x ~ Normal(0, 1)\noutput f = x\n")
         assert g.output_names == ("f",)
-        assert g.variable_by_id[g.outputs[0]] == VariableNode(0, "x", "uncertain_input")
+        assert g.variable_by_id[g.outputs[0]] == VariableNode(0, "x")
 
     def test_grid_engines_key_results_by_the_declared_names(self):
         g = parse_model(OUTPUT_SORTS_SOURCE)
@@ -324,11 +327,11 @@ class TestOutputNames:
 # sha256 of repr(graph) + repr(graph.plan) + repr(insert_expansions(graph)):
 # the lowering, the execution plan and the transformed graph, node for node.
 FRONT_END_DIGESTS = {
-    "simple": "a9589d8416d9b2b54f8871ed39538912b053784aab8304f8fd0671caf66fb928",
-    "piston": "eb40b4c56ff1260848add911cf975e926754189cca6f7a094e0cd6e00f7456ac",
-    "multipoint": "6bbeb0a29f32ba41f52ccdf5ab5e793a82b2600ba9e49ba7a2ce9d6889cbad20",
-    "literal-forms": "6232a18e3f23a02cee31d856d96ac82de6ac7f8e24e26aa2bb86ed601dcc3ae4",
-    "sep6": "0a000979f14000fbb26b3bd690b858fc0a6a2cdc5f35d335f140b9e73d9b2df7",
+    "simple": "cc362f05d8c55d685e2f60c327dc6b30ea2a6686da61455d5ee8bd7c9a0f765a",
+    "piston": "31b9fad2efb3a49dd8417e5637db9d1af0367f25bc485fe7c387ffc87c4e9d35",
+    "multipoint": "e4638ead7276ef2ad6468668ae45bba2d67635702024023fd4c2056889d1c3b8",
+    "literal-forms": "9cc138a02059882b8dd67d36d823d06913e0cc59887b57ca0ac764f9b7faa284",
+    "sep6": "6b7d1d3beadca06d4dfe26afa899a8211cd027b276b140b2c0b15646831e122a",
 }
 
 
@@ -484,7 +487,7 @@ class TestIsomorphic:
     def test_dangling_operand_is_not_isomorphic(self):
         g = parse_model("input x ~ Normal(0, 1)\noutput f = sin(x)\n")
         (sin,) = g.operations
-        dangling = replace(g, variables=g.variables + (VariableNode(3, "z", "intermediate"),),
+        dangling = replace(g, variables=g.variables + (VariableNode(3, "z"),),
                            operations=(sin._replace(inputs=(3,)),))
         assert not isomorphic(dangling, dangling)
 
@@ -498,7 +501,7 @@ class TestIsomorphic:
             "missing result": replace(g, variables=g.variables[:1]),
             "missing output": replace(g, outputs=(5,)),
             "dangling output": replace(
-                g, variables=g.variables + (VariableNode(3, "z", "intermediate"),),
+                g, variables=g.variables + (VariableNode(3, "z"),),
                 outputs=(3,)),
         }[fault]
         assert validate(bad)
@@ -517,7 +520,7 @@ class TestBuiltins:
         assert g.distributions == (Normal(50.0, 10.0), Normal(0.01, 0.005),
                                    Normal(0.005, 0.002))
         declared = {v.name: v.constant_value for v in g.variables
-                    if v.kind == "constant" and not v.name.startswith("_")}
+                    if v.constant_value is not None and not v.name.startswith("_")}
         assert declared == {"k_spring": 3000.0, "P0": 100000.0,
                             "Ta": 293.0, "T0": 350.0}
 

@@ -258,7 +258,8 @@ class TestAmtc:
             "second = first + b\n"
             "output third = second * c\n")
         tg = insert_expansions(g)
-        expands = [(op.expand_from, op.expand_to)
+        signatures = compute_influence_matrix(tg.graph).variable_signatures
+        expands = [(signatures[op.inputs[0]], op.expand_to)
                    for op in tg.graph.operations if op.kind == "expand"]
         assert ((), (0,)) in expands          # base feeding `* a`
         assert ((0,), (0, 1)) in expands      # first feeding `+ b`
@@ -308,9 +309,9 @@ class TestAmtc:
         a = b.add_uncertain_input("a", Normal(0, 1))
         c = b.add_uncertain_input("c", Normal(0, 1))
         x = b.add_operation("sin", [a])
-        x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+        x_wide = b.add_operation("expand", [x], expand_to=(0, 1))
         square = b.add_operation("mul", [x, x], name="square")
-        c_wide = b.add_operation("expand", [c], expand_from=(1,), expand_to=(0, 1))
+        c_wide = b.add_operation("expand", [c], expand_to=(0, 1))
         product = b.add_operation("mul", [x_wide, c_wide], name="product")
         b.mark_output(square, "square")
         b.mark_output(product, "product")
@@ -615,7 +616,9 @@ def hand_built(case: str) -> TransformedGraph:
     """A hand-built transformed graph whose expands do not describe
     its edges as insert_expansions would.
 
-    swapped_axes: the expands' expand_from labels swap axes 0 and 1.
+    swapped_axes: each expand's expand_to names the other expand's
+    axis, (1,) for cos(a) and (0,) for exp(c), where insert_expansions
+    would put (0, 1).
     input_of_another_signature_without_expand: a product reads a, of
     signature (0,), and c, of signature (1,), with no expand in between.
     signature_wider_than_its_inputs: sin reads cos(a) through an expand
@@ -626,9 +629,9 @@ def hand_built(case: str) -> TransformedGraph:
     if case == "swapped_axes":
         c = b.add_uncertain_input("c", Uniform(0, 1))
         x = b.add_operation("cos", [a], name="x")
-        x_wide = b.add_operation("expand", [x], expand_from=(1,), expand_to=(0, 1))
+        x_wide = b.add_operation("expand", [x], expand_to=(1,))
         y = b.add_operation("exp", [c])
-        y_wide = b.add_operation("expand", [y], expand_from=(0,), expand_to=(0, 1))
+        y_wide = b.add_operation("expand", [y], expand_to=(0,))
         product = b.add_operation("mul", [x_wide, y_wide], name="product")
         b.mark_output(x, "x")
         b.mark_output(product, "product")
@@ -640,7 +643,7 @@ def hand_built(case: str) -> TransformedGraph:
         return hand_transformed(b.build())
     assert case == "signature_wider_than_its_inputs"
     x = b.add_operation("cos", [a])
-    x_wide = b.add_operation("expand", [x], expand_from=(0,), expand_to=(0, 1))
+    x_wide = b.add_operation("expand", [x], expand_to=(0, 1))
     y = b.add_operation("sin", [x_wide], name="y")
     b.mark_output(y, "y")
     return hand_transformed(b.build())

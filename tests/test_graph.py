@@ -1,12 +1,14 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqc import GraphBuilder, Normal, builtin_model, to_dot, topo_sort, validate
+from uqc import (GraphBuilder, Normal, builtin_model, insert_expansions, parse_model_file, to_dot,
+                 topo_sort, validate)
 from uqc.errors import CycleError
-from uqc.graph import VARIABLE_KINDS, Graph, OperationNode, VariableNode
+from uqc.graph import Graph, OperationNode, VariableNode
 
 
 def two_branch_graph():
@@ -60,8 +62,8 @@ class TestTopoSort:
     def test_cycle_raises(self):
         # two operations wired into each other, built by hand
         variables = (
-            VariableNode(0, "a", "intermediate"),
-            VariableNode(1, "b", "intermediate"),
+            VariableNode(0, "a"),
+            VariableNode(1, "b"),
         )
         operations = (
             OperationNode(2, "neg", (1,), 0),
@@ -156,6 +158,14 @@ class TestValidate:
     def test_builtins_are_valid(self, name):
         assert validate(builtin_model(name)) == []
 
+    @pytest.mark.parametrize("name", ["simple", "piston", "multipoint", "sep6"])
+    def test_models_and_their_transforms_are_valid(self, name):
+        if name == "sep6":
+            g = parse_model_file(Path(__file__).parent.parent / "perfbench" / "sep6.uq")
+        else:
+            g = builtin_model(name)
+        assert validate(g) == validate(insert_expansions(g).graph) == []
+
     def test_missing_variable_reference(self):
         g = two_branch_graph()
         bad_op = OperationNode(99, "sin", (1234,), g.operations[0].output)
@@ -198,40 +208,34 @@ class TestValidate:
         b.mark_output(b.add_operation("sin", [x]), "f")
         assert validate(b.build()) == ["output names are not distinct"]
 
-    def test_an_output_is_not_a_kind_of_variable(self):
-        assert VARIABLE_KINDS == ("uncertain_input", "constant", "intermediate")
-        g = two_branch_graph()
-        f = g.variable_by_id[g.outputs[0]]
-        variables = tuple(v._replace(kind="output") if v == f else v for v in g.variables)
-        assert validate(replace(g, variables=variables)) == [
-            f"variable {f.id} has unknown kind 'output'"]
-
     # two_branch_graph: inputs 0 and 1; cos 2 -> 3, neg 4 -> 5, exp 6 -> 7, add 8 -> 9
     @pytest.mark.parametrize("edit, problems", [
-        (lambda g: replace(g, variables=g.variables + (VariableNode(8, "z", "constant", 1.0),)),
+        (lambda g: replace(g, variables=g.variables + (VariableNode(8, "z", 1.0),)),
          ["variable and operation ids overlap"]),
         (lambda g: with_variable(g, 0, constant_value=1.0),
-         ["variable 0: constant_value present iff kind is constant"]),
+         ["variable 0 has 2 roles: uncertain input, constant"]),
         (lambda g: with_operation(g, 2, output=99),
-         ["operation 2 writes missing variable 99", "intermediate variable 3 has no producer"]),
-        (lambda g: with_variable(g, 3, kind="constant", constant_value=1.0),
-         ["constant variable 3 has a producer"]),
-        (lambda g: replace(g, variables=g.variables + (VariableNode(10, "z", "intermediate"),)),
-         ["intermediate variable 10 has no producer"]),
+         ["operation 2 writes missing variable 99", "variable 3 has no role"]),
+        (lambda g: with_variable(g, 3, constant_value=1.0),
+         ["variable 3 has 2 roles: constant, operation output"]),
+        (lambda g: replace(g, variables=g.variables + (VariableNode(10, "z"),)),
+         ["variable 10 has no role"]),
         (lambda g: with_operation(g, 2, kind="tanh"),
          ["operation 2 has unknown kind 'tanh'"]),
         (lambda g: with_operation(g, 2, exponent=2.0),
          ["operation 2: exponent present iff kind is pow_const"]),
         (lambda g: with_operation(g, 2, kind="expand"),
-         ["expand operation 2 missing signatures"]),
-        (lambda g: with_operation(g, 2, kind="expand", expand_from=(0,), expand_to=(0,)),
-         ["expand operation 2: source signature (0,) is not a strict subset of target (0,)"]),
-        (lambda g: with_operation(g, 2, expand_from=(), expand_to=(0,)),
-         ["operation 2: expand signatures on non-expand kind"]),
+         ["operation 2: expand_to present iff kind is expand"]),
+        (lambda g: with_operation(g, 2, expand_to=(0,)),
+         ["operation 2: expand_to present iff kind is expand"]),
         (lambda g: replace(g, uncertain_inputs=g.uncertain_inputs + ((99, Normal(0, 1)),)),
          ["uncertain input references missing variable 99"]),
         (lambda g: replace(g, uncertain_inputs=g.uncertain_inputs + ((3, Normal(0, 1)),)),
-         ["uncertain input variable 3 has kind 'intermediate'"]),
+         ["variable 3 has 2 roles: uncertain input, operation output"]),
+        (lambda g: replace(g, uncertain_inputs=g.uncertain_inputs[:1]),
+         ["variable 1 has no role"]),
+        (lambda g: replace(g, uncertain_inputs=g.uncertain_inputs + g.uncertain_inputs[:1]),
+         ["variable 0 has 2 roles: uncertain input, uncertain input"]),
         (lambda g: replace(g, outputs=(99,)),
          ["outputs reference missing variable 99"]),
         (lambda g: with_operation(g, 2, inputs=(9,)),  # cos reads add's output

@@ -15,12 +15,15 @@ properties are checked again with the aligned-vector engines cut into
 blocks of 1-7 points, so that a grid of at most 125 points crosses block
 boundaries.  A third property checks that
 the transform, the structural validator and the printer round-trip the
-generated models.
+generated models, and a fourth that the validator names each single edit
+that leaves a variable with no role or two, or an expand with a
+non-expand kind.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
 """
 
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -46,6 +49,7 @@ from uqc import (
     validate,
 )
 from uqc.errors import DomainError
+from uqc.graph import EXPAND, OP_KINDS
 
 DISTRIBUTIONS = ("Normal(0.3, 1)", "Uniform(-1, 2)")
 CONSTANTS = ("0.5", "pi", "1.5")
@@ -206,3 +210,31 @@ def test_transform_and_printer_round_trip(model):
     again = parse_model(pretty_print(graph))
     assert isomorphic(again, graph)
     assert again.output_names == graph.output_names
+
+
+@settings(max_examples=100, deadline=None)
+@given(models(), st.data())
+def test_validate_names_each_role_edit(model, data):
+    graph = parse_model(model[0])
+    inputs = graph.uncertain_inputs
+    index = data.draw(st.integers(0, len(inputs) - 1))
+    vid = inputs[index][0]
+    dropped = replace(graph, uncertain_inputs=inputs[:index] + inputs[index + 1:])
+    assert f"variable {vid} has no role" in validate(dropped)
+    twice = replace(graph, uncertain_inputs=inputs + inputs[index:index + 1])
+    assert f"variable {vid} has 2 roles: uncertain input, uncertain input" in validate(twice)
+
+    output = data.draw(st.sampled_from(graph.operations)).output
+    constant = replace(graph, variables=tuple(
+        var._replace(constant_value=1.0) if var.id == output else var for var in graph.variables))
+    assert f"variable {output} has 2 roles: constant, operation output" in validate(constant)
+
+    transformed = insert_expansions(graph).graph
+    expands = [op for op in transformed.operations if op.kind == EXPAND]
+    if expands:
+        expand = data.draw(st.sampled_from(expands))
+        kind = data.draw(st.sampled_from([kind for kind in OP_KINDS if kind != EXPAND]))
+        relabeled = replace(transformed, operations=tuple(
+            op._replace(kind=kind) if op == expand else op for op in transformed.operations))
+        assert (f"operation {expand.id}: expand_to present iff kind is expand"
+                in validate(relabeled))

@@ -95,8 +95,9 @@ class TestInsertExpansions:
     def test_simple_model_two_expansions(self):
         g = builtin_model("simple")
         tg = insert_expansions(g)
+        signature_of = compute_influence_matrix(tg.graph).variable_signatures
         expands = [op for op in tg.graph.operations if op.kind == "expand"]
-        assert {(op.expand_from, op.expand_to) for op in expands} == {
+        assert {(signature_of[op.inputs[0]], op.expand_to) for op in expands} == {
             ((0,), (0, 1)), ((1,), (0, 1))}
         assert validate(tg.graph) == []
 
@@ -111,14 +112,14 @@ class TestInsertExpansions:
         for op in tg.graph.operations:
             if op.kind == "expand":
                 assert op.inputs[0] not in producer
-                assert g.variable_by_id[op.inputs[0]].kind == "uncertain_input"
+                assert op.inputs[0] in dict(g.uncertain_inputs)
 
     def test_constant_feeding_uncertain_op_broadcasts_from_empty(self):
         g = parse_model("input x ~ Normal(0,1)\noutput f = x + 2\n")
         tg = insert_expansions(g)
         expands = [op for op in tg.graph.operations if op.kind == "expand"]
         assert len(expands) == 1
-        assert expands[0].expand_from == ()
+        assert g.variable_by_id[expands[0].inputs[0]].constant_value == 2.0
         assert expands[0].expand_to == (0,)
 
     def test_deduplicated_per_variable_and_target(self):
@@ -159,9 +160,10 @@ class TestInsertExpansions:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_expand_nodes_strictly_enlarge(self, name):
         tg = insert_expansions(builtin_model(name))
+        signature_of = compute_influence_matrix(tg.graph).variable_signatures
         for op in tg.graph.operations:
             if op.kind == "expand":
-                assert set(op.expand_from) < set(op.expand_to)
+                assert set(signature_of[op.inputs[0]]) < set(op.expand_to)
 
     def test_graph_holding_an_expand_is_refused(self):
         # the hand-built expand claims to widen cos(a), of signature (0,),
@@ -170,7 +172,7 @@ class TestInsertExpansions:
         a = b.add_uncertain_input("a", Normal(0, 1))
         b.add_uncertain_input("c", Normal(0, 1))
         x = b.add_operation("cos", [a])
-        b.mark_output(b.add_operation("expand", [x], expand_from=(0,), expand_to=(1,)), "f")
+        b.mark_output(b.add_operation("expand", [x], expand_to=(1,)), "f")
         graphs = [b.build()] + [insert_expansions(builtin_model(name)).graph
                                 for name in BUILTINS]
         for g in graphs:
