@@ -218,7 +218,7 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int) -> list[list]:
                   "wall times omitted, counts are scheduled costs", file=sys.stderr)
         reduction = 1.0 - amtc_total / naive_total if naive_total else 0.0
         rows.append([k, naive_total, amtc_total,
-                     transform.expansion_copies(transformed.graph, sizes),
+                     transform.expansion_copies(graph, sizes),
                      naive_ms, amtc_ms, repr(reduction)])
     return rows
 

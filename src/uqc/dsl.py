@@ -423,7 +423,7 @@ def pretty_print(graph: Graph) -> str:
 
     # How many operand slots read each variable.
     slot_counts: dict[int, int] = {v.id: 0 for v in graph.variables}
-    for op in graph.operations:
+    for op in graph.order:  # refuses an operand or output with no role
         for vid in op.inputs:
             slot_counts[vid] += 1
 
@@ -526,6 +526,8 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     an operand, result or output that names no variable, or an operand
     or output that is a variable with no role, is isomorphic to no graph,
     itself included."""
-    form_a = _canonical_form(a)
-    form_b = _canonical_form(b)
+    try:
+        form_a, form_b = _canonical_form(a), _canonical_form(b)
+    except ValueError:  # Graph.order refuses an operand or output with no role
+        return False
     return form_a is not None and form_a == form_b

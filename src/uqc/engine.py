@@ -6,10 +6,10 @@ full-length grid vector, so every operation that depends on an input runs
 at every grid point; an operation of constants only runs once, on
 1-element arrays, though its naive count is the full-grid schedule.
 evaluate_on_samples and evaluate_single_point do the same over sample
-rows or one point.  evaluate_amtc runs the graph a transformed graph was built
-from: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
+rows or one point.  evaluate_amtc runs the model graph a transformed graph
+holds: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
 runs each operation once per distinct point of its subspace.  The expands'
-elements are counted from the transformed IR as copies, never made.
+elements are counted from signatures as copies, never made or built.
 Costs are counted as scalar applications per operation, so the accounting
 is machine-independent; wall time is measured but never part of report
 equality.
@@ -289,10 +289,10 @@ def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> Evaluation
     Runs transformed.source over its cached plan, the one evaluate_naive
     runs, feeding uncertain input j its k_j raw nodes along axis j, so
     broadcasting runs each operation over the product of axis sizes in its
-    signature.  The expands of transformed.graph contribute their output
-    sizes to expansion_copies, not to total_scalar_evals.  Outputs are
-    broadcast onto the full grid so they compare directly with
-    evaluate_naive (that broadcast is not counted).
+    signature.  The expands' output sizes, counted from the source's
+    signatures without building transformed.graph, go to expansion_copies,
+    not to total_scalar_evals.  Outputs are broadcast onto the full grid so
+    they compare directly with evaluate_naive (that broadcast is not counted).
     """
     source = transformed.source
     _check_grid(source, grid)
@@ -303,7 +303,7 @@ def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> Evaluation
     wall_ms = (time.perf_counter() - start) * 1e3
     outputs = {name: _own_output(source, vid, values[vid], sizes).ravel()
                for vid, name in zip(source.outputs, source.output_names)}
-    return _report(source, outputs, counts, expansion_copies(transformed.graph, sizes), wall_ms)
+    return _report(source, outputs, counts, expansion_copies(source, sizes), wall_ms)
 
 
 def evaluate_single_point(graph: Graph, point) -> dict[str, float]:

@@ -135,7 +135,14 @@ class Graph:
     @cached_property
     def order(self) -> tuple[OperationNode, ...]:
         """The operations in topo_sort order, sorted once per graph.
-        Raises CycleError like topo_sort."""
+        Raises CycleError like topo_sort, and a ValueError carrying
+        validate's messages if an operation reads, or an output names, an
+        id that is no uncertain input, constant or operation output."""
+        readable = {vid for vid, _ in self.uncertain_inputs} | self.producer_of.keys()
+        readable.update(var.id for var in self.variables if var.constant_value is not None)
+        reads = [vid for op in self.operations for vid in op.inputs] + list(self.outputs)
+        if not readable.issuperset(reads):
+            raise ValueError("; ".join(validate(self)))
         return tuple(map(self.operation_by_id.__getitem__, topo_sort(self)))
 
     @cached_property

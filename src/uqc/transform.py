@@ -17,22 +17,23 @@ the savings explicit in the graph itself:
 The pass takes a model graph and refuses one that already holds an
 expand.  After the transformation every operation's inputs carry exactly
 the operation's own signature, so each operation can be evaluated once per
-distinct point of its own subspace.  The result holds two graphs and
-nothing derived from them: `graph`, with the expands, and `source`, the
-graph it was built from, which the transformed engine runs (over values
-shaped per axis, numpy broadcasting does the expands' work).  Signatures
-and the partition are not stored: compute_influence_matrix and
-partition_operations derive them from either graph where they are read.
-The expands stay in the IR for cost accounting and DOT export (to_dot
-draws a TransformedGraph's signatures as edge sizes and clusters);
-removing them and re-splicing producers to consumers (strip_expansions)
-recovers the original graph.
+distinct point of its own subspace.  The result holds one graph, `source`,
+the model graph, which the transformed engine runs (over values shaped
+per axis, numpy broadcasting does the expands' work); its `graph`, with
+the expands, is derived from `source` the first time it is read.
+Signatures and the partition are not stored: compute_influence_matrix and
+partition_operations derive them where they are read.  expansion_copies
+counts copies from signatures, so no run builds the expands; they define
+that count and serve DOT export (to_dot draws a TransformedGraph's
+signatures as edge sizes and clusters).  Removing them and re-splicing
+producers to consumers (strip_expansions) recovers the original graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
 
@@ -106,11 +107,40 @@ def partition_operations(matrix: InfluenceMatrix) -> dict[Signature, frozenset[i
 
 @dataclass(frozen=True)
 class TransformedGraph:
-    """The graph with expands (`graph`) and the graph it was built from
-    (`source`), which evaluate_amtc runs."""
+    """A model graph (`source`), which evaluate_amtc runs, and the graph
+    with expands made from it (`graph`), derived the first time it is read."""
 
-    graph: Graph
     source: Graph
+
+    @cached_property
+    def graph(self) -> Graph:
+        graph = self.source  # spliced as insert_expansions describes
+        matrix = compute_influence_matrix(graph)
+        rows, signatures = matrix.rows, matrix.variable_signatures
+        variables = list(graph.variables)
+        operations: list[OperationNode] = []
+        expanded: dict[tuple[int, Signature], int] = {}
+        next_id = len(graph.variables) + len(graph.operations)
+
+        for op in graph.order:
+            target = rows[op.id]
+            new_inputs = []
+            for vid in op.inputs:
+                source = signatures[vid]
+                if source != target and (vid, target) not in expanded:
+                    out_id = next_id + 1
+                    operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None, target))
+                    variables.append(VariableNode(out_id, f"_x{out_id}"))
+                    expanded[vid, target] = out_id
+                    next_id += 2
+                new_inputs.append(vid if source == target else expanded[vid, target])
+            new_inputs = tuple(new_inputs)
+            if new_inputs != op.inputs:
+                op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent, op.expand_to)
+            operations.append(op)
+
+        return Graph(tuple(variables), tuple(operations),
+                     graph.uncertain_inputs, graph.outputs, graph.output_names)
 
 
 def insert_expansions(graph: Graph) -> TransformedGraph:
@@ -137,33 +167,7 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
     """
     if graph.has_expansions():
         raise ValueError("cannot transform a graph that already holds expand operations")
-    matrix = compute_influence_matrix(graph)
-    rows, signatures = matrix.rows, matrix.variable_signatures
-    variables = list(graph.variables)
-    operations: list[OperationNode] = []
-    expanded: dict[tuple[int, Signature], int] = {}
-    next_id = len(graph.variables) + len(graph.operations)
-
-    for op in graph.order:
-        target = rows[op.id]
-        new_inputs = []
-        for vid in op.inputs:
-            source = signatures[vid]
-            if source != target and (vid, target) not in expanded:
-                out_id = next_id + 1
-                operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None, target))
-                variables.append(VariableNode(out_id, f"_x{out_id}"))
-                expanded[vid, target] = out_id
-                next_id += 2
-            new_inputs.append(vid if source == target else expanded[vid, target])
-        new_inputs = tuple(new_inputs)
-        if new_inputs != op.inputs:
-            op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent, op.expand_to)
-        operations.append(op)
-
-    transformed = Graph(tuple(variables), tuple(operations),
-                        graph.uncertain_inputs, graph.outputs, graph.output_names)
-    return TransformedGraph(transformed, graph)
+    return TransformedGraph(graph)
 
 
 def strip_expansions(graph: Graph) -> Graph:
@@ -282,8 +286,11 @@ def scheduled_eval_counts(matrix: InfluenceMatrix, axis_sizes) -> dict[int, int]
 
 
 def expansion_copies(graph: Graph, axis_sizes) -> int:
-    """Elements the expands stand for on a grid with the given per-axis
-    sizes: the product of sizes over each expand's target signature."""
+    """Elements the expands stand for on a grid of the given axis sizes: per
+    (variable, reader signature) pair whose signatures differ, the product of
+    sizes over the reader's.  A graph with those expands counts alike."""
     sizes = tuple(int(s) for s in axis_sizes)
-    return sum(math.prod(sizes[axis] for axis in op.expand_to)
-               for op in graph.operations if op.kind == EXPAND)
+    matrix = compute_influence_matrix(graph)
+    crossings = {(vid, matrix.rows[op.id]) for op in graph.operations for vid in op.inputs
+                 if matrix.variable_signatures[vid] != matrix.rows[op.id]}
+    return sum(math.prod(sizes[axis] for axis in target) for _, target in crossings)

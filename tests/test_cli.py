@@ -12,8 +12,8 @@ from unittest.mock import patch
 
 import pytest
 
-from uqc import builtin_model, engine, quadrature
-from uqc.cli import METHODS, build_parser, main, parse_k_range
+from uqc import TransformedGraph, builtin_model, engine, insert_expansions, quadrature
+from uqc.cli import METHODS, bench_rows, build_parser, main, parse_k_range, run_pipeline
 from uqc.errors import DomainError
 from uqc.methods import monte_carlo, sample_inputs
 
@@ -26,6 +26,19 @@ def run_cli(argv):
 
 def strip_wall_times(text: str) -> str:
     return re.sub(r'"wall_time_ms": [^,}\n]+', '"wall_time_ms": 0', text)
+
+
+def refusing_expand_ir():
+    """Patch TransformedGraph.graph to fail if anything builds it."""
+    def build(transformed):
+        raise AssertionError("built the transformed graph")
+    return patch.object(TransformedGraph, "graph", property(build))
+
+
+def piston_copies(k: int) -> int:
+    """The piston's copies at k, counted over its expands."""
+    transformed = insert_expansions(builtin_model("piston")).graph
+    return sum(k ** len(op.expand_to) for op in transformed.operations if op.kind == "expand")
 
 
 class TestRun:
@@ -62,6 +75,12 @@ class TestRun:
         payload = json.loads(out.read_text())
         assert payload["uq_result"]["mean"] > 0
         assert payload["evaluation"]["total_scalar_evals"] < 30 * 64
+
+    def test_amtc_study_never_builds_the_transformed_graph(self):
+        graph = builtin_model("piston")
+        with refusing_expand_ir():
+            report = run_pipeline(graph, "nipc-full-amtc", 3, 2, 0, 0)[1]
+        assert report.expansion_copies == piston_copies(3)
 
     def test_unknown_model_exits_one(self, capsys):
         rc = run_cli(["run", "--model", "nosuch", "--method", "mc"])
@@ -392,6 +411,11 @@ class TestBench:
                 assert cells[4] == "" and cells[5] == ""
             else:
                 assert cells[4] != "" and cells[5] != ""
+
+    def test_rows_never_build_the_transformed_graph(self):
+        with refusing_expand_ir():
+            rows = bench_rows(builtin_model("piston"), [2, 3], 1)
+        assert [row[3] for row in rows[1:]] == [piston_copies(2), piston_copies(3)]
 
     def test_model_without_operations(self, tmp_path):
         path = tmp_path / "identity.uq"

@@ -324,14 +324,14 @@ class TestOutputNames:
         assert (excinfo.value.line, excinfo.value.column) == (4, 6)
 
 
-# sha256 of repr(graph) + repr(graph.plan) + repr(insert_expansions(graph)):
+# sha256 of repr(graph) + repr(graph.plan) + repr(insert_expansions(graph).graph):
 # the lowering, the execution plan and the transformed graph, node for node.
 FRONT_END_DIGESTS = {
-    "simple": "cc362f05d8c55d685e2f60c327dc6b30ea2a6686da61455d5ee8bd7c9a0f765a",
-    "piston": "31b9fad2efb3a49dd8417e5637db9d1af0367f25bc485fe7c387ffc87c4e9d35",
-    "multipoint": "e4638ead7276ef2ad6468668ae45bba2d67635702024023fd4c2056889d1c3b8",
-    "literal-forms": "9cc138a02059882b8dd67d36d823d06913e0cc59887b57ca0ac764f9b7faa284",
-    "sep6": "6b7d1d3beadca06d4dfe26afa899a8211cd027b276b140b2c0b15646831e122a",
+    "simple": "8b83ec304d7688a857a1860ba1edbf698f31874b76dac0cd91eb7e6a6d3079fc",
+    "piston": "4bbbdd37a8ff31cb4b967a5f3b1e0473cc008c508d2f842fc211a5054140b410",
+    "multipoint": "62680729832f9259b5cefdda5afe353c08ab1ff79d40db6175eb9b2d6e50d2e3",
+    "literal-forms": "53f3a9b46b52c64c8fc35ac87936bdeda0097ca55484fdabcc5b45064e41a522",
+    "sep6": "7bcc54844d071e18a66802daa6bf6900584da1ea5c0dd770560fac79977cbc4a",
 }
 
 
@@ -341,7 +341,7 @@ def test_front_end_output_is_pinned(name):
         g = parse_model_file(SEP6)
     else:
         g = parse_model({**BUILTIN_SOURCES, "literal-forms": LITERAL_FORMS_SOURCE}[name])
-    text = repr(g) + repr(g.plan) + repr(insert_expansions(g))
+    text = repr(g) + repr(g.plan) + repr(insert_expansions(g).graph)
     assert hashlib.sha256(text.encode()).hexdigest() == FRONT_END_DIGESTS[name]
 
 

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqc import (GraphBuilder, Normal, builtin_model, insert_expansions, parse_model_file, to_dot,
-                 topo_sort, validate)
+import numpy as np
+
+from uqc import (GraphBuilder, Normal, builtin_model, compute_influence_matrix, evaluate_amtc,
+                 evaluate_naive, evaluate_on_samples, evaluate_single_point, grid_for,
+                 insert_expansions, parse_model_file, pretty_print, to_dot, topo_sort, validate)
 from uqc.errors import CycleError
 from uqc.graph import Graph, OperationNode, VariableNode
 
@@ -248,6 +251,43 @@ class TestValidate:
         g = two_branch_graph()
         assert validate(g) == []
         topo_sort(g)  # must not raise
+
+
+# Every pass and engine reads Graph.order, which refuses an operand or
+# output that is no uncertain input, constant or operation output with
+# validate's messages.
+READERS = {
+    "evaluate_naive": lambda g: evaluate_naive(g, grid_for(g.distributions, 3)),
+    "evaluate_amtc": lambda g: evaluate_amtc(insert_expansions(g), grid_for(g.distributions, 3)),
+    "evaluate_on_samples": lambda g: evaluate_on_samples(g, np.zeros((2, g.dim))),
+    "evaluate_single_point": lambda g: evaluate_single_point(g, np.zeros(g.dim)),
+    "pretty_print": pretty_print,
+    "compute_influence_matrix": compute_influence_matrix,
+    "insert_expansions": lambda g: insert_expansions(g).graph,
+}
+
+
+class TestOperandWithoutRole:
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    def test_variable_with_no_role(self, read):
+        simple = builtin_model("simple")
+        bad = replace(simple, uncertain_inputs=simple.uncertain_inputs[:1])
+        with pytest.raises(ValueError, match="^variable 1 has no role$"):
+            read(bad)
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    def test_id_that_names_no_variable(self, read):
+        bad = with_operation(two_branch_graph(), 2, inputs=(99,))
+        with pytest.raises(ValueError, match="^operation 2 reads missing variable 99$"):
+            read(bad)
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    def test_output_with_no_role(self, read):
+        g = two_branch_graph()
+        bad = replace(g, variables=g.variables + (VariableNode(10, "z"),),
+                      outputs=g.outputs + (10,), output_names=g.output_names + ("z",))
+        with pytest.raises(ValueError, match="^variable 10 has no role$"):
+            read(bad)
 
 
 class TestDotExport:

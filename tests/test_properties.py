@@ -17,12 +17,16 @@ boundaries.  A third property checks that
 the transform, the structural validator and the printer round-trip the
 generated models, and a fourth that the validator names each single edit
 that leaves a variable with no role or two, or an expand with a
-non-expand kind.
+non-expand kind.  A fifth checks every evaluator, over both families,
+against an oracle that shares no code with them, so a wrong kernel that
+all evaluators share is caught too.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
 """
 
+import math
+import operator
 from dataclasses import replace
 from unittest.mock import patch
 
@@ -50,6 +54,7 @@ from uqc import (
 )
 from uqc.errors import DomainError
 from uqc.graph import EXPAND, OP_KINDS
+from uqc.transform import expansion_copies
 
 DISTRIBUTIONS = ("Normal(0.3, 1)", "Uniform(-1, 2)")
 CONSTANTS = ("0.5", "pi", "1.5")
@@ -117,9 +122,16 @@ def check_agreement(model, data):
     grid = grid_of(graph, sizes)
 
     naive = evaluate_naive(graph, grid)
-    fast = evaluate_amtc(insert_expansions(graph), grid)
+    transformed = insert_expansions(graph)
+    fast = evaluate_amtc(transformed, grid)
+    assert "graph" not in vars(transformed)  # the run did not build the expand IR
     samples = evaluate_on_samples(graph, grid.points())
     assert fast.op_eval_counts == scheduled_eval_counts(compute_influence_matrix(graph), sizes)
+    # Count law: the copies counted from signatures are the expands' elements.
+    expands = [op for op in transformed.graph.operations if op.kind == EXPAND]
+    assert (fast.expansion_copies == expansion_copies(graph, sizes)
+            == expansion_copies(transformed.graph, sizes)
+            == sum(math.prod(sizes[axis] for axis in op.expand_to) for op in expands))
     assert set(fast.outputs) == set(naive.outputs) == set(samples)
     for name, values in naive.outputs.items():
         assert bits(fast.outputs[name]) == bits(values), name
@@ -191,6 +203,153 @@ def test_blocked_evaluators_refuse_alike(model, block):
     expected = refusal(lambda: evaluate_naive(graph, grid))
     with patch.object(engine, "_BLOCK", block):
         assert refusals(graph, grid) == [expected] * 3
+
+
+# An oracle that shares no code with the engines: a scalar interpreter over
+# graph.order in Python floats and `math`, with its own domain checks.
+KERNELS = {"neg": operator.neg, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+           "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "add": operator.add,
+           "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+# numpy may compute these kinds with its own vectorized code (SVML on
+# AVX-512 CPUs) where `math` and `**` call the C library; both are
+# faithfully rounded, so a value of one of these kinds may differ from the
+# oracle's by one unit in the last place (exp(sin(x)) at x = -0.859 does).
+# Every other kind must match bit for bit.  The refusal check runs the
+# oracle on its own values, so it assumes no such difference decides a
+# domain check; none did over 3000 generated models.
+ONE_ULP_KINDS = frozenset(("tan", "exp", "log", "pow_const"))
+
+
+class Violation(Exception):
+    """An operation leaves its domain or overflows at one point; `rank`
+    orders an operation's checks as the engines make them."""
+
+    def __init__(self, rank: int, reason: str):
+        super().__init__(reason)
+        self.rank, self.reason = rank, reason
+
+
+def oracle_apply(kind: str, operands, exponent) -> float:
+    """One operation at one point, or a Violation.  The checks come first:
+    (-2.0) ** 0.5 is complex, 0.0 ** -1 raises, and math.exp and ** raise
+    OverflowError where numpy gives an infinity."""
+    a = operands[0]
+    if kind == "div" and operands[1] == 0.0:
+        raise Violation(0, "division by zero")
+    if kind == "log" and a <= 0.0:
+        raise Violation(0, "log of non-positive value")
+    if kind == "sqrt" and a < 0.0:
+        raise Violation(0, "sqrt of negative value")
+    if kind == "pow_const" and not exponent.is_integer() and a < 0.0:
+        raise Violation(0, f"negative base for exponent {exponent}")
+    if kind == "pow_const" and exponent < 0.0 and a == 0.0:
+        raise Violation(1, f"zero base for exponent {exponent}")
+    try:
+        value = a ** exponent if kind == "pow_const" else KERNELS[kind](*operands)
+    except OverflowError:
+        odd_power = kind == "pow_const" and exponent % 2 == 1
+        value = math.copysign(math.inf, a) if odd_power else math.inf
+    if not math.isfinite(value):
+        raise Violation(2, f"non-finite result {value}")
+    return value
+
+
+def operand_values(graph, points) -> dict:
+    """The value of each uncertain input and constant at each point."""
+    values = {vid: [point[axis] for point in points]
+              for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
+    for var in graph.variables:
+        if var.constant_value is not None:
+            values[var.id] = [var.constant_value] * len(points)
+    return values
+
+
+def oracle_refusal(graph, points) -> tuple | None:
+    """Run graph.order over `points` op-major, each operation at every point
+    before the next: None if no operation meets a violation, else where
+    the first one does, at the first point of its first failing check, as
+    (operation id, kind, point index, reason) like a DomainError."""
+    values = operand_values(graph, points)
+    for op in graph.order:
+        results, violations = [], []
+        for index, operands in enumerate(zip(*map(values.__getitem__, op.inputs))):
+            try:
+                results.append(oracle_apply(op.kind, operands, op.exponent))
+            except Violation as violation:
+                violations.append((violation.rank, index, violation.reason))
+        if violations:
+            _, index, reason = min(violations)
+            return op.id, op.kind, index, reason
+        values[op.output] = results
+    return None
+
+
+def with_every_value(graph):
+    """The graph with each operation's result listed as an output too,
+    under a name no model can declare, so engines report every value."""
+    extra = tuple(op.output for op in graph.operations if op.output not in graph.outputs)
+    return replace(graph, outputs=graph.outputs + extra,
+                   output_names=graph.output_names + tuple(f"#{vid}" for vid in extra))
+
+
+def outputs_by_evaluator(graph, grid) -> dict:
+    """Each evaluator's outputs over grid.points(), name -> vector."""
+    points = grid.points()
+    singles = [evaluate_single_point(graph, point) for point in points]
+    return {"naive": evaluate_naive(graph, grid).outputs,
+            "amtc": evaluate_amtc(insert_expansions(graph), grid).outputs,
+            "samples": evaluate_on_samples(graph, points),
+            "single point": {name: np.array([single[name] for single in singles])
+                             for name in graph.output_names}}
+
+
+def check_against_oracle(graph, points, value_of, evaluator):
+    """Each operation's value at each point, as `value_of` (variable id ->
+    vector) holds it, is the oracle's operation applied to the inputs,
+    constants and operation values it reads: bit for bit, or within one
+    ulp for ONE_ULP_KINDS."""
+    operands = operand_values(graph, points)
+    for op in graph.order:
+        for index in range(len(points)):
+            args = [operands[vid][index] if vid in operands else float(value_of[vid][index])
+                    for vid in op.inputs]
+            expected = oracle_apply(op.kind, args, op.exponent)
+            actual = float(value_of[op.output][index])
+            where = (evaluator, op.id, op.kind, index, actual, expected)
+            if op.kind in ONE_ULP_KINDS:
+                assert actual in (math.nextafter(expected, -math.inf), expected,
+                                  math.nextafter(expected, math.inf)), where
+            else:
+                assert actual.hex() == expected.hex(), where
+    for vid in graph.outputs:
+        if vid in operands:  # an input or a constant reported as it is
+            assert bits(value_of[vid]) == bits(operands[vid]), (evaluator, vid)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(models(), models(RISKY_UNARY_FORMS, RISKY_BINARY_FORMS)))
+def test_every_evaluator_matches_the_oracle(model):
+    source, sizes = model
+    graph = parse_model(source)
+    grid = grid_of(graph, sizes)
+    points = grid.points().tolist()
+    expected = oracle_refusal(graph, points)
+    assert refusals(graph, grid) == [expected] * 3
+    for point in points:
+        assert (refusal(lambda: evaluate_single_point(graph, point))
+                == oracle_refusal(graph, [point]))
+    if expected is not None:
+        return
+    exposed = with_every_value(graph)
+    every_value = outputs_by_evaluator(exposed, grid)
+    for evaluator, outputs in outputs_by_evaluator(graph, grid).items():
+        exposed_outputs = every_value[evaluator]
+        value_of = {vid: exposed_outputs[name]
+                    for vid, name in zip(exposed.outputs, exposed.output_names)}
+        check_against_oracle(graph, points, value_of, evaluator)
+        # listing more outputs changes which buffers are reused, not values
+        for name, values in outputs.items():
+            assert bits(values) == bits(exposed_outputs[name]), (evaluator, name)
 
 
 @settings(max_examples=150, deadline=None)
