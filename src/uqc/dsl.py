@@ -49,7 +49,7 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .distributions import Normal, Uniform
-from .errors import DuplicateNameError, ParseError, UndefinedNameError
+from .errors import CycleError, DuplicateNameError, ParseError, UndefinedNameError
 from .graph import Graph, GraphBuilder, OperationNode
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
@@ -488,26 +488,21 @@ def _canonical_form(graph: Graph):
 
     constants: list[tuple[int, float]] = []
 
-    def place(vid: int) -> int | None:
-        """Canonical id of an operand or output, placing a constant at its first
-        read; None for an id naming no variable or a variable with no role."""
+    def place(vid: int) -> int:
+        """Canonical id of an operand or output, placing a constant at its
+        first read; Graph.order has refused any other unplaced id."""
         if vid not in canonical:
-            var = graph.variable_by_id.get(vid)
-            if var is None or var.constant_value is None:
-                return None
-            constants.append((assign(vid), var.constant_value))
+            constants.append((assign(vid), graph.variable_by_id[vid].constant_value))
         return canonical[vid]
 
     ops_form: list[tuple] = []
     for op in graph.order:
-        input_ids = tuple(map(place, op.inputs))
-        if None in input_ids or op.output not in graph.variable_by_id:
+        if op.output not in graph.variable_by_id:
             return None
+        input_ids = tuple(map(place, op.inputs))
         ops_form.append((op.kind, op.exponent, op.expand_to, input_ids, assign(op.output)))
 
     outputs_form = tuple(map(place, graph.outputs))
-    if None in outputs_form:
-        return None
 
     # Unread constants by value, then variables with no role (None sorts last).
     leftovers = sorted((var.constant_value is None, var.constant_value)
@@ -522,12 +517,12 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     distributions, and outputs in the same order (the first is the one
     the estimators study), up to node ids and names.  Nodes are matched
     in evaluation order (graph.order), so two graphs that list the same
-    independent operations in another order compare False.  A graph with
-    an operand, result or output that names no variable, or an operand
-    or output that is a variable with no role, is isomorphic to no graph,
-    itself included."""
+    independent operations in another order compare False.  A graph that
+    Graph.order refuses (an operand or output with no role, or a read
+    before its write), or with a result that names no variable, is
+    isomorphic to no graph, itself included."""
     try:
         form_a, form_b = _canonical_form(a), _canonical_form(b)
-    except ValueError:  # Graph.order refuses an operand or output with no role
+    except (ValueError, CycleError):  # Graph.order refuses the graph
         return False
     return form_a is not None and form_a == form_b

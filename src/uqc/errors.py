@@ -8,11 +8,14 @@ class UqcError(Exception):
 
 
 class CycleError(UqcError):
-    """The computational graph contains a directed cycle."""
+    """An operation reads a variable written by itself or by a later-listed
+    operation, so the graph is not listed in evaluation order; every
+    cycle contains such a read."""
 
     def __init__(self, node_id: int):
         self.node_id = node_id
-        super().__init__(f"graph contains a cycle through node {node_id}")
+        super().__init__(f"operation {node_id} reads a variable written by itself "
+                         f"or by a later-listed operation")
 
 
 class ParseError(UqcError):

@@ -12,15 +12,15 @@ any variable listed in Graph.outputs, reported under its own entry of
 Graph.output_names.  Node ids are assigned in insertion order from a single
 dense counter shared by variables and operations.
 
-An operation's position in Graph.operations is the deterministic
-tie-breaker for evaluation order: topo_sort runs, of the operations whose
-inputs are ready, the one listed first.  Graph.order holds that order,
-sorted once per graph, and every pass and engine reads it.
+A graph lists its operations in evaluation order: each operation reads
+only variables that an earlier-listed operation writes or that no
+operation writes.  topo_sort checks that order and refuses any other
+list; Graph.order checks it once per graph, and every pass and engine
+reads it.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -134,28 +134,32 @@ class Graph:
 
     @cached_property
     def order(self) -> tuple[OperationNode, ...]:
-        """The operations in topo_sort order, sorted once per graph.
-        Raises CycleError like topo_sort, and a ValueError carrying
-        validate's messages if an operation reads, or an output names, an
-        id that is no uncertain input, constant or operation output."""
+        """Graph.operations, once topo_sort has checked that they are
+        listed in evaluation order.  Raises CycleError like topo_sort, and
+        a ValueError carrying validate's messages if an operation reads,
+        or an output names, an id that is no uncertain input, constant or
+        operation output."""
         readable = {vid for vid, _ in self.uncertain_inputs} | self.producer_of.keys()
         readable.update(var.id for var in self.variables if var.constant_value is not None)
         reads = [vid for op in self.operations for vid in op.inputs] + list(self.outputs)
         if not readable.issuperset(reads):
             raise ValueError("; ".join(validate(self)))
-        return tuple(map(self.operation_by_id.__getitem__, topo_sort(self)))
+        topo_sort(self)
+        return self.operations
 
     @cached_property
     def plan(self) -> tuple[Step, ...]:
         """Graph.order with each operation's kernel and the variables that
         die after it (a value nobody reads dies where it is produced).
-        Every graph the package builds already lists its operations in
-        that order.  Only elementary operations have a kernel: a graph
-        with expands raises SignatureMismatchError, as evaluate_amtc runs
-        the graph a transformed graph was built from, whose cached plan
-        evaluate_naive runs too.  A non-finite constant or pow_const
-        exponent raises ValueError naming its variable, so every value an
-        engine holds is finite.  Raises CycleError like topo_sort."""
+        Only elementary operations have a kernel: a graph with expands
+        raises SignatureMismatchError, as evaluate_amtc runs the graph a
+        transformed graph was built from, whose cached plan
+        evaluate_naive runs too.  An operation with the wrong number of
+        inputs, or an exponent on a kind other than pow_const or none on
+        pow_const, raises ValueError carrying validate's messages.  A
+        non-finite constant or pow_const exponent raises ValueError
+        naming its variable, so every value an engine holds is finite.
+        Raises CycleError like topo_sort."""
         for var in self.variables:
             if var.constant_value is not None and not math.isfinite(var.constant_value):
                 raise ValueError(f"constant '{var.name}' has non-finite value {var.constant_value}")
@@ -166,6 +170,8 @@ class Graph:
                 hint = "; run a transformed graph with evaluate_amtc" if op.kind == EXPAND else ""
                 raise SignatureMismatchError(
                     f"cannot apply operation kind '{op.kind}' elementwise{hint}")
+            if len(op.inputs) != op.arity or (op.exponent is not None) != (op.kind == "pow_const"):
+                raise ValueError("; ".join(validate(self)))
             if op.exponent is not None and not math.isfinite(op.exponent):
                 raise ValueError(f"non-finite exponent {op.exponent} in operation {op.id} "
                                  f"(pow_const) of '{self.variable_by_id[op.inputs[0]].name}'")
@@ -181,49 +187,22 @@ class Graph:
 
 
 def topo_sort(graph: Graph) -> list[int]:
-    """Operation ids in evaluation order (Kahn): of the operations whose
-    inputs are all produced, the one listed first in graph.operations runs
-    first.
-
-    A graph whose operations are already listed in a valid evaluation
-    order thus keeps that order; parsed and GraphBuilder graphs list them
-    in id order, and insert_expansions lists each expand just before its
-    first reader.  One scan finds such a list, in which each operation
-    reads only variables that no operation or an earlier-listed one
-    writes (the last-listed, for a variable written twice), and returns it
-    as listed; any other list runs Kahn.  Raises CycleError naming one
-    operation on a cycle if the graph is not acyclic.  Pure: identical
-    graphs yield identical orderings.
+    """Operation ids in evaluation order, which is the order graph.operations
+    lists them in: each operation reads only variables that no operation
+    or an earlier-listed one writes (the last-listed, for a variable
+    written twice).  Parsed and GraphBuilder graphs list their operations
+    in id order, and insert_expansions and strip_expansions keep the
+    order.  Raises CycleError naming the first listed operation that reads
+    a variable written by itself or by a later-listed operation, so a
+    cycle or a list out of evaluation order is refused, never sorted.
     """
     operations = graph.operations
     producer = {op.output: position for position, op in enumerate(operations)}
-    if all(producer.get(v, -1) < position
-           for position, op in enumerate(operations) for v in op.inputs):
-        return [op.id for op in operations]
-
-    indegree: list[int] = []
-    dependents: list[list[int]] = [[] for _ in operations]
     for position, op in enumerate(operations):
-        deps = {producer[v] for v in op.inputs if v in producer}
-        deps.discard(position)
-        indegree.append(len(deps))
-        for d in deps:
-            dependents[d].append(position)
-
-    ready = [position for position, deg in enumerate(indegree) if deg == 0]  # sorted: a heap
-    order: list[int] = []
-    while ready:
-        position = heapq.heappop(ready)
-        order.append(operations[position].id)
-        for dep in dependents[position]:
-            indegree[dep] -= 1
-            if indegree[dep] == 0:
-                heapq.heappush(ready, dep)
-
-    if len(order) != len(operations):
-        remaining = sorted(op.id for op, deg in zip(operations, indegree) if deg > 0)
-        raise CycleError(remaining[0])
-    return order
+        for vid in op.inputs:
+            if producer.get(vid, -1) >= position:
+                raise CycleError(op.id)
+    return [op.id for op in operations]
 
 
 def validate(graph: Graph) -> list[str]:
@@ -291,7 +270,7 @@ def validate(graph: Graph) -> list[str]:
 
     if not violations:
         try:
-            graph.order  # sorts, or raises on a cycle
+            graph.order  # raises on a read before its write
         except CycleError as exc:
             violations.append(str(exc))
     return violations

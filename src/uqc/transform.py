@@ -68,7 +68,7 @@ class InfluenceMatrix:
 
 
 def compute_influence_matrix(graph: Graph) -> InfluenceMatrix:
-    """Forward dependency pass in topological order.
+    """Forward dependency pass in evaluation order (graph.order).
 
     Uncertain input j has signature {j}, constants have the empty
     signature, and every operation takes the union of its input
@@ -156,10 +156,9 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
 
     The output lists its operations in evaluation order: the original
     operations in the input graph's order, each expand just before its
-    first reader.  topo_sort keeps that order, so a transformed graph
-    runs its original operations in the same relative order as the
-    untransformed one, and both grid engines meet out-of-domain values
-    at the same operation first.
+    first reader.  No engine runs it: evaluate_amtc runs the input graph
+    over the plan evaluate_naive runs, so both grid engines meet
+    out-of-domain values at the same operation first.
 
     A graph that already holds an expand is refused with a ValueError.  In
     a model graph every operation's signature is the union of its inputs',

@@ -82,3 +82,17 @@ def test_trace_mode_runs_and_checks_every_study():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+    # Exact, machine-independent counts of the workload; a change that
+    # moves one edits its number here and says why.
+    counts = {
+        "dsl.ops": 330,
+        "dsl.parse_model.calls": 11,
+        "graph.topo_sort.calls": 11,
+        "transform.insert_expansions.calls": 4,
+        "transform.expand_nodes": 96,
+        "engine.scalar_evals.naive": 5940,
+        "engine.scalar_evals.amtc": 1502,
+        "engine.expansion_copies": 1166,
+        "basis.design_matrix.calls": 1,
+    }
+    assert {name: result["metrics"][name]["value"] for name in counts} == counts

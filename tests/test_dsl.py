@@ -508,6 +508,19 @@ class TestIsomorphic:
         assert not isomorphic(bad, bad)
         assert not isomorphic(bad, g) and not isomorphic(g, bad)
 
+    @pytest.mark.parametrize("fault", ["cycle", "self-read", "shuffled"])
+    def test_graph_out_of_evaluation_order_is_isomorphic_to_nothing(self, fault):
+        g = parse_model(self.SOURCE)
+        sin, cos, add = g.operations
+        bad = {
+            "cycle": replace(g, operations=(sin._replace(inputs=(add.output,)), cos, add)),
+            "self-read": replace(g, operations=(sin, cos, add._replace(
+                inputs=(sin.output, add.output)))),
+            "shuffled": replace(g, operations=(add, cos, sin)),
+        }[fault]
+        assert not isomorphic(bad, bad)
+        assert not isomorphic(bad, g) and not isomorphic(g, bad)
+
 
 class TestBuiltins:
     def test_unknown_model(self):

@@ -9,7 +9,8 @@ import numpy as np
 
 from uqc import (GraphBuilder, Normal, builtin_model, compute_influence_matrix, evaluate_amtc,
                  evaluate_naive, evaluate_on_samples, evaluate_single_point, grid_for,
-                 insert_expansions, parse_model_file, pretty_print, to_dot, topo_sort, validate)
+                 insert_expansions, parse_model, parse_model_file, pretty_print, to_dot,
+                 topo_sort, validate)
 from uqc.errors import CycleError
 from uqc.graph import Graph, OperationNode, VariableNode
 
@@ -42,11 +43,11 @@ class TestTopoSort:
     def test_four_op_order_with_fifo_tie_break(self):
         g = two_branch_graph()
         kinds = [g.operation_by_id[i].kind for i in topo_sort(g)]
-        # cos and neg are both ready initially; the one listed first (cos) runs first
+        # the operations run in the order the graph lists them
         assert kinds == ["cos", "neg", "exp", "add"]
 
     def test_ready_ties_break_by_position_not_id(self):
-        # neg (id 4) is listed before cos (id 2); both are ready at once
+        # neg (id 4) is listed before cos (id 2), and runs first
         g = two_branch_graph()
         cos, neg, exp, add = g.operations
         reordered = Graph(g.variables, (neg, cos, exp, add), g.uncertain_inputs, g.outputs,
@@ -75,7 +76,7 @@ class TestTopoSort:
         g = Graph(variables, operations, (), (), ())
         with pytest.raises(CycleError) as excinfo:
             topo_sort(g)
-        assert excinfo.value.node_id in (2, 3)
+        assert excinfo.value.node_id == 2  # the first listed reader of a later write
 
     @pytest.mark.parametrize("name", ["simple", "piston", "multipoint"])
     def test_edge_order_property(self, name):
@@ -93,30 +94,22 @@ class TestTopoSort:
         assert topo_sort(builtin_model(name)) == topo_sort(builtin_model(name))
 
 
-def kahn_reference(graph):
-    """Operation ids in evaluation order: repeatedly run the first-listed
-    operation whose inputs' producers (the last-listed one of a variable
-    written twice; an operation reading its own output does not wait for
-    itself) have all run.  Raises CycleError naming the least id left."""
-    operations = graph.operations
-    producer = {op.output: position for position, op in enumerate(operations)}
-    waits_on = [{producer[v] for v in op.inputs if v in producer} - {position}
-                for position, op in enumerate(operations)]
-    done: list[int] = []
-    while len(done) < len(operations):
-        ready = [p for p in range(len(operations)) if p not in done and waits_on[p] <= set(done)]
-        if not ready:
-            raise CycleError(min(op.id for p, op in enumerate(operations) if p not in done))
-        done.append(ready[0])
-    return [operations[p].id for p in done]
+def first_early_reader(operations):
+    """Id of the first listed operation that reads a variable written by
+    itself or by a later-listed operation; None if every read follows
+    every write of its variable."""
+    for position, op in enumerate(operations):
+        if any(later.output in op.inputs for later in operations[position:]):
+            return op.id
+    return None
 
 
 @st.composite
-def operation_lists(draw):
+def listed_operations(draw):
     """Operations over 1-3 input variables (ids 0-2), each writing a fresh
     variable (ids 10+) and reading earlier ones, listed in order, shuffled,
-    or edited to hold a self-loop, a variable with two producers or a
-    two-operation cycle."""
+    or edited to hold a self-read, a variable with two producers or a
+    two-operation cycle, and then perhaps shuffled."""
     n_inputs = draw(st.integers(1, 3))
     n_ops = draw(st.integers(0, 9))
     readable = list(range(n_inputs))
@@ -124,11 +117,11 @@ def operation_lists(draw):
     for i in range(n_ops):
         specs.append([draw(st.lists(st.sampled_from(readable), min_size=1, max_size=2)), 10 + i])
         readable.append(10 + i)
-    form = draw(st.sampled_from(["ordered", "shuffled", "self-loop", "two producers", "cycle"]))
+    form = draw(st.sampled_from(["ordered", "shuffled", "self-read", "two producers", "cycle"]))
     if form != "ordered" and n_ops >= 2:
         i, j = sorted(draw(st.lists(st.integers(0, n_ops - 1), min_size=2, max_size=2,
                                     unique=True)))
-        if form == "self-loop":
+        if form == "self-read":
             specs[j][0] = specs[j][0][:1] + [specs[j][1]]
         elif form == "two producers":
             specs[j][1] = specs[i][1]
@@ -144,16 +137,15 @@ def operation_lists(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(operation_lists())
-def test_topo_sort_equals_kahn(graph):
-    try:
-        expected = kahn_reference(graph)
-    except CycleError as exc:
+@given(listed_operations())
+def test_topo_sort_returns_the_list_or_names_its_first_early_reader(graph):
+    reader = first_early_reader(graph.operations)
+    if reader is None:
+        assert topo_sort(graph) == [op.id for op in graph.operations]
+    else:
         with pytest.raises(CycleError) as excinfo:
             topo_sort(graph)
-        assert excinfo.value.node_id == exc.node_id
-    else:
-        assert topo_sort(graph) == expected
+        assert excinfo.value.node_id == reader
 
 
 class TestValidate:
@@ -242,7 +234,7 @@ class TestValidate:
         (lambda g: replace(g, outputs=(99,)),
          ["outputs reference missing variable 99"]),
         (lambda g: with_operation(g, 2, inputs=(9,)),  # cos reads add's output
-         ["graph contains a cycle through node 2"]),
+         ["operation 2 reads a variable written by itself or by a later-listed operation"]),
     ])
     def test_each_violation_is_named(self, edit, problems):
         assert validate(edit(two_branch_graph())) == problems
@@ -288,6 +280,56 @@ class TestOperandWithoutRole:
                       outputs=g.outputs + (10,), output_names=g.output_names + ("z",))
         with pytest.raises(ValueError, match="^variable 10 has no role$"):
             read(bad)
+
+
+def self_read_graph():
+    """t = sin(x); output f = t * x, with the mul made to read its own
+    output (f * x)."""
+    g = parse_model("input x ~ Normal(0, 1)\nt = sin(x)\noutput f = t * x\n")
+    sin, mul = g.operations
+    return with_operation(g, mul.id, inputs=(mul.output, mul.inputs[1])), mul.id
+
+
+class TestSelfRead:
+    def test_validate_names_the_operation(self):
+        g, mul_id = self_read_graph()
+        assert validate(g) == [f"operation {mul_id} reads a variable written by itself "
+                               f"or by a later-listed operation"]
+
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    def test_every_reader_refuses_it(self, read):
+        g, mul_id = self_read_graph()
+        with pytest.raises(CycleError) as excinfo:
+            read(g)
+        assert excinfo.value.node_id == mul_id
+
+
+EVALUATORS = {name: READERS[name] for name in
+              ("evaluate_naive", "evaluate_amtc", "evaluate_on_samples", "evaluate_single_point")}
+
+
+class TestPlanRefusesWhatValidateFaults:
+    @staticmethod
+    def faulted(kind, inputs, **fields):
+        b = GraphBuilder()
+        x = b.add_uncertain_input("x", Normal(0, 1))
+        b.mark_output(b.add_operation(kind, [x] * inputs, **fields), "f")
+        g = b.build()
+        return g, g.operations[0].id
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS.values(), ids=EVALUATORS)
+    def test_unary_operation_with_two_inputs(self, evaluate):
+        g, op_id = self.faulted("sin", 2)
+        with pytest.raises(ValueError, match=rf"^operation {op_id} \(sin\) has 2 inputs, "
+                                             rf"expected 1$"):
+            evaluate(g)
+
+    @pytest.mark.parametrize("evaluate", EVALUATORS.values(), ids=EVALUATORS)
+    def test_pow_const_without_exponent(self, evaluate):
+        g, op_id = self.faulted("pow_const", 1)
+        with pytest.raises(ValueError, match=rf"^operation {op_id}: exponent present iff "
+                                             rf"kind is pow_const$"):
+            evaluate(g)
 
 
 class TestDotExport:
