@@ -155,8 +155,9 @@ class Graph:
         raises SignatureMismatchError, as evaluate_amtc runs the graph a
         transformed graph was built from, whose cached plan
         evaluate_naive runs too.  An operation with the wrong number of
-        inputs, or an exponent on a kind other than pow_const or none on
-        pow_const, raises ValueError carrying validate's messages.  A
+        inputs, an exponent on a kind other than pow_const or none on
+        pow_const, or an expand_to on an elementary kind, raises
+        ValueError carrying validate's messages.  A
         non-finite constant or pow_const exponent raises ValueError
         naming its variable, so every value an engine holds is finite.
         Raises CycleError like topo_sort."""
@@ -170,7 +171,9 @@ class Graph:
                 hint = "; run a transformed graph with evaluate_amtc" if op.kind == EXPAND else ""
                 raise SignatureMismatchError(
                     f"cannot apply operation kind '{op.kind}' elementwise{hint}")
-            if len(op.inputs) != op.arity or (op.exponent is not None) != (op.kind == "pow_const"):
+            if (len(op.inputs) != op.arity
+                    or (op.exponent is not None) != (op.kind == "pow_const")
+                    or (op.expand_to is not None) != (op.kind == EXPAND)):
                 raise ValueError("; ".join(validate(self)))
             if op.exponent is not None and not math.isfinite(op.exponent):
                 raise ValueError(f"non-finite exponent {op.exponent} in operation {op.id} "

@@ -10,11 +10,12 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
 from .basis import PceBasis, design_matrix, univariate_table
-from .engine import evaluate_on_samples
+from .engine import evaluate_first_output_streamed, evaluate_on_samples
 from .errors import (
     DimensionMismatchError,
     RankDeficientError,
     UnderdeterminedError,
+    UqcError,
 )
 from .graph import Graph
 from .quadrature import TensorGrid
@@ -222,33 +223,69 @@ def sc_moments(surrogate: SurrogateSC) -> tuple[float, float]:
     return mean, math.sqrt(float(w @ (f - mean) ** 2))
 
 
+def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:
     """(n, dim) i.i.d. samples of the model inputs from a seeded generator.
 
     The draws are made in place, input by input, into one (dim, n) array,
     which is returned transposed, so each input's column is contiguous.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     draws = np.empty((graph.dim, n))
     for row, (_, dist) in zip(draws, graph.uncertain_inputs):
         dist.sample(rng, row)
     return draws.T
 
 
+def _stddev_overwriting(values: np.ndarray) -> float:
+    """np.std(values, ddof=1), bit for bit, computed in `values` itself,
+    which ends up holding the squared deviations: the reductions,
+    divisions and square numpy's _var makes, without its n-vector
+    temporary.  Needs at least 2 values."""
+    n = len(values)
+    mean = np.add.reduce(values, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    np.subtract(values, mean, out=values)
+    np.square(values, out=values)
+    return math.sqrt(np.add.reduce(values) / (n - 1))
+
+
 def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     """Plain Monte Carlo estimate of the first output's mean and stddev.
 
-    Identical seeds give identical results.  A DomainError from the model
-    carries the offending sample.
+    The generator makes the draws sample_inputs makes, in its order:
+    inputs 0..dim-2 whole, into one (dim - 1, n) array, then the last
+    input one block at a time inside evaluate_first_output_streamed,
+    which writes the output over input 0's draws.  The stddev is then
+    computed in that same vector, so about (dim - 1) n floats are held,
+    and the moments are bit for bit those of evaluate_on_samples over
+    sample_inputs.  Identical seeds give identical results.  A run that
+    fails draws the samples again and evaluates them with
+    evaluate_on_samples, so its error is that one's: the first operation
+    and sample row to leave the model's domain, with the sample.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     output = graph.first_output_name()
-    values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
+    rng = _generator(seed)
+    distributions = graph.distributions
+    leading = np.empty((max(len(distributions) - 1, 0), n))
+    for row, dist in zip(leading, distributions):
+        dist.sample(rng, row)
+    try:
+        values = evaluate_first_output_streamed(
+            graph, leading, lambda out: distributions[-1].sample(rng, out))
+    except (UqcError, ValueError):
+        # Any refusal: the sample-matrix path raises the one it always has,
+        # which may come from a later block or an earlier check.
+        values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
     mean = float(np.mean(values))
-    stddev = float(np.std(values, ddof=1))
+    stddev = _stddev_overwriting(values)
     return UqResult("mc", mean, stddev, n, details={
         "seed": int(seed),
         "standard_error": stddev / math.sqrt(n),

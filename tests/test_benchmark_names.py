@@ -7,7 +7,8 @@ deleted only shows up as a KeyError in a `--trace 1` run.  The file is
 read with ast, not imported: importing it rewrites os.environ and sys.path.
 A trace also reads what those functions return (an evaluation report's
 counts, a transformed graph, which it strips of its expands), so one short
-`--trace 1` run checks that too.
+`--trace 1` run checks that too.  One short untraced `sampling` run checks
+that workload's studies, Monte Carlo among them.
 """
 
 import ast
@@ -96,3 +97,15 @@ def test_trace_mode_runs_and_checks_every_study():
         "basis.design_matrix.calls": 1,
     }
     assert {name: result["metrics"][name]["value"] for name in counts} == counts
+
+
+def test_sampling_workload_passes_its_checks():
+    # The benchmark's own mc checks: within 5 standard errors of the exact
+    # moments, and identical across passes.
+    done = subprocess.run(
+        [sys.executable, str(RUN_PY), "--workload", "sampling", "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=RUN_PY.parent.parent, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

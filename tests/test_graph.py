@@ -331,6 +331,14 @@ class TestPlanRefusesWhatValidateFaults:
                                              rf"kind is pow_const$"):
             evaluate(g)
 
+    @pytest.mark.parametrize("evaluate", EVALUATORS.values(), ids=EVALUATORS)
+    def test_elementary_operation_with_expand_to(self, evaluate):
+        g, op_id = self.faulted("sin", 1, expand_to=(0,))
+        assert validate(g) == [f"operation {op_id}: expand_to present iff kind is expand"]
+        with pytest.raises(ValueError, match=rf"^operation {op_id}: expand_to present iff "
+                                             rf"kind is expand$"):
+            evaluate(g)
+
 
 class TestDotExport:
     def test_shapes_and_labels(self):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -39,7 +40,7 @@ from uqc.errors import (
     RankDeficientError,
     UnderdeterminedError,
 )
-from uqc.methods import PceCoefficients, sample_inputs
+from uqc.methods import PceCoefficients, _stddev_overwriting, sample_inputs
 from uqc.quadrature import TensorGrid
 
 
@@ -469,6 +470,20 @@ class TestMonteCarlo:
         assert excinfo.value.sample == tuple(samples[excinfo.value.point_index])
         assert excinfo.value.reason == "sqrt of negative value"
 
+    def test_working_set_is_one_output_vector(self):
+        # multipoint has 2 inputs: the first input's draws, which the output
+        # overwrites, are the one 8 MB vector held at 10^6 samples; the
+        # sample array and a separate output vector took 3.1 times that.
+        g = builtin_model("multipoint")
+        monte_carlo(g, 10, seed=1)  # builds the plan outside the measurement
+        tracemalloc.start()
+        try:
+            monte_carlo(g, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * 10 ** 6, peak
+
     def test_sample_inputs_respects_axis_order(self):
         g = builtin_model("piston")
         samples = sample_inputs(g, 2000, seed=9)
@@ -486,6 +501,26 @@ class TestMonteCarlo:
         expected = np.column_stack([rng.normal(50, 10, 5000), rng.uniform(-1, 2, 5000),
                                     rng.normal(0.01, 0.005, 5000)])
         assert sample_inputs(g, 5000, seed=4).tobytes() == expected.tobytes()
+
+
+# Lengths around the 8-wide unrolled and 128-long blocks of numpy's
+# pairwise sum, and values whose squares underflow, overflow or cancel.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 7, 8, 9, 127, 128, 129, 255, 8191, 8192, 8193, 10 ** 5)),
+       st.sampled_from((1e-300, 1e-160, 1e-5, 1.0, 1e5, 1e160, 1e300)),
+       st.sampled_from(("normal", "offset", "constant")), st.integers(0, 2 ** 32 - 1))
+def test_stddev_overwriting_is_numpy_std(n, scale, shape, seed):
+    rng = np.random.default_rng(seed)
+    if shape == "constant":
+        values = np.full(n, scale * rng.standard_normal())
+    else:
+        values = scale * rng.standard_normal(n)
+        if shape == "offset":  # a mean far larger than the spread
+            values += 1e8 * scale
+    with np.errstate(all="ignore"):
+        expected = np.std(values, ddof=1)
+        got = _stddev_overwriting(values.copy())
+    assert np.float64(got).tobytes() == expected.tobytes(), (got, expected)
 
 
 class TestMoments:
