@@ -119,6 +119,8 @@ def design_matrix(basis: PceBasis, points) -> np.ndarray:
     place without a copy.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2:
+        raise DimensionMismatchError(f"points of shape {points.shape} have more than 2 axes")
     if points.shape[1] != len(basis.distributions):
         raise DimensionMismatchError(
             f"points have {points.shape[1]} coordinates, expected {len(basis.distributions)}")

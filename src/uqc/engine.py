@@ -22,10 +22,6 @@ samples and constants are never written.  Aligned vectors (naive grid,
 samples) longer than _BLOCK points run the whole plan one block at a
 time (cache blocking), so intermediates stay block-sized; evaluate_amtc
 runs unblocked, because its values are shaped per axis, not aligned.
-evaluate_first_output_streamed runs the same blocks for Monte Carlo,
-whose last input is drawn block by block, and writes each block's first
-output over the draws of input 0 it is handed, which are Monte Carlo's
-own, never a caller's samples.
 
 Every value an engine holds is finite: a non-finite grid node, sample
 entry, constant or pow_const exponent is refused with a ValueError where
@@ -36,9 +32,7 @@ DomainError rather than propagating into moments.  It names the first
 operation in plan order that meets one, and the first full-grid point
 where it does; every engine runs the original operations in the same
 order, and a blocked run that fails is re-run unblocked, so all of them
-name the same operation and point.  evaluate_first_output_streamed cannot
-re-run over draws it has overwritten: it raises its failing block's
-error, and Monte Carlo then evaluates fresh draws with evaluate_on_samples.
+name the same operation and point.
 """
 
 from __future__ import annotations
@@ -319,6 +313,8 @@ def evaluate_single_point(graph: Graph, point) -> dict[str, float]:
     A non-finite coordinate is refused as evaluate_on_samples refuses it.
     """
     point = np.atleast_1d(np.asarray(point, dtype=float))
+    if point.ndim != 1:
+        raise DimensionMismatchError(f"point of shape {point.shape} has more than 1 axis")
     if len(point) != graph.dim:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates but the model has {graph.dim} inputs")
@@ -336,6 +332,8 @@ def evaluate_on_samples(graph: Graph, samples: np.ndarray) -> dict[str, np.ndarr
     block runs.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.ndim != 2:
+        raise DimensionMismatchError(f"samples of shape {samples.shape} have more than 2 axes")
     if samples.shape[1] != graph.dim:
         raise DimensionMismatchError(
             f"samples have {samples.shape[1]} columns but the model has {graph.dim} inputs")
@@ -346,40 +344,3 @@ def evaluate_on_samples(graph: Graph, samples: np.ndarray) -> dict[str, np.ndarr
         raise DomainError(exc.op_id, exc.op_kind, exc.point_index, exc.reason,
                           sample=tuple(samples[exc.point_index].tolist())) from None
 
-
-def evaluate_first_output_streamed(graph: Graph, leading: np.ndarray,
-                                   draw_last) -> np.ndarray:
-    """The first output at n points whose last input arrives block by block,
-    so that no (n, dim) sample array is built.
-
-    `leading` is a (max(dim - 1, 0), n) array holding inputs 0..dim-2, and
-    `draw_last(out)` fills `out` with the last input's next len(out)
-    values.  Each block of _BLOCK points draws the last input into one
-    reused buffer, runs graph.plan as evaluate_on_samples does, and writes
-    the first output over input 0's slice, which the block has finished
-    with.  Returns leading[0] then, or a new n-vector when dim < 2.
-
-    A block with a non-finite input raises ValueError, and one that leaves
-    an operation's domain raises that block's DomainError; `leading` is
-    then partly overwritten.  evaluate_on_samples over the same points
-    names the first failing operation, point and sample of the whole run.
-    """
-    n = leading.shape[1]
-    if len(leading) != max(graph.dim - 1, 0):
-        raise DimensionMismatchError(
-            f"{len(leading)} leading inputs for a model with {graph.dim} inputs")
-    graph.first_output_name()  # refuses a graph with no output
-    graph.plan  # refuses a graph it cannot run
-    output = graph.outputs[0]
-    out = leading[0] if len(leading) else np.empty(n)
-    last = np.empty(min(n, _BLOCK))
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        columns = [row[start:stop] for row in leading]
-        if graph.dim:
-            columns.append(last[:stop - start])
-            draw_last(columns[-1])
-        if not all(np.isfinite(column).all() for column in columns):
-            raise ValueError(f"non-finite input in sample rows {start} to {stop - 1}")
-        out[start:stop] = _execute(graph, columns, (stop - start,))[0][output]
-    return out

@@ -10,7 +10,8 @@ import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
 from .basis import PceBasis, design_matrix, univariate_table
-from .engine import evaluate_first_output_streamed, evaluate_on_samples
+from . import engine
+from .engine import evaluate_on_samples
 from .errors import (
     DimensionMismatchError,
     RankDeficientError,
@@ -150,13 +151,24 @@ def moments_from_pce(coefficients: PceCoefficients) -> tuple[float, float]:
     return float(alpha[0]), math.sqrt(max(variance, 0.0))
 
 
+def _refuse_non_finite_coordinates(points: np.ndarray) -> None:
+    """ValueError naming the first non-finite coordinate of `points`, a
+    point or an array of points, and its index."""
+    bad = ~np.isfinite(points)
+    if bad.any():
+        index = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"non-finite coordinate {points[tuple(index)]} at index {index}")
+
+
 def evaluate_pce(coefficients: PceCoefficients, points):
     """Expansion value at arbitrary points (surrogate evaluation).
 
     `points` is a length-dim point, which gives a float, or an (n, dim)
-    array of points, which gives a length-n array.
+    array of points, which gives a length-n array.  A non-finite
+    coordinate is refused.
     """
     points = np.asarray(points, dtype=float)
+    _refuse_non_finite_coordinates(points)
     values = design_matrix(coefficients.basis, points) @ coefficients.alpha
     return float(values[0]) if points.ndim < 2 else values
 
@@ -188,13 +200,17 @@ def sc_eval(surrogate: SurrogateSC, point) -> float:
     """Interpolant value at a point (barycentric form per axis).
 
     Exactly reproduces the stored value at every collocation point;
-    extrapolation outside the node hull is permitted.
+    extrapolation outside the node hull is permitted, but a non-finite
+    coordinate is refused.
     """
     point = np.atleast_1d(np.asarray(point, dtype=float))
     grid = surrogate.grid
+    if point.ndim != 1:
+        raise DimensionMismatchError(f"point of shape {point.shape} has more than 1 axis")
     if len(point) != grid.dim:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates, expected {grid.dim}")
+    _refuse_non_finite_coordinates(point)
     tensor = surrogate.values.reshape(grid.axis_sizes)
     for axis in range(grid.dim):
         nodes = grid.axes[axis].nodes
@@ -260,29 +276,39 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
 
     The generator makes the draws sample_inputs makes, in its order:
     inputs 0..dim-2 whole, into one (dim - 1, n) array, then the last
-    input one block at a time inside evaluate_first_output_streamed,
-    which writes the output over input 0's draws.  The stddev is then
-    computed in that same vector, so about (dim - 1) n floats are held,
-    and the moments are bit for bit those of evaluate_on_samples over
-    sample_inputs.  Identical seeds give identical results.  A run that
-    fails draws the samples again and evaluates them with
-    evaluate_on_samples, so its error is that one's: the first operation
-    and sample row to leave the model's domain, with the sample.
+    input one block of engine._BLOCK rows at a time.  Each block's rows
+    are copied into one reused (dim, block) array, evaluated with
+    evaluate_on_samples, and its first output is written over input 0's
+    draws.  The stddev is then computed in that same vector, so about
+    (dim - 1) n floats are held, and the moments are bit for bit those of
+    evaluate_on_samples over sample_inputs.  Identical seeds give
+    identical results.  A run that fails draws the samples again and
+    evaluates them with evaluate_on_samples in one call, so its error is
+    that one's: the first operation and sample row to leave the model's
+    domain, with the sample.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     output = graph.first_output_name()
     rng = _generator(seed)
     distributions = graph.distributions
-    leading = np.empty((max(len(distributions) - 1, 0), n))
+    dim, block_size = len(distributions), engine._BLOCK
+    leading = np.empty((max(dim - 1, 0), n))
     for row, dist in zip(leading, distributions):
         dist.sample(rng, row)
+    values = leading[0] if dim > 1 else np.empty(n)
+    block = np.empty((dim, min(n, block_size)))
     try:
-        values = evaluate_first_output_streamed(
-            graph, leading, lambda out: distributions[-1].sample(rng, out))
+        for start in range(0, n, block_size):
+            stop = min(start + block_size, n)
+            rows = block[:, :stop - start]
+            rows[:-1] = leading[:, start:stop]
+            if dim:
+                distributions[-1].sample(rng, rows[-1])
+            values[start:stop] = evaluate_on_samples(graph, rows.T)[output]
     except (UqcError, ValueError):
-        # Any refusal: the sample-matrix path raises the one it always has,
-        # which may come from a later block or an earlier check.
+        # A block's error names rows of that block, and only a whole-run
+        # evaluation names the first operation in plan order to fail.
         values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
     mean = float(np.mean(values))
     stddev = _stddev_overwriting(values)

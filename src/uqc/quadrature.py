@@ -123,6 +123,8 @@ class TensorGrid:
     def axis_column(self, axis: int) -> np.ndarray:
         """The nodes of `axis` shaped k_axis on that axis and 1 on every
         other, so that they broadcast against axis_sizes."""
+        if not 0 <= axis < self.dim:
+            raise AxisOutOfRangeError(f"axis {axis} out of range for {self.dim} axes")
         sizes = self.axis_sizes
         return self.axes[axis].nodes.reshape([k if j == axis else 1 for j, k in enumerate(sizes)])
 
@@ -151,8 +153,6 @@ def grid_input_vector(grid: TensorGrid, axis: int) -> np.ndarray:
     prod(k_m for m > j) times and tiles the pattern prod(k_m for m < j)
     times; the vector contains exactly k_j distinct values.
     """
-    if not 0 <= axis < grid.dim:
-        raise AxisOutOfRangeError(f"axis {axis} out of range for {grid.dim} axes")
     # One broadcasting copy of the nodes into the grid's shape, frozen in place.
     vector = np.empty(grid.axis_sizes)
     vector[...] = grid.axis_column(axis)

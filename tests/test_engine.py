@@ -370,6 +370,16 @@ class TestSinglePoint:
                            match="^samples have 3 columns but the model has 2 inputs$"):
             evaluate_on_samples(g, np.zeros((4, 3)))
 
+    def test_extra_axes_are_refused(self):
+        # numpy would broadcast or reject these with its own error
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^samples of shape \(2, 2, 2\) have more than 2 axes$"):
+            evaluate_on_samples(builtin_model("multipoint"), np.zeros((2, 2, 2)))
+        g = parse_model("input x ~ Normal(0,1)\noutput f = x\n")
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^point of shape \(1, 1\) has more than 1 axis$"):
+            evaluate_single_point(g, [[0.3]])
+
 
 class TestSamples:
     def test_zero_rows_give_empty_outputs(self):
@@ -677,43 +687,6 @@ class TestMemory:
                     assert values.shape == (grid.total_points,), name
                     for rule in grid.axes:
                         assert not np.shares_memory(values, rule.nodes), name
-
-
-class TestStreamed:
-    @staticmethod
-    def streamed(g, samples):
-        """evaluate_first_output_streamed over `samples`, whose last column
-        is handed out block by block; returns (result, leading array)."""
-        leading = samples[:, :-1].T.copy()
-        blocks = iter(np.split(samples[:, -1], range(engine._BLOCK, len(samples),
-                                                     engine._BLOCK)))
-
-        def draw(out):
-            out[:] = next(blocks)
-        return engine.evaluate_first_output_streamed(g, leading, draw), leading
-
-    def test_output_is_written_over_the_first_input(self):
-        g = builtin_model("multipoint")
-        samples = sample_inputs(g, 2 * engine._BLOCK + 5, 0)
-        result, leading = self.streamed(g, samples)
-        assert np.shares_memory(result, leading)
-        assert bits(result) == bits(evaluate_on_samples(g, samples)["f"])
-
-    def test_a_single_input_gets_its_own_vector(self):
-        g = parse_model("input x ~ Uniform(0,1)\noutput f = x\n")
-        samples = sample_inputs(g, engine._BLOCK + 1, 0)
-        result, _ = self.streamed(g, samples)
-        assert not np.shares_memory(result, samples)
-        assert bits(result) == bits(samples[:, 0])
-
-    def test_refusals(self):
-        g = builtin_model("multipoint")
-        with pytest.raises(DimensionMismatchError):
-            engine.evaluate_first_output_streamed(g, np.zeros((2, 4)), lambda out: None)
-        samples = sample_inputs(g, 5, 0)
-        samples[3, 1] = np.inf
-        with pytest.raises(ValueError, match="^non-finite input in sample rows 0 to 4$"):
-            self.streamed(g, samples)
 
 
 class TestReport:

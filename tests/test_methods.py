@@ -14,9 +14,11 @@ from uqc import (
     Normal,
     Uniform,
     builtin_model,
+    engine,
     enumerate_basis,
     evaluate_amtc,
     evaluate_naive,
+    evaluate_on_samples,
     evaluate_pce,
     gauss_rule,
     grid_for,
@@ -175,6 +177,12 @@ class TestNipcRegression:
         points = np.full((6, 1), 2.0)  # one repeated sample point
         with pytest.raises(RankDeficientError):
             nipc_regression(points, np.ones(6), basis)
+
+    def test_points_with_extra_axes_are_refused(self):
+        basis = enumerate_basis(1, [Normal(0, 1), Normal(0, 1)])
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^points of shape \(10, 2, 1\) have more than 2 axes$"):
+            nipc_regression(np.zeros((10, 2, 1)), np.zeros(10), basis)
 
     def test_constant_function(self):
         basis = enumerate_basis(2, [Normal(0, 1)])
@@ -351,6 +359,18 @@ class TestStochasticCollocation:
             "input a ~ Normal(0,1)\ninput b ~ Uniform(-1,2)\noutput f = a * b\n", 2)
         with pytest.raises(DimensionMismatchError, match="^point has 3 coordinates, expected 2$"):
             sc_eval(sc_build(outputs, grid), [0.0, 0.0, 0.0])
+        for point in ([[0.3], [0.5]], [[0.3, 0.1], [0.5, 0.2]]):
+            with pytest.raises(DimensionMismatchError, match=r"^point of shape \(2, \d\) has more "
+                                                             r"than 1 axis$"):
+                sc_eval(sc_build(outputs, grid), point)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_is_refused(self, value):
+        g, grid, outputs = run_model(
+            "input a ~ Normal(0,1)\ninput b ~ Uniform(-1,2)\noutput f = a * b\n", 2)
+        surrogate = sc_build(outputs, grid)
+        with pytest.raises(ValueError, match=rf"^non-finite coordinate {value} at index \[1\]$"):
+            sc_eval(surrogate, [0.5, value])
 
     def test_linear_function_exact_everywhere_with_k2(self):
         g, grid, outputs = run_model(
@@ -484,6 +504,20 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * 10 ** 6, peak
 
+    def test_blocks_are_evaluated_with_evaluate_on_samples(self):
+        # the block size is read when monte_carlo runs, not bound at import
+        g = builtin_model("multipoint")
+        rows = []
+
+        def spy(graph, samples):
+            rows.append(samples.shape)
+            return evaluate_on_samples(graph, samples)
+        with patch.object(engine, "_BLOCK", 3), patch.object(methods, "evaluate_on_samples", spy):
+            result = monte_carlo(g, 10, seed=1)
+        assert rows == [(3, 2), (3, 2), (3, 2), (1, 2)]
+        samples = sample_inputs(g, 10, seed=1)
+        assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
+
     def test_sample_inputs_respects_axis_order(self):
         g = builtin_model("piston")
         samples = sample_inputs(g, 2000, seed=9)
@@ -547,3 +581,14 @@ class TestMoments:
         value = evaluate_pce(coefficients, [0.5, 0.1])
         assert type(value) is float
         assert value == evaluate_pce(coefficients, [[0.5, 0.1]])[0]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_pce_at_a_non_finite_coordinate_is_refused(self, value):
+        basis = enumerate_basis(2, [Normal(0, 1), Uniform(-1, 1)])
+        coefficients = PceCoefficients(basis, np.arange(1.0, len(basis) + 1))
+        with pytest.raises(ValueError, match=rf"^non-finite coordinate {value} at index \[0\]$"):
+            evaluate_pce(coefficients, [value, 0.5])
+        points = np.zeros((4, 2))
+        points[2, 1] = value
+        with pytest.raises(ValueError, match=rf"^non-finite coordinate {value} at index \[2, 1\]$"):
+            evaluate_pce(coefficients, points)

@@ -235,3 +235,9 @@ class TestTensorGrid:
         grid = tensor_grid([gauss_rule(Normal(0, 1), 2)])
         with pytest.raises(AxisOutOfRangeError):
             grid_input_vector(grid, 1)
+
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_column_out_of_range(self, axis):
+        grid = grid_for([Normal(0, 1), Uniform(-1, 1)], 3)
+        with pytest.raises(AxisOutOfRangeError, match=f"^axis {axis} out of range for 2 axes$"):
+            grid.axis_column(axis)
