@@ -406,9 +406,6 @@ def pretty_print(graph: Graph) -> str:
     graph.  Expand operations have no surface syntax, so only untransformed
     graphs can be printed.
     """
-    if graph.has_expansions():
-        raise ValueError("cannot pretty-print a graph containing expand operations")
-
     names: dict[int, str] = {}
     used: set[str] = set()
 
@@ -423,9 +420,11 @@ def pretty_print(graph: Graph) -> str:
 
     # How many operand slots read each variable.
     slot_counts: dict[int, int] = {v.id: 0 for v in graph.variables}
-    for op in graph.order:  # refuses an operand or output with no role
+    for op in graph.order:  # refuses a graph validate refuses
         for vid in op.inputs:
             slot_counts[vid] += 1
+    if graph.has_expansions():
+        raise ValueError("cannot pretty-print a graph containing expand operations")
 
     declared = [assign_name(vid, name) for vid, name in zip(graph.outputs, graph.output_names)]
     lines: list[str] = []
@@ -497,16 +496,13 @@ def _canonical_form(graph: Graph):
 
     ops_form: list[tuple] = []
     for op in graph.order:
-        if op.output not in graph.variable_by_id:
-            return None
         input_ids = tuple(map(place, op.inputs))
         ops_form.append((op.kind, op.exponent, op.expand_to, input_ids, assign(op.output)))
 
     outputs_form = tuple(map(place, graph.outputs))
 
-    # Unread constants by value, then variables with no role (None sorts last).
-    leftovers = sorted((var.constant_value is None, var.constant_value)
-                       for var in graph.variables if var.id not in canonical)
+    # Unread constants, by value.
+    leftovers = sorted(var.constant_value for var in graph.variables if var.id not in canonical)
 
     return (graph.distributions, tuple(ops_form), tuple(constants),
             outputs_form, tuple(leftovers))
@@ -517,12 +513,9 @@ def isomorphic(a: Graph, b: Graph) -> bool:
     distributions, and outputs in the same order (the first is the one
     the estimators study), up to node ids and names.  Nodes are matched
     in evaluation order (graph.order), so two graphs that list the same
-    independent operations in another order compare False.  A graph that
-    Graph.order refuses (an operand or output with no role, or a read
-    before its write), or with a result that names no variable, is
-    isomorphic to no graph, itself included."""
+    independent operations in another order compare False.  A graph
+    validate refuses is isomorphic to no graph, itself included."""
     try:
-        form_a, form_b = _canonical_form(a), _canonical_form(b)
+        return _canonical_form(a) == _canonical_form(b)
     except (ValueError, CycleError):  # Graph.order refuses the graph
         return False
-    return form_a is not None and form_a == form_b

@@ -15,8 +15,11 @@ dense counter shared by variables and operations.
 A graph lists its operations in evaluation order: each operation reads
 only variables that an earlier-listed operation writes or that no
 operation writes.  topo_sort checks that order and refuses any other
-list; Graph.order checks it once per graph, and every pass and engine
-reads it.
+list.  validate states every rule of a well-formed graph; Graph.order
+enforces them all once per graph, and every pass and engine reads it, so
+each refuses exactly the graphs validate refuses: with a ValueError
+carrying validate's messages, or CycleError for a read before its
+write.  A graph holding an expand has no plan (SignatureMismatchError).
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ UNARY_OP_KINDS = ("neg", "pow_const", "sin", "cos", "tan", "exp", "log", "sqrt")
 BINARY_OP_KINDS = ("add", "sub", "mul", "div")
 EXPAND = "expand"
 OP_KINDS = UNARY_OP_KINDS + BINARY_OP_KINDS + (EXPAND,)
+# Number of inputs of each kind.
+_ARITY = dict.fromkeys(UNARY_OP_KINDS + (EXPAND,), 1) | dict.fromkeys(BINARY_OP_KINDS, 2)
 
 # Elementwise kernel of every elementary kind; pow_const passes its
 # exponent as the second argument.  Expand has no kernel.
@@ -64,10 +69,6 @@ class OperationNode(NamedTuple):
     output: int
     exponent: float | None = None       # pow_const only
     expand_to: Signature | None = None  # expand only
-
-    @property
-    def arity(self) -> int:
-        return 1 if self.kind in UNARY_OP_KINDS or self.kind == EXPAND else 2
 
 
 class Step(NamedTuple):
@@ -134,16 +135,13 @@ class Graph:
 
     @cached_property
     def order(self) -> tuple[OperationNode, ...]:
-        """Graph.operations, once topo_sort has checked that they are
-        listed in evaluation order.  Raises CycleError like topo_sort, and
-        a ValueError carrying validate's messages if an operation reads,
-        or an output names, an id that is no uncertain input, constant or
-        operation output."""
-        readable = {vid for vid, _ in self.uncertain_inputs} | self.producer_of.keys()
-        readable.update(var.id for var in self.variables if var.constant_value is not None)
-        reads = [vid for op in self.operations for vid in op.inputs] + list(self.outputs)
-        if not readable.issuperset(reads):
-            raise ValueError("; ".join(validate(self)))
+        """Graph.operations, once the graph is well formed: a ValueError
+        carrying validate's messages if it breaks any rule but evaluation
+        order, else CycleError, like topo_sort, if an operation reads a
+        variable before it is written.  Checked once per graph."""
+        violations = _violations(self)
+        if violations:
+            raise ValueError("; ".join(violations))
         topo_sort(self)
         return self.operations
 
@@ -151,33 +149,16 @@ class Graph:
     def plan(self) -> tuple[Step, ...]:
         """Graph.order with each operation's kernel and the variables that
         die after it (a value nobody reads dies where it is produced).
-        Only elementary operations have a kernel: a graph with expands
-        raises SignatureMismatchError, as evaluate_amtc runs the graph a
-        transformed graph was built from, whose cached plan
-        evaluate_naive runs too.  An operation with the wrong number of
-        inputs, an exponent on a kind other than pow_const or none on
-        pow_const, or an expand_to on an elementary kind, raises
-        ValueError carrying validate's messages.  A
-        non-finite constant or pow_const exponent raises ValueError
-        naming its variable, so every value an engine holds is finite.
-        Raises CycleError like topo_sort."""
-        for var in self.variables:
-            if var.constant_value is not None and not math.isfinite(var.constant_value):
-                raise ValueError(f"constant '{var.name}' has non-finite value {var.constant_value}")
+        Raises as Graph.order does.  Only elementary operations have a
+        kernel: a graph with expands raises SignatureMismatchError, as
+        evaluate_amtc runs the graph a transformed graph was built from,
+        whose cached plan evaluate_naive runs too."""
         order = self.order
         last_use: dict[int, int] = {}
         for index, op in enumerate(order):
-            if op.kind not in UFUNCS:
-                hint = "; run a transformed graph with evaluate_amtc" if op.kind == EXPAND else ""
-                raise SignatureMismatchError(
-                    f"cannot apply operation kind '{op.kind}' elementwise{hint}")
-            if (len(op.inputs) != op.arity
-                    or (op.exponent is not None) != (op.kind == "pow_const")
-                    or (op.expand_to is not None) != (op.kind == EXPAND)):
-                raise ValueError("; ".join(validate(self)))
-            if op.exponent is not None and not math.isfinite(op.exponent):
-                raise ValueError(f"non-finite exponent {op.exponent} in operation {op.id} "
-                                 f"(pow_const) of '{self.variable_by_id[op.inputs[0]].name}'")
+            if op.kind == EXPAND:
+                raise SignatureMismatchError("cannot apply operation kind 'expand' elementwise; "
+                                             "run a transformed graph with evaluate_amtc")
             for vid in (op.output, *op.inputs):
                 last_use[vid] = index
         release: list[list[int]] = [[] for _ in order]
@@ -209,15 +190,28 @@ def topo_sort(graph: Graph) -> list[int]:
 
 
 def validate(graph: Graph) -> list[str]:
-    """Return every structural invariant violation; an empty list means ok."""
+    """Every violation of a well-formed graph, the one statement of its
+    rules; an empty list means ok.  A read before its write is named only
+    once the graph breaks no other rule."""
+    violations = _violations(graph)
+    if not violations:
+        try:
+            topo_sort(graph)
+        except CycleError as exc:
+            violations.append(str(exc))
+    return violations
+
+
+def _violations(graph: Graph) -> list[str]:
+    """validate's messages but a read before its write."""
     violations: list[str] = []
     var_ids = {v.id for v in graph.variables}
     op_ids = {op.id for op in graph.operations}
 
-    all_ids = sorted(var_ids | op_ids)
+    all_ids = var_ids | op_ids
     if len(all_ids) != len(var_ids) + len(op_ids):
         violations.append("variable and operation ids overlap")
-    if all_ids and (all_ids[0] != 0 or all_ids[-1] != len(all_ids) - 1):
+    if all_ids and (min(all_ids) != 0 or max(all_ids) != len(all_ids) - 1):
         violations.append("node ids are not dense from 0")
 
     producers: dict[int, list[int]] = {}
@@ -230,32 +224,43 @@ def validate(graph: Graph) -> list[str]:
             violations.append(f"operation {ops[0]} writes missing variable {vid}")
 
     listings = Counter(vid for vid, _ in graph.uncertain_inputs)
-    for var in graph.variables:
-        roles = ["uncertain input"] * listings[var.id]
-        if var.constant_value is not None:
+    for vid, name, value in graph.variables:
+        roles = ["uncertain input"] * listings.get(vid, 0)
+        if value is not None:
             roles.append("constant")
-        if var.id in producers:
+            if not math.isfinite(value):
+                violations.append(f"constant '{name}' has non-finite value {value}")
+        if vid in producers:
             roles.append("operation output")
         if not roles:
-            violations.append(f"variable {var.id} has no role")
+            violations.append(f"variable {vid} has no role")
         elif len(roles) > 1:
-            violations.append(f"variable {var.id} has {len(roles)} roles: {', '.join(roles)}")
+            violations.append(f"variable {vid} has {len(roles)} roles: {', '.join(roles)}")
 
     for op in graph.operations:
-        if op.kind not in OP_KINDS:
-            violations.append(f"operation {op.id} has unknown kind '{op.kind}'")
+        op_id, kind, inputs, _, exponent, expand_to = op
+        arity = _ARITY.get(kind)
+        if arity is None:
+            violations.append(f"operation {op_id} has unknown kind '{kind}'")
             continue
-        if len(op.inputs) != op.arity:
-            violations.append(
-                f"operation {op.id} ({op.kind}) has {len(op.inputs)} inputs, "
-                f"expected {op.arity}")
-        for vid in op.inputs:
+        if len(inputs) != arity:
+            violations.append(f"operation {op_id} ({kind}) has {len(inputs)} inputs, "
+                              f"expected {arity}")
+        for vid in inputs:
             if vid not in var_ids:
-                violations.append(f"operation {op.id} reads missing variable {vid}")
-        if (op.exponent is not None) != (op.kind == "pow_const"):
-            violations.append(f"operation {op.id}: exponent present iff kind is pow_const")
-        if (op.expand_to is not None) != (op.kind == EXPAND):
-            violations.append(f"operation {op.id}: expand_to present iff kind is expand")
+                violations.append(f"operation {op_id} reads missing variable {vid}")
+        if (exponent is not None) != (kind == "pow_const"):
+            violations.append(f"operation {op_id}: exponent present iff kind is pow_const")
+        elif (exponent is not None and not math.isfinite(exponent)
+              and inputs and inputs[0] in var_ids):
+            violations.append(f"non-finite exponent {exponent} in operation {op_id} "
+                              f"(pow_const) of '{graph.variable_by_id[inputs[0]].name}'")
+        if (expand_to is not None) != (kind == EXPAND):
+            violations.append(f"operation {op_id}: expand_to present iff kind is expand")
+        elif expand_to is not None and list(expand_to) != [
+                axis for axis in range(graph.dim) if axis in expand_to]:
+            violations.append(f"operation {op_id}: expand_to {expand_to} is not an ascending "
+                              f"tuple of distinct axes in 0..{graph.dim - 1}")
 
     for vid in listings:
         if vid not in var_ids:
@@ -270,12 +275,6 @@ def validate(graph: Graph) -> list[str]:
                           f"{len(graph.outputs)} outputs")
     if len(set(graph.output_names)) != len(graph.output_names):
         violations.append("output names are not distinct")
-
-    if not violations:
-        try:
-            graph.order  # raises on a read before its write
-        except CycleError as exc:
-            violations.append(str(exc))
     return violations
 
 

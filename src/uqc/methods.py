@@ -111,10 +111,10 @@ def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
         raise DimensionMismatchError(
             f"values of shape {values.shape} do not give one value for each of "
             f"{n_points} points")
+    matrix = design_matrix(basis, points)  # refuses points of the wrong shape
     if n_points < n_coefficients:
         raise UnderdeterminedError(
             f"{n_points} samples cannot determine {n_coefficients} coefficients")
-    matrix = design_matrix(basis, points)
     finite = np.isfinite(values) & np.isfinite(matrix).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

@@ -160,11 +160,14 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
     over the plan evaluate_naive runs, so both grid engines meet
     out-of-domain values at the same operation first.
 
-    A graph that already holds an expand is refused with a ValueError.  In
-    a model graph every operation's signature is the union of its inputs',
-    so each expand inserted here widens its input to a superset.
+    A graph validate refuses is refused with validate's messages: at once
+    if it holds an expand, else where the result is read.  Any other graph
+    holding an expand is refused with a ValueError.  In a model graph
+    every operation's signature is the union of its inputs', so each
+    expand inserted here widens its input to a superset.
     """
     if graph.has_expansions():
+        graph.order  # refuses a graph validate refuses with its messages
         raise ValueError("cannot transform a graph that already holds expand operations")
     return TransformedGraph(graph)
 
@@ -172,8 +175,10 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
 def strip_expansions(graph: Graph) -> Graph:
     """Delete expand nodes, splicing each producer back to its consumers.
 
-    Inverse of insert_expansions up to node identity: applying it to a
-    transformed graph returns a graph equal to the original.
+    Inverse of insert_expansions: applied to insert_expansions' output,
+    whose expands take the ids after every original node, it returns a
+    graph equal to the original.  Expands placed among the other nodes'
+    ids leave holes in the result's ids, which validate refuses.
     """
     redirect = {op.output: op.inputs[0] for op in graph.operations if op.kind == EXPAND}
 
@@ -226,6 +231,7 @@ def to_dot(model: Graph | TransformedGraph) -> str:
     """
     transformed = isinstance(model, TransformedGraph)
     graph = model.graph if transformed else model
+    graph.order  # refuses a graph validate refuses
     signatures = (compute_influence_matrix(graph).variable_signatures
                   if transformed or graph.has_expansions() else {})
     lines = ["digraph model {", "  rankdir=TB;"]

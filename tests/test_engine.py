@@ -26,6 +26,7 @@ from uqc import (
     strip_expansions,
     tensor_grid,
     transform,
+    validate,
 )
 from uqc.engine import EvaluationReport
 from uqc.methods import sample_inputs
@@ -298,10 +299,27 @@ class TestAmtc:
                                    rtol=1e-12, atol=0)
 
     def test_buffer_read_by_an_expand_view_is_not_reused(self):
-        # The tuple lists the expand of x right after x, so in this graph
-        # x's last reader is `square`, which has x's shape; in the source
-        # graph `product` reads x after `square` does, so `square` must not
+        # `product` reads x after `square` does, and through an expand view
+        # in the transformed graph, so `square`, of x's shape, must not
         # overwrite x in place.
+        b = GraphBuilder()
+        a = b.add_uncertain_input("a", Normal(0, 1))
+        c = b.add_uncertain_input("c", Normal(0, 1))
+        x = b.add_operation("sin", [a])
+        square = b.add_operation("mul", [x, x], name="square")
+        product = b.add_operation("mul", [x, c], name="product")
+        b.mark_output(square, "square")
+        b.mark_output(product, "product")
+        transformed = insert_expansions(b.build())
+        grid = grid_for(transformed.source.distributions, 3)
+        fast = evaluate_amtc(transformed, grid)
+        naive = evaluate_naive(transformed.source, grid)
+        for name in ("square", "product"):
+            np.testing.assert_array_equal(fast.outputs[name], naive.outputs[name])
+
+    def test_stripping_expands_among_the_nodes_leaves_refused_holes(self):
+        # The same source, hand-built with each expand listed right after
+        # its input: stripping the expands leaves holes in the ids.
         b = GraphBuilder()
         a = b.add_uncertain_input("a", Normal(0, 1))
         c = b.add_uncertain_input("c", Normal(0, 1))
@@ -312,12 +330,10 @@ class TestAmtc:
         product = b.add_operation("mul", [x_wide, c_wide], name="product")
         b.mark_output(square, "square")
         b.mark_output(product, "product")
-        transformed = insert_expansions(strip_expansions(b.build()))
-        grid = grid_for(transformed.source.distributions, 3)
-        fast = evaluate_amtc(transformed, grid)
-        naive = evaluate_naive(transformed.source, grid)
-        for name in ("square", "product"):
-            np.testing.assert_array_equal(fast.outputs[name], naive.outputs[name])
+        stripped = strip_expansions(b.build())
+        assert validate(stripped) == ["node ids are not dense from 0"]
+        with pytest.raises(ValueError, match="^node ids are not dense from 0$"):
+            evaluate_amtc(insert_expansions(stripped), grid_for(stripped.distributions, 3))
 
     def test_parsed_model_keeps_the_buffer_behind_an_expand_view(self):
         # insert_expansions puts the expand of x before t1, its first reader,

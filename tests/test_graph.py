@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from uqc import (GraphBuilder, Normal, builtin_model, compute_influence_matrix, evaluate_amtc,
-                 evaluate_naive, evaluate_on_samples, evaluate_single_point, grid_for,
-                 insert_expansions, parse_model, parse_model_file, pretty_print, to_dot,
-                 topo_sort, validate)
+from uqc import (GraphBuilder, Normal, TransformedGraph, builtin_model,
+                 compute_influence_matrix, evaluate_amtc, evaluate_naive, evaluate_on_samples,
+                 evaluate_single_point, grid_for, influence_matrix_to_csv,
+                 insert_expansions, isomorphic, parse_model, parse_model_file, pretty_print,
+                 scheduled_eval_counts, to_dot, topo_sort, validate)
 from uqc.errors import CycleError
 from uqc.graph import Graph, OperationNode, VariableNode
+from uqc.transform import expansion_copies
 
 
 def two_branch_graph():
@@ -26,6 +28,19 @@ def two_branch_graph():
     e = b.add_operation("exp", [n])
     f = b.add_operation("add", [c, e])
     b.mark_output(f, "f")
+    return b.build()
+
+
+def sin_times_y(expand_to=None):
+    """f = sin(x) * y: inputs 0 and 1; sin 2 -> 3, then mul 4 -> 5, or with
+    expand_to, expand 4 -> 5 of sin's result and mul 6 -> 7."""
+    b = GraphBuilder()
+    x = b.add_uncertain_input("x", Normal(0, 1))
+    y = b.add_uncertain_input("y", Normal(0, 1))
+    t = b.add_operation("sin", [x])
+    if expand_to is not None:
+        t = b.add_operation("expand", [t], expand_to=expand_to)
+    b.mark_output(b.add_operation("mul", [t, y]), "f")
     return b.build()
 
 
@@ -239,24 +254,93 @@ class TestValidate:
     def test_each_violation_is_named(self, edit, problems):
         assert validate(edit(two_branch_graph())) == problems
 
+    @pytest.mark.parametrize("expand_to", [(0, 5), (1, 0, 0), (1, 0), (0, 0), (-1, 0), ()])
+    def test_expand_to_is_ascending_distinct_axes(self, expand_to):
+        g = sin_times_y(expand_to)
+        problem = (f"operation 4: expand_to {expand_to} is not an ascending tuple of "
+                   f"distinct axes in 0..1")
+        assert validate(g) == ([] if expand_to == () else [problem])
+
+    def test_bad_expand_to_is_refused_by_the_signature_passes(self):
+        g = sin_times_y((0, 5))
+        for run in (lambda: scheduled_eval_counts(compute_influence_matrix(g), (2, 2)),
+                    lambda: expansion_copies(g, (2, 2)),
+                    lambda: to_dot(TransformedGraph(g))):
+            with pytest.raises(ValueError, match=r"^operation 4: expand_to \(0, 5\) is not "):
+                run()
+
     def test_valid_implies_sortable(self):
         g = two_branch_graph()
         assert validate(g) == []
         topo_sort(g)  # must not raise
 
 
-# Every pass and engine reads Graph.order, which refuses an operand or
-# output that is no uncertain input, constant or operation output with
-# validate's messages.
+# Every pass and engine reads Graph.order, which refuses a graph validate
+# refuses with validate's messages.
 READERS = {
     "evaluate_naive": lambda g: evaluate_naive(g, grid_for(g.distributions, 3)),
     "evaluate_amtc": lambda g: evaluate_amtc(insert_expansions(g), grid_for(g.distributions, 3)),
-    "evaluate_on_samples": lambda g: evaluate_on_samples(g, np.zeros((2, g.dim))),
+    "evaluate_on_samples": lambda g: evaluate_on_samples(g, np.zeros((3, g.dim))),
+    "evaluate_on_no_samples": lambda g: evaluate_on_samples(g, np.zeros((0, g.dim))),
     "evaluate_single_point": lambda g: evaluate_single_point(g, np.zeros(g.dim)),
     "pretty_print": pretty_print,
     "compute_influence_matrix": compute_influence_matrix,
+    "influence_matrix_to_csv": influence_matrix_to_csv,
     "insert_expansions": lambda g: insert_expansions(g).graph,
+    "to_dot": to_dot,
 }
+
+
+def writes_an_input_graph():
+    """t = sin(x); f = t * y, with sin writing y in place of t."""
+    return Graph((VariableNode(0, "x"), VariableNode(1, "y"), VariableNode(4, "f")),
+                 (OperationNode(2, "sin", (0,), 1), OperationNode(3, "mul", (1, 1), 4)),
+                 ((0, Normal(0, 1)), (1, Normal(0, 1))), (4,), ("f",))
+
+
+def inf_constant_graph():
+    b = GraphBuilder()
+    x = b.add_uncertain_input("x", Normal(0, 1))
+    b.mark_output(b.add_operation("mul", [x, b.add_constant(np.inf, "c")]), "f")
+    return b.build()
+
+
+def two_producers_graph():
+    """f = t * y with t = sin(x), and cos(x) rewired to write t as well."""
+    b = GraphBuilder()
+    x = b.add_uncertain_input("x", Normal(0, 1))
+    y = b.add_uncertain_input("y", Normal(0, 1))
+    t = b.add_operation("sin", [x])
+    b.add_operation("cos", [x])
+    b.mark_output(b.add_operation("mul", [t, y]), "f")
+    return with_operation(b.build(), 4, output=t)
+
+
+# sin_times_y: inputs 0 and 1; sin 2 -> 3, mul 4 -> 5
+REFUSED = {
+    "writes-an-uncertain-input": writes_an_input_graph,
+    "output-listed-twice": lambda: replace(sin_times_y(), outputs=(5, 5),
+                                           output_names=("f", "g")),
+    "two-producers": two_producers_graph,
+    "ids-not-dense": lambda: replace(sin_times_y(), variables=sin_times_y().variables
+                                     + (VariableNode(7, "c", 1.0),)),
+    "unknown-kind": lambda: with_operation(sin_times_y(), 2, kind="tanh"),
+    "inf-constant": inf_constant_graph,
+    "bad-expand_to": lambda: sin_times_y((0, 5)),
+}
+
+
+class TestRefusedAlike:
+    @pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+    @pytest.mark.parametrize("build", REFUSED.values(), ids=REFUSED)
+    def test_every_reader_refuses_what_validate_refuses(self, build, read):
+        g = build()
+        problems = validate(g)
+        assert problems
+        with pytest.raises(ValueError) as excinfo:
+            read(g)
+        assert str(excinfo.value) == "; ".join(problems)
+        assert not isomorphic(g, g)
 
 
 class TestOperandWithoutRole:

@@ -184,6 +184,16 @@ class TestNipcRegression:
                            match=r"^points of shape \(10, 2, 1\) have more than 2 axes$"):
             nipc_regression(np.zeros((10, 2, 1)), np.zeros(10), basis)
 
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 2, 1), r"^points of shape \(3, 2, 1\) have more than 2 axes$"),
+        ((3, 5), "^points have 5 coordinates, expected 2$"),
+    ], ids=["three-axes", "five-coordinates"])
+    def test_points_of_the_wrong_shape_are_refused_before_their_count(self, shape, message):
+        # 3 points are too few for 10 coefficients, but their shape is wrong first
+        basis = enumerate_basis(3, [Normal(0, 1)] * 2)
+        with pytest.raises(DimensionMismatchError, match=message):
+            nipc_regression(np.zeros(shape), np.zeros(3), basis)
+
     def test_constant_function(self):
         basis = enumerate_basis(2, [Normal(0, 1)])
         rng = np.random.default_rng(3)
