@@ -14,8 +14,8 @@ graph = uqc.builtin_model("simple")
 print("== influence matrix (operations x uncertain inputs) ==")
 print(uqc.influence_matrix_to_csv(graph))
 
-matrix = uqc.compute_influence_matrix(graph)
-groups = uqc.partition_operations(matrix)
+rows = uqc.compute_influence_matrix(graph)
+groups = uqc.partition_operations(rows)
 print("== sub-graphs by shared signature ==")
 for signature, ops in sorted(groups.items()):
     kinds = [graph.operation_by_id[op_id].kind for op_id in sorted(ops)]
@@ -25,7 +25,7 @@ transformed = uqc.insert_expansions(graph)
 expands = [op for op in transformed.graph.operations if op.kind == "expand"]
 print(f"\ninserted {len(expands)} expand nodes (source signature -> target):")
 for op in expands:
-    source = matrix.variable_signatures[op.inputs[0]]
+    source = graph.signatures[op.inputs[0]]
     print(f"  variable {op.inputs[0]}: {source} -> {op.expand_to}")
 
 print("\nremoving them recovers the original graph:",
@@ -35,18 +35,18 @@ print("\n== scheduled evaluations per grid size ==")
 n_ops = graph.elementary_operation_count()
 print(" k   naive (4k^2)   transformed (k^2+3k)   reduction")
 for k in range(2, 9):
-    scheduled = sum(uqc.scheduled_eval_counts(matrix, (k, k)).values())
+    scheduled = sum(uqc.scheduled_eval_counts(rows, (k, k)).values())
     naive = n_ops * k * k
     print(f"{k:2d}   {naive:12d}   {scheduled:20d}   {1 - scheduled / naive:9.1%}")
 
 print("\nthe same structure on the piston model (3 inputs, 30 operations):")
 piston = uqc.builtin_model("piston")
-piston_matrix = uqc.compute_influence_matrix(piston)
+piston_rows = uqc.compute_influence_matrix(piston)
 for axis, (vid, _) in enumerate(piston.uncertain_inputs):
-    dependent = sum(1 for sig in piston_matrix.rows.values() if axis in sig)
+    dependent = sum(1 for sig in piston_rows.values() if axis in sig)
     name = piston.variable_by_id[vid].name
-    print(f"  input {name:3s} influences {dependent}/{len(piston_matrix.rows)} operations")
+    print(f"  input {name:3s} influences {dependent}/{len(piston_rows)} operations")
 for k in (3, 5, 7):
-    scheduled = sum(uqc.scheduled_eval_counts(piston_matrix, (k,) * 3).values())
+    scheduled = sum(uqc.scheduled_eval_counts(piston_rows, (k,) * 3).values())
     naive = piston.elementary_operation_count() * k ** 3
     print(f"  k={k}: {naive} naive vs {scheduled} scheduled -> {1 - scheduled / naive:.1%} saved")

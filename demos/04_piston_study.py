@@ -49,8 +49,8 @@ except DomainError as exc:
 
 print("\nscheduled cost reduction is grid-size arithmetic, so it extends past")
 print("the evaluable range:")
-matrix = uqc.compute_influence_matrix(graph)
+rows = uqc.compute_influence_matrix(graph)
 for k in range(3, 8):
-    scheduled = sum(uqc.scheduled_eval_counts(matrix, (k,) * 3).values())
+    scheduled = sum(uqc.scheduled_eval_counts(rows, (k,) * 3).values())
     naive = graph.elementary_operation_count() * k ** 3
     print(f"  k={k}: {1 - scheduled / naive:.1%} fewer scalar evaluations")

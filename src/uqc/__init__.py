@@ -45,7 +45,6 @@ from .quadrature import (
     tensor_grid,
 )
 from .transform import (
-    InfluenceMatrix,
     TransformedGraph,
     compute_influence_matrix,
     influence_matrix_to_csv,
@@ -64,7 +63,6 @@ __all__ = [
     "EvaluationReport",
     "Graph",
     "GraphBuilder",
-    "InfluenceMatrix",
     "Normal",
     "OperationNode",
     "PceBasis",

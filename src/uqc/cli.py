@@ -192,7 +192,7 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int) -> list[list]:
     """
     if repeats < 1:
         raise ValueError(f"--repeats must be at least 1, got {repeats}")
-    matrix = transform.compute_influence_matrix(graph)
+    influence = transform.compute_influence_matrix(graph)
     transformed = transform.insert_expansions(graph)
     n_ops = graph.elementary_operation_count()
 
@@ -202,7 +202,7 @@ def bench_rows(graph: Graph, k_values: list[int], repeats: int) -> list[list]:
         grid = grid_for(graph.distributions, k)
         sizes = grid.axis_sizes
         naive_total = n_ops * grid.total_points
-        amtc_total = sum(transform.scheduled_eval_counts(matrix, sizes).values())
+        amtc_total = sum(transform.scheduled_eval_counts(influence, sizes).values())
         naive_ms: float | str = ""
         amtc_ms: float | str = ""
         try:

@@ -9,7 +9,7 @@ evaluate_on_samples and evaluate_single_point do the same over sample
 rows or one point.  evaluate_amtc runs the model graph a transformed graph
 holds: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
 runs each operation once per distinct point of its subspace.  The expands'
-elements are counted from signatures as copies, never made or built.
+elements are counted from Graph.signatures as copies, never made or built.
 Costs are counted as scalar applications per operation, so the accounting
 is machine-independent; wall time is measured but never part of report
 equality.
@@ -289,7 +289,7 @@ def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> Evaluation
     Runs transformed.source over its cached plan, the one evaluate_naive
     runs, feeding uncertain input j its k_j raw nodes along axis j, so
     broadcasting runs each operation over the product of axis sizes in its
-    signature.  The expands' output sizes, counted from the source's
+    signature.  The expands' output sizes, counted from the source's cached
     signatures without building transformed.graph, go to expansion_copies,
     not to total_scalar_evals.  Outputs are broadcast onto the full grid so
     they compare directly with evaluate_naive (that broadcast is not counted).

@@ -20,6 +20,9 @@ enforces them all once per graph, and every pass and engine reads it, so
 each refuses exactly the graphs validate refuses: with a ValueError
 carrying validate's messages, or CycleError for a read before its
 write.  A graph holding an expand has no plan (SignatureMismatchError).
+Graph.signatures maps each variable to its dependency signature, derived
+by one forward pass once per graph; every signature reader reads it, and
+validate's rule that an expand widens its input is checked with it.
 """
 
 from __future__ import annotations
@@ -137,13 +140,28 @@ class Graph:
     def order(self) -> tuple[OperationNode, ...]:
         """Graph.operations, once the graph is well formed: a ValueError
         carrying validate's messages if it breaks any rule but evaluation
-        order, else CycleError, like topo_sort, if an operation reads a
-        variable before it is written.  Checked once per graph."""
+        order and expand widening, else CycleError, like topo_sort, if an
+        operation reads a variable before it is written, else a ValueError
+        naming each narrowing expand.  Checked once per graph."""
         violations = _violations(self)
+        if not violations:
+            topo_sort(self)
+            if self.has_expansions():  # only an expand needs the signatures here
+                violations = _narrowing_expands(self)
         if violations:
             raise ValueError("; ".join(violations))
-        topo_sort(self)
         return self.operations
+
+    @property
+    def signatures(self) -> dict[int, Signature]:
+        """Variable id -> dependency signature, derived once per graph;
+        raises as Graph.order does."""
+        self.order
+        return self._signatures
+
+    @cached_property
+    def _signatures(self) -> dict[int, Signature]:
+        return _signature_pass(self)
 
     @cached_property
     def plan(self) -> tuple[Step, ...]:
@@ -192,14 +210,41 @@ def topo_sort(graph: Graph) -> list[int]:
 def validate(graph: Graph) -> list[str]:
     """Every violation of a well-formed graph, the one statement of its
     rules; an empty list means ok.  A read before its write is named only
-    once the graph breaks no other rule."""
+    once the graph breaks no other rule, and a narrowing expand after it."""
     violations = _violations(graph)
     if not violations:
         try:
             topo_sort(graph)
         except CycleError as exc:
             violations.append(str(exc))
+        else:
+            violations = _narrowing_expands(graph)
     return violations
+
+
+def _signature_pass(graph: Graph) -> dict[int, Signature]:
+    """Forward dependency pass: uncertain input j has signature (j,), a
+    constant (), an expand's output its expand_to, any other operation's
+    output the union of its inputs'.  The graph must be in evaluation order."""
+    signatures = {vid: (axis,) for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
+    signatures.update((var.id, ()) for var in graph.variables if var.constant_value is not None)
+    for op in graph.operations:
+        # Only an expand, of one input, has an expand_to.
+        signature = signatures[op.inputs[0]] if op.expand_to is None else op.expand_to
+        for vid in op.inputs[1:]:
+            if signatures[vid] != signature:
+                signature = tuple(sorted({*signature, *signatures[vid]}))
+        signatures[op.output] = signature
+    return signatures
+
+
+def _narrowing_expands(graph: Graph) -> list[str]:
+    """validate's message for each expand whose expand_to leaves out an
+    axis of its input's signature, over a graph in evaluation order."""
+    signatures = graph._signatures
+    return [f"operation {op.id}: expand_to {op.expand_to} leaves out an axis of its "
+            f"input's signature {signatures[op.inputs[0]]}" for op in graph.operations
+            if op.kind == EXPAND and not set(signatures[op.inputs[0]]) <= set(op.expand_to)]
 
 
 def _violations(graph: Graph) -> list[str]:

@@ -6,40 +6,36 @@ whose dependency signature is a strict subset of the full axis set is
 being evaluated redundantly by a naive full-grid sweep.  This pass makes
 the savings explicit in the graph itself:
 
-1. a forward pass over the operations computes each operation's
-   dependency signature (transitive union over its inputs) and stores the
-   result as a 0/1 influence matrix of operations versus uncertain inputs;
+1. each operation's dependency signature (transitive union over its
+   inputs) is read from Graph.signatures, one forward pass per graph, and
+   forms a 0/1 influence matrix of operations versus uncertain inputs;
 2. operations sharing a signature are grouped into sub-graphs;
 3. wherever a producer's signature differs from a consumer's, an `expand`
    operation is spliced in that broadcasts the producer's value tensor
    into the consumer's larger subspace.
 
 The pass takes a model graph and refuses one that already holds an
-expand.  After the transformation every operation's inputs carry exactly
-the operation's own signature, so each operation can be evaluated once per
-distinct point of its own subspace.  The result holds one graph, `source`,
-the model graph, which the transformed engine runs (over values shaped
-per axis, numpy broadcasting does the expands' work); its `graph`, with
-the expands, is derived from `source` the first time it is read.
-Signatures and the partition are not stored: compute_influence_matrix and
-partition_operations derive them where they are read.  expansion_copies
-counts copies from signatures, so no run builds the expands; they define
-that count and serve DOT export (to_dot draws a TransformedGraph's
-signatures as edge sizes and clusters).  Removing them and re-splicing
-producers to consumers (strip_expansions) recovers the original graph.
+expand.  Afterwards every operation's inputs carry exactly its own
+signature, so each operation can be evaluated once per distinct point of
+its own subspace.  The result holds the model graph, `source`, which the
+transformed engine runs (over values shaped per axis, numpy broadcasting
+does the expands' work); its `graph`, with the expands and their
+signatures, is built from `source` the first time it is read.
+expansion_copies counts copies from signatures, so no run builds the
+expands; they define that count and serve DOT export (to_dot draws a
+TransformedGraph's signatures as edge sizes and clusters).  Removing them
+(strip_expansions) recovers the original graph.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
+from .errors import DimensionMismatchError
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
-
-
-def signature_union(a: Signature, b: Signature) -> Signature:
-    return tuple(sorted(set(a) | set(b)))
 
 
 def signature_is_subset(a: Signature, b: Signature) -> bool:
@@ -49,60 +45,20 @@ def signature_is_subset(a: Signature, b: Signature) -> bool:
 def signature_label(graph: Graph, signature: Signature) -> str:
     """Human-readable label like '{u1, u2}' using input names."""
     names = [graph.variable_by_id[vid].name for vid, _ in graph.uncertain_inputs]
-    if not signature:
-        return "{}"
     return "{" + ", ".join(names[axis] for axis in signature) + "}"
 
 
-@dataclass(frozen=True)
-class InfluenceMatrix:
-    """Dependency signature per operation, plus per-variable signatures.
-
-    `rows[op_id]` lists the uncertain-input axes the operation's output
-    depends on; the (i, j) influence-matrix entry is 1 exactly when axis j
-    appears in the row of operation i.
-    """
-
-    rows: dict[int, Signature]
-    variable_signatures: dict[int, Signature]
+def compute_influence_matrix(graph: Graph) -> dict[int, Signature]:
+    """Operation id -> its output's signature (Graph.signatures), in evaluation
+    order: the influence matrix, whose (i, j) entry is 1 when row i holds j."""
+    signatures = graph.signatures
+    return {op.id: signatures[op.output] for op in graph.operations}
 
 
-def compute_influence_matrix(graph: Graph) -> InfluenceMatrix:
-    """Forward dependency pass in evaluation order (graph.order).
-
-    Uncertain input j has signature {j}, constants have the empty
-    signature, and every operation takes the union of its input
-    signatures; the operation's output variable inherits that union.
-    """
-    variable_signatures: dict[int, Signature] = {}
-    for axis, (vid, _) in enumerate(graph.uncertain_inputs):
-        variable_signatures[vid] = (axis,)
-    for var in graph.variables:
-        if var.constant_value is not None:
-            variable_signatures[var.id] = ()
-
-    rows: dict[int, Signature] = {}
-    for op in graph.order:
-        if op.kind == EXPAND:
-            signature = op.expand_to
-        else:
-            first, *rest = op.inputs
-            signature = variable_signatures[first]
-            for vid in rest:
-                other = variable_signatures[vid]
-                if other != signature:
-                    signature = signature_union(signature, other)
-        rows[op.id] = signature
-        variable_signatures[op.output] = signature
-    return InfluenceMatrix(rows, variable_signatures)
-
-
-def partition_operations(matrix: InfluenceMatrix) -> dict[Signature, frozenset[int]]:
-    """Operation ids grouped by shared dependency signature."""
-    groups: dict[Signature, set[int]] = {}
-    for op_id, signature in matrix.rows.items():
-        groups.setdefault(signature, set()).add(op_id)
-    return {sig: frozenset(ops) for sig, ops in groups.items()}
+def partition_operations(rows: dict[int, Signature]) -> dict[Signature, frozenset[int]]:
+    """Operation ids grouped by shared signature (rows as compute_influence_matrix gives)."""
+    return {signature: frozenset(op_id for op_id, row in rows.items() if row == signature)
+            for signature in dict.fromkeys(rows.values())}
 
 
 @dataclass(frozen=True)
@@ -115,32 +71,31 @@ class TransformedGraph:
     @cached_property
     def graph(self) -> Graph:
         graph = self.source  # spliced as insert_expansions describes
-        matrix = compute_influence_matrix(graph)
-        rows, signatures = matrix.rows, matrix.variable_signatures
+        signatures = dict(graph.signatures)  # gains each expand's output
         variables = list(graph.variables)
         operations: list[OperationNode] = []
         expanded: dict[tuple[int, Signature], int] = {}
         next_id = len(graph.variables) + len(graph.operations)
-
         for op in graph.order:
-            target = rows[op.id]
+            target = signatures[op.output]
             new_inputs = []
             for vid in op.inputs:
-                source = signatures[vid]
-                if source != target and (vid, target) not in expanded:
-                    out_id = next_id + 1
-                    operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None, target))
-                    variables.append(VariableNode(out_id, f"_x{out_id}"))
-                    expanded[vid, target] = out_id
-                    next_id += 2
-                new_inputs.append(vid if source == target else expanded[vid, target])
-            new_inputs = tuple(new_inputs)
-            if new_inputs != op.inputs:
-                op = OperationNode(op.id, op.kind, new_inputs, op.output, op.exponent, op.expand_to)
-            operations.append(op)
+                if signatures[vid] != target:
+                    if (vid, target) not in expanded:
+                        out_id = expanded[vid, target] = next_id + 1
+                        signatures[out_id] = target
+                        operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None,
+                                                        target))
+                        variables.append(VariableNode(out_id, f"_x{out_id}"))
+                        next_id += 2
+                    vid = expanded[vid, target]
+                new_inputs.append(vid)
+            operations.append(op._replace(inputs=tuple(new_inputs)))
 
-        return Graph(tuple(variables), tuple(operations),
-                     graph.uncertain_inputs, graph.outputs, graph.output_names)
+        spliced = Graph(tuple(variables), tuple(operations),
+                        graph.uncertain_inputs, graph.outputs, graph.output_names)
+        vars(spliced)["_signatures"] = signatures  # known here, so not derived again
+        return spliced
 
 
 def insert_expansions(graph: Graph) -> TransformedGraph:
@@ -162,9 +117,7 @@ def insert_expansions(graph: Graph) -> TransformedGraph:
 
     A graph validate refuses is refused with validate's messages: at once
     if it holds an expand, else where the result is read.  Any other graph
-    holding an expand is refused with a ValueError.  In a model graph
-    every operation's signature is the union of its inputs', so each
-    expand inserted here widens its input to a superset.
+    holding an expand is refused with a ValueError.
     """
     if graph.has_expansions():
         graph.order  # refuses a graph validate refuses with its messages
@@ -197,22 +150,17 @@ def strip_expansions(graph: Graph) -> Graph:
 
 def influence_matrix_to_csv(graph: Graph) -> str:
     """0/1 table of operations (rows) versus uncertain inputs (columns)."""
-    matrix = compute_influence_matrix(graph)
+    rows = compute_influence_matrix(graph)
     input_names = [graph.variable_by_id[vid].name for vid, _ in graph.uncertain_inputs]
     lines = ["operation," + ",".join(input_names)]
-    for op in graph.order:
-        row = matrix.rows[op.id]
-        cells = ["1" if axis in row else "0" for axis in range(graph.dim)]
+    for op in graph.operations:
+        cells = ["1" if axis in rows[op.id] else "0" for axis in range(graph.dim)]
         lines.append(f"{op.id}:{op.kind}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 def _size_label(n_axes: int) -> str:
-    if n_axes == 0:
-        return "1"
-    if n_axes == 1:
-        return "k"
-    return f"k^{n_axes}"
+    return {0: "1", 1: "k"}.get(n_axes, f"k^{n_axes}")
 
 
 def to_dot(model: Graph | TransformedGraph) -> str:
@@ -231,15 +179,11 @@ def to_dot(model: Graph | TransformedGraph) -> str:
     """
     transformed = isinstance(model, TransformedGraph)
     graph = model.graph if transformed else model
-    graph.order  # refuses a graph validate refuses
-    signatures = (compute_influence_matrix(graph).variable_signatures
-                  if transformed or graph.has_expansions() else {})
+    signatures = graph.signatures  # refuses a graph validate refuses
     lines = ["digraph model {", "  rankdir=TB;"]
 
     def var_decl(var: VariableNode) -> str:
-        label = var.name
-        if var.constant_value is not None:
-            label = f"{var.name} = {var.constant_value:g}"
+        label = var.name if var.constant_value is None else f"{var.name} = {var.constant_value:g}"
         return f'  n{var.id} [shape=ellipse, label="{label}"];'
 
     def op_decl(op: OperationNode) -> str:
@@ -267,12 +211,8 @@ def to_dot(model: Graph | TransformedGraph) -> str:
             lines.append("  " + var_decl(graph.variable_by_id[op.output]))
             clustered.update((op.id, op.output))
         lines.append("  }")
-    for var in graph.variables:
-        if var.id not in clustered:
-            lines.append(var_decl(var))
-    for op in graph.operations:
-        if op.id not in clustered:
-            lines.append(op_decl(op))
+    lines += [var_decl(var) for var in graph.variables if var.id not in clustered]
+    lines += [op_decl(op) for op in graph.operations if op.id not in clustered]
 
     for op in graph.operations:
         for vid in op.inputs:
@@ -282,20 +222,36 @@ def to_dot(model: Graph | TransformedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scheduled_eval_counts(matrix: InfluenceMatrix, axis_sizes) -> dict[int, int]:
-    """Evaluations each operation is scheduled for on a grid with the
-    given per-axis sizes: the product of sizes over its signature."""
-    sizes = tuple(int(s) for s in axis_sizes)
+def _positive_sizes(axis_sizes) -> tuple[int, ...]:
+    """The axis sizes as ints; ValueError unless each is a positive integer."""
+    axis_sizes = tuple(axis_sizes)
+    for size in axis_sizes:
+        if not isinstance(size, numbers.Integral) or size < 1:
+            raise ValueError(f"axis size {size!r} is not a positive integer")
+    return tuple(map(int, axis_sizes))
+
+
+def scheduled_eval_counts(rows: dict[int, Signature], axis_sizes) -> dict[int, int]:
+    """Evaluations each operation is scheduled for on a grid with the given
+    per-axis sizes: the product of sizes over its row of the influence
+    matrix.  DimensionMismatchError if a row names an axis past the sizes."""
+    sizes = _positive_sizes(axis_sizes)
+    axes = max((signature[-1] + 1 for signature in rows.values() if signature), default=0)
+    if axes > len(sizes):
+        raise DimensionMismatchError(f"{len(sizes)} axis sizes for signatures over {axes} axes")
     return {op_id: math.prod(sizes[axis] for axis in signature)
-            for op_id, signature in matrix.rows.items()}
+            for op_id, signature in rows.items()}
 
 
 def expansion_copies(graph: Graph, axis_sizes) -> int:
     """Elements the expands stand for on a grid of the given axis sizes: per
     (variable, reader signature) pair whose signatures differ, the product of
-    sizes over the reader's.  A graph with those expands counts alike."""
-    sizes = tuple(int(s) for s in axis_sizes)
-    matrix = compute_influence_matrix(graph)
-    crossings = {(vid, matrix.rows[op.id]) for op in graph.operations for vid in op.inputs
-                 if matrix.variable_signatures[vid] != matrix.rows[op.id]}
+    sizes over the reader's.  A graph with those expands counts alike.
+    DimensionMismatchError unless there is one size per uncertain input."""
+    signatures = graph.signatures
+    sizes = _positive_sizes(axis_sizes)
+    if len(sizes) != graph.dim:
+        raise DimensionMismatchError(f"{len(sizes)} axis sizes for {graph.dim} uncertain inputs")
+    crossings = {(vid, signatures[op.output]) for op in graph.operations for vid in op.inputs
+                 if signatures[vid] != signatures[op.output]}
     return sum(math.prod(sizes[axis] for axis in target) for _, target in crossings)

@@ -540,10 +540,10 @@ class TestBuiltins:
     def test_piston_size_and_sparsity(self):
         g = builtin_model("piston")
         assert g.elementary_operation_count() >= 30
-        matrix = compute_influence_matrix(g)
-        total = len(matrix.rows)
+        rows = compute_influence_matrix(g)
+        total = len(rows)
         for axis in range(3):
-            dependent = sum(1 for sig in matrix.rows.values() if axis in sig)
+            dependent = sum(1 for sig in rows.values() if axis in sig)
             assert 0 < dependent < total  # strict subset per input
 
     def test_piston_mean_point_against_hand_coded_oracle(self):
@@ -565,11 +565,11 @@ class TestBuiltins:
     def test_multipoint_structure(self):
         g = builtin_model("multipoint")
         assert g.distributions == (Normal(0.3, 0.03), Normal(0.5, 0.05))
-        matrix = compute_influence_matrix(g)
-        per_segment = [sum(1 for sig in matrix.rows.values() if sig == (axis,))
+        rows = compute_influence_matrix(g)
+        per_segment = [sum(1 for sig in rows.values() if sig == (axis,))
                        for axis in range(2)]
         assert per_segment[0] == per_segment[1] == 8
-        assert sum(1 for sig in matrix.rows.values() if sig == (0, 1)) == 1
+        assert sum(1 for sig in rows.values() if sig == (0, 1)) == 1
 
     def test_multipoint_value(self):
         def segment(v):

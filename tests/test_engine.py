@@ -195,12 +195,11 @@ class TestAmtc:
     def test_count_law(self, name):
         g = builtin_model(name)
         tg = insert_expansions(g)
-        from uqc import compute_influence_matrix
-        matrix = compute_influence_matrix(g)
+        rows = compute_influence_matrix(g)
         for k in SAFE_K[name]:
             grid = grid_for(g.distributions, k)
             report = evaluate_amtc(tg, grid)
-            for op_id, signature in matrix.rows.items():
+            for op_id, signature in rows.items():
                 assert report.op_eval_counts[op_id] == k ** len(signature)
             naive_total = g.elementary_operation_count() * k ** g.dim
             assert report.total_scalar_evals <= naive_total
@@ -256,7 +255,7 @@ class TestAmtc:
             "second = first + b\n"
             "output third = second * c\n")
         tg = insert_expansions(g)
-        signatures = compute_influence_matrix(tg.graph).variable_signatures
+        signatures = tg.graph.signatures
         expands = [(signatures[op.inputs[0]], op.expand_to)
                    for op in tg.graph.operations if op.kind == "expand"]
         assert ((), (0,)) in expands          # base feeding `* a`
@@ -352,13 +351,13 @@ class TestAmtc:
         tg = insert_expansions(g)
         grid = grid_for(g.distributions, 3)
         with patch.object(transform, "strip_expansions", wraps=strip_expansions) as strip, \
-                patch.object(transform, "compute_influence_matrix",
-                             wraps=compute_influence_matrix) as influence, \
+                patch.object(graph_module, "_signature_pass",
+                             wraps=graph_module._signature_pass) as signature_pass, \
                 patch.object(graph_module, "topo_sort", wraps=graph_module.topo_sort) as sort, \
                 patch.object(engine, "_execute", wraps=engine._execute) as execute:
             report = evaluate_amtc(tg, grid)
-        # one influence pass counts the copies; the one sort is g's first
-        assert (strip.call_count, influence.call_count, sort.call_count) == (0, 1, 1)
+        # one signature pass counts the copies; the one sort is g's first
+        assert (strip.call_count, signature_pass.call_count, sort.call_count) == (0, 1, 1)
         assert execute.call_count == 1 and execute.call_args.args[0] is g
         assert "graph" not in vars(tg)
         assert bits(report.outputs["C"]) == bits(evaluate_naive(g, grid).outputs["C"])

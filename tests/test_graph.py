@@ -259,7 +259,28 @@ class TestValidate:
         g = sin_times_y(expand_to)
         problem = (f"operation 4: expand_to {expand_to} is not an ascending tuple of "
                    f"distinct axes in 0..1")
-        assert validate(g) == ([] if expand_to == () else [problem])
+        if expand_to == ():  # ascending, but sin(x) depends on axis 0
+            problem = "operation 4: expand_to () leaves out an axis of its input's signature (0,)"
+        assert validate(g) == [problem]
+
+    @pytest.mark.parametrize("expand_to, problems", [
+        ((0,), []),
+        ((0, 1), []),
+        ((1,), ["operation 4: expand_to (1,) leaves out an axis of its input's "
+                "signature (0,)"]),
+    ])
+    def test_expand_to_contains_its_input_signature(self, expand_to, problems):
+        assert validate(sin_times_y(expand_to)) == problems
+
+    def test_expand_that_narrows_a_product_is_named(self):
+        # t = x*y; e = expand(t, expand_to=(0,)); f = sin(e)
+        b = GraphBuilder()
+        x = b.add_uncertain_input("x", Normal(0, 1))
+        y = b.add_uncertain_input("y", Normal(0, 1))
+        e = b.add_operation("expand", [b.add_operation("mul", [x, y])], expand_to=(0,))
+        b.mark_output(b.add_operation("sin", [e]), "f")
+        assert validate(b.build()) == [
+            "operation 4: expand_to (0,) leaves out an axis of its input's signature (0, 1)"]
 
     def test_bad_expand_to_is_refused_by_the_signature_passes(self):
         g = sin_times_y((0, 5))
@@ -327,6 +348,7 @@ REFUSED = {
     "unknown-kind": lambda: with_operation(sin_times_y(), 2, kind="tanh"),
     "inf-constant": inf_constant_graph,
     "bad-expand_to": lambda: sin_times_y((0, 5)),
+    "narrowing-expand": lambda: sin_times_y((1,)),
 }
 
 

@@ -22,7 +22,9 @@ against an oracle that shares no code with them, so a wrong kernel that
 all evaluators share is caught too.  A sixth checks that Monte Carlo,
 which streams its last input and overwrites its own draws, gives the
 moments, or the refusal, of evaluate_on_samples over sample_inputs, bit
-for bit, on both families and with blocks of 1-7 points too.
+for bit, on both families and with blocks of 1-7 points too.  A seventh
+checks the counts the transformed engine executes against Graph.signatures
+at axis sizes 2, 3 and 5, whose products tell the axes apart.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
@@ -154,6 +156,22 @@ def check_agreement(model, data):
 @given(models(), st.data())
 def test_all_evaluators_agree_bitwise(model, data):
     check_agreement(model, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_executed_counts_are_the_cached_signatures(model):
+    # Distinct primes per axis, so each product names the axes it is over.
+    graph = parse_model(model[0])
+    sizes = (2, 3, 5)[:graph.dim]
+    transformed = insert_expansions(graph)
+    report = evaluate_amtc(transformed, grid_of(graph, sizes))
+    signatures = graph.signatures
+    assert report.op_eval_counts == {
+        op.id: math.prod(sizes[axis] for axis in signatures[op.output])
+        for op in graph.operations}
+    # The splice hands its graph the signatures a fresh pass derives.
+    assert transformed.graph.signatures == replace(transformed.graph).signatures
 
 
 @settings(max_examples=100, deadline=None)
