@@ -30,10 +30,13 @@ class Normal:
         return (np.asarray(u, dtype=float) - self.mean) / self.stddev
 
     def sample(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        """Fill `out` with draws, bit for bit those of rng.normal."""
+        """Fill `out` with draws, bit for bit those of rng.normal.  A draw
+        that overflows is left as inf, without a warning, for the sample's
+        reader to refuse."""
         rng.standard_normal(out=out)
-        out *= self.stddev
-        out += self.mean
+        with np.errstate(over="ignore"):
+            out *= self.stddev
+            out += self.mean
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ _BLOCK = 32768
 
 def worker_count() -> int:
     """Worker threads the engines use: always 1, as every engine runs on
-    the calling thread.  Benchmark reports record it."""
+    the calling thread (monte_carlo's helper thread only draws samples).
+    Benchmark reports record it."""
     return 1
 
 

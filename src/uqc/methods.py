@@ -4,6 +4,8 @@ polynomial chaos, tensor-grid collocation surrogates, and Monte Carlo."""
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -271,15 +273,28 @@ def _stddev_overwriting(values: np.ndarray) -> float:
     return math.sqrt(np.add.reduce(values) / (n - 1))
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     """Plain Monte Carlo estimate of the first output's mean and stddev.
 
     The generator makes the draws sample_inputs makes, in its order:
     inputs 0..dim-2 whole, into one (dim - 1, n) array, then the last
-    input one block of engine._BLOCK rows at a time.  Each block's rows
-    are copied into one reused (dim, block) array, evaluated with
-    evaluate_on_samples, and its first output is written over input 0's
-    draws.  The stddev is then computed in that same vector, so about
+    input one block of engine._BLOCK rows at a time.  A block is filled
+    by copying its rows of the leading inputs into one of two (dim, block)
+    arrays, used in turn, and drawing the last input's rows there.  It is
+    evaluated with evaluate_on_samples, and its first output is written
+    over input 0's draws, which no later block reads.  When there are
+    several blocks and the process may run on several CPUs, one helper
+    thread fills the blocks, in order, while the calling thread evaluates
+    the block filled before; evaluation always runs on the calling
+    thread.  The stddev is then computed in that same vector, so about
     (dim - 1) n floats are held, and the moments are bit for bit those of
     evaluate_on_samples over sample_inputs.  Identical seeds give
     identical results.  A run that fails draws the samples again and
@@ -297,22 +312,37 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     for row, dist in zip(leading, distributions):
         dist.sample(rng, row)
     values = leading[0] if dim > 1 else np.empty(n)
-    block = np.empty((dim, min(n, block_size)))
+    blocks = [(start, min(start + block_size, n)) for start in range(0, n, block_size)]
+    buffers = np.empty((2, dim, min(n, block_size)))
+
+    def fill(i):
+        start, stop = blocks[i]
+        rows = buffers[i % 2, :, :stop - start]
+        rows[:-1] = leading[:, start:stop]
+        if dim:
+            distributions[-1].sample(rng, rows[-1])
+        return rows
+
     try:
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            rows = block[:, :stop - start]
-            rows[:-1] = leading[:, start:stop]
-            if dim:
-                distributions[-1].sample(rng, rows[-1])
-            values[start:stop] = evaluate_on_samples(graph, rows.T)[output]
+        if len(blocks) == 1 or _cpu_count() == 1:
+            # Nothing to overlap, or two threads that could only take turns.
+            for i, (start, stop) in enumerate(blocks):
+                values[start:stop] = evaluate_on_samples(graph, fill(i).T)[output]
+        else:
+            with ThreadPoolExecutor(1) as helper:
+                filled = helper.submit(fill, 0)
+                for i, (start, stop) in enumerate(blocks):
+                    rows = filled.result()
+                    if i + 1 < len(blocks):
+                        filled = helper.submit(fill, i + 1)
+                    values[start:stop] = evaluate_on_samples(graph, rows.T)[output]
     except (UqcError, ValueError):
         # A block's error names rows of that block, and only a whole-run
         # evaluation names the first operation in plan order to fail.
         values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
     mean = float(np.mean(values))
     stddev = _stddev_overwriting(values)
-    return UqResult("mc", mean, stddev, n, details={
+    return UqResult("mc", mean, stddev, int(n), details={
         "seed": int(seed),
         "standard_error": stddev / math.sqrt(n),
         "output": output,

@@ -123,6 +123,17 @@ class TestRun:
         assert re.fullmatch(r"error: non-finite (grid node inf of uncertain input 'x' on "
                             r"axis 0|input at sample row \d+: x=-?inf)\n", err)
 
+    def test_overflowing_mc_draw_prints_one_error_line(self, tmp_path, capsys):
+        # 100000 samples are 4 blocks, filled on a helper thread where the
+        # process may use two CPUs; its draws must not warn, as the CLI's
+        # errstate does not reach that thread
+        path = tmp_path / "wide.uq"
+        path.write_text("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n")
+        rc = run_cli(["run", "--model", str(path), "--method", "mc",
+                      "--mc-samples", "100000", "--seed", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: non-finite input at sample row 12: x=-inf\n"
+
     @pytest.mark.parametrize("method", METHODS)
     def test_uniform_whose_bounds_sum_overflows(self, tmp_path, method):
         # lower + upper overflows, though every point of the input is finite

@@ -1,6 +1,10 @@
+import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -527,6 +531,97 @@ class TestMonteCarlo:
         assert rows == [(3, 2), (3, 2), (3, 2), (1, 2)]
         samples = sample_inputs(g, 10, seed=1)
         assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
+
+    def test_blocks_are_filled_on_one_helper_thread(self):
+        # evaluation stays on the caller's thread; after input 0's whole
+        # draw, the last input is drawn block by block on one other thread
+        g = builtin_model("multipoint")
+        caller, evaluated, drawn = threading.get_ident(), [], []
+        sample = Normal.sample
+
+        def spy_evaluate(graph, samples):
+            evaluated.append(threading.get_ident())
+            return evaluate_on_samples(graph, samples)
+
+        def spy_sample(dist, rng, out):
+            drawn.append((threading.get_ident(), len(out)))
+            sample(dist, rng, out)
+        with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 2), \
+                patch.object(methods, "evaluate_on_samples", spy_evaluate), \
+                patch.object(Normal, "sample", spy_sample):
+            result = monte_carlo(g, 10, seed=1)
+        assert evaluated == [caller] * 4
+        assert drawn[0] == (caller, 10)
+        assert [size for _, size in drawn[1:]] == [3, 3, 3, 1]
+        helpers = {ident for ident, _ in drawn[1:]}
+        assert len(helpers) == 1 and caller not in helpers
+        samples = sample_inputs(g, 10, seed=1)
+        assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
+
+    def test_concurrent_runs_under_a_short_switch_interval(self):
+        # four callers with a helper each, so more threads than CPUs, match
+        # runs without a helper: a fill that wrote over a block still being
+        # evaluated would change a bit
+        g = builtin_model("multipoint")
+        with patch.object(engine, "_BLOCK", 64):
+            with patch.object(methods, "_cpu_count", lambda: 1):
+                expected = [monte_carlo(g, 5000, seed) for seed in range(4)]
+            results = [None] * 4
+
+            def run(seed):
+                results[seed] = monte_carlo(g, 5000, seed)
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with patch.object(methods, "_cpu_count", lambda: 2):
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    @pytest.mark.parametrize("model, error", [
+        ("multipoint", None),
+        ("piston", DomainError),  # unbounded normal tails leave the domain
+        ("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n", ValueError),
+    ])
+    def test_no_thread_outlives_the_call(self, model, error):
+        g = builtin_model(model) if model in BUILTIN_SOURCES else parse_model(model)
+        threads = []
+        sample = Normal.sample
+
+        def spy_sample(dist, rng, out):
+            threads.append(threading.get_ident())
+            sample(dist, rng, out)
+        before = threading.active_count()
+        with patch.object(methods, "_cpu_count", lambda: 2), \
+                patch.object(Normal, "sample", spy_sample):
+            if error is None:
+                monte_carlo(g, 10 ** 5, seed=0)
+            else:
+                with pytest.raises(error):
+                    monte_carlo(g, 10 ** 5, seed=0)
+        assert threading.active_count() == before
+        assert set(threads) - {threading.get_ident()}  # a helper thread drew
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_overflowing_draw_is_refused_without_a_warning(self, cpus):
+        # 1e308 times a draw beyond +-1.8 overflows; the first is row 12's
+        g = parse_model("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n")
+        with warnings.catch_warnings(), patch.object(methods, "_cpu_count", lambda: cpus):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^non-finite input at sample row 12: x=-inf$"):
+                monte_carlo(g, 10 ** 5, seed=0)
+
+    def test_numpy_integer_arguments_give_plain_numbers(self):
+        result = monte_carlo(builtin_model("simple"), np.int64(5), np.int64(3))
+        assert type(result.n_model_points) is int and type(result.details["seed"]) is int
+        json.dumps(vars(result))
 
     def test_sample_inputs_respects_axis_order(self):
         g = builtin_model("piston")
