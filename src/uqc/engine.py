@@ -53,8 +53,8 @@ _BLOCK = 32768
 
 
 def worker_count() -> int:
-    """Worker threads the engines use: always 1, as every engine runs on
-    the calling thread (monte_carlo's helper thread only draws samples).
+    """Worker threads one engine call uses: always 1 (monte_carlo's helper
+    thread makes engine calls of its own, beside the caller's).
     Benchmark reports record it."""
     return 1
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 import os
+import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -138,8 +140,10 @@ def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
     qty, info = dtrtrs(qr, qty, overwrite_b=True)
     if info:
         raise RankDeficientError(f"design matrix R has a zero pivot in column {info - 1}")
+    with np.errstate(over="ignore"):  # the residual of huge values may be inf
+        residual = float(np.linalg.norm(qty[n_coefficients:]))
     return PceCoefficients(basis, qty[:n_coefficients, 0], fit_details={
-        "residual": float(np.linalg.norm(qty[n_coefficients:])),
+        "residual": residual,
         "rank": rank,
         "n_points": n_points,
     })
@@ -149,7 +153,8 @@ def moments_from_pce(coefficients: PceCoefficients) -> tuple[float, float]:
     """(mean, stddev) of the expansion: mean is the constant coefficient,
     variance is sum alpha_i^2 <Phi_i^2> over the non-constant terms."""
     alpha = coefficients.alpha
-    variance = float(np.sum(alpha[1:] ** 2 * coefficients.basis.norms[1:]))
+    with np.errstate(over="ignore"):  # an inf variance is refused by UqResult
+        variance = float(np.sum(alpha[1:] ** 2 * coefficients.basis.norms[1:]))
     return float(alpha[0]), math.sqrt(max(variance, 0.0))
 
 
@@ -192,9 +197,10 @@ def sc_build(values: np.ndarray, grid: TensorGrid) -> SurrogateSC:
     for rule in grid.axes:
         # w_i = 1 / prod_{j != i} (x_i - x_j); a factor 1.0 on the diagonal
         # is exact, so row i's product is that over j != i.
-        diff = rule.nodes[:, None] - rule.nodes
-        np.fill_diagonal(diff, 1.0)
-        weights.append(1.0 / np.prod(diff, axis=1))
+        with np.errstate(over="ignore"):
+            diff = rule.nodes[:, None] - rule.nodes
+            np.fill_diagonal(diff, 1.0)
+            weights.append(1.0 / np.prod(diff, axis=1))
     return SurrogateSC(grid, values.copy(), tuple(weights))
 
 
@@ -237,8 +243,9 @@ def sc_moments(surrogate: SurrogateSC) -> tuple[float, float]:
     """
     w = surrogate.grid.joint_weights
     f = surrogate.values
-    mean = float(w @ f)
-    return mean, math.sqrt(float(w @ (f - mean) ** 2))
+    with np.errstate(over="ignore"):  # non-finite moments are refused by UqResult
+        mean = float(w @ f)
+        return mean, math.sqrt(float(w @ (f - mean) ** 2))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -284,23 +291,22 @@ def _cpu_count() -> int:
 def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     """Plain Monte Carlo estimate of the first output's mean and stddev.
 
-    The generator makes the draws sample_inputs makes, in its order:
-    inputs 0..dim-2 whole, into one (dim - 1, n) array, then the last
-    input one block of engine._BLOCK rows at a time.  A block is filled
-    by copying its rows of the leading inputs into one of two (dim, block)
-    arrays, used in turn, and drawing the last input's rows there.  It is
-    evaluated with evaluate_on_samples, and its first output is written
-    over input 0's draws, which no later block reads.  When there are
-    several blocks and the process may run on several CPUs, one helper
-    thread fills the blocks, in order, while the calling thread evaluates
-    the block filled before; evaluation always runs on the calling
-    thread.  The stddev is then computed in that same vector, so about
+    The generator makes sample_inputs' draws in its order: inputs 0..dim-2
+    whole, into one (dim - 1, n) array, then the last input one block of
+    engine._BLOCK rows at a time.  A thread works on the run block by
+    block: under a lock, it takes the next block, copies the block's rows
+    of the leading inputs into its own (dim, block) array and draws the
+    last input's rows there; outside the lock, it evaluates them with
+    evaluate_on_samples and writes the first output over input 0's draws,
+    which no later block reads.  With more than one block and more than
+    one CPU, one helper thread works beside the caller and is joined
+    before the call returns or raises; a thread that fails drops the
+    blocks left.  The stddev is computed in that vector, so about
     (dim - 1) n floats are held, and the moments are bit for bit those of
-    evaluate_on_samples over sample_inputs.  Identical seeds give
-    identical results.  A run that fails draws the samples again and
-    evaluates them with evaluate_on_samples in one call, so its error is
-    that one's: the first operation and sample row to leave the model's
-    domain, with the sample.
+    evaluate_on_samples over sample_inputs.  A run that fails draws the
+    samples again and evaluates them with evaluate_on_samples in one
+    call, so its error is that one's: the first operation and sample row
+    to leave the model's domain, with the sample.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
@@ -312,30 +318,35 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     for row, dist in zip(leading, distributions):
         dist.sample(rng, row)
     values = leading[0] if dim > 1 else np.empty(n)
-    blocks = [(start, min(start + block_size, n)) for start in range(0, n, block_size)]
+    starts = deque(range(0, n, block_size))
+    drawing = threading.Lock()
+
+    def work(buffer):
+        try:
+            while True:
+                with drawing:
+                    if not starts:
+                        return
+                    start = starts.popleft()
+                    stop = min(start + block_size, n)
+                    rows = buffer[:, :stop - start]
+                    rows[:-1] = leading[:, start:stop]
+                    if dim:
+                        distributions[-1].sample(rng, rows[-1])
+                values[start:stop] = evaluate_on_samples(graph, rows.T)[output]
+        finally:  # after a failure, the other thread stops after its block
+            starts.clear()
+
     buffers = np.empty((2, dim, min(n, block_size)))
-
-    def fill(i):
-        start, stop = blocks[i]
-        rows = buffers[i % 2, :, :stop - start]
-        rows[:-1] = leading[:, start:stop]
-        if dim:
-            distributions[-1].sample(rng, rows[-1])
-        return rows
-
     try:
-        if len(blocks) == 1 or _cpu_count() == 1:
-            # Nothing to overlap, or two threads that could only take turns.
-            for i, (start, stop) in enumerate(blocks):
-                values[start:stop] = evaluate_on_samples(graph, fill(i).T)[output]
+        if len(starts) == 1 or _cpu_count() == 1:
+            # Nothing to share, or two threads that could only take turns.
+            work(buffers[0])
         else:
             with ThreadPoolExecutor(1) as helper:
-                filled = helper.submit(fill, 0)
-                for i, (start, stop) in enumerate(blocks):
-                    rows = filled.result()
-                    if i + 1 < len(blocks):
-                        filled = helper.submit(fill, i + 1)
-                    values[start:stop] = evaluate_on_samples(graph, rows.T)[output]
+                helped = helper.submit(work, buffers[1])
+                work(buffers[0])
+                helped.result()
     except (UqcError, ValueError):
         # A block's error names rows of that block, and only a whole-run
         # evaluation names the first operation in plan order to fail.

@@ -532,15 +532,16 @@ class TestMonteCarlo:
         samples = sample_inputs(g, 10, seed=1)
         assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
 
-    def test_blocks_are_filled_on_one_helper_thread(self):
-        # evaluation stays on the caller's thread; after input 0's whole
-        # draw, the last input is drawn block by block on one other thread
+    def test_blocks_are_drawn_in_order_and_evaluated_on_two_threads(self):
+        # input 0 is drawn whole on the caller's thread; the last input is
+        # drawn block by block in block order, and the blocks are evaluated
+        # on the caller's thread and one helper
         g = builtin_model("multipoint")
         caller, evaluated, drawn = threading.get_ident(), [], []
         sample = Normal.sample
 
         def spy_evaluate(graph, samples):
-            evaluated.append(threading.get_ident())
+            evaluated.append((threading.get_ident(), samples.tobytes()))
             return evaluate_on_samples(graph, samples)
 
         def spy_sample(dist, rng, out):
@@ -550,13 +551,74 @@ class TestMonteCarlo:
                 patch.object(methods, "evaluate_on_samples", spy_evaluate), \
                 patch.object(Normal, "sample", spy_sample):
             result = monte_carlo(g, 10, seed=1)
-        assert evaluated == [caller] * 4
         assert drawn[0] == (caller, 10)
         assert [size for _, size in drawn[1:]] == [3, 3, 3, 1]
-        helpers = {ident for ident, _ in drawn[1:]}
-        assert len(helpers) == 1 and caller not in helpers
+        assert len(evaluated) == 4 and len({ident for ident, _ in evaluated}) <= 2
         samples = sample_inputs(g, 10, seed=1)
+        blocks = [samples[start:start + 3].tobytes() for start in range(0, 10, 3)]
+        assert sorted(block for _, block in evaluated) == sorted(blocks)
         assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_block_error_on_either_thread_is_the_whole_run_error(self, failing):
+        # piston at seed 0 first leaves the domain at row 35, in block 3 of
+        # 10 rows.  Each thread takes one of blocks 0 and 1 before either
+        # evaluates; the other thread then waits while the failing one
+        # takes blocks 2 and 3 and raises the block's error there.
+        g = builtin_model("piston")
+        samples = sample_inputs(g, 2000, seed=0)
+        evaluate_on_samples(g, samples[:20])  # blocks 0 and 1 stay in the domain
+        with pytest.raises(DomainError) as whole_run:
+            evaluate_on_samples(g, samples)
+        caller, seen, raised = threading.get_ident(), set(), []
+        first_blocks, failed = threading.Barrier(2), threading.Event()
+
+        def spy(graph, rows):
+            thread = threading.get_ident()
+            if len(rows) < 2000:  # a block, not the whole-run evaluation
+                if thread not in seen:
+                    seen.add(thread)
+                    first_blocks.wait(timeout=30)
+                if (thread == caller) != (failing == "caller"):
+                    failed.wait(timeout=30)
+                else:
+                    try:
+                        return evaluate_on_samples(graph, rows)
+                    except DomainError:
+                        raised.append(thread)
+                        failed.set()
+                        raise
+            return evaluate_on_samples(graph, rows)
+        with patch.object(engine, "_BLOCK", 10), patch.object(methods, "_cpu_count", lambda: 2), \
+                patch.object(methods, "evaluate_on_samples", spy):
+            with pytest.raises(DomainError) as excinfo:
+                monte_carlo(g, 2000, seed=0)
+        assert str(excinfo.value) == str(whole_run.value)
+        assert excinfo.value.sample == whole_run.value.sample
+        assert len(raised) == 1 and (raised[0] == caller) == (failing == "caller")
+
+    def test_an_error_in_the_callers_block_stops_and_joins_the_helper(self):
+        # the caller fails in its first of 10^4 blocks; the helper is joined
+        # after the block it has taken, not after the blocks left.  Blocks
+        # of 10 rows take the helper less time than the caller needs to
+        # wake for the lock, so the helper waits for the caller's failure.
+        g = builtin_model("multipoint")
+        caller, helped, failed = threading.get_ident(), [], threading.Event()
+
+        def spy(graph, rows):
+            if threading.get_ident() == caller:
+                failed.set()
+                raise KeyboardInterrupt
+            failed.wait(timeout=30)
+            helped.append(len(rows))
+            return evaluate_on_samples(graph, rows)
+        before = threading.active_count()
+        with patch.object(engine, "_BLOCK", 10), patch.object(methods, "_cpu_count", lambda: 2), \
+                patch.object(methods, "evaluate_on_samples", spy):
+            with pytest.raises(KeyboardInterrupt):
+                monte_carlo(g, 10 ** 5, seed=0)
+        assert threading.active_count() == before
+        assert len(helped) < 5000
 
     def test_concurrent_runs_under_a_short_switch_interval(self):
         # four callers with a helper each, so more threads than CPUs, match
@@ -640,6 +702,19 @@ class TestMonteCarlo:
         expected = np.column_stack([rng.normal(50, 10, 5000), rng.uniform(-1, 2, 5000),
                                     rng.normal(0.01, 0.005, 5000)])
         assert sample_inputs(g, 5000, seed=4).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("method", ["nipc-full", "nipc-full-amtc", "nipc-reg", "sc", "mc"])
+def test_huge_finite_data_is_refused_without_a_warning(method):
+    # the grid nodes and the regression values are finite, but node
+    # differences, a residual and squares overflow; mc's draws overflow
+    g = parse_model("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n")
+    message = (r"^non-finite input at sample row 12: x=-inf$" if method == "mc"
+               else rf"^{method}: non-finite moments, mean .*, stddev inf$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            run_pipeline(g, method, 3, 2, 100, 0)
 
 
 # Lengths around the 8-wide unrolled and 128-long blocks of numpy's
