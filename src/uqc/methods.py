@@ -325,9 +325,10 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
         try:
             while True:
                 with drawing:
-                    if not starts:
+                    try:  # one step: the other thread may empty the queue
+                        start = starts.popleft()
+                    except IndexError:
                         return
-                    start = starts.popleft()
                     stop = min(start + block_size, n)
                     rows = buffer[:, :stop - start]
                     rows[:-1] = leading[:, start:stop]

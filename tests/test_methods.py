@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from collections import deque
 from unittest.mock import patch
 
 import numpy as np
@@ -619,6 +620,42 @@ class TestMonteCarlo:
                 monte_carlo(g, 10 ** 5, seed=0)
         assert threading.active_count() == before
         assert len(helped) < 5000
+
+    def test_a_queue_emptied_while_the_caller_takes_a_block_ends_its_work(self):
+        # the helper's block fails and the helper empties the queue while
+        # the caller, holding the lock, is about to take the next block
+        # from it: the caller leaves its loop, and the run ends in the
+        # whole-run re-evaluation, not in an IndexError from the queue
+        g = builtin_model("multipoint")
+        caller = threading.get_ident()
+        helper_evaluating, caller_taking, emptied = (threading.Event() for _ in range(3))
+
+        class Queue(deque):
+            def popleft(self):
+                if threading.get_ident() == caller and helper_evaluating.is_set():
+                    caller_taking.set()
+                    emptied.wait(timeout=30)
+                return super().popleft()
+
+            def clear(self):
+                super().clear()
+                emptied.set()
+
+        def spy(graph, rows):
+            if len(rows) < 10 and threading.get_ident() != caller:
+                helper_evaluating.set()
+                caller_taking.wait(timeout=30)
+                raise ValueError("block failed")
+            if len(rows) < 10:
+                helper_evaluating.wait(timeout=30)
+            return evaluate_on_samples(graph, rows)
+        with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 2), \
+                patch.object(methods, "deque", Queue), \
+                patch.object(methods, "evaluate_on_samples", spy):
+            result = monte_carlo(g, 10, seed=1)
+        assert caller_taking.is_set() and emptied.is_set()
+        samples = sample_inputs(g, 10, seed=1)
+        assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
 
     def test_concurrent_runs_under_a_short_switch_interval(self):
         # four callers with a helper each, so more threads than CPUs, match
