@@ -1,10 +1,13 @@
 """Graph evaluation on tensor grids with exact operation-level cost accounting.
 
-All entry points run one executor over a graph's cached plan (Graph.plan)
-of elementary operations.  evaluate_naive feeds each uncertain input its
-full-length grid vector, so every operation that depends on an input runs
-at every grid point; an operation of constants only runs once, on
-1-element arrays, though its naive count is the full-grid schedule.
+One executor, _execute, runs a sequence of a graph's steps from given
+starting values.  Every entry point runs a graph's cached plan (Graph.plan)
+of elementary operations as one sequence; monte_carlo runs the stages of
+Graph.stages one block of samples at a time.  evaluate_naive feeds each
+uncertain input its full-length grid vector, so every operation that
+depends on an input runs at every grid point; an operation of constants
+only runs once, on 1-element arrays, though its naive count is the
+full-grid schedule.
 evaluate_on_samples and evaluate_single_point do the same over sample
 rows or one point.  evaluate_amtc runs the model graph a transformed graph
 holds: input j has k_j nodes on axis j and 1 elsewhere, so broadcasting
@@ -54,7 +57,7 @@ _BLOCK = 32768
 
 def worker_count() -> int:
     """Worker threads one engine call uses: always 1 (monte_carlo's helper
-    thread makes engine calls of its own, beside the caller's).
+    thread runs the executor on stages of its own, beside the caller's).
     Benchmark reports record it."""
     return 1
 
@@ -149,23 +152,32 @@ def _raise_if_non_finite(op, out: np.ndarray, space) -> None:
                           f"non-finite result {out.flat[np.argmax(bad)]}") from None
 
 
-def _execute(graph: Graph, columns, space: tuple[int, ...]):
-    """Run graph.plan over the evaluation space `space`.
-
-    `columns[j]` is the read-only value of uncertain input j, an array that
-    broadcasts against `space`.  Returns the values alive at the end (every
-    graph output among them) and the elements each operation produced.
-    Operation results are buffers this call allocated; nothing else is.
-    """
+def _start(graph: Graph, columns, ndim: int) -> dict[int, np.ndarray]:
+    """The values a run starts from: `columns[j]`, read-only, as uncertain
+    input j's value, and a fresh 1-element array with `ndim` axes of each
+    constant."""
     values = {vid: column for (vid, _), column in zip(graph.uncertain_inputs, columns)}
     for var in graph.variables:
         if var.constant_value is not None:
-            values[var.id] = np.array(var.constant_value, ndmin=len(space))
+            values[var.id] = np.array(var.constant_value, ndmin=ndim)
+    return values
+
+
+def _execute(graph: Graph, values: dict, space: tuple[int, ...], steps):
+    """Run `steps`, Steps of the graph in an evaluation order (graph.plan,
+    or a Stage's), over the evaluation space `space`.
+
+    `values` holds every value the steps read but do not produce, each an
+    array that broadcasts against `space`; it is updated in place with the
+    values that stay alive.  Returns it and the elements each operation
+    produced.  Operation results are buffers this call allocated, or
+    buffers of values the steps release that an operation produced.
+    """
     counts: dict[int, int] = {}
     produced = graph.producer_of
     value_of = values.__getitem__
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for op, ufunc, release in graph.plan:
+        for op, ufunc, release in steps:
             operands = list(map(value_of, op.inputs))
             # Every value has one axis per entry of `space`, so a binary
             # result's shape is the larger size on each axis.
@@ -219,7 +231,7 @@ def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     if n == 0:
         return {name: np.empty(0) for name in names}
     if n <= _BLOCK:
-        values = _execute(graph, columns, (n,))[0]
+        values = _execute(graph, _start(graph, columns, 1), (n,), graph.plan)[0]
         return {name: _own_output(graph, vid, values[vid], (n,))
                 for vid, name in zip(graph.outputs, names)}
 
@@ -227,13 +239,13 @@ def _evaluate_vectors(graph: Graph, columns, n: int) -> dict[str, np.ndarray]:
     try:
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            values = _execute(graph, [column[start:stop] for column in columns],
-                              (stop - start,))[0]
+            values = _execute(graph, _start(graph, [column[start:stop] for column in columns], 1),
+                              (stop - start,), graph.plan)[0]
             for vid, name in zip(graph.outputs, names):
                 outputs[name][start:stop] = values[vid]
             del values  # free this block's buffers before the next one runs
     except DomainError:
-        _execute(graph, columns, (n,))
+        _execute(graph, _start(graph, columns, 1), (n,), graph.plan)
         raise
     return outputs
 
@@ -300,7 +312,7 @@ def evaluate_amtc(transformed: TransformedGraph, grid: TensorGrid) -> Evaluation
     sizes = grid.axis_sizes
     start = time.perf_counter()
     columns = [grid.axis_column(axis) for axis in range(grid.dim)]
-    values, counts = _execute(source, columns, sizes)
+    values, counts = _execute(source, _start(source, columns, len(sizes)), sizes, source.plan)
     wall_ms = (time.perf_counter() - start) * 1e3
     outputs = {name: _own_output(source, vid, values[vid], sizes).ravel()
                for vid, name in zip(source.outputs, source.output_names)}

@@ -23,6 +23,8 @@ write.  A graph holding an expand has no plan (SignatureMismatchError).
 Graph.signatures maps each variable to its dependency signature, derived
 by one forward pass once per graph; every signature reader reads it, and
 validate's rule that an expand widens its input is checked with it.
+Graph.stages splits the plan by the highest axis of each operation's
+signature, for a run that draws the inputs one after another.
 """
 
 from __future__ import annotations
@@ -85,6 +87,25 @@ class Step(NamedTuple):
     op: OperationNode
     ufunc: np.ufunc
     release: tuple[int, ...]
+
+
+class Stage(NamedTuple):
+    """The steps a staged run (Graph.stages) takes on a block of samples
+    once uncertain input j, the stage's index, is drawn for that block and
+    the block's earlier stages have run.
+
+    `steps` keep Graph.plan's order; their release lists are for the
+    staged order and never name a value an earlier stage hands on.
+    `draw_into` is the full-length vector input j is drawn into when a
+    later stage reads it, else None.  `hands_on` pairs each value of this
+    stage that a later stage reads with the full-length vector it is
+    copied into, or None for a 1-element value handed on as it is.  The
+    stage that makes the first output lists it first, paired with vector 0.
+    """
+
+    steps: tuple[Step, ...]
+    draw_into: int | None
+    hands_on: tuple[tuple[int, int | None], ...]
 
 
 # Builds a named tuple from all of its fields, in order, without the
@@ -172,20 +193,110 @@ class Graph:
         evaluate_amtc runs the graph a transformed graph was built from,
         whose cached plan evaluate_naive runs too."""
         order = self.order
-        last_use: dict[int, int] = {}
-        for index, op in enumerate(order):
+        for op in order:
             if op.kind == EXPAND:
                 raise SignatureMismatchError("cannot apply operation kind 'expand' elementwise; "
                                              "run a transformed graph with evaluate_amtc")
-            for vid in (op.output, *op.inputs):
-                last_use[vid] = index
-        release: list[list[int]] = [[] for _ in order]
-        outputs = set(self.outputs)
-        for vid, index in last_use.items():
-            if vid not in outputs:
-                release[index].append(vid)
-        return tuple(_new_node(Step, (op, UFUNCS[op.kind], tuple(dead)))
-                     for op, dead in zip(order, release))
+        return _steps(order, set(self.outputs))
+
+    @cached_property
+    def stages(self) -> tuple[tuple[Stage, ...], int]:
+        """Graph.plan split for a run that draws uncertain inputs 0..dim-1
+        one after another, block by block, and keeps only the first output
+        whole: (one Stage per input, or one for a graph without inputs;
+        the number of full-length vectors the run holds).
+
+        An operation joins the stage of its signature's highest axis, or
+        stage 0 if it reads constants only, so it runs as soon as its
+        operands are known; that order is valid, as every operand's
+        signature is within its operation's.  If this holds more
+        full-length vectors than the dim - 1 leading inputs that a run
+        drawing the last input block by block holds (at least 1), every
+        operation joins the last stage instead, which holds no more than
+        those.  Raises as Graph.plan does."""
+        self.plan
+        staged = _staging(self, lambda signature: signature[-1] if signature else 0)
+        if staged[1] > max(self.dim - 1, 1):
+            staged = _staging(self, lambda signature: max(self.dim - 1, 0))
+        return staged
+
+
+def _steps(order, kept: set[int]) -> tuple[Step, ...]:
+    """Steps for `order`, elementary operations in evaluation order, each
+    releasing the variables whose last use it is, but those in `kept`."""
+    last_use: dict[int, int] = {}
+    for index, op in enumerate(order):
+        for vid in (op.output, *op.inputs):
+            last_use[vid] = index
+    release: list[list[int]] = [[] for _ in order]
+    for vid, index in last_use.items():
+        if vid not in kept:
+            release[index].append(vid)
+    return tuple(_new_node(Step, (op, UFUNCS[op.kind], tuple(dead)))
+                 for op, dead in zip(order, release))
+
+
+def _staging(graph: Graph, stage_of) -> tuple[tuple[Stage, ...], int]:
+    """Graph.stages with each operation in stage stage_of(its signature),
+    and the first output made in stage stage_of(its signature)."""
+    signatures = graph.signatures
+    inputs = [vid for vid, _ in graph.uncertain_inputs]
+    by_stage: list[list[OperationNode]] = [[] for _ in range(max(len(inputs), 1))]
+    made = {vid: axis for axis, vid in enumerate(inputs)}  # stage each value is made in
+    last_read: dict[int, int] = {}
+    for op in graph.order:
+        stage = stage_of(signatures[op.output])
+        by_stage[stage].append(op)
+        made[op.output] = stage
+        for vid in op.inputs:
+            last_read[vid] = max(last_read.get(vid, stage), stage)
+    first = graph.outputs[0] if graph.outputs else None
+    if first is not None:
+        first_stage = stage_of(signatures[first])
+        last_read[first] = max(last_read.get(first, first_stage), first_stage)
+    handed = {vid for vid, stage in last_read.items() if made.get(vid, stage) < stage}
+
+    # Vectors are shared between values whose lives do not overlap.  A
+    # stage copies what it hands on only after its steps have run, the
+    # first output first, so it may take over the vector of a value it
+    # reads last.  An input's block is drawn before the block's earlier
+    # stages have run, so an input never takes over a vector.
+    vector_of: dict[int, int] = {}
+    free: list[int] = []
+    count = 0
+
+    def take() -> int:
+        nonlocal count
+        if free:
+            return free.pop()
+        count += 1
+        return count - 1
+
+    for vid in inputs:
+        if vid in handed:
+            vector_of[vid] = take()
+    hands_on: list[list[tuple[int, int | None]]] = [[] for _ in by_stage]
+    output_vector = None
+    for stage, ops in enumerate(by_stage):
+        free += [vector for vid, vector in vector_of.items() if last_read[vid] == stage]
+        if first is not None and first_stage == stage:
+            output_vector = take()
+            hands_on[stage].append((first, output_vector))
+        for op in ops:
+            if op.output in handed:
+                if signatures[op.output]:
+                    vector_of[op.output] = take()
+                hands_on[stage].append((op.output, vector_of.get(op.output)))
+
+    # Number the first output's vector 0.
+    swap = {} if output_vector is None else {output_vector: 0, 0: output_vector}
+    numbered = lambda vector: swap.get(vector, vector)  # noqa: E731
+    steps = iter(_steps([op for ops in by_stage for op in ops], {*graph.outputs} | handed))
+    return tuple(_new_node(Stage, (
+        tuple(next(steps) for _ in ops),
+        numbered(vector_of.get(inputs[axis])) if axis < len(inputs) else None,
+        tuple((vid, numbered(vector)) for vid, vector in hands_on[axis])))
+        for axis, ops in enumerate(by_stage)), count
 
 
 def topo_sort(graph: Graph) -> list[int]:

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from threading import Condition
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
@@ -161,9 +161,9 @@ def moments_from_pce(coefficients: PceCoefficients) -> tuple[float, float]:
 def _refuse_non_finite_coordinates(points: np.ndarray) -> None:
     """ValueError naming the first non-finite coordinate of `points`, a
     point or an array of points, and its index."""
-    bad = ~np.isfinite(points)
-    if bad.any():
-        index = np.argwhere(bad)[0].tolist()
+    finite = np.isfinite(points)
+    if not finite.all():
+        index = np.argwhere(~finite)[0].tolist()
         raise ValueError(f"non-finite coordinate {points[tuple(index)]} at index {index}")
 
 
@@ -209,7 +209,9 @@ def sc_eval(surrogate: SurrogateSC, point) -> float:
 
     Exactly reproduces the stored value at every collocation point;
     extrapolation outside the node hull is permitted, but a non-finite
-    coordinate is refused.
+    coordinate is refused, and so is a surrogate whose weights on an axis
+    are all zero or not all finite, as sc_build leaves them when the
+    node differences overflow.
     """
     point = np.atleast_1d(np.asarray(point, dtype=float))
     grid = surrogate.grid
@@ -219,6 +221,10 @@ def sc_eval(surrogate: SurrogateSC, point) -> float:
         raise DimensionMismatchError(
             f"point has {len(point)} coordinates, expected {grid.dim}")
     _refuse_non_finite_coordinates(point)
+    for axis, weights in enumerate(surrogate.barycentric_weights):
+        if not (np.isfinite(weights).all() and weights.any()):
+            raise ValueError(f"barycentric weights {weights.tolist()} of axis {axis} are "
+                             f"all zero or not all finite")
     tensor = surrogate.values.reshape(grid.axis_sizes)
     for axis in range(grid.dim):
         nodes = grid.axes[axis].nodes
@@ -288,66 +294,38 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+# Block buffers for the draws of inputs that no later stage reads.
+_RING = 4
+
+
 def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     """Plain Monte Carlo estimate of the first output's mean and stddev.
 
-    The generator makes sample_inputs' draws in its order: inputs 0..dim-2
-    whole, into one (dim - 1, n) array, then the last input one block of
-    engine._BLOCK rows at a time.  A thread works on the run block by
-    block: under a lock, it takes the next block, copies the block's rows
-    of the leading inputs into its own (dim, block) array and draws the
-    last input's rows there; outside the lock, it evaluates them with
-    evaluate_on_samples and writes the first output over input 0's draws,
-    which no later block reads.  With more than one block and more than
-    one CPU, one helper thread works beside the caller and is joined
-    before the call returns or raises; a thread that fails drops the
-    blocks left.  The stddev is computed in that vector, so about
-    (dim - 1) n floats are held, and the moments are bit for bit those of
-    evaluate_on_samples over sample_inputs.  A run that fails draws the
-    samples again and evaluates them with evaluate_on_samples in one
-    call, so its error is that one's: the first operation and sample row
-    to leave the model's domain, with the sample.
+    The samples are sample_inputs', drawn in its generator order, and the
+    model runs by Graph.stages: stage j runs on a block of engine._BLOCK
+    samples once input j's draws for that block are made and the block's
+    earlier stages have run, so most operations run while later inputs
+    are still being drawn.  The calling thread draws the inputs one after
+    another, block by block.  A draw that no later stage reads goes into
+    one of _RING block buffers, and only the vectors Graph.stages counts
+    are held whole, so at most max(dim - 1, 1) n floats; the first output
+    ends in one of them, where the stddev is computed.  With more than one
+    block and more than one CPU, one helper thread runs the stages of
+    drawn blocks; the caller runs them when its buffers are full and once
+    it has drawn every block, and with one CPU right after each draw.
+    The helper is joined before the call returns or raises.  The moments
+    are bit for bit those of evaluate_on_samples over sample_inputs.  A
+    run that draws a non-finite value or fails draws the samples again
+    and evaluates them with evaluate_on_samples in one call, so its error
+    is that one's: the first operation and sample row to leave the
+    model's domain, with the sample.
     """
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     output = graph.first_output_name()
     rng = _generator(seed)
-    distributions = graph.distributions
-    dim, block_size = len(distributions), engine._BLOCK
-    leading = np.empty((max(dim - 1, 0), n))
-    for row, dist in zip(leading, distributions):
-        dist.sample(rng, row)
-    values = leading[0] if dim > 1 else np.empty(n)
-    starts = deque(range(0, n, block_size))
-    drawing = threading.Lock()
-
-    def work(buffer):
-        try:
-            while True:
-                with drawing:
-                    try:  # one step: the other thread may empty the queue
-                        start = starts.popleft()
-                    except IndexError:
-                        return
-                    stop = min(start + block_size, n)
-                    rows = buffer[:, :stop - start]
-                    rows[:-1] = leading[:, start:stop]
-                    if dim:
-                        distributions[-1].sample(rng, rows[-1])
-                values[start:stop] = evaluate_on_samples(graph, rows.T)[output]
-        finally:  # after a failure, the other thread stops after its block
-            starts.clear()
-
-    buffers = np.empty((2, dim, min(n, block_size)))
     try:
-        if len(starts) == 1 or _cpu_count() == 1:
-            # Nothing to share, or two threads that could only take turns.
-            work(buffers[0])
-        else:
-            with ThreadPoolExecutor(1) as helper:
-                helped = helper.submit(work, buffers[1])
-                work(buffers[0])
-                helped.result()
+        values = _first_output_by_stages(graph, n, rng)
     except (UqcError, ValueError):
         # A block's error names rows of that block, and only a whole-run
         # evaluation names the first operation in plan order to fail.
@@ -359,3 +337,104 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
         "standard_error": stddev / math.sqrt(n),
         "output": output,
     })
+
+
+def _first_output_by_stages(graph: Graph, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first output over n samples drawn from `rng` as sample_inputs
+    draws them, run stage by stage as monte_carlo describes.  Only private
+    engine code runs here, on either thread."""
+    stages, vector_count = graph.stages
+    inputs = [vid for vid, _ in graph.uncertain_inputs]
+    distributions = graph.distributions
+    dim, block = len(inputs), engine._BLOCK
+    starts = range(0, n, block)
+    constants = engine._start(graph, (), 1)
+    vectors = np.empty((vector_count, n))
+    ring = np.empty((_RING, min(n, block)))
+    free = list(range(_RING))           # ring buffers not in use
+    handed = [{} for _ in starts]       # values handed on to each block's later stages
+    done = [0] * len(starts)            # stages run on each block
+    later = [deque() for _ in starts]   # each block's tasks drawn before its earlier stages ran
+    ready: deque = deque()              # tasks (stage, block, draws, ring buffer) that can run
+    changed = Condition()
+    completed, failed, finished = 0, False, False
+
+    def run(j, b, column, buffer):
+        nonlocal completed
+        start, stop = starts[b], min(starts[b] + block, n)
+        values = constants | handed[b]
+        if j < dim:
+            _refuse_non_finite_coordinates(column)
+            values[inputs[j]] = column
+            if stages[j].draw_into is not None:
+                handed[b][inputs[j]] = column
+        engine._execute(graph, values, (stop - start,), stages[j].steps)
+        for vid, vector in stages[j].hands_on:
+            if vector is None:
+                handed[b][vid] = values[vid]
+            else:
+                handed[b][vid] = vectors[vector, start:stop]
+                handed[b][vid][...] = values[vid]
+        with changed:
+            completed += 1
+            done[b] = j + 1
+            if buffer is not None:
+                free.append(buffer)
+            if later[b]:
+                ready.append(later[b].popleft())
+            changed.notify_all()
+
+    def work(enough) -> None:
+        """Run ready tasks until enough() holds or a task of either thread
+        has failed; a task that fails here raises."""
+        nonlocal failed
+        while True:
+            with changed:
+                while not (failed or ready or enough()):
+                    changed.wait()
+                if failed or enough():
+                    return
+                task = ready.popleft()
+            try:
+                run(*task)
+            except BaseException:
+                with changed:
+                    failed = True
+                    changed.notify_all()
+                raise
+
+    helper = ThreadPoolExecutor(1) if len(starts) > 1 and _cpu_count() > 1 else None
+    try:
+        helped = helper and helper.submit(work, lambda: finished)
+
+        def caller_work(enough) -> None:
+            work(enough)
+            if failed:  # the helper's task failed: raise its error here
+                helped.result()
+
+        for j, stage in enumerate(stages):
+            for b, start in enumerate(starts):
+                column = buffer = None
+                if j < dim:
+                    stop = min(start + block, n)
+                    if stage.draw_into is None:
+                        caller_work(lambda: free)
+                        with changed:
+                            buffer = free.pop()
+                        column = ring[buffer, :stop - start]
+                    else:
+                        column = vectors[stage.draw_into, start:stop]
+                    distributions[j].sample(rng, column)
+                with changed:
+                    (ready if done[b] == j else later[b]).append((j, b, column, buffer))
+                    changed.notify_all()
+                if helper is None:
+                    caller_work(lambda: not ready)
+        caller_work(lambda: completed == len(stages) * len(starts))
+    finally:
+        with changed:
+            finished = True
+            changed.notify_all()
+        if helper is not None:
+            helper.shutdown()
+    return vectors[0]

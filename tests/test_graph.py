@@ -309,6 +309,7 @@ READERS = {
     "influence_matrix_to_csv": influence_matrix_to_csv,
     "insert_expansions": lambda g: insert_expansions(g).graph,
     "to_dot": to_dot,
+    "Graph.stages": lambda g: g.stages,
 }
 
 
@@ -453,3 +454,48 @@ class TestDotExport:
         assert dot.count("shape=ellipse") == len(g.variables)
         assert dot.count("shape=box") == len(g.operations)
         assert 'label="k^2"' in dot  # two uncertain inputs -> full size k^2
+
+
+class TestStages:
+    def test_each_operation_runs_in_the_stage_of_its_highest_axis(self):
+        # seg1 reads v1 only, so stage 0 runs it and hands it on in vector
+        # 0; stage 1 runs seg2 and the sum, whose output takes vector 0 over
+        g = builtin_model("multipoint")
+        (first, second), vectors = g.stages
+        signatures = g.signatures
+        assert vectors == 1
+        assert {signatures[step.op.output] for step in first.steps} == {(0,)}
+        assert {max(signatures[step.op.output]) for step in second.steps} == {1}
+        seg1 = first.steps[-1].op.output
+        assert first.hands_on == ((seg1, 0),) and second.hands_on == ((g.outputs[0], 0),)
+        assert (first.draw_into, second.draw_into) == (None, None)
+        assert all(seg1 not in step.release for step in first.steps + second.steps)
+
+    def test_one_stage_is_the_plan(self):
+        for source in ("input x ~ Normal(0, 1)\nt = sin(x)\noutput f = t * x + 2\n",
+                       "param c = 2\nt = c * 3\noutput f = t + c\n"):
+            g = parse_model(source)
+            (stage,), vectors = g.stages
+            assert stage.steps == g.plan and vectors == 1
+            assert stage.draw_into is None and stage.hands_on == ((g.outputs[0], 0),)
+
+    def test_constants_only_are_handed_on_as_they_are(self):
+        # t reads constants only: stage 0 runs it and hands on its value
+        g = parse_model("input x ~ Normal(0, 1)\ninput y ~ Normal(0, 1)\n"
+                        "t = cos(1.5)\noutput f = sin(x) + y * t\n")
+        (first, second), vectors = g.stages
+        t = first.steps[0].op.output
+        assert first.steps[0].op.kind == "cos" and (t, None) in first.hands_on
+        assert vectors == 1
+
+    def test_more_vectors_than_the_leading_inputs_run_everything_last(self):
+        # run early, sin(x1), cos(x1) and exp(x1) would be held whole for
+        # stage 1: 3 vectors against 1, so stage 1 runs every operation and
+        # x1 is drawn whole into the vector the output takes over
+        g = parse_model("input x1 ~ Normal(0, 1)\ninput x2 ~ Normal(0, 1)\n"
+                        "output f = sin(x1)*x2 + cos(x1)*x2 + exp(x1)*x2\n")
+        (first, second), vectors = g.stages
+        assert vectors == 1 and first.steps == ()
+        assert [step.op for step in second.steps] == [step.op for step in g.plan]
+        assert first.draw_into == 0 and second.hands_on == ((g.outputs[0], 0),)
+

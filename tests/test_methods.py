@@ -5,7 +5,6 @@ import sys
 import threading
 import tracemalloc
 import warnings
-from collections import deque
 from unittest.mock import patch
 
 import numpy as np
@@ -419,6 +418,18 @@ class TestStochasticCollocation:
         _, stddev = sc_moments(sc_build(outputs, grid))
         assert abs(stddev - 1.0) <= 1e-6
 
+    def test_surrogate_with_all_zero_weights_is_refused(self):
+        # the node differences of Normal(0, 1e308) at k = 3 overflow, so
+        # every weight is 0, and the interpolant would be 0/0
+        _, grid, outputs = run_model("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n", 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surrogate = sc_build(outputs, grid)
+            assert surrogate.barycentric_weights[0].tolist() == [0.0, 0.0, 0.0]
+            with pytest.raises(ValueError, match=r"^barycentric weights \[0\.0, -0\.0, 0\.0\] "
+                                                 r"of axis 0 are all zero or not all finite$"):
+                sc_eval(surrogate, [1e300])
+
     @pytest.mark.parametrize("dist", [Normal(0, 1), Normal(50, 10), Uniform(-1, 2)])
     def test_barycentric_weights_equal_the_per_node_products(self, dist):
         # The weights are bit for bit those of the loop over nodes that
@@ -506,9 +517,10 @@ class TestMonteCarlo:
         assert excinfo.value.reason == "sqrt of negative value"
 
     def test_working_set_is_one_output_vector(self):
-        # multipoint has 2 inputs: the first input's draws, which the output
-        # overwrites, are the one 8 MB vector held at 10^6 samples; the
-        # sample array and a separate output vector took 3.1 times that.
+        # multipoint has 2 inputs: seg1, which stage 0 hands to stage 1 and
+        # the output then takes over, is the one 8 MB vector held at 10^6
+        # samples; the sample array and a separate output vector took 3.1
+        # times that.
         g = builtin_model("multipoint")
         monte_carlo(g, 10, seed=1)  # builds the plan outside the measurement
         tracemalloc.start()
@@ -519,149 +531,166 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * 10 ** 6, peak
 
-    def test_blocks_are_evaluated_with_evaluate_on_samples(self):
-        # the block size is read when monte_carlo runs, not bound at import
-        g = builtin_model("multipoint")
-        rows = []
+    def test_working_set_stays_one_vector_when_staging_would_hold_more(self):
+        # run as early as their signatures allow, sin(x1), cos(x1) and
+        # exp(x1) would each be held whole until x2 is drawn; every
+        # operation runs in the last stage instead, and only x1's draws,
+        # which the output overwrites, are held
+        g = parse_model("input x1 ~ Normal(0, 1)\ninput x2 ~ Normal(0, 1)\n"
+                        "output f = sin(x1)*x2 + cos(x1)*x2 + exp(x1)*x2\n")
+        stages, vectors = g.stages
+        assert vectors == 1 and not stages[0].steps
+        monte_carlo(g, 10, seed=1)
+        tracemalloc.start()
+        try:
+            monte_carlo(g, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * 10 ** 6, peak
 
-        def spy(graph, samples):
-            rows.append(samples.shape)
-            return evaluate_on_samples(graph, samples)
-        with patch.object(engine, "_BLOCK", 3), patch.object(methods, "evaluate_on_samples", spy):
+    def test_blocks_run_the_stages_on_private_engine_code(self):
+        # the block size is read when monte_carlo runs, not bound at import.
+        # With one CPU each block's stage runs right after the block is
+        # drawn: multipoint's stage 0 (seg1) on every block of v1, then
+        # stage 1 (seg2 and the sum) on every block of v2; no public
+        # engine function runs.
+        g = builtin_model("multipoint")
+        stages, _ = g.stages
+        execute, ran = engine._execute, []
+
+        def spy(graph, values, space, steps):
+            ran.append(([stage.steps for stage in stages].index(steps), space))
+            return execute(graph, values, space, steps)
+
+        def public(*args):
+            raise AssertionError("evaluate_on_samples called")
+        with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 1), \
+                patch.object(engine, "_execute", spy), \
+                patch.object(methods, "evaluate_on_samples", public):
             result = monte_carlo(g, 10, seed=1)
-        assert rows == [(3, 2), (3, 2), (3, 2), (1, 2)]
+        assert ran == [(stage, (size,)) for stage in (0, 1) for size in (3, 3, 3, 1)]
         samples = sample_inputs(g, 10, seed=1)
         assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
 
-    def test_blocks_are_drawn_in_order_and_evaluated_on_two_threads(self):
-        # input 0 is drawn whole on the caller's thread; the last input is
-        # drawn block by block in block order, and the blocks are evaluated
-        # on the caller's thread and one helper
+    def test_inputs_are_drawn_in_order_on_the_caller_and_run_on_two_threads(self):
+        # the caller draws v1 block by block, then v2, in sample_inputs'
+        # generator order; the stages run on the caller and one helper
         g = builtin_model("multipoint")
-        caller, evaluated, drawn = threading.get_ident(), [], []
-        sample = Normal.sample
-
-        def spy_evaluate(graph, samples):
-            evaluated.append((threading.get_ident(), samples.tobytes()))
-            return evaluate_on_samples(graph, samples)
+        caller, ran, drawn = threading.get_ident(), set(), []
+        sample, execute = Normal.sample, engine._execute
 
         def spy_sample(dist, rng, out):
-            drawn.append((threading.get_ident(), len(out)))
             sample(dist, rng, out)
+            drawn.append((threading.get_ident(), out.tobytes()))
+
+        def spy_execute(*args):
+            ran.add(threading.get_ident())
+            return execute(*args)
         with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 2), \
-                patch.object(methods, "evaluate_on_samples", spy_evaluate), \
+                patch.object(engine, "_execute", spy_execute), \
                 patch.object(Normal, "sample", spy_sample):
             result = monte_carlo(g, 10, seed=1)
-        assert drawn[0] == (caller, 10)
-        assert [size for _, size in drawn[1:]] == [3, 3, 3, 1]
-        assert len(evaluated) == 4 and len({ident for ident, _ in evaluated}) <= 2
         samples = sample_inputs(g, 10, seed=1)
-        blocks = [samples[start:start + 3].tobytes() for start in range(0, 10, 3)]
-        assert sorted(block for _, block in evaluated) == sorted(blocks)
+        blocks = [samples[start:start + 3, column].tobytes()
+                  for column in (0, 1) for start in range(0, 10, 3)]
+        assert drawn == [(caller, block) for block in blocks]
+        assert len(ran) <= 2
         assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_block_error_on_either_thread_is_the_whole_run_error(self, failing):
-        # piston at seed 0 first leaves the domain at row 35, in block 3 of
-        # 10 rows.  Each thread takes one of blocks 0 and 1 before either
-        # evaluates; the other thread then waits while the failing one
-        # takes blocks 2 and 3 and raises the block's error there.
-        g = builtin_model("piston")
-        samples = sample_inputs(g, 2000, seed=0)
-        evaluate_on_samples(g, samples[:20])  # blocks 0 and 1 stay in the domain
+        # every draw of a leaves sqrt's domain, so the first block a thread
+        # runs fails; the other thread waits in its first block until
+        # then.  The block's error names a row of its block and no sample,
+        # and the run's error is the whole-run one.
+        g = parse_model("input a ~ Uniform(-1, 0)\ninput b ~ Uniform(0, 1)\n"
+                        "output f = sqrt(a) + b\n")
         with pytest.raises(DomainError) as whole_run:
-            evaluate_on_samples(g, samples)
-        caller, seen, raised = threading.get_ident(), set(), []
-        first_blocks, failed = threading.Barrier(2), threading.Event()
+            evaluate_on_samples(g, sample_inputs(g, 2000, seed=0))
+        caller, raised, failed = threading.get_ident(), [], threading.Event()
+        execute = engine._execute
 
-        def spy(graph, rows):
-            thread = threading.get_ident()
-            if len(rows) < 2000:  # a block, not the whole-run evaluation
-                if thread not in seen:
-                    seen.add(thread)
-                    first_blocks.wait(timeout=30)
-                if (thread == caller) != (failing == "caller"):
-                    failed.wait(timeout=30)
-                else:
-                    try:
-                        return evaluate_on_samples(graph, rows)
-                    except DomainError:
-                        raised.append(thread)
-                        failed.set()
-                        raise
-            return evaluate_on_samples(graph, rows)
+        def spy(*args):
+            if (threading.get_ident() == caller) != (failing == "caller"):
+                failed.wait(timeout=30)
+            try:
+                return execute(*args)
+            except DomainError:
+                raised.append(threading.get_ident())
+                failed.set()
+                raise
         with patch.object(engine, "_BLOCK", 10), patch.object(methods, "_cpu_count", lambda: 2), \
-                patch.object(methods, "evaluate_on_samples", spy):
+                patch.object(engine, "_execute", spy):
             with pytest.raises(DomainError) as excinfo:
                 monte_carlo(g, 2000, seed=0)
         assert str(excinfo.value) == str(whole_run.value)
         assert excinfo.value.sample == whole_run.value.sample
-        assert len(raised) == 1 and (raised[0] == caller) == (failing == "caller")
+        assert (raised[0] == caller) == (failing == "caller")
 
-    def test_an_error_in_the_callers_block_stops_and_joins_the_helper(self):
-        # the caller fails in its first of 10^4 blocks; the helper is joined
-        # after the block it has taken, not after the blocks left.  Blocks
-        # of 10 rows take the helper less time than the caller needs to
-        # wake for the lock, so the helper waits for the caller's failure.
+    def test_an_interrupt_in_the_callers_block_stops_and_joins_the_helper(self):
+        # the caller is interrupted in the first block it runs, of 2 * 10^4;
+        # the helper, held in its block until then, is joined after that
+        # block, not after the blocks left
         g = builtin_model("multipoint")
         caller, helped, failed = threading.get_ident(), [], threading.Event()
+        execute = engine._execute
 
-        def spy(graph, rows):
+        def spy(*args):
             if threading.get_ident() == caller:
                 failed.set()
                 raise KeyboardInterrupt
             failed.wait(timeout=30)
-            helped.append(len(rows))
-            return evaluate_on_samples(graph, rows)
+            helped.append(args[2])
+            return execute(*args)
         before = threading.active_count()
         with patch.object(engine, "_BLOCK", 10), patch.object(methods, "_cpu_count", lambda: 2), \
-                patch.object(methods, "evaluate_on_samples", spy):
+                patch.object(engine, "_execute", spy):
             with pytest.raises(KeyboardInterrupt):
                 monte_carlo(g, 10 ** 5, seed=0)
         assert threading.active_count() == before
         assert len(helped) < 5000
 
-    def test_a_queue_emptied_while_the_caller_takes_a_block_ends_its_work(self):
-        # the helper's block fails and the helper empties the queue while
-        # the caller, holding the lock, is about to take the next block
-        # from it: the caller leaves its loop, and the run ends in the
-        # whole-run re-evaluation, not in an IndexError from the queue
+    def test_a_helper_failure_while_the_caller_waits_ends_the_run(self):
+        # the helper's first block fails only once the caller, having run
+        # every block it can, waits for the helper: the caller wakes and
+        # the run ends in the whole-run re-evaluation, not in a hang
         g = builtin_model("multipoint")
-        caller = threading.get_ident()
-        helper_evaluating, caller_taking, emptied = (threading.Event() for _ in range(3))
+        caller, execute = threading.get_ident(), engine._execute
+        helper_took, caller_waits = threading.Event(), threading.Event()
 
-        class Queue(deque):
-            def popleft(self):
-                if threading.get_ident() == caller and helper_evaluating.is_set():
-                    caller_taking.set()
-                    emptied.wait(timeout=30)
-                return super().popleft()
+        class Spied(threading.Condition):
+            def wait(self, timeout=None):
+                if threading.get_ident() == caller:
+                    caller_waits.set()
+                return super().wait(timeout)
 
-            def clear(self):
-                super().clear()
-                emptied.set()
-
-        def spy(graph, rows):
-            if len(rows) < 10 and threading.get_ident() != caller:
-                helper_evaluating.set()
-                caller_taking.wait(timeout=30)
-                raise ValueError("block failed")
-            if len(rows) < 10:
-                helper_evaluating.wait(timeout=30)
-            return evaluate_on_samples(graph, rows)
+        def spy(*args):
+            if threading.get_ident() == caller:
+                helper_took.wait(timeout=30)
+                return execute(*args)
+            helper_took.set()
+            caller_waits.wait(timeout=30)
+            raise ValueError("block failed")
         with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 2), \
-                patch.object(methods, "deque", Queue), \
-                patch.object(methods, "evaluate_on_samples", spy):
+                patch.object(methods, "Condition", Spied), patch.object(engine, "_execute", spy):
             result = monte_carlo(g, 10, seed=1)
-        assert caller_taking.is_set() and emptied.is_set()
+        assert helper_took.is_set() and caller_waits.is_set()
         samples = sample_inputs(g, 10, seed=1)
         assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
 
-    def test_concurrent_runs_under_a_short_switch_interval(self):
+    @pytest.mark.parametrize("model", [
+        "multipoint",
+        # stage 0 hands s1 to stage 1, which hands s2 to stage 2 in the
+        # same vector, and a is held whole; b and c go through the ring
+        "input a ~ Normal(0.3, 0.03)\ninput b ~ Normal(0.5, 0.05)\ninput c ~ Uniform(0, 1)\n"
+        "s1 = exp(sin(a))*a^2\ns2 = s1*b + cos(b)\noutput f = s2*c + log(1 + c^2) + a\n",
+    ])
+    def test_concurrent_runs_under_a_short_switch_interval(self, model):
         # four callers with a helper each, so more threads than CPUs, match
-        # runs without a helper: a fill that wrote over a block still being
-        # evaluated would change a bit
-        g = builtin_model("multipoint")
+        # runs without a helper: a draw or a copy that wrote over a block
+        # still being read would change a bit
+        g = builtin_model(model) if model in BUILTIN_SOURCES else parse_model(model)
         with patch.object(engine, "_BLOCK", 64):
             with patch.object(methods, "_cpu_count", lambda: 1):
                 expected = [monte_carlo(g, 5000, seed) for seed in range(4)]
@@ -689,23 +718,30 @@ class TestMonteCarlo:
         ("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n", ValueError),
     ])
     def test_no_thread_outlives_the_call(self, model, error):
+        # every drawn block is checked for non-finite draws on the thread
+        # that runs its stage; the caller's first check waits until the
+        # helper has made one
         g = builtin_model(model) if model in BUILTIN_SOURCES else parse_model(model)
-        threads = []
-        sample = Normal.sample
+        caller, threads, helped = threading.get_ident(), [], threading.Event()
+        refuse = methods._refuse_non_finite_coordinates
 
-        def spy_sample(dist, rng, out):
+        def spy(column):
             threads.append(threading.get_ident())
-            sample(dist, rng, out)
+            if threads[-1] == caller:
+                helped.wait(timeout=30)
+            else:
+                helped.set()
+            refuse(column)
         before = threading.active_count()
         with patch.object(methods, "_cpu_count", lambda: 2), \
-                patch.object(Normal, "sample", spy_sample):
+                patch.object(methods, "_refuse_non_finite_coordinates", spy):
             if error is None:
                 monte_carlo(g, 10 ** 5, seed=0)
             else:
                 with pytest.raises(error):
                     monte_carlo(g, 10 ** 5, seed=0)
         assert threading.active_count() == before
-        assert set(threads) - {threading.get_ident()}  # a helper thread drew
+        assert set(threads) - {caller}  # a helper thread ran a stage
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_overflowing_draw_is_refused_without_a_warning(self, cpus):

@@ -20,11 +20,15 @@ that leaves a variable with no role or two, or an expand with a
 non-expand kind.  A fifth checks every evaluator, over both families,
 against an oracle that shares no code with them, so a wrong kernel that
 all evaluators share is caught too.  A sixth checks that Monte Carlo,
-which streams its last input and overwrites its own draws, gives the
-moments, or the refusal, of evaluate_on_samples over sample_inputs, bit
-for bit, on both families and with blocks of 1-7 points too.  A seventh
+which draws block by block, runs by stages and reuses its own vectors,
+gives the moments, or the refusal, of evaluate_on_samples over
+sample_inputs, bit for bit, on both families and with blocks of 1-7
+points too.  A seventh
 checks the counts the transformed engine executes against Graph.signatures
-at axis sizes 2, 3 and 5, whose products tell the axes apart.
+at axis sizes 2, 3 and 5, whose products tell the axes apart.  An eighth
+checks that Graph.stages is a valid staged plan, and a ninth that Monte
+Carlo run by it, on one CPU and with a helper thread, gives the moments or
+the refusal of the sampled path.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
@@ -49,6 +53,7 @@ from uqc import (
     gauss_rule,
     insert_expansions,
     isomorphic,
+    methods,
     monte_carlo,
     parse_model,
     pretty_print,
@@ -425,9 +430,9 @@ def test_validate_names_each_role_edit(model, data):
                 in validate(relabeled))
 
 
-# Monte Carlo streams its last input, and writes its output over its own
-# draws; the reference is the path it replaced, which builds the whole
-# sample array.  Moments are compared bit for bit, and a refusal by its
+# Monte Carlo draws block by block and runs by stages, and writes its
+# output over vectors it reuses; the reference is the path it replaced,
+# which builds the whole sample array.  Moments are compared bit for bit, and a refusal by its
 # type, operation, point, reason and sample.
 def mc_outcome(run) -> tuple:
     try:
@@ -500,3 +505,68 @@ def test_blocked_streamed_monte_carlo_equals_the_sampled_path(model, n, seed, bl
 def test_streamed_monte_carlo_refuses_as_the_sampled_path(model, n, seed, block):
     with patch.object(engine, "_BLOCK", block):
         check_monte_carlo(model[0], n, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_stages_are_a_valid_staged_plan(model):
+    # Each stage's steps read only values made by an earlier step, drawn
+    # for this or an earlier stage, or constants; a released value is read
+    # by no later step; a value read by a later stage than its own is
+    # drawn into or copied to a vector, or handed on as a 1-element value,
+    # and never released; no more vectors are held than the leading inputs.
+    graph = parse_model(model[0])
+    stages, vectors = graph.stages
+    signatures = graph.signatures
+    inputs = [vid for vid, _ in graph.uncertain_inputs]
+    assert len(stages) == max(graph.dim, 1) and vectors <= max(graph.dim - 1, 1)
+    assert sorted(step.op.id for stage in stages for step in stage.steps) == \
+        sorted(op.id for op in graph.operations)
+    known = {var.id for var in graph.variables if var.constant_value is not None}
+    made, handed = {}, {}
+    for j, stage in enumerate(stages):
+        if j < graph.dim:
+            known.add(inputs[j])
+            made[inputs[j]] = j
+            if stage.draw_into is not None:
+                handed[inputs[j]] = stage.draw_into
+        for step in stage.steps:
+            assert known >= set(step.op.inputs)
+            known.add(step.op.output)
+            made[step.op.output] = j
+        for vid, vector in stage.hands_on:
+            assert (vector is None) == (signatures[vid] == ()) or vid == graph.outputs[0]
+            handed.setdefault(vid, vector)
+    staged = [(j, step) for j, stage in enumerate(stages) for step in stage.steps]
+    for index, (j, step) in enumerate(staged):
+        later_reads = {vid for _, other in staged[index + 1:] for vid in other.op.inputs}
+        assert not set(step.release) & (later_reads | set(graph.outputs) | set(handed))
+        for vid in step.op.inputs:
+            if made.get(vid, j) < j:
+                assert vid in handed
+    assert [stage.hands_on[:1] for stage in stages].count(((graph.outputs[0], 0),)) == 1
+
+
+STAGED_EXAMPLES = MC_EXAMPLES + (
+    # a constant-only value and values handed across all three stages
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\ninput x2 ~ Normal(0.3, 1)\n"
+    "t0 = exp(sin(x0))\nt1 = cos(1.5) * 2\nt2 = t0 * x1 + t1\nt3 = t2 / (2 + cos(x2)) + x0\n"
+    "output o0 = t3\noutput o1 = t0\n",
+    # staged early, more vectors than the leading inputs: every operation last
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\n"
+    "t0 = sin(x0)*x1 + cos(x0)*x1 + exp(x0)*x1\noutput o0 = t0\n",
+    # the first output is read by a later stage
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\nt0 = sin(x0)\nt1 = t0 * x1\n"
+    "output o0 = t0\noutput o1 = t1\n",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(models(), models(RISKY_UNARY_FORMS, RISKY_BINARY_FORMS)), st.integers(2, 200),
+       st.integers(0, 3), st.sampled_from((1, 3, 64)), st.sampled_from((1, 2)))
+@with_examples(*[((source, ()), 130, 2, block, cpus) for source in STAGED_EXAMPLES
+                 for block in (1, 3, 64) for cpus in (1, 2)])
+def test_staged_monte_carlo_equals_the_sampled_path(model, n, seed, block, cpus):
+    with patch.object(engine, "_BLOCK", block), patch.object(methods, "_cpu_count", lambda: cpus):
+        check_monte_carlo(model[0], n, seed)
+
