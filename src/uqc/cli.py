@@ -30,6 +30,7 @@ import math
 import statistics
 import sys
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -71,7 +72,58 @@ def _write_text(out: str | None, text: str) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with open(out, "wb") as file:
+            file.write(text.encode("utf-8"))
+
+
+def _report_json(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True), byte for byte, without
+    the pure-Python encoder that json.dumps runs when `indent` is set."""
+    chunks: list[str] = []
+    _encode(payload, "\n", chunks.append)
+    return "".join(chunks)
+
+
+def _encode(value, newline: str, write) -> None:
+    """Write `value` as json.dumps(value, indent=2, sort_keys=True) does at
+    the nesting whose line break and indent is `newline`.  Strings, finite
+    floats, ints, lists, tuples and dicts with string keys are written
+    here; anything else as json.dumps writes it (or refuses it), with its
+    own lines indented to this nesting."""
+    kind = type(value)
+    if kind is str:
+        write(encode_basestring_ascii(value))
+    elif kind is float and math.isfinite(value):
+        write(float.__repr__(value))
+    elif kind is int:
+        write(int.__repr__(value))
+    elif (kind is list or kind is tuple) and value:
+        inner = newline + "  "
+        try:
+            # An output's data: one join.  A finite float's repr holds no
+            # "n", and "nan", "inf" and "-inf" each hold one.
+            body = ("," + inner).join(map(float.__repr__, value))
+        except TypeError:  # an item is not a float
+            body = "n"
+        write("[" + inner)
+        if "n" in body:
+            for index, item in enumerate(value):
+                if index:
+                    write("," + inner)
+                _encode(item, inner, write)
+        else:
+            write(body)
+        write(newline + "]")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            write(separator + encode_basestring_ascii(key) + ": ")
+            _encode(item, inner, write)
+            separator = "," + inner
+        write(newline + "}")
+    else:
+        write(json.dumps(value, indent=2, sort_keys=True).replace("\n", newline))
 
 
 def _csv(rows: list[list]) -> str:
@@ -179,7 +231,7 @@ def cmd_run(args) -> int:
     }
     payload = {"model": name, "method": args.method, "uq_result": vars(result),
                "evaluation": evaluation}
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, _report_json(payload) + "\n")
     return 0
 
 

@@ -260,7 +260,9 @@ def _staging(graph: Graph, stage_of) -> tuple[tuple[Stage, ...], int]:
     # stage copies what it hands on only after its steps have run, the
     # first output first, so it may take over the vector of a value it
     # reads last.  An input's block is drawn before the block's earlier
-    # stages have run, so an input never takes over a vector.
+    # stages have run, so an input never takes over a vector.  The first
+    # output's vector is never freed, so a later stage that reads the
+    # first output reads it there.
     vector_of: dict[int, int] = {}
     free: list[int] = []
     count = 0
@@ -283,7 +285,7 @@ def _staging(graph: Graph, stage_of) -> tuple[tuple[Stage, ...], int]:
             output_vector = take()
             hands_on[stage].append((first, output_vector))
         for op in ops:
-            if op.output in handed:
+            if op.output in handed and op.output != first:
                 if signatures[op.output]:
                     vector_of[op.output] = take()
                 hands_on[stage].append((op.output, vector_of.get(op.output)))

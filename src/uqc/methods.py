@@ -273,14 +273,12 @@ def sample_inputs(graph: Graph, n: int, seed: int) -> np.ndarray:
     return draws.T
 
 
-def _stddev_overwriting(values: np.ndarray) -> float:
-    """np.std(values, ddof=1), bit for bit, computed in `values` itself,
-    which ends up holding the squared deviations: the reductions,
-    divisions and square numpy's _var makes, without its n-vector
-    temporary.  Needs at least 2 values."""
+def _stddev_overwriting(values: np.ndarray, mean: float) -> float:
+    """np.std(values, ddof=1), bit for bit, given np.mean(values), computed
+    in `values` itself, which ends up holding the squared deviations: the
+    subtraction, square, reduction and division numpy's _var makes after
+    its mean, without its n-vector temporary.  Needs at least 2 values."""
     n = len(values)
-    mean = np.add.reduce(values, keepdims=True)
-    np.true_divide(mean, n, out=mean)
     np.subtract(values, mean, out=values)
     np.square(values, out=values)
     return math.sqrt(np.add.reduce(values) / (n - 1))
@@ -331,7 +329,7 @@ def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
         # evaluation names the first operation in plan order to fail.
         values = evaluate_on_samples(graph, sample_inputs(graph, n, seed))[output]
     mean = float(np.mean(values))
-    stddev = _stddev_overwriting(values)
+    stddev = _stddev_overwriting(values, mean)
     return UqResult("mc", mean, stddev, int(n), details={
         "seed": int(seed),
         "standard_error": stddev / math.sqrt(n),

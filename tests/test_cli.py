@@ -10,12 +10,17 @@ import sys
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uqc import TransformedGraph, builtin_model, engine, insert_expansions, quadrature
-from uqc.cli import METHODS, bench_rows, build_parser, main, parse_k_range, run_pipeline
+from uqc.cli import (METHODS, _report_json, bench_rows, build_parser, main, parse_k_range,
+                     run_pipeline)
 from uqc.errors import DomainError
 from uqc.methods import monte_carlo, sample_inputs
+from uqc.models import BUILTIN_SOURCES
 
 SRC = Path(__file__).parent.parent / "src"
 
@@ -270,6 +275,15 @@ UQ_RESULT_DETAILS = {
 }
 
 
+# Every method on three builtins and on a model file with a non-ASCII
+# name, but the piston's mc, which the piston's domain refuses.
+LAYOUT_STUDIES = [
+    (model, k, method)
+    for model, k in (("simple", 3), ("piston", 2), ("multipoint", 2),
+                     ("m\u00f6del \u03c0 \U0001d53c.uq", 2))
+    for method in METHODS if (model, method) != ("piston", "mc")]
+
+
 class TestReport:
     """The report layout that `uqc run` writes."""
 
@@ -308,20 +322,34 @@ class TestReport:
             texts.append(out.read_text())
         assert strip_wall_times(texts[0]) == strip_wall_times(texts[1])
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_layout(self, tmp_path, method):
-        argv = ["run", "--model", "simple", "--method", method, "--k", "3",
+    @pytest.mark.parametrize("model, k, method", LAYOUT_STUDIES, ids=lambda value: (
+        "non-ascii-file" if str(value).endswith(".uq") else None))
+    def test_layout(self, tmp_path, capsysbinary, model, k, method):
+        if model.endswith(".uq"):  # the simple model, read from a file
+            path = tmp_path / model
+            path.write_text(BUILTIN_SOURCES["simple"], encoding="utf-8")
+            spec, name, graph = str(path), path.stem, builtin_model("simple")
+        else:
+            spec, name, graph = model, model, builtin_model(model)
+        argv = ["run", "--model", spec, "--method", method, "--k", str(k),
                 "--mc-samples", "100"]
         json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
         assert run_cli(argv + ["--out", str(json_out)]) == 0
         assert run_cli(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
-        text = json_out.read_text()
+        text = json_out.read_text(encoding="utf-8")
         payload = json.loads(text)
         # Indented by 2, keys sorted at every level, one trailing newline.
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+        # --out - writes the bytes --out FILE does.
+        assert run_cli(argv + ["--out", "-"]) == 0
+        stdout = capsysbinary.readouterr().out.decode("utf-8")
+        assert strip_wall_times(stdout) == strip_wall_times(text)
+        assert run_cli(argv + ["--format", "csv", "--out", "-"]) == 0
+        assert capsysbinary.readouterr().out == csv_out.read_bytes()
+
         assert set(payload) == {"model", "method", "uq_result", "evaluation"}
-        assert (payload["model"], payload["method"]) == ("simple", method)
+        assert (payload["model"], payload["method"]) == (name, method)
         result = payload["uq_result"]
         assert set(result) == {"method", "mean", "stddev", "n_model_points", "details"}
         assert result["method"] == method
@@ -331,19 +359,67 @@ class TestReport:
             assert evaluation is None
         else:
             assert set(evaluation) == EVALUATION_KEYS
-            assert set(evaluation["outputs"]) == {"f"}
-            assert set(evaluation["outputs"]["f"]) == {"signature", "data"}
-            assert len(evaluation["outputs"]["f"]["data"]) == 9
-            ops = builtin_model("simple").operations
+            output = graph.first_output_name()
+            assert set(evaluation["outputs"]) == {output}
+            assert set(evaluation["outputs"][output]) == {"signature", "data"}
+            assert len(evaluation["outputs"][output]["data"]) == k ** graph.dim
+            ops = graph.operations
             assert set(evaluation["op_eval_counts"]) == {str(op.id) for op in ops}
 
         # The CSV row carries the JSON report's moments in repr form.
-        assert csv_out.read_text().split("\n") == [
+        assert csv_out.read_text(encoding="utf-8").split("\n") == [
             "model,method,mean,stddev,n_model_points",
-            f"simple,{method},{result['mean']!r},{result['stddev']!r},"
+            f"{name},{method},{result['mean']!r},{result['stddev']!r},"
             f"{result['n_model_points']}",
             "",
         ]
+
+    def test_a_refused_study_writes_no_report(self, tmp_path, capsysbinary):
+        # The standing piston domain failure: 100 normal draws of S and V0
+        # hold one that makes the inner square root negative.
+        argv = ["run", "--model", "piston", "--method", "mc", "--mc-samples", "100"]
+        out = tmp_path / "report.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        refused = capsysbinary.readouterr()
+        assert refused.out == b"" and not out.exists()
+        assert refused.err.startswith(b"error: sqrt of negative value in operation 40 (sqrt)")
+        assert run_cli(argv + ["--out", "-"]) == 1
+        assert capsysbinary.readouterr() == refused
+
+
+# Leaves of every kind json writes, and two it refuses inside a report:
+# np.float64 is a float to json, np.int64 is not an int.
+JSON_FLOATS = st.floats() | st.sampled_from(
+    (-0.0, 5e-324, 1e308, -1e308, math.nan, math.inf, -math.inf))
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(2 ** 63, 2 ** 200)
+               | JSON_FLOATS | st.text() | st.sampled_from(("\"\\\n\t\x00", "\u00e9\u03c0\U0001d53c"))
+               | st.builds(np.float64, JSON_FLOATS) | st.builds(np.int64, st.integers(-9, 9)))
+# Keys whose sorted order is not their numeric order ("10" < "7").
+JSON_KEYS = st.integers(0, 12).map(str) | st.text(max_size=4)
+
+
+def json_containers(children):
+    return (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+            | st.dictionaries(JSON_KEYS, children, max_size=4)
+            | st.dictionaries(st.integers(-3, 3), children, max_size=3)
+            | st.lists(JSON_FLOATS, max_size=40))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.recursive(JSON_LEAVES, json_containers, max_leaves=40))
+@example({"7": [0.5], "10": {"a": [], "b": {}, "c": [1.5]}, "": ()})
+@example([-0.0, 5e-324, 1e308, 2.5])
+@example([math.nan, 1.0])
+@example({"x": [np.float64(-0.0), np.float64(math.inf)]})
+@example({"x": [1.0, np.int64(2)]})
+def test_report_writer_is_json_dumps(payload):
+    try:
+        expected = json.dumps(payload, indent=2, sort_keys=True)
+    except TypeError as exc:
+        with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+            _report_json(payload)
+    else:
+        assert _report_json(payload) == expected
 
 
 SEP6 = Path(__file__).parent.parent / "perfbench" / "sep6.uq"

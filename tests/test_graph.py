@@ -488,6 +488,19 @@ class TestStages:
         assert first.steps[0].op.kind == "cos" and (t, None) in first.hands_on
         assert vectors == 1
 
+    def test_a_first_output_a_later_stage_reads_is_handed_on_in_vector_0(self):
+        # t0 is made in stage 0 and read by stage 1: it is handed on in the
+        # output's own vector, so the plan holds 1 vector and stays staged
+        g = parse_model("input x0 ~ Normal(0, 1)\ninput x1 ~ Normal(0, 1)\n"
+                        "t0 = sin(x0)\nt1 = t0 * x1\noutput o0 = t0\noutput o1 = t1\n")
+        (first, second), vectors = g.stages
+        t0 = g.outputs[0]
+        assert vectors == 1
+        assert [step.op.kind for step in first.steps] == ["sin"]
+        assert [step.op.kind for step in second.steps] == ["mul"]
+        assert first.hands_on == ((t0, 0),) and second.hands_on == ()
+        assert (first.draw_into, second.draw_into) == (None, None)
+
     def test_more_vectors_than_the_leading_inputs_run_everything_last(self):
         # run early, sin(x1), cos(x1) and exp(x1) would be held whole for
         # stage 1: 3 vectors against 1, so stage 1 runs every operation and

@@ -806,7 +806,7 @@ def test_stddev_overwriting_is_numpy_std(n, scale, shape, seed):
             values += 1e8 * scale
     with np.errstate(all="ignore"):
         expected = np.std(values, ddof=1)
-        got = _stddev_overwriting(values.copy())
+        got = _stddev_overwriting(values.copy(), float(np.mean(values)))
     assert np.float64(got).tobytes() == expected.tobytes(), (got, expected)
 
 
