@@ -100,7 +100,8 @@ class Stage(NamedTuple):
     later stage reads it, else None.  `hands_on` pairs each value of this
     stage that a later stage reads with the full-length vector it is
     copied into, or None for a 1-element value handed on as it is.  The
-    stage that makes the first output lists it first, paired with vector 0.
+    stage that makes the first output lists it first, paired with vector 0,
+    unless it is an input drawn there.
     """
 
     steps: tuple[Step, ...]
@@ -261,8 +262,8 @@ def _staging(graph: Graph, stage_of) -> tuple[tuple[Stage, ...], int]:
     # first output first, so it may take over the vector of a value it
     # reads last.  An input's block is drawn before the block's earlier
     # stages have run, so an input never takes over a vector.  The first
-    # output's vector is never freed, so a later stage that reads the
-    # first output reads it there.
+    # output's vector is never freed: a later stage reads the first output
+    # there, and a handed-on input that is the first output is drawn there.
     vector_of: dict[int, int] = {}
     free: list[int] = []
     count = 0
@@ -278,10 +279,10 @@ def _staging(graph: Graph, stage_of) -> tuple[tuple[Stage, ...], int]:
         if vid in handed:
             vector_of[vid] = take()
     hands_on: list[list[tuple[int, int | None]]] = [[] for _ in by_stage]
-    output_vector = None
+    output_vector = vector_of.get(first)
     for stage, ops in enumerate(by_stage):
-        free += [vector for vid, vector in vector_of.items() if last_read[vid] == stage]
-        if first is not None and first_stage == stage:
+        free += [v for vid, v in vector_of.items() if last_read[vid] == stage and vid != first]
+        if first is not None and first_stage == stage and output_vector is None:
             output_vector = take()
             hands_on[stage].append((first, output_vector))
         for op in ops:

@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Condition
+from queue import Empty, SimpleQueue
+from threading import Event, Thread
 
 import numpy as np
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
@@ -299,18 +298,19 @@ _RING = 4
 def monte_carlo(graph: Graph, n: int, seed: int) -> UqResult:
     """Plain Monte Carlo estimate of the first output's mean and stddev.
 
-    The samples are sample_inputs', drawn in its generator order, and the
-    model runs by Graph.stages: stage j runs on a block of engine._BLOCK
-    samples once input j's draws for that block are made and the block's
-    earlier stages have run, so most operations run while later inputs
-    are still being drawn.  The calling thread draws the inputs one after
-    another, block by block.  A draw that no later stage reads goes into
-    one of _RING block buffers, and only the vectors Graph.stages counts
-    are held whole, so at most max(dim - 1, 1) n floats; the first output
-    ends in one of them, where the stddev is computed.  With more than one
-    block and more than one CPU, one helper thread runs the stages of
-    drawn blocks; the caller runs them when its buffers are full and once
-    it has drawn every block, and with one CPU right after each draw.
+    The samples are sample_inputs', drawn in its generator order by the
+    calling thread, input after input, block by block of engine._BLOCK
+    samples.  The model runs by Graph.stages: the draw of input j for
+    block b puts task (j, b), stage j on that block, on one FIFO queue,
+    and a task first waits for task (j - 1, b) to end, so most operations
+    run while later inputs are still being drawn.  A draw that no later
+    stage reads goes into one of _RING block buffers, and only the
+    vectors Graph.stages counts are held whole, so at most
+    max(dim - 1, 1) n floats; the first output ends in one of them,
+    where the stddev is computed.  With more than one block and more
+    than one CPU, one helper thread takes tasks from the queue, and the
+    caller takes them while none of its buffers is free and after its
+    last draw; with one CPU the caller runs each right after the draw.
     The helper is joined before the call returns or raises.  The moments
     are bit for bit those of evaluate_on_samples over sample_inputs.  A
     run that draws a non-finite value or fails draws the samples again
@@ -348,91 +348,89 @@ def _first_output_by_stages(graph: Graph, n: int, rng: np.random.Generator) -> n
     starts = range(0, n, block)
     constants = engine._start(graph, (), 1)
     vectors = np.empty((vector_count, n))
-    ring = np.empty((_RING, min(n, block)))
-    free = list(range(_RING))           # ring buffers not in use
+    free = SimpleQueue()                # ring buffers not in use
+    for _ in range(_RING):
+        free.put(np.empty(min(n, block)))
+    tasks = SimpleQueue()               # (stage, block, draws, ring buffer) in draw order
     handed = [{} for _ in starts]       # values handed on to each block's later stages
-    done = [0] * len(starts)            # stages run on each block
-    later = [deque() for _ in starts]   # each block's tasks drawn before its earlier stages ran
-    ready: deque = deque()              # tasks (stage, block, draws, ring buffer) that can run
-    changed = Condition()
-    completed, failed, finished = 0, False, False
+    ended = [[Event() for _ in starts] for _ in stages]  # set when task (j, b) ends
+    errors: list[BaseException] = []   # of either thread, the first is the run's
 
-    def run(j, b, column, buffer):
-        nonlocal completed
-        start, stop = starts[b], min(starts[b] + block, n)
-        values = constants | handed[b]
-        if j < dim:
-            _refuse_non_finite_coordinates(column)
-            values[inputs[j]] = column
-            if stages[j].draw_into is not None:
-                handed[b][inputs[j]] = column
-        engine._execute(graph, values, (stop - start,), stages[j].steps)
-        for vid, vector in stages[j].hands_on:
-            if vector is None:
-                handed[b][vid] = values[vid]
-            else:
-                handed[b][vid] = vectors[vector, start:stop]
-                handed[b][vid][...] = values[vid]
-        with changed:
-            completed += 1
-            done[b] = j + 1
+    def run(j, b, column, buffer) -> None:
+        """Task (j, b) unless a task has failed; either way its buffer is
+        handed back and its end marked.  (j - 1, b), taken earlier, has
+        ended or runs on the other thread, which waits only on earlier ones."""
+        try:
+            if j:
+                ended[j - 1][b].wait()
+            if errors:
+                return
+            start, stop = starts[b], min(starts[b] + block, n)
+            values = constants | handed[b]
+            if j < dim:
+                _refuse_non_finite_coordinates(column)
+                values[inputs[j]] = column
+                if stages[j].draw_into is not None:
+                    handed[b][inputs[j]] = column
+            engine._execute(graph, values, (stop - start,), stages[j].steps)
+            for vid, vector in stages[j].hands_on:
+                if vector is None:
+                    handed[b][vid] = values[vid]
+                else:
+                    handed[b][vid] = vectors[vector, start:stop]
+                    handed[b][vid][...] = values[vid]
+        finally:
             if buffer is not None:
-                free.append(buffer)
-            if later[b]:
-                ready.append(later[b].popleft())
-            changed.notify_all()
+                free.put(buffer)
+            ended[j][b].set()
 
-    def work(enough) -> None:
-        """Run ready tasks until enough() holds or a task of either thread
-        has failed; a task that fails here raises."""
-        nonlocal failed
-        while True:
-            with changed:
-                while not (failed or ready or enough()):
-                    changed.wait()
-                if failed or enough():
-                    return
-                task = ready.popleft()
+    def work() -> None:
+        for task in iter(tasks.get, None):
             try:
                 run(*task)
-            except BaseException:
-                with changed:
-                    failed = True
-                    changed.notify_all()
-                raise
+            except BaseException as error:
+                errors.append(error)  # raised on the caller
 
-    helper = ThreadPoolExecutor(1) if len(starts) > 1 and _cpu_count() > 1 else None
+    def run_queued() -> bool:
+        """Run the next queued task on the caller; False if none is queued."""
+        try:
+            task = tasks.get_nowait()
+        except Empty:
+            return False
+        run(*task)
+        return True
+
+    helper = Thread(target=work) if len(starts) > 1 and _cpu_count() > 1 else None
+    if helper is not None:
+        helper.start()
     try:
-        helped = helper and helper.submit(work, lambda: finished)
-
-        def caller_work(enough) -> None:
-            work(enough)
-            if failed:  # the helper's task failed: raise its error here
-                helped.result()
-
         for j, stage in enumerate(stages):
             for b, start in enumerate(starts):
+                if errors:
+                    raise errors[0]
                 column = buffer = None
                 if j < dim:
                     stop = min(start + block, n)
                     if stage.draw_into is None:
-                        caller_work(lambda: free)
-                        with changed:
-                            buffer = free.pop()
-                        column = ring[buffer, :stop - start]
+                        while free.empty() and run_queued():
+                            pass  # only the caller takes buffers: none is taken in between
+                        buffer = free.get()
+                        column = buffer[:stop - start]
                     else:
                         column = vectors[stage.draw_into, start:stop]
                     distributions[j].sample(rng, column)
-                with changed:
-                    (ready if done[b] == j else later[b]).append((j, b, column, buffer))
-                    changed.notify_all()
+                tasks.put((j, b, column, buffer))
                 if helper is None:
-                    caller_work(lambda: not ready)
-        caller_work(lambda: completed == len(stages) * len(starts))
+                    run_queued()
+        while run_queued():
+            pass
+    except BaseException as error:
+        errors.append(error)  # the helper skips what is queued
+        raise
     finally:
-        with changed:
-            finished = True
-            changed.notify_all()
         if helper is not None:
-            helper.shutdown()
+            tasks.put(None)
+            helper.join()
+    if errors:
+        raise errors[0]
     return vectors[0]

@@ -129,9 +129,9 @@ class TestRun:
                             r"axis 0|input at sample row \d+: x=-?inf)\n", err)
 
     def test_overflowing_mc_draw_prints_one_error_line(self, tmp_path, capsys):
-        # 100000 samples are 4 blocks, filled on a helper thread where the
-        # process may use two CPUs; its draws must not warn, as the CLI's
-        # errstate does not reach that thread
+        # 100000 samples are 4 blocks: the caller draws them, and where the
+        # process may use two CPUs either thread checks and runs them;
+        # nothing may warn, as the CLI's errstate does not reach the helper
         path = tmp_path / "wide.uq"
         path.write_text("input x ~ Normal(0, 1e308)\noutput f = x * 0.5\n")
         rc = run_cli(["run", "--model", str(path), "--method", "mc",

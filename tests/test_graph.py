@@ -501,6 +501,25 @@ class TestStages:
         assert first.hands_on == ((t0, 0),) and second.hands_on == ()
         assert (first.draw_into, second.draw_into) == (None, None)
 
+    def test_an_input_first_output_a_later_stage_reads_is_drawn_into_vector_0(self):
+        # x0 is drawn straight into the output's vector, which is never
+        # freed, and copied nowhere: t1, made in stage 1 and read by stage
+        # 2, takes the one other vector.  With two inputs the one vector
+        # keeps the plan staged.
+        g = parse_model("input x0 ~ Normal(0, 1)\ninput x1 ~ Normal(0, 1)\n"
+                        "input x2 ~ Normal(0, 1)\nt1 = x0 * x1\nt2 = t1 * x2\n"
+                        "output o0 = x0\noutput o1 = t2\n")
+        (first, second, third), vectors = g.stages
+        t1 = second.steps[0].op.output
+        assert vectors == 2
+        assert (first.draw_into, second.draw_into, third.draw_into) == (0, None, None)
+        assert (first.hands_on, second.hands_on, third.hands_on) == ((), ((t1, 1),), ())
+        g = parse_model("input x0 ~ Normal(0, 1)\ninput x1 ~ Normal(0, 1)\n"
+                        "t1 = x0 * x1\noutput o0 = x0\noutput o1 = t1\n")
+        (first, second), vectors = g.stages
+        assert vectors == 1 and first.draw_into == 0
+        assert (first.hands_on, second.hands_on) == ((), ())
+
     def test_more_vectors_than_the_leading_inputs_run_everything_last(self):
         # run early, sin(x1), cos(x1) and exp(x1) would be held whole for
         # stage 1: 3 vectors against 1, so stage 1 runs every operation and

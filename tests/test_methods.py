@@ -1,5 +1,6 @@
 import json
 import math
+import queue
 import re
 import sys
 import threading
@@ -613,7 +614,7 @@ class TestMonteCarlo:
 
         def spy(*args):
             if (threading.get_ident() == caller) != (failing == "caller"):
-                failed.wait(timeout=30)
+                assert failed.wait(timeout=30)
             try:
                 return execute(*args)
             except DomainError:
@@ -640,7 +641,7 @@ class TestMonteCarlo:
             if threading.get_ident() == caller:
                 failed.set()
                 raise KeyboardInterrupt
-            failed.wait(timeout=30)
+            assert failed.wait(timeout=30)
             helped.append(args[2])
             return execute(*args)
         before = threading.active_count()
@@ -651,33 +652,89 @@ class TestMonteCarlo:
         assert threading.active_count() == before
         assert len(helped) < 5000
 
+    def _queues_taken_by_the_helper_first(self, helper_took, caller_waits):
+        """SimpleQueue for methods whose tasks the caller takes only once
+        the helper has taken one, and whose blocking get on the caller sets
+        caller_waits if nothing is queued, and fails after 10 s."""
+        caller = threading.get_ident()
+
+        class Spied(queue.SimpleQueue):
+            def get_nowait(self):
+                assert helper_took.wait(timeout=30)
+                return super().get_nowait()
+
+            def get(self, block=True, timeout=None):
+                if threading.get_ident() != caller:
+                    item = super().get()
+                    helper_took.set()
+                    return item
+                if self.empty():
+                    caller_waits.set()
+                return super().get(timeout=10)
+        return Spied
+
     def test_a_helper_failure_while_the_caller_waits_ends_the_run(self):
-        # the helper's first block fails only once the caller, having run
-        # every block it can, waits for the helper: the caller wakes and
-        # the run ends in the whole-run re-evaluation, not in a hang
+        # with one ring buffer, the helper's first block fails only once
+        # the caller waits for that buffer: the failed block hands it back,
+        # the caller wakes, and the run ends in the whole-run re-evaluation
         g = builtin_model("multipoint")
         caller, execute = threading.get_ident(), engine._execute
         helper_took, caller_waits = threading.Event(), threading.Event()
 
-        class Spied(threading.Condition):
-            def wait(self, timeout=None):
-                if threading.get_ident() == caller:
-                    caller_waits.set()
-                return super().wait(timeout)
-
         def spy(*args):
             if threading.get_ident() == caller:
-                helper_took.wait(timeout=30)
                 return execute(*args)
-            helper_took.set()
-            caller_waits.wait(timeout=30)
+            assert caller_waits.wait(timeout=30)
             raise ValueError("block failed")
+        queues = self._queues_taken_by_the_helper_first(helper_took, caller_waits)
         with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 2), \
-                patch.object(methods, "Condition", Spied), patch.object(engine, "_execute", spy):
+                patch.object(methods, "_RING", 1), patch.object(methods, "SimpleQueue", queues), \
+                patch.object(engine, "_execute", spy):
             result = monte_carlo(g, 10, seed=1)
         assert helper_took.is_set() and caller_waits.is_set()
-        samples = sample_inputs(g, 10, seed=1)
-        assert result.mean == float(np.mean(evaluate_on_samples(g, samples)["f"]))
+        values = evaluate_on_samples(g, sample_inputs(g, 10, seed=1))["f"]
+        assert result.mean == float(np.mean(values))
+        assert result.stddev == float(np.std(values, ddof=1))
+
+    def test_a_later_stage_on_the_caller_waits_for_the_earlier_one_on_the_helper(self):
+        # the helper is held in the first task, (0, 0), until the caller
+        # waits for a task to end or starts a stage-1 task; the caller runs
+        # (0, 1), (0, 2) and (0, 3) to free ring buffers and then takes
+        # (1, 0), which must start only once (0, 0) has ended
+        g = builtin_model("multipoint")
+        stages, _ = g.stages
+        caller, execute = threading.get_ident(), engine._execute
+        helper_took, released = threading.Event(), threading.Event()
+        held, log = [], []
+
+        class Spied(threading.Event):
+            def wait(self, timeout=None):
+                if threading.get_ident() == caller and not self.is_set():
+                    released.set()
+                return super().wait(timeout)
+
+        def spy(graph, values, space, steps):
+            thread, stage = threading.get_ident(), [s.steps for s in stages].index(steps)
+            log.append(("start", thread, stage))
+            if thread == caller and stage == 1:
+                released.set()
+            if thread != caller and not held:
+                held.append(stage)
+                assert released.wait(timeout=30)
+            result = execute(graph, values, space, steps)
+            log.append(("end", thread, stage))
+            return result
+        queues = self._queues_taken_by_the_helper_first(helper_took, threading.Event())
+        with patch.object(engine, "_BLOCK", 3), patch.object(methods, "_cpu_count", lambda: 2), \
+                patch.object(methods, "SimpleQueue", queues), \
+                patch.object(methods, "Event", Spied), patch.object(engine, "_execute", spy):
+            result = monte_carlo(g, 10, seed=1)
+        helper = next(thread for _, thread, _ in log if thread != caller)
+        assert held == [0]
+        assert log.index(("start", caller, 1)) > log.index(("end", helper, 0))
+        values = evaluate_on_samples(g, sample_inputs(g, 10, seed=1))["f"]
+        assert result.mean == float(np.mean(values))
+        assert result.stddev == float(np.std(values, ddof=1))
 
     @pytest.mark.parametrize("model", [
         "multipoint",
@@ -728,7 +785,7 @@ class TestMonteCarlo:
         def spy(column):
             threads.append(threading.get_ident())
             if threads[-1] == caller:
-                helped.wait(timeout=30)
+                assert helped.wait(timeout=30)
             else:
                 helped.set()
             refuse(column)

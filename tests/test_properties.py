@@ -507,14 +507,33 @@ def test_streamed_monte_carlo_refuses_as_the_sampled_path(model, n, seed, block)
         check_monte_carlo(model[0], n, seed)
 
 
+STAGED_EXAMPLES = MC_EXAMPLES + (
+    # a constant-only value and values handed across all three stages
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\ninput x2 ~ Normal(0.3, 1)\n"
+    "t0 = exp(sin(x0))\nt1 = cos(1.5) * 2\nt2 = t0 * x1 + t1\nt3 = t2 / (2 + cos(x2)) + x0\n"
+    "output o0 = t3\noutput o1 = t0\n",
+    # staged early, more vectors than the leading inputs: every operation last
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\n"
+    "t0 = sin(x0)*x1 + cos(x0)*x1 + exp(x0)*x1\noutput o0 = t0\n",
+    # the first output is read by a later stage
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\nt0 = sin(x0)\nt1 = t0 * x1\n"
+    "output o0 = t0\noutput o1 = t1\n",
+    # the first output is an input that a later stage reads: drawn into vector 0
+    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\ninput x2 ~ Normal(0.3, 1)\n"
+    "t1 = x0 * x1\nt2 = t1 * x2\noutput o0 = x0\noutput o1 = t2\n",
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(models())
+@with_examples(*[((source, ()),) for source in STAGED_EXAMPLES])
 def test_stages_are_a_valid_staged_plan(model):
     # Each stage's steps read only values made by an earlier step, drawn
     # for this or an earlier stage, or constants; a released value is read
     # by no later step; a value read by a later stage than its own is
     # drawn into or copied to a vector, or handed on as a 1-element value,
-    # and never released; no more vectors are held than the leading inputs.
+    # and never released; no more vectors are held than the leading inputs;
+    # the first output is handed on in vector 0, or drawn into it, once.
     graph = parse_model(model[0])
     stages, vectors = graph.stages
     signatures = graph.signatures
@@ -544,21 +563,9 @@ def test_stages_are_a_valid_staged_plan(model):
         for vid in step.op.inputs:
             if made.get(vid, j) < j:
                 assert vid in handed
-    assert [stage.hands_on[:1] for stage in stages].count(((graph.outputs[0], 0),)) == 1
-
-
-STAGED_EXAMPLES = MC_EXAMPLES + (
-    # a constant-only value and values handed across all three stages
-    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\ninput x2 ~ Normal(0.3, 1)\n"
-    "t0 = exp(sin(x0))\nt1 = cos(1.5) * 2\nt2 = t0 * x1 + t1\nt3 = t2 / (2 + cos(x2)) + x0\n"
-    "output o0 = t3\noutput o1 = t0\n",
-    # staged early, more vectors than the leading inputs: every operation last
-    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\n"
-    "t0 = sin(x0)*x1 + cos(x0)*x1 + exp(x0)*x1\noutput o0 = t0\n",
-    # the first output is read by a later stage
-    "input x0 ~ Normal(0.3, 1)\ninput x1 ~ Uniform(-1, 2)\nt0 = sin(x0)\nt1 = t0 * x1\n"
-    "output o0 = t0\noutput o1 = t1\n",
-)
+    first = graph.outputs[0]
+    drawn = [stage.draw_into for j, stage in enumerate(stages[:graph.dim]) if inputs[j] == first]
+    assert [stage.hands_on[:1] for stage in stages].count(((first, 0),)) + drawn.count(0) == 1
 
 
 @settings(max_examples=100, deadline=None)
