@@ -298,10 +298,15 @@ def convergence_rows(graph: Graph, method_list: list[str], k_values: list[int],
         raise ValueError(f"--mc-seeds must be at least 1, got {mc_seeds}")
     reference_k = max(k_values)
     grids = {k: grid_for(graph.distributions, k) for k in k_values}
-    reference = METHODS["nipc-full"].run(graph, grids[reference_k], pce_order, seed)[0].mean
-    if reference == 0.0:
-        raise ValueError(f"the reference mean at k={reference_k} is 0, "
-                         "so the relative error against it is undefined")
+    result, report = METHODS["nipc-full"].run(graph, grids[reference_k], pce_order, seed)
+    reference, values = result.mean, report.outputs[graph.first_output_name()]
+    # Inside the recursive-summation error bound of sum(w_i f_i) over the n
+    # grid points (Higham 2002, section 4.2), the mean may be all rounding.
+    weights = grids[reference_k].joint_weights
+    if abs(reference) <= values.size * np.finfo(float).eps * float(weights @ np.abs(values)):
+        raise ValueError(f"the reference mean at k={reference_k} is 0 to within the rounding "
+                         f"of its quadrature sum ({reference!r}), so the relative error "
+                         "against it is undefined")
 
     rows = [["method", "k", "n_model_points", "mean", "error_vs_reference_pct"]]
     for method, row in chosen:

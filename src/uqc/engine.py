@@ -31,11 +31,12 @@ entry, constant or pow_const exponent is refused with a ValueError where
 it enters (_check_grid, _refuse_non_finite, Graph.plan).  Out-of-domain
 arguments (sqrt of a negative, log of a non-positive, division by zero)
 and results that overflow or are invalid (caught by np.errstate) raise
-DomainError rather than propagating into moments.  It names the first
-operation in plan order that meets one, and the first full-grid point
-where it does; every engine runs the original operations in the same
-order, and a blocked run that fails is re-run unblocked, so all of them
-name the same operation and point.
+DomainError rather than propagating into moments.  _raise_if, its one
+raise site, raises it with no exception context, naming the first
+operation in plan order that meets one and the first full-grid point, in
+row-major order, where it does.  Every engine runs the original
+operations in the same order, and a blocked run that fails is re-run
+unblocked, so all of them name the same operation and point.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError, SignatureNotSubsetError
 from .graph import Graph, Signature
 from .quadrature import TensorGrid, grid_input_vector
-from .transform import TransformedGraph, expansion_copies, signature_is_subset
+from .transform import TransformedGraph, expansion_copies
 
 # Points per block of an aligned-vector run.  A float64 vector of this
 # length is 256 KiB, so the few a plan keeps alive fit in a 1-2 MiB L2 cache.
@@ -71,7 +72,7 @@ def expand_tensor(data: np.ndarray, signature: Signature, to: Signature,
     SignatureNotSubsetError unless `signature` is a subset of `to`.
     """
     signature, to = tuple(signature), tuple(to)
-    if not signature_is_subset(signature, to):
+    if not set(signature) <= set(to):
         raise SignatureNotSubsetError(f"cannot expand signature {signature} into {to}")
     if signature == to:
         return data
@@ -108,16 +109,15 @@ class EvaluationReport:
                         for name, data in self.outputs.items()))
 
 
-def _grid_index(mask: np.ndarray, space: tuple[int, ...]) -> int:
-    """Flat index into `space` of the first true entry of `mask`, which
-    broadcasts against `space`: axes where the mask has size 1 take index 0."""
-    first = np.unravel_index(int(np.flatnonzero(mask)[0]), mask.shape)
-    return int(np.ravel_multi_index(first, space))
-
-
 def _raise_if(bad: np.ndarray, op, reason: str, space) -> None:
+    """If `bad`, a mask that broadcasts against `space`, has a true entry,
+    raise a DomainError, with no exception context, naming `op` and the
+    flat index into `space` of the first one (axes where the mask has
+    size 1 take index 0)."""
     if bad.any():
-        raise DomainError(op.id, op.kind, _grid_index(bad, space), reason)
+        first = np.unravel_index(int(np.flatnonzero(bad)[0]), bad.shape)
+        raise DomainError(op.id, op.kind, int(np.ravel_multi_index(first, space)),
+                          reason) from None
 
 
 # The operations _check_domain looks at; every other kind has no domain.
@@ -138,18 +138,6 @@ def _check_domain(op, arrays, space) -> None:
             _raise_if(arrays[0] < 0.0, op, f"negative base for exponent {exponent}", space)
         if exponent < 0:
             _raise_if(arrays[0] == 0.0, op, f"zero base for exponent {exponent}", space)
-
-
-def _raise_if_non_finite(op, out: np.ndarray, space) -> None:
-    """Called when the operation's ufunc, run under np.errstate(raise),
-    raised FloatingPointError for a result that overflows or is invalid;
-    numpy completes `out` before it raises.  Every operand is finite, so
-    the first non-finite entry of `out` raised the flag: a DomainError
-    names that point."""
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise DomainError(op.id, op.kind, _grid_index(bad, space),
-                          f"non-finite result {out.flat[np.argmax(bad)]}") from None
 
 
 def _start(graph: Graph, columns, ndim: int) -> dict[int, np.ndarray]:
@@ -200,7 +188,11 @@ def _execute(graph: Graph, values: dict, space: tuple[int, ...], steps):
                 else:
                     ufunc(operands[0], op.exponent, out=result)
             except FloatingPointError:
-                _raise_if_non_finite(op, result, space)
+                # numpy completes `result` before it raises for a result that
+                # overflows or is invalid.  Every operand is finite, so the
+                # first non-finite entry of `result` raised the flag.
+                bad = ~np.isfinite(result)
+                _raise_if(bad, op, f"non-finite result {result.flat[np.argmax(bad)]}", space)
             counts[op.id] = result.size
             values[op.output] = result
             for vid in release:

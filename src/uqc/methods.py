@@ -10,7 +10,6 @@ from queue import Empty, SimpleQueue
 from threading import Event, Thread
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
 
 from .basis import PceBasis, design_matrix, univariate_table
 from . import engine
@@ -107,6 +106,8 @@ def nipc_regression(points, values, basis: PceBasis) -> PceCoefficients:
     RankDeficientError.  The residual, the rank and the number of points
     are reported in fit_details.
     """
+    from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dtrcon, dtrtrs
+
     points = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.asarray(values, dtype=float)
     n_points, n_coefficients = points.shape[0], len(basis)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .distributions import Distribution, Normal, Uniform
 from .errors import (
@@ -78,6 +77,8 @@ def _standard_rule(family: type, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only standard nodes and weights of the k-point rule of a
     family, solved once per process for each of the 2 families and
     MAX_RULE_ORDER orders."""
+    from scipy.linalg import eigh_tridiagonal
+
     n = np.arange(1, k, dtype=float)
     if family is Normal:
         # He_{n+1} = x He_n - n He_{n-1}: Jacobi off-diagonal sqrt(n).

@@ -38,10 +38,6 @@ from .errors import DimensionMismatchError
 from .graph import EXPAND, Graph, OperationNode, Signature, VariableNode
 
 
-def signature_is_subset(a: Signature, b: Signature) -> bool:
-    return set(a) <= set(b)
-
-
 def signature_label(graph: Graph, signature: Signature) -> str:
     """Human-readable label like '{u1, u2}' using input names."""
     names = [graph.variable_by_id[vid].name for vid, _ in graph.uncertain_inputs]

@@ -580,6 +580,19 @@ class TestConvergence:
         assert err.startswith("error: the reference mean at k=3 is 0")
         assert "undefined" in err
 
+    def test_reference_mean_zero_to_within_rounding_exits_one(self, tmp_path, capsys):
+        # The k=3 Gauss-Hermite mean of x is 9.7e-18, not 0: dividing by it
+        # gave errors of 100% and 2.6e18% and exit status 0.
+        path = tmp_path / "odd.uq"
+        path.write_text("input x ~ Normal(0, 1)\noutput f = x\n")
+        rc = run_cli(["convergence", "--model", str(path), "--methods", "nipc-full,sc,mc",
+                      "--k", "1..3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the reference mean at k=3 is 0")
+        assert "undefined" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["run", "--model", "simple", "--method", "mc", "--seed", "-1"],
         ["run", "--model", "simple", "--method", "nipc-reg", "--seed", "-2"],
@@ -808,6 +821,28 @@ class TestModuleEntryPoint:
         assert done.returncode == 0, done.stderr
         for (model, method), (code, err) in zip(runs, json.loads(done.stdout), strict=True):
             assert code == 1 and re.fullmatch(r"error: [^\n]+\n", err), (model, method, err)
+
+    def test_scipy_loads_on_first_use(self, tmp_path):
+        # Monte Carlo and `graph` need no scipy; nipc-reg's QR loads LAPACK
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from uqc.cli import main\n"
+            "loaded = ['scipy' in sys.modules]\n"
+            "def run(*argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(list(argv)) == 0\n"
+            "run('run', '--model', 'simple', '--method', 'mc', '--mc-samples', '100')\n"
+            f"run('graph', '--model', 'simple', '--out-before', {str(tmp_path / 'b.dot')!r},\n"
+            f"    '--out-after', {str(tmp_path / 'a.dot')!r})\n"
+            "loaded.append('scipy' in sys.modules)\n"
+            "run('run', '--model', 'simple', '--method', 'nipc-reg', '--pce-order', '2')\n"
+            "loaded.append('scipy.linalg.lapack' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+        done = subprocess.run([sys.executable, "-c", script],
+                              env={**os.environ, "PYTHONPATH": str(SRC)},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [False, False, True]
 
 
 class TestArgumentHelpers:

@@ -510,6 +510,28 @@ class TestDomainGuards:
         assert [str(e) for e in errors] == [
             "sqrt of negative value in operation 4 (sqrt) at point index 15"] * 2
 
+    @pytest.mark.parametrize("block", [engine._BLOCK, 3])
+    @pytest.mark.parametrize("source, failing_row", [
+        ("input x ~ Normal(0,1)\noutput f = sqrt(x)\n", 0),  # a domain violation
+        ("input u ~ Uniform(0,1)\noutput f = exp(1000*u)\n", 6),  # a non-finite result
+    ])
+    def test_errors_carry_no_exception_context(self, monkeypatch, source, failing_row, block):
+        # A blocked run re-runs unblocked while it handles its block's error,
+        # and an overflow is found while FloatingPointError is handled:
+        # neither may show up as the context of the error raised.
+        monkeypatch.setattr(engine, "_BLOCK", block)
+        g = parse_model(source)
+        grid = grid_for(g.distributions, 7)
+        points = grid.points()
+        for run in (lambda: evaluate_naive(g, grid),
+                    lambda: evaluate_amtc(insert_expansions(g), grid),
+                    lambda: evaluate_on_samples(g, points),
+                    lambda: evaluate_single_point(g, points[failing_row])):
+            with pytest.raises(DomainError) as excinfo:
+                run()
+            assert excinfo.value.__cause__ is None
+            assert excinfo.value.__context__ is None or excinfo.value.__suppress_context__
+
     def test_every_evaluator_reports_the_first_failing_operation(self):
         # Both sqrts fail.  The naive order is [2, 4, 6, 8]: sqrt(u1*u2)
         # (op 4) fails first, at u1 node 0 with u2 node 1 (flat index 1).

@@ -4,6 +4,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from uqc import Normal, Uniform, gauss_rule, grid_for, grid_input_vector, quadrature, tensor_grid
 from uqc.errors import (
@@ -124,8 +125,8 @@ class TestGridFor:
     def test_solves_each_family_once(self):
         dists = (Normal(50, 10), Uniform(0, 1), Normal(0.01, 0.005), Uniform(-1, 2))
         quadrature._standard_rule.cache_clear()  # earlier tests may have solved k=4
-        with patch.object(quadrature, "eigh_tridiagonal",
-                          wraps=quadrature.eigh_tridiagonal) as solver:
+        with patch.object(scipy.linalg, "eigh_tridiagonal",
+                          wraps=scipy.linalg.eigh_tridiagonal) as solver:
             grid_for(dists, 4)
             assert solver.call_count == 2
             # a later grid, or rule, of the same order solves nothing
