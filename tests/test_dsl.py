@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -343,6 +344,27 @@ def test_front_end_output_is_pinned(name):
         g = parse_model({**BUILTIN_SOURCES, "literal-forms": LITERAL_FORMS_SOURCE}[name])
     text = repr(g) + repr(g.plan) + repr(insert_expansions(g).graph)
     assert hashlib.sha256(text.encode()).hexdigest() == FRONT_END_DIGESTS[name]
+
+
+PARSE_CORPUS = json.loads((Path(__file__).resolve().parent / "data" / "parse_corpus.json")
+                          .read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("name", PARSE_CORPUS)
+def test_parse_corpus_replays_exactly(name):
+    # about 400 mutations of each text, with the graph and plan or the error
+    # (type, message, line, column) that parsing gave when the corpus was
+    # written (tests/make_parse_corpus.py)
+    from make_parse_corpus import apply, base_texts, digest, outcome
+
+    text = base_texts()[name]
+    assert digest(text) == PARSE_CORPUS[name]["sha256"], "base text changed; rewrite the corpus"
+    changed = []
+    for case in PARSE_CORPUS[name]["cases"]:
+        mutated = apply(text, case["edits"])
+        if outcome(mutated) != case["outcome"]:
+            changed.append((mutated, case["outcome"], outcome(mutated)))
+    assert not changed, f"{len(changed)} outcomes changed, first: {changed[0]}"
 
 
 class TestPrettyPrint:
