@@ -116,10 +116,14 @@ def _encode(value, newline: str, write) -> None:
         write(newline + "]")
     elif kind is dict and value and all(type(key) is str for key in value):
         inner = newline + "  "
+        keys = sorted(value)
+        if set(map(type, value.values())) == {int}:  # counts, say, and no bool: one join
+            body = [f"{encode_basestring_ascii(key)}: {value[key]!r}" for key in keys]
+            return write("{" + inner + ("," + inner).join(body) + newline + "}")
         separator = "{" + inner
-        for key, item in sorted(value.items()):
+        for key in keys:
             write(separator + encode_basestring_ascii(key) + ": ")
-            _encode(item, inner, write)
+            _encode(value[key], inner, write)
             separator = "," + inner
         write(newline + "}")
     else:

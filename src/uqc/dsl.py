@@ -35,8 +35,9 @@ The text is tokenized in full before parsing starts, and a name or value
 error is held until the parse ends, so an unexpected character is
 reported ahead of any syntax error, and any syntax error ahead of the
 first undefined, duplicate or reserved name, repeated output,
-out-of-range number or invalid distribution.  A token holds its kind, text
-and index only; the line and column of an error come from a second scan
+out-of-range number or invalid distribution.  A token is its text alone,
+in a plain list the descent walks by index, and its sort follows from its
+first character; the line and column of an error come from a second scan
 of the text, made only when a parse fails.
 """
 
@@ -45,12 +46,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import astuple
-from itertools import repeat
-from typing import NamedTuple
 
-from .distributions import Normal, Uniform
+from .distributions import Distribution, Normal, Uniform
 from .errors import CycleError, DuplicateNameError, ParseError, UndefinedNameError
-from .graph import Graph, GraphBuilder, OperationNode
+from .graph import Graph, OperationNode, VariableNode, _new_node
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt")
 # Names no statement may define.
@@ -72,47 +71,36 @@ _TOKEN_RE = re.compile(rf"""[ \t]*(
   | \#[^\n]*
   | [^ \t]
 )""", re.VERBOSE)
+_COMMENT_RE = re.compile(r"#[^\n]*")
+# A character that no token but an error holds, outside comments.
+_BAD_CHARACTER_RE = re.compile(r"[^A-Za-z0-9_ \t\n.+\-*/^()=,~]")
 
-# A token's kind follows from its first character, except for a lone '.',
-# which starts no number and is an error.
-_KIND_OF_FIRST = {
-    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "ident"),
-    **dict.fromkeys("0123456789.", "number"),
-    **dict.fromkeys("-+*/^()=,~", "punct"),
-    "\n": "newline",
-}
+# A token's sort follows from its first character; a lone '.' starts no
+# number and is an error.
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NUMBER_START = frozenset("0123456789.")
 
 # Stands in for the variable of a name that failed to resolve, so parsing
 # can go on to find any syntax error after it.
 _MISSING = -1
 
 
-class Token(NamedTuple):
-    kind: str   # 'number' | 'ident' | 'punct' | 'newline' | 'eof'
-    text: str
-    index: int  # position in the token list; _token_positions has its line and column
-
-
-def _tokenize(text: str) -> list[Token]:
-    """Every token of the text, then a newline and an eof token.  Blanks
-    and tabs are matched as the prefix of the token after them, so they
-    cost no match of their own; blanks at the end of the text match
-    nothing.  Kinds come from the first character, and no match object is
-    made: where a token is, is worked out only for an error."""
-    words = _TOKEN_RE.findall(text)
-    if "#" in text:  # only a comment holds one
-        words = [word for word in words if word[0] != "#"]
-    kinds = [_KIND_OF_FIRST.get(word[0], "error") if word != "." else "error"
-             for word in words]
+def _tokenize(text: str) -> list[str]:
+    """The text of every token, then a newline and an eof token, "".
+    Blanks and tabs are matched as the prefix of the token after them, so
+    they cost no match of their own; blanks at the end of the text match
+    nothing.  Comments are cut out first, which splits no token.  No
+    match object is made: where a token is, is worked out only for an
+    error."""
+    source = _COMMENT_RE.sub("", text) if "#" in text else text
+    words = _TOKEN_RE.findall(source)
     words += ("\n", "")
-    kinds += ("newline", "eof")
-    # Token tuples made in C: tuple.__new__(Token, (kind, word, index)).
-    tokens = list(map(tuple.__new__, repeat(Token), zip(kinds, words, range(len(words)))))
-    if "error" in kinds:
-        first = tokens[kinds.index("error")]
-        raise ParseError(f"unexpected character {first.text!r}",
-                         *_token_positions(text)[first.index])
-    return tokens
+    if "." in words or _BAD_CHARACTER_RE.search(source):
+        index = next(index for index, word in enumerate(words)
+                     if word == "." or _BAD_CHARACTER_RE.match(word))
+        raise ParseError(f"unexpected character {words[index]!r}",
+                         *_token_positions(text)[index])
+    return words
 
 
 def _token_positions(text: str) -> list[tuple[int, int]]:
@@ -132,239 +120,6 @@ def _token_positions(text: str) -> list[tuple[int, int]]:
     return positions
 
 
-class _Parser:
-    """Recursive descent that lowers each statement as it reads it.
-
-    An expression yields a variable id, or a float for a literal not yet in
-    the graph, so that a sign can fold into it and an exponent can become
-    pow_const; anywhere else a literal becomes a constant node where the
-    depth-first, left-to-right walk of the expression meets it.  The first
-    name or value error is held until the parse ends, so that any syntax
-    error in the text is reported ahead of it.
-    """
-
-    def __init__(self, text: str):
-        self._text = text
-        self._positions: list[tuple[int, int]] | None = None
-        self._tokens = tokens = _tokenize(text)
-        self._pos = 0
-        self._tok = tokens[0]  # the current token; eof once the text is read
-        self._builder = GraphBuilder()
-        self._env: dict[str, int] = {}
-        self._error: Exception | None = None
-
-    def _next(self) -> Token:
-        tok = self._tok
-        if tok.kind != "eof":
-            self._pos += 1
-            self._tok = self._tokens[self._pos]
-        return tok
-
-    def _at(self, tok: Token) -> tuple[int, int]:
-        """The token's line and column, found once the parse needs one."""
-        if self._positions is None:
-            self._positions = _token_positions(self._text)
-        return self._positions[tok.index]
-
-    def _unexpected(self, tok: Token, *expected: str) -> ParseError:
-        got = "end of line" if tok.kind in ("newline", "eof") else repr(tok.text)
-        return ParseError(f"got {got}", *self._at(tok), expected=expected)
-
-    def _expect(self, text: str) -> Token:
-        if self._tok.text == text:
-            return self._next()
-        raise self._unexpected(self._tok, repr(text))
-
-    def _expect_ident(self, what: str = "identifier") -> Token:
-        if self._tok.kind == "ident":
-            return self._next()
-        raise self._unexpected(self._tok, what)
-
-    def _skip_newlines(self) -> None:
-        while self._tok.kind == "newline":
-            self._next()
-
-    def _end_statement(self) -> None:
-        tok = self._tok
-        if tok.kind == "newline":
-            self._next()
-        elif tok.kind != "eof":
-            raise ParseError(f"unexpected {tok.text!r} after statement",
-                             *self._at(tok), expected=("end of line",))
-
-    # Names and values ----------------------------------------------------
-
-    def _hold(self, error: Exception) -> None:
-        if self._error is None:
-            self._error = error
-
-    def _define(self, tok: Token) -> str:
-        name = tok.text
-        if name in _RESERVED:
-            self._hold(ParseError(f"'{name}' is reserved", *self._at(tok)))
-        elif name in self._env:
-            self._hold(DuplicateNameError(name, *self._at(tok)))
-        return name
-
-    def _lookup(self, tok: Token) -> int:
-        vid = self._env.get(tok.text, _MISSING)
-        if vid == _MISSING:
-            self._hold(UndefinedNameError(tok.text, *self._at(tok)))
-        return vid
-
-    def _number(self, tok: Token) -> float:
-        value = float(tok.text)
-        if math.isinf(value):
-            self._hold(ParseError("number out of range", *self._at(tok)))
-        return value
-
-    def _variable(self, value: int | float) -> int:
-        """The variable id of an expression's value; a literal becomes a
-        constant node here."""
-        return self._builder.add_constant(value) if isinstance(value, float) else value
-
-    # Statements ----------------------------------------------------------
-
-    def parse_program(self) -> Graph:
-        self._skip_newlines()
-        while self._tok.kind != "eof":
-            self._statement()
-            self._skip_newlines()
-        if self._error is not None:
-            raise self._error
-        return self._builder.build()
-
-    def _statement(self) -> None:
-        head = self._expect_ident("statement")
-        if head.text == "input":
-            return self._input_statement()
-        if head.text == "param":
-            return self._param_statement()
-        is_output = head.text == "output"
-        if is_output:
-            head = self._expect_ident()
-        self._expect("=")
-        name = self._define(head)
-        fresh_before = self._builder._next_id
-        vid = self._variable(self._expression(1))
-        self._end_statement()
-        self._env[name] = vid
-        if vid >= fresh_before:
-            # The statement created this variable; give it the user's name.
-            self._builder.rename(vid, name)
-        if is_output:
-            if vid in self._builder._outputs:
-                self._hold(ParseError(f"output '{name}' names a value that is already "
-                                      "an output", *self._at(head)))
-            self._builder.mark_output(vid, name)
-
-    def _input_statement(self) -> None:
-        name = self._define(self._expect_ident())
-        self._expect("~")
-        family = self._expect_ident(" or ".join(_FAMILIES))
-        if family.text not in _FAMILIES:
-            raise ParseError(f"unknown distribution '{family.text}'",
-                             *self._at(family), expected=tuple(_FAMILIES))
-        self._expect("(")
-        a = self._signed_real()
-        self._expect(",")
-        b = self._signed_real()
-        self._expect(")")
-        self._end_statement()
-        try:
-            dist = _FAMILIES[family.text](a, b)
-        except ValueError as exc:
-            return self._hold(exc)
-        self._env[name] = self._builder.add_uncertain_input(name, dist)
-
-    def _param_statement(self) -> None:
-        name = self._define(self._expect_ident())
-        self._expect("=")
-        value = self._signed_real()
-        self._end_statement()
-        self._env[name] = self._builder.add_constant(value, name=name)
-
-    def _signed_real(self) -> float:
-        sign = 1.0
-        if self._tok.text == "-":
-            self._next()
-            sign = -1.0
-        tok = self._tok
-        if tok.kind == "number":
-            self._next()
-            return sign * self._number(tok)
-        if tok.kind == "ident" and tok.text == "pi":
-            self._next()
-            return sign * math.pi
-        raise self._unexpected(tok, "number")
-
-    # Expressions ---------------------------------------------------------
-
-    def _expression(self, level: int) -> int | float:
-        """Precedence climbing over the left-associative binary operators
-        of `level` and above: `+ -` are level 1, `* /` level 2.  A left
-        operand becomes a variable before its right operand is read.  Above
-        the top level an expression is a unary one, read directly."""
-        value = self._unary()
-        binary = _BINARY_OPERATORS.get(self._tok.text)
-        while binary is not None and binary[1] >= level:
-            self._next()
-            left = self._variable(value)
-            above = binary[1] + 1
-            right = self._variable(self._expression(above) if above <= _TOP_LEVEL
-                                   else self._unary())
-            value = self._builder.add_operation(binary[0], (left, right))
-            binary = _BINARY_OPERATORS.get(self._tok.text)
-        return value
-
-    def _unary(self) -> int | float:
-        """A signed operand, or a primary with its `^` exponent: `^` is
-        right-associative and binds tighter than a sign on its left, and
-        its exponent may carry a sign, as in 2^-3."""
-        if self._tok.text == "-":
-            self._next()
-            parenthesized = self._tok.text == "("
-            operand = self._unary()
-            if isinstance(operand, float) and not parenthesized:
-                # A sign directly on a literal is part of the literal; -(3) is a neg.
-                return -operand
-            return self._builder.add_operation("neg", (self._variable(operand),))
-        base = self._primary()
-        if self._tok.text != "^":
-            return base
-        self._next()
-        base = self._variable(base)
-        exponent = self._unary()
-        if isinstance(exponent, float):
-            return self._builder.add_operation("pow_const", (base,), exponent=exponent)
-        # General power: a^b = exp(b * log(a)).
-        log_base = self._builder.add_operation("log", (base,))
-        product = self._builder.add_operation("mul", (exponent, log_base))
-        return self._builder.add_operation("exp", (product,))
-
-    def _primary(self) -> int | float:
-        tok = self._next()
-        if tok.kind == "number":
-            return self._number(tok)
-        if tok.kind == "ident":
-            if tok.text == "pi":
-                return math.pi
-            if self._tok.text != "(":
-                return self._lookup(tok)
-            if tok.text not in FUNCTIONS:
-                raise ParseError(f"unknown function '{tok.text}'",
-                                 *self._at(tok), expected=FUNCTIONS)
-            self._next()
-            arg = self._variable(self._expression(1))
-            self._expect(")")
-            return self._builder.add_operation(tok.text, (arg,))
-        if tok.text == "(":
-            value = self._expression(1)
-            self._expect(")")
-            return value
-        raise self._unexpected(tok, "number", "name", "function call", "'('")
-
-
 def parse_model(text: str) -> Graph:
     """Parse model source text into a Graph, lowering each statement as it
     is read.
@@ -377,7 +132,237 @@ def parse_model(text: str) -> Graph:
     then the first name or value error.  Lowering is deterministic: the
     same text always produces the same node id assignment.
     """
-    return _Parser(text).parse_program()
+    # Recursive descent over `words` from the cursor `pos`.  An expression
+    # yields a variable id, or a float for a literal not yet in the graph,
+    # so that a sign can fold into it and an exponent can become pow_const;
+    # anywhere else a literal becomes a constant node where the depth-first,
+    # left-to-right walk meets it.  Nodes are appended as they are made.
+    # The first name or value error is held in `error` until the parse
+    # ends, so that any syntax error in the text is reported ahead of it.
+    words = _tokenize(text)
+    pos = 0
+    next_id = 0
+    variables: list[VariableNode] = []
+    operations: list[OperationNode] = []
+    uncertain: list[tuple[int, Distribution]] = []
+    outputs: dict[int, str] = {}  # variable id -> the name it is reported under
+    env: dict[str, int] = {}
+    error: Exception | None = None
+    positions: list[tuple[int, int]] | None = None
+
+    def at(index: int) -> tuple[int, int]:
+        """The line and column of token `index`, found once the parse needs one."""
+        nonlocal positions
+        if positions is None:
+            positions = _token_positions(text)
+        return positions[index]
+
+    def unexpected(index: int, *expected: str) -> ParseError:
+        word = words[index]
+        got = "end of line" if word in ("\n", "") else repr(word)
+        return ParseError(f"got {got}", *at(index), expected=expected)
+
+    def expect(word: str) -> None:
+        nonlocal pos
+        if words[pos] != word:
+            raise unexpected(pos, repr(word))
+        pos += 1
+
+    def name(what: str = "identifier") -> int:
+        """The index of the name at the cursor, which passes it."""
+        nonlocal pos
+        if words[pos][:1] not in _NAME_START:
+            raise unexpected(pos, what)
+        pos += 1
+        return pos - 1
+
+    def end_statement() -> None:
+        nonlocal pos
+        word = words[pos]
+        if word == "\n":
+            pos += 1
+        elif word:
+            raise ParseError(f"unexpected {word!r} after statement", *at(pos),
+                             expected=("end of line",))
+
+    def hold(exc: Exception) -> None:
+        nonlocal error
+        if error is None:
+            error = exc
+
+    def define(index: int) -> str:
+        word = words[index]
+        if word in _RESERVED:
+            hold(ParseError(f"'{word}' is reserved", *at(index)))
+        elif word in env:
+            hold(DuplicateNameError(word, *at(index)))
+        return word
+
+    def number(index: int) -> float:
+        value = float(words[index])
+        if math.isinf(value):
+            hold(ParseError("number out of range", *at(index)))
+        return value
+
+    def signed_real() -> float:
+        nonlocal pos
+        sign = 1.0
+        if words[pos] == "-":
+            pos += 1
+            sign = -1.0
+        word = words[pos]
+        if word[:1] in _NUMBER_START:
+            pos += 1
+            return sign * number(pos - 1)
+        if word == "pi":
+            pos += 1
+            return sign * math.pi
+        raise unexpected(pos, "number")
+
+    def constant(value: float, label: str | None = None) -> int:
+        nonlocal next_id
+        vid = next_id
+        next_id = vid + 1
+        variables.append(_new_node(VariableNode, (vid, label or f"_c{vid}", value)))
+        return vid
+
+    def emit(kind: str, inputs: tuple[int, ...], exponent: float | None = None) -> int:
+        """Append an operation and its output variable; returns the output's id."""
+        nonlocal next_id
+        vid = next_id + 1
+        next_id += 2
+        operations.append(_new_node(OperationNode, (vid - 1, kind, inputs, vid, exponent, None)))
+        variables.append(_new_node(VariableNode, (vid, f"_t{vid}", None)))
+        return vid
+
+    def variable(value: int | float) -> int:
+        """The variable id of an expression's value; a literal becomes a
+        constant node here."""
+        return constant(value) if value.__class__ is float else value
+
+    def expression(level: int) -> int | float:
+        """Precedence climbing over the left-associative binary operators
+        of `level` and above: `+ -` are level 1, `* /` level 2.  A left
+        operand becomes a variable before its right operand is read.  Above
+        the top level an expression is a unary one, read directly."""
+        nonlocal pos
+        value = unary()
+        binary = _BINARY_OPERATORS.get(words[pos])
+        while binary is not None and binary[1] >= level:
+            pos += 1
+            left = constant(value) if value.__class__ is float else value
+            above = binary[1] + 1
+            right = expression(above) if above <= _TOP_LEVEL else unary()
+            if right.__class__ is float:
+                right = constant(right)
+            value = emit(binary[0], (left, right))
+            binary = _BINARY_OPERATORS.get(words[pos])
+        return value
+
+    def unary() -> int | float:
+        """A signed operand, or a primary (a number, pi, a name, a call or a
+        parenthesized expression) with its `^` exponent: `^` is
+        right-associative and binds tighter than a sign on its left, and
+        its exponent may carry a sign, as in 2^-3."""
+        nonlocal pos
+        index = pos
+        word = words[index]
+        pos += 1
+        if word == "-":
+            parenthesized = words[pos] == "("
+            operand = unary()
+            if operand.__class__ is float and not parenthesized:
+                # A sign directly on a literal is part of the literal; -(3) is a neg.
+                return -operand
+            return emit("neg", (variable(operand),))
+        first = word[:1]
+        if first in _NAME_START:
+            if word == "pi":
+                base = math.pi
+            elif words[pos] != "(":
+                base = env.get(word, _MISSING)
+                if base == _MISSING:
+                    hold(UndefinedNameError(word, *at(index)))
+            elif word not in FUNCTIONS:
+                raise ParseError(f"unknown function '{word}'", *at(index), expected=FUNCTIONS)
+            else:
+                pos += 1
+                base = emit(word, (variable(expression(1)),))
+                expect(")")
+        elif first in _NUMBER_START:
+            base = number(index)
+        elif word == "(":
+            base = expression(1)
+            expect(")")
+        else:
+            raise unexpected(index, "number", "name", "function call", "'('")
+        if words[pos] != "^":
+            return base
+        pos += 1
+        base = variable(base)
+        exponent = unary()
+        if exponent.__class__ is float:
+            return emit("pow_const", (base,), exponent)
+        # General power: a^b = exp(b * log(a)).
+        return emit("exp", (emit("mul", (exponent, emit("log", (base,)))),))
+
+    # Statements.
+    while words[pos]:
+        if words[pos] == "\n":
+            pos += 1
+            continue
+        head = name("statement")
+        keyword = words[head]
+        if keyword == "input":
+            label = define(name())
+            expect("~")
+            family = name(" or ".join(_FAMILIES))
+            if words[family] not in _FAMILIES:
+                raise ParseError(f"unknown distribution '{words[family]}'",
+                                 *at(family), expected=tuple(_FAMILIES))
+            expect("(")
+            a = signed_real()
+            expect(",")
+            b = signed_real()
+            expect(")")
+            end_statement()
+            try:
+                dist = _FAMILIES[words[family]](a, b)
+            except ValueError as exc:
+                hold(exc)
+            else:
+                env[label] = vid = next_id
+                next_id += 1
+                variables.append(_new_node(VariableNode, (vid, label, None)))
+                uncertain.append((vid, dist))
+        elif keyword == "param":
+            label = define(name())
+            expect("=")
+            value = signed_real()
+            end_statement()
+            env[label] = constant(value, label)
+        else:
+            if keyword == "output":
+                head = name()
+            expect("=")
+            label = define(head)
+            fresh_before = next_id
+            vid = variable(expression(1))
+            end_statement()
+            env[label] = vid
+            if vid >= fresh_before:
+                # The statement created this variable, the last one made;
+                # give it the user's name.
+                variables[-1] = _new_node(VariableNode, (vid, label, variables[-1].constant_value))
+            if keyword == "output":
+                if vid in outputs:
+                    hold(ParseError(f"output '{label}' names a value that is already "
+                                    "an output", *at(head)))
+                outputs[vid] = label
+    if error is not None:
+        raise error
+    return Graph(tuple(variables), tuple(operations), tuple(uncertain),
+                 tuple(outputs), tuple(outputs.values()))
 
 
 def parse_model_file(path) -> Graph:

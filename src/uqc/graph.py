@@ -179,10 +179,12 @@ class Graph:
         """Variable id -> dependency signature, derived once per graph;
         raises as Graph.order does."""
         self.order
-        return self._signatures
+        return self._signatures[0]
 
     @cached_property
-    def _signatures(self) -> dict[int, Signature]:
+    def _signatures(self) -> tuple[dict[int, Signature], Counter[Signature]]:
+        """(Graph.signatures, and per signature the number of variables of
+        another signature that operations of that signature read)."""
         return _signature_pass(self)
 
     @cached_property
@@ -227,7 +229,8 @@ def _steps(order, kept: set[int]) -> tuple[Step, ...]:
     releasing the variables whose last use it is, but those in `kept`."""
     last_use: dict[int, int] = {}
     for index, op in enumerate(order):
-        for vid in (op.output, *op.inputs):
+        last_use[op.output] = index
+        for vid in op.inputs:
             last_use[vid] = index
     release: list[list[int]] = [[] for _ in order]
     for vid, index in last_use.items():
@@ -336,26 +339,37 @@ def validate(graph: Graph) -> list[str]:
     return violations
 
 
-def _signature_pass(graph: Graph) -> dict[int, Signature]:
+def _signature_pass(graph: Graph) -> tuple[dict[int, Signature], Counter[Signature]]:
     """Forward dependency pass: uncertain input j has signature (j,), a
     constant (), an expand's output its expand_to, any other operation's
-    output the union of its inputs'.  The graph must be in evaluation order."""
-    signatures = {vid: (axis,) for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
-    signatures.update((var.id, ()) for var in graph.variables if var.constant_value is not None)
+    output the union of its inputs', unioned as bitmasks.  The same walk
+    counts the (variable, reader signature) pairs whose signatures differ,
+    by the reader's.  The graph must be in evaluation order."""
+    masks = {vid: 1 << axis for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
+    masks.update((var.id, 0) for var in graph.variables if var.constant_value is not None)
+    crossed: set[tuple[int, int]] = set()
     for op in graph.operations:
         # Only an expand, of one input, has an expand_to.
-        signature = signatures[op.inputs[0]] if op.expand_to is None else op.expand_to
-        for vid in op.inputs[1:]:
-            if signatures[vid] != signature:
-                signature = tuple(sorted({*signature, *signatures[vid]}))
-        signatures[op.output] = signature
-    return signatures
+        if op.expand_to is None:
+            mask = 0
+            for vid in op.inputs:
+                mask |= masks[vid]
+        else:
+            mask = sum(1 << axis for axis in op.expand_to)
+        masks[op.output] = mask
+        for vid in op.inputs:
+            if masks[vid] != mask:
+                crossed.add((vid, mask))
+    axes = {mask: tuple(axis for axis in range(graph.dim) if mask >> axis & 1)
+            for mask in {*masks.values()}}
+    return ({vid: axes[mask] for vid, mask in masks.items()},
+            Counter(axes[mask] for _, mask in crossed))
 
 
 def _narrowing_expands(graph: Graph) -> list[str]:
     """validate's message for each expand whose expand_to leaves out an
     axis of its input's signature, over a graph in evaluation order."""
-    signatures = graph._signatures
+    signatures = graph._signatures[0]
     return [f"operation {op.id}: expand_to {op.expand_to} leaves out an axis of its "
             f"input's signature {signatures[op.inputs[0]]}" for op in graph.operations
             if op.kind == EXPAND and not set(signatures[op.inputs[0]]) <= set(op.expand_to)]
@@ -373,28 +387,28 @@ def _violations(graph: Graph) -> list[str]:
     if all_ids and (min(all_ids) != 0 or max(all_ids) != len(all_ids) - 1):
         violations.append("node ids are not dense from 0")
 
-    producers: dict[int, list[int]] = {}
-    for op in graph.operations:
-        producers.setdefault(op.output, []).append(op.id)
-    for vid, ops in producers.items():
-        if len(ops) > 1:
-            violations.append(f"variable {vid} has multiple producers {ops}")
-        if vid not in var_ids:
-            violations.append(f"operation {ops[0]} writes missing variable {vid}")
+    producers = {op.output: op.id for op in graph.operations}
+    if len(producers) < len(graph.operations) or not var_ids.issuperset(producers):
+        written: dict[int, list[int]] = {}
+        for op in graph.operations:
+            written.setdefault(op.output, []).append(op.id)
+        for vid, ops in written.items():
+            if len(ops) > 1:
+                violations.append(f"variable {vid} has multiple producers {ops}")
+            if vid not in var_ids:
+                violations.append(f"operation {ops[0]} writes missing variable {vid}")
 
     listings = Counter(vid for vid, _ in graph.uncertain_inputs)
     for vid, name, value in graph.variables:
-        roles = ["uncertain input"] * listings.get(vid, 0)
-        if value is not None:
-            roles.append("constant")
-            if not math.isfinite(value):
-                violations.append(f"constant '{name}' has non-finite value {value}")
-        if vid in producers:
-            roles.append("operation output")
-        if not roles:
-            violations.append(f"variable {vid} has no role")
-        elif len(roles) > 1:
-            violations.append(f"variable {vid} has {len(roles)} roles: {', '.join(roles)}")
+        constant = value is not None
+        if constant and not math.isfinite(value):
+            violations.append(f"constant '{name}' has non-finite value {value}")
+        listed, produced = listings.get(vid, 0), vid in producers
+        if listed + constant + produced != 1:
+            roles = (["uncertain input"] * listed + ["constant"] * constant
+                     + ["operation output"] * produced)
+            violations.append(f"variable {vid} has {len(roles)} roles: {', '.join(roles)}"
+                              if roles else f"variable {vid} has no role")
 
     for op in graph.operations:
         op_id, kind, inputs, _, exponent, expand_to = op

@@ -354,7 +354,7 @@ def _first_output_by_stages(graph: Graph, n: int, rng: np.random.Generator) -> n
         free.put(np.empty(min(n, block)))
     tasks = SimpleQueue()               # (stage, block, draws, ring buffer) in draw order
     handed = [{} for _ in starts]       # values handed on to each block's later stages
-    ended = [[Event() for _ in starts] for _ in stages]  # set when task (j, b) ends
+    ended: dict[tuple[int, int], Event] = {}  # (j, b) -> set when task (j, b) ends
     errors: list[BaseException] = []   # of either thread, the first is the run's
 
     def run(j, b, column, buffer) -> None:
@@ -362,8 +362,8 @@ def _first_output_by_stages(graph: Graph, n: int, rng: np.random.Generator) -> n
         handed back and its end marked.  (j - 1, b), taken earlier, has
         ended or runs on the other thread, which waits only on earlier ones."""
         try:
-            if j:
-                ended[j - 1][b].wait()
+            if j and helper is not None:
+                ended[j - 1, b].wait()
             if errors:
                 return
             start, stop = starts[b], min(starts[b] + block, n)
@@ -383,7 +383,8 @@ def _first_output_by_stages(graph: Graph, n: int, rng: np.random.Generator) -> n
         finally:
             if buffer is not None:
                 free.put(buffer)
-            ended[j][b].set()
+            if helper is not None:
+                ended[j, b].set()
 
     def work() -> None:
         for task in iter(tasks.get, None):
@@ -420,6 +421,8 @@ def _first_output_by_stages(graph: Graph, n: int, rng: np.random.Generator) -> n
                     else:
                         column = vectors[stage.draw_into, start:stop]
                     distributions[j].sample(rng, column)
+                if helper is not None:  # else each task runs as soon as it is queued
+                    ended[j, b] = Event()
                 tasks.put((j, b, column, buffer))
                 if helper is None:
                     run_queued()

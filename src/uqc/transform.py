@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,7 @@ class TransformedGraph:
     def graph(self) -> Graph:
         graph = self.source  # spliced as insert_expansions describes
         signatures = dict(graph.signatures)  # gains each expand's output
+        crossings: Counter[Signature] = Counter()  # expands made, by expand_to
         variables = list(graph.variables)
         operations: list[OperationNode] = []
         expanded: dict[tuple[int, Signature], int] = {}
@@ -80,6 +82,7 @@ class TransformedGraph:
                     if (vid, target) not in expanded:
                         out_id = expanded[vid, target] = next_id + 1
                         signatures[out_id] = target
+                        crossings[target] += 1
                         operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None,
                                                         target))
                         variables.append(VariableNode(out_id, f"_x{out_id}"))
@@ -90,7 +93,7 @@ class TransformedGraph:
 
         spliced = Graph(tuple(variables), tuple(operations),
                         graph.uncertain_inputs, graph.outputs, graph.output_names)
-        vars(spliced)["_signatures"] = signatures  # known here, so not derived again
+        vars(spliced)["_signatures"] = signatures, crossings  # known here, so not derived again
         return spliced
 
 
@@ -242,12 +245,12 @@ def scheduled_eval_counts(rows: dict[int, Signature], axis_sizes) -> dict[int, i
 def expansion_copies(graph: Graph, axis_sizes) -> int:
     """Elements the expands stand for on a grid of the given axis sizes: per
     (variable, reader signature) pair whose signatures differ, the product of
-    sizes over the reader's.  A graph with those expands counts alike.
-    DimensionMismatchError unless there is one size per uncertain input."""
-    signatures = graph.signatures
+    sizes over the reader's, from the counts of the signature pass.  A graph
+    with those expands counts alike.  DimensionMismatchError unless
+    there is one size per uncertain input."""
+    graph.signatures  # refuses a graph validate refuses
     sizes = _positive_sizes(axis_sizes)
     if len(sizes) != graph.dim:
         raise DimensionMismatchError(f"{len(sizes)} axis sizes for {graph.dim} uncertain inputs")
-    crossings = {(vid, signatures[op.output]) for op in graph.operations for vid in op.inputs
-                 if signatures[vid] != signatures[op.output]}
-    return sum(math.prod(sizes[axis] for axis in target) for _, target in crossings)
+    return sum(count * math.prod(sizes[axis] for axis in target)
+               for target, count in graph._signatures[1].items())

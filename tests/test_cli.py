@@ -422,7 +422,17 @@ def test_report_writer_is_json_dumps(payload):
         assert _report_json(payload) == expected
 
 
-SEP6 = Path(__file__).parent.parent / "perfbench" / "sep6.uq"
+@pytest.mark.parametrize("counts", [
+    {}, {"3": -7, "10": 0, "2": 12}, {"a": 2 ** 200, "b": -(2 ** 70), "c": 10 ** 300},
+    {"x": True, "y": 1}, {"x": False}, {"x": 1, "y": 2.5, "z": None, "w": "s"},
+    {"7": 1, "10": {"k": 2}}, {"é": 1, "\"": 2}])
+def test_report_writer_writes_int_dicts_as_json_dumps(counts):
+    # an all-int dict is written with one join; bool values are not ints
+    for payload in (counts, {"evaluation": {"op_eval_counts": counts}}):
+        assert _report_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+SEP6 =Path(__file__).parent.parent / "perfbench" / "sep6.uq"
 
 
 class TestRepeatedRuns:

@@ -139,10 +139,12 @@ def check_agreement(model, data):
     assert "graph" not in vars(transformed)  # the run did not build the expand IR
     samples = evaluate_on_samples(graph, grid.points())
     assert fast.op_eval_counts == scheduled_eval_counts(compute_influence_matrix(graph), sizes)
-    # Count law: the copies counted from signatures are the expands' elements.
+    # Count law: the copies counted from signatures are the expands' elements,
+    # also when the signature pass walks the graph with the expands afresh.
     expands = [op for op in transformed.graph.operations if op.kind == EXPAND]
     assert (fast.expansion_copies == expansion_copies(graph, sizes)
             == expansion_copies(transformed.graph, sizes)
+            == expansion_copies(replace(transformed.graph), sizes)
             == sum(math.prod(sizes[axis] for axis in op.expand_to) for op in expands))
     assert set(fast.outputs) == set(naive.outputs) == set(samples)
     for name, values in naive.outputs.items():
