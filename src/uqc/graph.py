@@ -179,12 +179,11 @@ class Graph:
         """Variable id -> dependency signature, derived once per graph;
         raises as Graph.order does."""
         self.order
-        return self._signatures[0]
+        return self._signatures
 
     @cached_property
-    def _signatures(self) -> tuple[dict[int, Signature], Counter[Signature]]:
-        """(Graph.signatures, and per signature the number of variables of
-        another signature that operations of that signature read)."""
+    def _signatures(self) -> dict[int, Signature]:
+        """Graph.signatures, unchecked: the signature pass, run once per graph."""
         return _signature_pass(self)
 
     @cached_property
@@ -196,10 +195,9 @@ class Graph:
         evaluate_amtc runs the graph a transformed graph was built from,
         whose cached plan evaluate_naive runs too."""
         order = self.order
-        for op in order:
-            if op.kind == EXPAND:
-                raise SignatureMismatchError("cannot apply operation kind 'expand' elementwise; "
-                                             "run a transformed graph with evaluate_amtc")
+        if self.has_expansions():
+            raise SignatureMismatchError("cannot apply operation kind 'expand' elementwise; "
+                                         "run a transformed graph with evaluate_amtc")
         return _steps(order, set(self.outputs))
 
     @cached_property
@@ -339,15 +337,13 @@ def validate(graph: Graph) -> list[str]:
     return violations
 
 
-def _signature_pass(graph: Graph) -> tuple[dict[int, Signature], Counter[Signature]]:
+def _signature_pass(graph: Graph) -> dict[int, Signature]:
     """Forward dependency pass: uncertain input j has signature (j,), a
     constant (), an expand's output its expand_to, any other operation's
-    output the union of its inputs', unioned as bitmasks.  The same walk
-    counts the (variable, reader signature) pairs whose signatures differ,
-    by the reader's.  The graph must be in evaluation order."""
+    output the union of its inputs', unioned as bitmasks.  The graph must
+    be in evaluation order."""
     masks = {vid: 1 << axis for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
     masks.update((var.id, 0) for var in graph.variables if var.constant_value is not None)
-    crossed: set[tuple[int, int]] = set()
     for op in graph.operations:
         # Only an expand, of one input, has an expand_to.
         if op.expand_to is None:
@@ -357,19 +353,15 @@ def _signature_pass(graph: Graph) -> tuple[dict[int, Signature], Counter[Signatu
         else:
             mask = sum(1 << axis for axis in op.expand_to)
         masks[op.output] = mask
-        for vid in op.inputs:
-            if masks[vid] != mask:
-                crossed.add((vid, mask))
     axes = {mask: tuple(axis for axis in range(graph.dim) if mask >> axis & 1)
             for mask in {*masks.values()}}
-    return ({vid: axes[mask] for vid, mask in masks.items()},
-            Counter(axes[mask] for _, mask in crossed))
+    return {vid: axes[mask] for vid, mask in masks.items()}
 
 
 def _narrowing_expands(graph: Graph) -> list[str]:
     """validate's message for each expand whose expand_to leaves out an
     axis of its input's signature, over a graph in evaluation order."""
-    signatures = graph._signatures[0]
+    signatures = graph._signatures
     return [f"operation {op.id}: expand_to {op.expand_to} leaves out an axis of its "
             f"input's signature {signatures[op.inputs[0]]}" for op in graph.operations
             if op.kind == EXPAND and not set(signatures[op.inputs[0]]) <= set(op.expand_to)]
@@ -387,7 +379,7 @@ def _violations(graph: Graph) -> list[str]:
     if all_ids and (min(all_ids) != 0 or max(all_ids) != len(all_ids) - 1):
         violations.append("node ids are not dense from 0")
 
-    producers = {op.output: op.id for op in graph.operations}
+    producers = graph.producer_of
     if len(producers) < len(graph.operations) or not var_ids.issuperset(producers):
         written: dict[int, list[int]] = {}
         for op in graph.operations:

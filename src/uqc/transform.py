@@ -19,19 +19,19 @@ expand.  Afterwards every operation's inputs carry exactly its own
 signature, so each operation can be evaluated once per distinct point of
 its own subspace.  The result holds the model graph, `source`, which the
 transformed engine runs (over values shaped per axis, numpy broadcasting
-does the expands' work); its `graph`, with the expands and their
-signatures, is built from `source` the first time it is read.
-expansion_copies counts copies from signatures, so no run builds the
-expands; they define that count and serve DOT export (to_dot draws a
-TransformedGraph's signatures as edge sizes and clusters).  Removing them
-(strip_expansions) recovers the original graph.
+does the expands' work); its `graph`, with the expands, is built from
+`source` the first time it is read.  expansion_copies counts a block of
+copies per (variable, reader signature) pair whose signatures differ in
+Graph.signatures, so no run builds the expands; they define that count
+and serve DOT export (to_dot draws a TransformedGraph's signatures as edge
+sizes and clusters).  Removing them (strip_expansions) recovers the
+original graph.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,8 +68,7 @@ class TransformedGraph:
     @cached_property
     def graph(self) -> Graph:
         graph = self.source  # spliced as insert_expansions describes
-        signatures = dict(graph.signatures)  # gains each expand's output
-        crossings: Counter[Signature] = Counter()  # expands made, by expand_to
+        signatures = graph.signatures
         variables = list(graph.variables)
         operations: list[OperationNode] = []
         expanded: dict[tuple[int, Signature], int] = {}
@@ -81,8 +80,6 @@ class TransformedGraph:
                 if signatures[vid] != target:
                     if (vid, target) not in expanded:
                         out_id = expanded[vid, target] = next_id + 1
-                        signatures[out_id] = target
-                        crossings[target] += 1
                         operations.append(OperationNode(next_id, EXPAND, (vid,), out_id, None,
                                                         target))
                         variables.append(VariableNode(out_id, f"_x{out_id}"))
@@ -91,10 +88,8 @@ class TransformedGraph:
                 new_inputs.append(vid)
             operations.append(op._replace(inputs=tuple(new_inputs)))
 
-        spliced = Graph(tuple(variables), tuple(operations),
-                        graph.uncertain_inputs, graph.outputs, graph.output_names)
-        vars(spliced)["_signatures"] = signatures, crossings  # known here, so not derived again
-        return spliced
+        return Graph(tuple(variables), tuple(operations),
+                     graph.uncertain_inputs, graph.outputs, graph.output_names)
 
 
 def insert_expansions(graph: Graph) -> TransformedGraph:
@@ -244,13 +239,19 @@ def scheduled_eval_counts(rows: dict[int, Signature], axis_sizes) -> dict[int, i
 
 def expansion_copies(graph: Graph, axis_sizes) -> int:
     """Elements the expands stand for on a grid of the given axis sizes: per
-    (variable, reader signature) pair whose signatures differ, the product of
-    sizes over the reader's, from the counts of the signature pass.  A graph
-    with those expands counts alike.  DimensionMismatchError unless
-    there is one size per uncertain input."""
-    graph.signatures  # refuses a graph validate refuses
+    distinct (variable, reader signature) pair whose signatures differ in
+    Graph.signatures, the product of sizes over the reader's.  A graph with
+    those expands counts alike.  DimensionMismatchError unless there is one
+    size per uncertain input."""
+    signatures = graph.signatures  # refuses a graph validate refuses
     sizes = _positive_sizes(axis_sizes)
     if len(sizes) != graph.dim:
         raise DimensionMismatchError(f"{len(sizes)} axis sizes for {graph.dim} uncertain inputs")
-    return sum(count * math.prod(sizes[axis] for axis in target)
-               for target, count in graph._signatures[1].items())
+    crossed: dict[Signature, set[int]] = {}  # reader signature -> variables read across
+    for op in graph.operations:
+        target = signatures[op.output]
+        for vid in op.inputs:
+            if signatures[vid] != target:
+                crossed.setdefault(target, set()).add(vid)
+    return sum(len(vids) * math.prod(sizes[axis] for axis in target)
+               for target, vids in crossed.items())

@@ -356,7 +356,8 @@ class TestAmtc:
                 patch.object(graph_module, "topo_sort", wraps=graph_module.topo_sort) as sort, \
                 patch.object(engine, "_execute", wraps=engine._execute) as execute:
             report = evaluate_amtc(tg, grid)
-        # one signature pass counts the copies; the one sort is g's first
+        # one signature pass, g's, which expansion_copies reads to count the
+        # copies; the one sort is g's first
         assert (strip.call_count, signature_pass.call_count, sort.call_count) == (0, 1, 1)
         assert execute.call_count == 1 and execute.call_args.args[0] is g
         assert "graph" not in vars(tg)

@@ -140,11 +140,10 @@ def check_agreement(model, data):
     samples = evaluate_on_samples(graph, grid.points())
     assert fast.op_eval_counts == scheduled_eval_counts(compute_influence_matrix(graph), sizes)
     # Count law: the copies counted from signatures are the expands' elements,
-    # also when the signature pass walks the graph with the expands afresh.
+    # also when counted on the graph with the expands.
     expands = [op for op in transformed.graph.operations if op.kind == EXPAND]
     assert (fast.expansion_copies == expansion_copies(graph, sizes)
             == expansion_copies(transformed.graph, sizes)
-            == expansion_copies(replace(transformed.graph), sizes)
             == sum(math.prod(sizes[axis] for axis in op.expand_to) for op in expands))
     assert set(fast.outputs) == set(naive.outputs) == set(samples)
     for name, values in naive.outputs.items():
@@ -177,8 +176,11 @@ def test_executed_counts_are_the_cached_signatures(model):
     assert report.op_eval_counts == {
         op.id: math.prod(sizes[axis] for axis in signatures[op.output])
         for op in graph.operations}
-    # The splice hands its graph the signatures a fresh pass derives.
-    assert transformed.graph.signatures == replace(transformed.graph).signatures
+    # The graph with the expands keeps every original variable's signature,
+    # and each expand's output has its expand_to.
+    expands = [op for op in transformed.graph.operations if op.kind == EXPAND]
+    assert transformed.graph.signatures == signatures | {op.output: op.expand_to
+                                                         for op in expands}
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -172,10 +171,16 @@ class TestInsertExpansions:
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_spliced_signatures_are_the_derived_ones(self, name):
-        # the splice hands its graph the signatures it placed the expands
-        # by; a copy of that graph derives its own
-        spliced = insert_expansions(builtin_model(name)).graph
-        assert spliced.signatures == replace(spliced).signatures
+        # every original variable keeps the source's signature, and each
+        # expand's output has its expand_to
+        g = builtin_model(name)
+        spliced = insert_expansions(g).graph
+        expands = [op for op in spliced.operations if op.kind == "expand"]
+        assert spliced.signatures == g.signatures | {op.output: op.expand_to for op in expands}
+
+    def test_splice_leaves_the_spliced_graph_to_derive_its_signatures(self):
+        spliced = insert_expansions(builtin_model("piston")).graph
+        assert "_signatures" not in vars(spliced)
 
     def test_graph_holding_an_expand_is_refused(self):
         # the hand-built expand widens cos(a), of signature (0,), into (0, 1)
@@ -237,6 +242,20 @@ class TestScheduledCounts:
             else:
                 assert run() == expected
 
+    @pytest.mark.parametrize("readers, copies", [
+        # x = sin(a) and b, each read by two operations of signature (0, 1):
+        # one pair each, of 2 * 3 elements
+        ("y = x * b\nz = x - b\noutput f = y + z\n", 6 + 6),
+        # x read at (0, 1) and at (0, 2), b at (0, 1), c at (0, 2), and
+        # y and z at (0, 1, 2)
+        ("y = x * b\nz = x - c\noutput f = y + z\n", 6 + 10 + 6 + 10 + 30 + 30),
+    ])
+    def test_copies_count_each_variable_once_per_reader_signature(self, readers, copies):
+        g = parse_model("input a ~ Normal(0,1)\ninput b ~ Normal(0,1)\n"
+                        "input c ~ Normal(0,1)\nx = sin(a)\n" + readers)
+        spliced = insert_expansions(g).graph
+        assert expansion_copies(g, (2, 3, 5)) == expansion_copies(spliced, (2, 3, 5)) == copies
+
     def test_ids_remain_dense_after_transform(self):
         tg = insert_expansions(builtin_model("piston"))
         ids = sorted([v.id for v in tg.graph.variables]
@@ -246,8 +265,8 @@ class TestScheduledCounts:
 
 
 def test_signatures_are_derived_once_per_graph():
-    # every reader of one parsed graph, and of the graph the splice builds
-    # from it, shares the graph's one signature pass
+    # every reader of one parsed graph shares its one signature pass; the
+    # graph the splice builds from it is a second graph, with a pass of its own
     g = builtin_model("simple")
     with patch.object(graph_module, "_signature_pass",
                       wraps=graph_module._signature_pass) as signature_pass:
@@ -255,4 +274,4 @@ def test_signatures_are_derived_once_per_graph():
         evaluate_amtc(insert_expansions(g), grid_for(g.distributions, 3))
         to_dot(insert_expansions(g))
         influence_matrix_to_csv(g)
-    assert signature_pass.call_count == 1
+    assert signature_pass.call_count == 2
