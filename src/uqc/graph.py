@@ -20,9 +20,10 @@ enforces them all once per graph, and every pass and engine reads it, so
 each refuses exactly the graphs validate refuses: with a ValueError
 carrying validate's messages, or CycleError for a read before its
 write.  A graph holding an expand has no plan (SignatureMismatchError).
-Graph.signatures maps each variable to its dependency signature, derived
-by one forward pass once per graph; every signature reader reads it, and
-validate's rule that an expand widens its input is checked with it.
+Graph.signatures maps each variable to its dependency signature; every
+signature reader reads it.  The walk that checks the graph for
+Graph.order also derives the signatures, as bitmasks, and checks with
+them validate's rule that an expand widens its input.
 Graph.stages splits the plan by the highest axis of each operation's
 signature, for a run that draws the inputs one after another.
 """
@@ -158,33 +159,39 @@ class Graph:
     def has_expansions(self) -> bool:
         return any(op.kind == EXPAND for op in self.operations)
 
-    @cached_property
+    @property
     def order(self) -> tuple[OperationNode, ...]:
         """Graph.operations, once the graph is well formed: a ValueError
         carrying validate's messages if it breaks any rule but evaluation
         order and expand widening, else CycleError, like topo_sort, if an
         operation reads a variable before it is written, else a ValueError
         naming each narrowing expand.  Checked once per graph."""
-        violations = _violations(self)
-        if not violations:
-            topo_sort(self)
-            if self.has_expansions():  # only an expand needs the signatures here
-                violations = _narrowing_expands(self)
-        if violations:
-            raise ValueError("; ".join(violations))
+        self._masks
         return self.operations
 
-    @property
-    def signatures(self) -> dict[int, Signature]:
-        """Variable id -> dependency signature, derived once per graph;
-        raises as Graph.order does."""
-        self.order
-        return self._signatures
+    @cached_property
+    def _masks(self) -> dict[int, int]:
+        """Variable id -> its signature as a bitmask, bit j for axis j:
+        the one walk that checks the graph, once per graph; raises as
+        Graph.order does."""
+        violations, narrowing, masks = _violations(self)
+        if not violations:
+            topo_sort(self)
+            violations = narrowing
+        if violations:
+            raise ValueError("; ".join(violations))
+        return masks
 
     @cached_property
-    def _signatures(self) -> dict[int, Signature]:
-        """Graph.signatures, unchecked: the signature pass, run once per graph."""
-        return _signature_pass(self)
+    def signatures(self) -> dict[int, Signature]:
+        """Variable id -> dependency signature, once per graph: uncertain
+        input j has (j,), a constant (), an expand's output its expand_to,
+        any other operation's output the union of its inputs'.  Raises as
+        Graph.order does."""
+        masks = self._masks
+        axes = {mask: tuple(axis for axis in range(self.dim) if mask >> axis & 1)
+                for mask in {*masks.values()}}
+        return {vid: axes[mask] for vid, mask in masks.items()}
 
     @cached_property
     def plan(self) -> tuple[Step, ...]:
@@ -326,51 +333,28 @@ def validate(graph: Graph) -> list[str]:
     """Every violation of a well-formed graph, the one statement of its
     rules; an empty list means ok.  A read before its write is named only
     once the graph breaks no other rule, and a narrowing expand after it."""
-    violations = _violations(graph)
+    violations, narrowing, _ = _violations(graph)
     if not violations:
         try:
             topo_sort(graph)
         except CycleError as exc:
             violations.append(str(exc))
         else:
-            violations = _narrowing_expands(graph)
+            violations = narrowing
     return violations
 
 
-def _signature_pass(graph: Graph) -> dict[int, Signature]:
-    """Forward dependency pass: uncertain input j has signature (j,), a
-    constant (), an expand's output its expand_to, any other operation's
-    output the union of its inputs', unioned as bitmasks.  The graph must
-    be in evaluation order."""
-    masks = {vid: 1 << axis for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
-    masks.update((var.id, 0) for var in graph.variables if var.constant_value is not None)
-    for op in graph.operations:
-        # Only an expand, of one input, has an expand_to.
-        if op.expand_to is None:
-            mask = 0
-            for vid in op.inputs:
-                mask |= masks[vid]
-        else:
-            mask = sum(1 << axis for axis in op.expand_to)
-        masks[op.output] = mask
-    axes = {mask: tuple(axis for axis in range(graph.dim) if mask >> axis & 1)
-            for mask in {*masks.values()}}
-    return {vid: axes[mask] for vid, mask in masks.items()}
-
-
-def _narrowing_expands(graph: Graph) -> list[str]:
-    """validate's message for each expand whose expand_to leaves out an
-    axis of its input's signature, over a graph in evaluation order."""
-    signatures = graph._signatures
-    return [f"operation {op.id}: expand_to {op.expand_to} leaves out an axis of its "
-            f"input's signature {signatures[op.inputs[0]]}" for op in graph.operations
-            if op.kind == EXPAND and not set(signatures[op.inputs[0]]) <= set(op.expand_to)]
-
-
-def _violations(graph: Graph) -> list[str]:
-    """validate's messages but a read before its write."""
+def _violations(graph: Graph) -> tuple[list[str], list[str], dict[int, int]]:
+    """One walk of the graph: validate's messages but those naming a read
+    before its write or a narrowing expand; those naming each narrowing
+    expand; and each variable's signature as a bitmask (Graph._masks).
+    The last two hold only for a graph in evaluation order."""
     violations: list[str] = []
     var_ids = {v.id for v in graph.variables}
+    # A variable read before it is written reads mask 0.
+    masks = dict.fromkeys(var_ids, 0)
+    masks.update((vid, 1 << axis) for axis, (vid, _) in enumerate(graph.uncertain_inputs))
+    narrowing: list[str] = []
     op_ids = {op.id for op in graph.operations}
 
     all_ids = var_ids | op_ids
@@ -403,7 +387,7 @@ def _violations(graph: Graph) -> list[str]:
                               if roles else f"variable {vid} has no role")
 
     for op in graph.operations:
-        op_id, kind, inputs, _, exponent, expand_to = op
+        op_id, kind, inputs, output, exponent, expand_to = op
         arity = _ARITY.get(kind)
         if arity is None:
             violations.append(f"operation {op_id} has unknown kind '{kind}'")
@@ -411,8 +395,11 @@ def _violations(graph: Graph) -> list[str]:
         if len(inputs) != arity:
             violations.append(f"operation {op_id} ({kind}) has {len(inputs)} inputs, "
                               f"expected {arity}")
+        mask = 0
         for vid in inputs:
-            if vid not in var_ids:
+            if vid in var_ids:
+                mask |= masks[vid]
+            else:
                 violations.append(f"operation {op_id} reads missing variable {vid}")
         if (exponent is not None) != (kind == "pow_const"):
             violations.append(f"operation {op_id}: exponent present iff kind is pow_const")
@@ -422,10 +409,19 @@ def _violations(graph: Graph) -> list[str]:
                               f"(pow_const) of '{graph.variable_by_id[inputs[0]].name}'")
         if (expand_to is not None) != (kind == EXPAND):
             violations.append(f"operation {op_id}: expand_to present iff kind is expand")
-        elif expand_to is not None and list(expand_to) != [
-                axis for axis in range(graph.dim) if axis in expand_to]:
-            violations.append(f"operation {op_id}: expand_to {expand_to} is not an ascending "
-                              f"tuple of distinct axes in 0..{graph.dim - 1}")
+        elif expand_to is not None:
+            axes = [axis for axis in range(graph.dim) if axis in expand_to]
+            if list(expand_to) != axes:
+                violations.append(f"operation {op_id}: expand_to {expand_to} is not an "
+                                  f"ascending tuple of distinct axes in 0..{graph.dim - 1}")
+            else:
+                widened = sum(1 << axis for axis in axes)
+                if mask & ~widened:
+                    narrowing.append(
+                        f"operation {op_id}: expand_to {expand_to} leaves out an axis of its "
+                        f"input's signature {tuple(j for j in range(graph.dim) if mask >> j & 1)}")
+                mask = widened
+        masks[output] = mask
 
     for vid in listings:
         if vid not in var_ids:
@@ -440,7 +436,7 @@ def _violations(graph: Graph) -> list[str]:
                           f"{len(graph.outputs)} outputs")
     if len(set(graph.output_names)) != len(graph.output_names):
         violations.append("output names are not distinct")
-    return violations
+    return violations, narrowing, masks
 
 
 class GraphBuilder:

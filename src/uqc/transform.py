@@ -7,8 +7,9 @@ being evaluated redundantly by a naive full-grid sweep.  This pass makes
 the savings explicit in the graph itself:
 
 1. each operation's dependency signature (transitive union over its
-   inputs) is read from Graph.signatures, one forward pass per graph, and
-   forms a 0/1 influence matrix of operations versus uncertain inputs;
+   inputs) is read from Graph.signatures, derived once per graph by the
+   walk that checks it, and forms a 0/1 influence matrix of operations
+   versus uncertain inputs;
 2. operations sharing a signature are grouped into sub-graphs;
 3. wherever a producer's signature differs from a consumer's, an `expand`
    operation is spliced in that broadcasts the producer's value tensor

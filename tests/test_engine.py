@@ -351,14 +351,14 @@ class TestAmtc:
         tg = insert_expansions(g)
         grid = grid_for(g.distributions, 3)
         with patch.object(transform, "strip_expansions", wraps=strip_expansions) as strip, \
-                patch.object(graph_module, "_signature_pass",
-                             wraps=graph_module._signature_pass) as signature_pass, \
+                patch.object(graph_module, "_violations",
+                             wraps=graph_module._violations) as walk, \
                 patch.object(graph_module, "topo_sort", wraps=graph_module.topo_sort) as sort, \
                 patch.object(engine, "_execute", wraps=engine._execute) as execute:
             report = evaluate_amtc(tg, grid)
-        # one signature pass, g's, which expansion_copies reads to count the
-        # copies; the one sort is g's first
-        assert (strip.call_count, signature_pass.call_count, sort.call_count) == (0, 1, 1)
+        # one walk, g's, which checks g and derives the signatures that
+        # expansion_copies reads to count the copies; the one sort is g's first
+        assert (strip.call_count, walk.call_count, sort.call_count) == (0, 1, 1)
         assert execute.call_count == 1 and execute.call_args.args[0] is g
         assert "graph" not in vars(tg)
         assert bits(report.outputs["C"]) == bits(evaluate_naive(g, grid).outputs["C"])

@@ -411,6 +411,45 @@ class TestSelfRead:
         assert excinfo.value.node_id == mul_id
 
 
+# t = x * y has signature (0, 1), which an expand to (0,) narrows; in each
+# list, operation 2 reads a variable a later-listed operation writes.
+EARLY_READ_NARROWING = {
+    "expand_reads_it": (OperationNode(2, "expand", (5,), 3, None, (0,)),
+                        OperationNode(4, "mul", (0, 1), 5),
+                        OperationNode(6, "sin", (3,), 7)),
+    "expand_is_fed_by_it": (OperationNode(2, "sin", (7,), 3),
+                            OperationNode(4, "expand", (3,), 5, None, (0,)),
+                            OperationNode(6, "mul", (0, 1), 7),
+                            OperationNode(8, "cos", (5,), 9)),
+    "expand_writes_it": (OperationNode(2, "sin", (7,), 3),
+                         OperationNode(4, "mul", (0, 1), 5),
+                         OperationNode(6, "expand", (5,), 7, None, (0,))),
+}
+
+
+def early_read_narrowing_graph(name):
+    operations = EARLY_READ_NARROWING[name]
+    written = [op.output for op in operations]
+    return Graph((VariableNode(0, "x"), VariableNode(1, "y"),
+                  *(VariableNode(vid, f"v{vid}") for vid in sorted(written))),
+                 operations, ((0, Normal(0, 1)), (1, Normal(0, 1))), (written[-1],), ("f",))
+
+
+class TestEarlyReadNearANarrowingExpand:
+    # The walk that checks a graph derives its signature masks before it is
+    # known to be in evaluation order; a read before its write still wins.
+    @pytest.mark.parametrize("name", EARLY_READ_NARROWING)
+    def test_validate_names_only_the_read(self, name):
+        assert validate(early_read_narrowing_graph(name)) == [
+            "operation 2 reads a variable written by itself or by a later-listed operation"]
+
+    @pytest.mark.parametrize("name", EARLY_READ_NARROWING)
+    def test_order_raises_cycle_error(self, name):
+        with pytest.raises(CycleError) as excinfo:
+            early_read_narrowing_graph(name).order
+        assert excinfo.value.node_id == 2
+
+
 EVALUATORS = {name: READERS[name] for name in
               ("evaluate_naive", "evaluate_amtc", "evaluate_on_samples", "evaluate_single_point")}
 

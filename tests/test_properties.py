@@ -28,7 +28,9 @@ checks the counts the transformed engine executes against Graph.signatures
 at axis sizes 2, 3 and 5, whose products tell the axes apart.  An eighth
 checks that Graph.stages is a valid staged plan, and a ninth that Monte
 Carlo run by it, on one CPU and with a helper thread, gives the moments or
-the refusal of the sampled path.
+the refusal of the sampled path.  A tenth checks Graph.signatures, of a
+model graph and of the graph with its expands, against the uncertain
+inputs among each variable's ancestors, found by networkx.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
@@ -39,6 +41,7 @@ import operator
 from dataclasses import replace
 from unittest.mock import patch
 
+import networkx as nx
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -181,6 +184,29 @@ def test_executed_counts_are_the_cached_signatures(model):
     expands = [op for op in transformed.graph.operations if op.kind == EXPAND]
     assert transformed.graph.signatures == signatures | {op.output: op.expand_to
                                                          for op in expands}
+
+
+def ancestry_signatures(graph) -> dict:
+    """Variable id -> the axes of the uncertain inputs among it and its
+    ancestors, or an expand's expand_to for its output."""
+    dag = nx.DiGraph()
+    dag.add_nodes_from(var.id for var in graph.variables)
+    for op in graph.operations:
+        dag.add_edges_from((vid, op.id) for vid in op.inputs)
+        dag.add_edge(op.id, op.output)
+    axis_of = {vid: axis for axis, (vid, _) in enumerate(graph.uncertain_inputs)}
+    expand_to = {op.output: op.expand_to for op in graph.operations if op.kind == EXPAND}
+    return {var.id: expand_to[var.id] if var.id in expand_to else tuple(sorted(
+        axis_of[vid] for vid in nx.ancestors(dag, var.id) | {var.id} if vid in axis_of))
+        for var in graph.variables}
+
+
+@settings(max_examples=150, deadline=None)
+@given(models())
+def test_signatures_are_the_uncertain_inputs_among_the_ancestors(model):
+    graph = parse_model(model[0])
+    for checked in (graph, insert_expansions(graph).graph):
+        assert checked.signatures == ancestry_signatures(checked)
 
 
 @settings(max_examples=100, deadline=None)

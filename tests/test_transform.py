@@ -180,7 +180,7 @@ class TestInsertExpansions:
 
     def test_splice_leaves_the_spliced_graph_to_derive_its_signatures(self):
         spliced = insert_expansions(builtin_model("piston")).graph
-        assert "_signatures" not in vars(spliced)
+        assert "_masks" not in vars(spliced) and "signatures" not in vars(spliced)
 
     def test_graph_holding_an_expand_is_refused(self):
         # the hand-built expand widens cos(a), of signature (0,), into (0, 1)
@@ -265,13 +265,13 @@ class TestScheduledCounts:
 
 
 def test_signatures_are_derived_once_per_graph():
-    # every reader of one parsed graph shares its one signature pass; the
-    # graph the splice builds from it is a second graph, with a pass of its own
+    # every reader of one parsed graph shares the one walk that checks it
+    # and derives its signatures; the graph the splice builds from it is a
+    # second graph, with a walk of its own
     g = builtin_model("simple")
-    with patch.object(graph_module, "_signature_pass",
-                      wraps=graph_module._signature_pass) as signature_pass:
+    with patch.object(graph_module, "_violations", wraps=graph_module._violations) as walk:
         bench_rows(g, [2, 3, 4, 5, 6], 1)
         evaluate_amtc(insert_expansions(g), grid_for(g.distributions, 3))
         to_dot(insert_expansions(g))
         influence_matrix_to_csv(g)
-    assert signature_pass.call_count == 2
+    assert walk.call_count == 2

@@ -13,8 +13,10 @@ about 4.5k, 18k and 72k operations.  For each size the passes run in
 order on a freshly parsed graph, each timed alone (the later ones read
 the cached results of the earlier): parse_model, Graph.order, Graph.plan,
 Graph.signatures, Graph.stages, and expansion_copies on a grid of 2 points
-an axis.  The best of --repeats runs is
-printed per pass, in ms and in microseconds per operation.  The cyclic
+an axis.  Graph.order runs the one walk that checks the graph and unions
+each operation's signature mask, so Graph.signatures only turns those
+masks into tuples.  The best of --repeats runs is printed per pass, in ms
+and in microseconds per operation.  The cyclic
 garbage collector stays on, as in a normal run.  --src names the `src`
 directory of the uqc checkout to time (default: this one's).
 """
