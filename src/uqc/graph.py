@@ -14,16 +14,15 @@ dense counter shared by variables and operations.
 
 A graph lists its operations in evaluation order: each operation reads
 only variables that an earlier-listed operation writes or that no
-operation writes.  topo_sort checks that order and refuses any other
-list.  validate states every rule of a well-formed graph; Graph.order
-enforces them all once per graph, and every pass and engine reads it, so
-each refuses exactly the graphs validate refuses: with a ValueError
-carrying validate's messages, or CycleError for a read before its
-write.  A graph holding an expand has no plan (SignatureMismatchError).
-Graph.signatures maps each variable to its dependency signature; every
-signature reader reads it.  The walk that checks the graph for
-Graph.order also derives the signatures, as bitmasks, and checks with
-them validate's rule that an expand widens its input.
+operation writes.  validate states every rule of a well-formed graph,
+that order too.  One walk (_violations) checks them all and derives each
+variable's signature as a bitmask, for the rule that an expand widens
+its input and for Graph.signatures, which every signature reader reads.
+Graph.order enforces the walk once per graph, and every pass and engine
+reads it, so each refuses exactly the graphs validate refuses: with a
+ValueError carrying validate's messages, or CycleError for a read
+before its write.  topo_sort reads the walk for that order alone.  A
+graph holding an expand has no plan (SignatureMismatchError).
 Graph.stages splits the plan by the highest axis of each operation's
 signature, for a run that draws the inputs one after another.
 """
@@ -161,25 +160,23 @@ class Graph:
 
     @property
     def order(self) -> tuple[OperationNode, ...]:
-        """Graph.operations, once the graph is well formed: a ValueError
-        carrying validate's messages if it breaks any rule but evaluation
-        order and expand widening, else CycleError, like topo_sort, if an
-        operation reads a variable before it is written, else a ValueError
-        naming each narrowing expand.  Checked once per graph."""
+        """Graph.operations, once the graph is well formed, else a
+        ValueError carrying validate's messages, or CycleError, like
+        topo_sort, where validate names a read before its write.  Checked
+        once per graph."""
         self._masks
         return self.operations
 
     @cached_property
     def _masks(self) -> dict[int, int]:
-        """Variable id -> its signature as a bitmask, bit j for axis j:
-        the one walk that checks the graph, once per graph; raises as
-        Graph.order does."""
-        violations, narrowing, masks = _violations(self)
-        if not violations:
-            topo_sort(self)
-            violations = narrowing
+        """Variable id -> its signature as a bitmask, bit j for axis j,
+        from the one walk that checks the graph, once per graph; raises
+        as Graph.order does."""
+        violations, early, masks = _violations(self)
         if violations:
             raise ValueError("; ".join(violations))
+        if early is not None:
+            raise CycleError(early)
         return masks
 
     @cached_property
@@ -319,36 +316,33 @@ def topo_sort(graph: Graph) -> list[int]:
     order.  Raises CycleError naming the first listed operation that reads
     a variable written by itself or by a later-listed operation, so a
     cycle or a list out of evaluation order is refused, never sorted.
+    It reads validate's walk for that order alone.
     """
-    operations = graph.operations
-    producer = {op.output: position for position, op in enumerate(operations)}
-    for position, op in enumerate(operations):
-        for vid in op.inputs:
-            if producer.get(vid, -1) >= position:
-                raise CycleError(op.id)
-    return [op.id for op in operations]
+    _, early, _ = _violations(graph)
+    if early is not None:
+        raise CycleError(early)
+    return [op.id for op in graph.operations]
 
 
 def validate(graph: Graph) -> list[str]:
     """Every violation of a well-formed graph, the one statement of its
     rules; an empty list means ok.  A read before its write is named only
-    once the graph breaks no other rule, and a narrowing expand after it."""
-    violations, narrowing, _ = _violations(graph)
-    if not violations:
-        try:
-            topo_sort(graph)
-        except CycleError as exc:
-            violations.append(str(exc))
-        else:
-            violations = narrowing
-    return violations
+    once the graph breaks no other rule, and a narrowing expand only once
+    it reads in order."""
+    violations, early, _ = _violations(graph)
+    if violations or early is None:
+        return violations
+    return [str(CycleError(early))]
 
 
-def _violations(graph: Graph) -> tuple[list[str], list[str], dict[int, int]]:
-    """One walk of the graph: validate's messages but those naming a read
-    before its write or a narrowing expand; those naming each narrowing
-    expand; and each variable's signature as a bitmask (Graph._masks).
-    The last two hold only for a graph in evaluation order."""
+def _violations(graph: Graph) -> tuple[list[str], int | None, dict[int, int]]:
+    """The one walk that checks a graph: validate's messages in its order
+    but the read before its write (the other rules' if any is broken,
+    else none if an operation reads early, else each narrowing expand's);
+    the id of the first listed operation that reads a variable written by
+    itself or by a later-listed one (the last-listed, for a variable
+    written twice), or None; and each variable's signature as a bitmask
+    (Graph._masks), which holds only for a graph in evaluation order."""
     violations: list[str] = []
     var_ids = {v.id for v in graph.variables}
     # A variable read before it is written reads mask 0.
@@ -357,14 +351,17 @@ def _violations(graph: Graph) -> tuple[list[str], list[str], dict[int, int]]:
     narrowing: list[str] = []
     op_ids = {op.id for op in graph.operations}
 
+    if len(var_ids) < len(graph.variables) or len(op_ids) < len(graph.operations):
+        violations.append("node ids repeat")
     all_ids = var_ids | op_ids
     if len(all_ids) != len(var_ids) + len(op_ids):
         violations.append("variable and operation ids overlap")
     if all_ids and (min(all_ids) != 0 or max(all_ids) != len(all_ids) - 1):
         violations.append("node ids are not dense from 0")
 
-    producers = graph.producer_of
-    if len(producers) < len(graph.operations) or not var_ids.issuperset(producers):
+    # Each written variable -> the position of its last-listed writer.
+    written_at = {op.output: position for position, op in enumerate(graph.operations)}
+    if len(written_at) < len(graph.operations) or not var_ids.issuperset(written_at):
         written: dict[int, list[int]] = {}
         for op in graph.operations:
             written.setdefault(op.output, []).append(op.id)
@@ -379,15 +376,19 @@ def _violations(graph: Graph) -> tuple[list[str], list[str], dict[int, int]]:
         constant = value is not None
         if constant and not math.isfinite(value):
             violations.append(f"constant '{name}' has non-finite value {value}")
-        listed, produced = listings.get(vid, 0), vid in producers
+        listed, produced = listings.get(vid, 0), vid in written_at
         if listed + constant + produced != 1:
             roles = (["uncertain input"] * listed + ["constant"] * constant
                      + ["operation output"] * produced)
             violations.append(f"variable {vid} has {len(roles)} roles: {', '.join(roles)}"
                               if roles else f"variable {vid} has no role")
 
-    for op in graph.operations:
+    early = None
+    for position, op in enumerate(graph.operations):
         op_id, kind, inputs, output, exponent, expand_to = op
+        for vid in inputs:
+            if written_at.get(vid, -1) >= position and early is None:
+                early = op_id
         arity = _ARITY.get(kind)
         if arity is None:
             violations.append(f"operation {op_id} has unknown kind '{kind}'")
@@ -436,7 +437,9 @@ def _violations(graph: Graph) -> tuple[list[str], list[str], dict[int, int]]:
                           f"{len(graph.outputs)} outputs")
     if len(set(graph.output_names)) != len(graph.output_names):
         violations.append("output names are not distinct")
-    return violations, narrowing, masks
+    if not violations and early is None:
+        violations = narrowing
+    return violations, early, masks
 
 
 class GraphBuilder:
@@ -475,10 +478,6 @@ class GraphBuilder:
             op_id, kind, tuple(inputs), out_id, exponent, expand_to)))
         self._variables[out_id] = _new_node(VariableNode, (out_id, name or f"_t{out_id}", None))
         return out_id
-
-    def rename(self, var_id: int, name: str) -> None:
-        var = self._variables[var_id]
-        self._variables[var_id] = _new_node(VariableNode, (var_id, name, var.constant_value))
 
     def mark_output(self, var_id: int, name: str) -> None:
         """List the variable as an output reported under `name`."""

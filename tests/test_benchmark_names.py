@@ -88,7 +88,7 @@ def test_trace_mode_runs_and_checks_every_study():
     counts = {
         "dsl.ops": 330,
         "dsl.parse_model.calls": 11,
-        "graph.topo_sort.calls": 11,
+        "graph.topo_sort.calls": 0,
         "transform.insert_expansions.calls": 4,
         "transform.expand_nodes": 96,
         "engine.scalar_evals.naive": 5940,

@@ -250,6 +250,11 @@ class TestValidate:
          ["outputs reference missing variable 99"]),
         (lambda g: with_operation(g, 2, inputs=(9,)),  # cos reads add's output
          ["operation 2 reads a variable written by itself or by a later-listed operation"]),
+        (lambda g: replace(g, variables=g.variables + (VariableNode(10, "z"),),
+                           operations=g.operations + (OperationNode(8, "sin", (0,), 10),)),
+         ["node ids repeat"]),
+        (lambda g: replace(g, variables=g.variables + (VariableNode(9, "z"),)),
+         ["node ids repeat"]),
     ])
     def test_each_violation_is_named(self, edit, problems):
         assert validate(edit(two_branch_graph())) == problems
@@ -338,6 +343,14 @@ def two_producers_graph():
     return with_operation(b.build(), 4, output=t)
 
 
+def repeated_operation_id_graph():
+    """sin(x) and cos(x), both operation 1; the engines would count the
+    two operations' evaluations as one's."""
+    return Graph((VariableNode(0, "x"), VariableNode(2, "s"), VariableNode(3, "c")),
+                 (OperationNode(1, "sin", (0,), 2), OperationNode(1, "cos", (0,), 3)),
+                 ((0, Normal(0, 1)),), (2, 3), ("s", "c"))
+
+
 # sin_times_y: inputs 0 and 1; sin 2 -> 3, mul 4 -> 5
 REFUSED = {
     "writes-an-uncertain-input": writes_an_input_graph,
@@ -350,6 +363,9 @@ REFUSED = {
     "inf-constant": inf_constant_graph,
     "bad-expand_to": lambda: sin_times_y((0, 5)),
     "narrowing-expand": lambda: sin_times_y((1,)),
+    "repeated-operation-id": repeated_operation_id_graph,
+    "repeated-variable-id": lambda: replace(sin_times_y(), variables=sin_times_y().variables
+                                            + (VariableNode(5, "g"),)),
 }
 
 

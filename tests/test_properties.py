@@ -30,7 +30,10 @@ checks that Graph.stages is a valid staged plan, and a ninth that Monte
 Carlo run by it, on one CPU and with a helper thread, gives the moments or
 the refusal of the sampled path.  A tenth checks Graph.signatures, of a
 model graph and of the graph with its expands, against the uncertain
-inputs among each variable's ancestors, found by networkx.
+inputs among each variable's ancestors, found by networkx.  An eleventh
+lists a model graph's operations, or those of its graph with expands, in
+any order: validate, Graph.order and topo_sort refuse the list for its
+first read before its write alone, or accept it.
 
 Differential testing: McKeeman, "Differential testing for software", 1998.
 Property-based generation: MacIver et al., "Hypothesis", JOSS 2019.
@@ -43,6 +46,7 @@ from unittest.mock import patch
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,10 +70,12 @@ from uqc import (
     topo_sort,
     validate,
 )
-from uqc.errors import DomainError
+from uqc.errors import CycleError, DomainError
 from uqc.graph import EXPAND, OP_KINDS
 from uqc.methods import UqResult, sample_inputs
 from uqc.transform import expansion_copies
+
+from test_graph import first_early_reader
 
 DISTRIBUTIONS = ("Normal(0.3, 1)", "Uniform(-1, 2)")
 CONSTANTS = ("0.5", "pi", "1.5")
@@ -458,6 +464,28 @@ def test_validate_names_each_role_edit(model, data):
             op._replace(kind=kind) if op == expand else op for op in transformed.operations))
         assert (f"operation {expand.id}: expand_to present iff kind is expand"
                 in validate(relabeled))
+
+
+@settings(max_examples=150, deadline=None)
+@given(models(), st.booleans(), st.data())
+def test_a_listing_out_of_order_is_refused_for_its_first_early_read(model, expanded, data):
+    # Another order of a well-formed graph's operations breaks no rule but
+    # evaluation order.  The masks the walk derives along a list out of
+    # order may show a narrowing expand, which is not named.
+    graph = parse_model(model[0])
+    if expanded:
+        graph = insert_expansions(graph).graph
+    graph = replace(graph, operations=tuple(data.draw(st.permutations(graph.operations))))
+    reader = first_early_reader(graph.operations)
+    if reader is None:
+        assert validate(graph) == []
+        assert topo_sort(graph) == [op.id for op in graph.operations]
+        return
+    assert validate(graph) == [str(CycleError(reader))]
+    for check in (lambda: graph.order, lambda: topo_sort(graph)):
+        with pytest.raises(CycleError) as excinfo:
+            check()
+        assert excinfo.value.node_id == reader
 
 
 # Monte Carlo draws block by block and runs by stages, and writes its
